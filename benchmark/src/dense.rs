@@ -7,7 +7,7 @@
 //! * `1000@200+500:still:20dbm` — heterogeneous, mostly the scalar sweep.
 
 use crate::layers::{overhead_abba, Layers};
-use crate::stats::{geomean, median, median_setup, mix, timing_line};
+use crate::stats::{geomean, median, mix, timing_line, SetupTimes};
 use crate::{end_to_end, Args, Checks, Report};
 use manet::protocol::Flooding;
 use manet::sim::{DeliveryMode, SimReport, Simulator};
@@ -23,7 +23,8 @@ const WORLDS: [(&str, &str); 3] = [
 /// Flooding's forwarding jitter, as in `exp_scale`.
 const JITTER: (f64, f64) = (0.0, 0.1);
 
-/// Set-ups per run; the median is reported.
+/// Set-ups before and again after the measured phase; the median of all
+/// is reported.
 const SETUP_REPS: usize = 15;
 
 /// Simulated horizon of the naive-oracle parity check (s): short, since
@@ -88,12 +89,14 @@ fn naive_parity(worlds: &[WorldSpec], checks: &mut Checks) {
 
 pub fn run(args: &Args) -> Report {
     let worlds = worlds(args.seed);
-    let (setup_s, _) = median_setup(SETUP_REPS, || {
+    let set_up = || {
         worlds
             .iter()
             .map(|w| Simulator::from_world(w, flooding(w)))
             .collect::<Vec<_>>()
-    });
+    };
+    let mut setup = SetupTimes::default();
+    setup.sample(SETUP_REPS, set_up);
 
     let mut checks = Checks::default();
     let mut reports: Vec<Vec<SimReport>> = vec![Vec::new(); worlds.len()];
@@ -123,12 +126,17 @@ pub fn run(args: &Args) -> Report {
             }
         }
         let elapsed = t0.elapsed().as_secs_f64();
+        setup.sample(SETUP_REPS, set_up);
         let runs: usize = walls.iter().map(Vec::len).sum();
         for ((name, spec), w) in WORLDS.iter().zip(&walls) {
             lines.push(timing_line(&format!("{name} ({spec})"), "s", w));
         }
         let medians_ms: Vec<f64> = walls.iter().map(|w| 1e3 * median(w)).collect();
-        end_to_end(setup_s, runs as f64 / elapsed, geomean(&medians_ms))
+        end_to_end(
+            setup.median_s(),
+            runs as f64 / elapsed,
+            geomean(&medians_ms),
+        )
     };
 
     // Output checks, outside the timed region.

@@ -103,6 +103,11 @@ impl Checks {
             eprintln!("output check failed: {}", what());
         }
     }
+
+    pub fn absorb(&mut self, other: Checks) {
+        self.attempted += other.attempted;
+        self.failed += other.failed;
+    }
 }
 
 /// What a workload run produced.

@@ -8,7 +8,7 @@
 
 use crate::layers::{cross_check, overhead_abba, Layers};
 use crate::shims::TimedProblem;
-use crate::stats::{geomean, median, median_setup, mix, timing_line};
+use crate::stats::{geomean, median, mix, timing_line, SetupTimes};
 use crate::{end_to_end, Args, Checks, Report};
 use aedb::params::AedbParams;
 use aedb::problem::{AedbProblem, BT_LIMIT};
@@ -39,7 +39,8 @@ const MLS_THREADS: u64 = 2 * 2;
 /// thread per island evaluates.
 const ISLANDS: usize = 2;
 
-/// Set-ups per run; the median is reported.
+/// Set-ups before and again after the measured phase; the median of all
+/// is reported.
 const SETUP_REPS: usize = 5;
 
 /// First-batch vectors per density re-simulated through the traced
@@ -191,9 +192,9 @@ fn same_front(a: &[Candidate], b: &[Candidate]) -> bool {
 
 pub fn run(args: &Args) -> Report {
     let default = AedbParams::default_config().to_vec();
-    let (setup_s, _) = median_setup(SETUP_REPS, || {
-        Density::ALL.map(|d| AedbProblem::paper(Scenario::paper(d)).evaluate(&default))
-    });
+    let set_up = || Density::ALL.map(|d| AedbProblem::paper(Scenario::paper(d)).evaluate(&default));
+    let mut setup = SetupTimes::default();
+    setup.sample(SETUP_REPS, set_up);
 
     let mut lines = Vec::new();
     let mut campaigns = Vec::new();
@@ -228,6 +229,7 @@ pub fn run(args: &Args) -> Report {
             campaigns.extend(super_round(args.seed, None));
             round_walls.push(t.elapsed().as_secs_f64());
         }
+        setup.sample(SETUP_REPS, set_up);
         for (name, kind) in ALGORITHMS {
             let mine: Vec<&Campaign> = campaigns.iter().filter(|c| c.kind == kind).collect();
             let evals: u64 = mine.iter().map(|c| c.evaluations).sum();
@@ -264,7 +266,7 @@ pub fn run(args: &Args) -> Report {
         let per_round = evals as f64 / round_walls.len() as f64;
         lines.push(timing_line("super-round wall", "s", &round_walls));
         end_to_end(
-            setup_s,
+            setup.median_s(),
             per_round / median(&round_walls),
             geomean(&per_eval_ms),
         )

@@ -3,18 +3,21 @@
 //!
 //! * Client A sends `High`-priority Simulate probes: D300, AEDB default
 //!   parameters, 10 seeds.
-//! * Client B sends `Normal`-priority NSGA-II campaigns on one D100
-//!   scenario. Each fresh budget adds one seeded repetition to the last,
-//!   so it reads the persisted eval cache (the earlier repetitions hit)
-//!   and flush-writes it; each is followed by exact resubmissions, which
-//!   read and replay the archive.
+//! * Client B sends `Normal`-priority NSGA-II campaigns in chains of
+//!   [`CHAIN_LEN`] on one D100 scenario per chain. Each fresh budget in a
+//!   chain adds one seeded repetition to the last, so it reads the
+//!   persisted eval cache (the earlier repetitions hit) and flush-writes
+//!   it; each is followed by exact resubmissions, which read and replay
+//!   the archive. The next chain starts cold on other networks, so the
+//!   eval cache a campaign loads, and with it the heap peak, stays the
+//!   same however many campaigns a run completes.
 //!
 //! The service has one worker and no preemption, so a probe that arrives
 //! while a campaign runs waits for it; the probe tail latency shows that.
 
 use crate::layers::{cross_check, fail, Layers};
 use crate::shims::{follow, StorageStats, TimedProblem, TimedStorage};
-use crate::stats::{geomean, median, median_setup, mix, quantile, timing_line};
+use crate::stats::{geomean, median, mix, quantile, timing_line, SetupTimes};
 use crate::{end_to_end, Args, Checks, Report, WORK_DIR};
 use aedb::params::AedbParams;
 use aedb::problem::AedbProblem;
@@ -24,8 +27,9 @@ use manet::sim::Simulator;
 use serve::campaign::{
     algorithm_for, rep_seed, AlgorithmKind, CampaignBudget, CampaignResult, CampaignSpec, RepRun,
 };
-use serve::job::{JobError, JobOutput, JobSpec, Priority, ProtocolSpec, SimSummary, SimulateSpec};
+use serve::job::{JobOutput, JobSpec, Priority, ProtocolSpec, SimSummary, SimulateSpec};
 use serve::service::{SimService, EVAL_CACHE_NAMESPACE};
+use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -34,11 +38,14 @@ use store::{DiskStorage, MemoryStorage, Storage};
 
 /// Evaluations per campaign repetition (NSGA-II population 8).
 const REP_EVALS: u64 = 40;
+/// Fresh campaigns per chain; the last one has this many repetitions.
+const CHAIN_LEN: u64 = 4;
 /// Exact resubmissions after each fresh campaign.
 const REPLAYS_PER_FRESH: usize = 2;
 /// Seeds per Simulate probe.
 const PROBE_SEEDS: u64 = 10;
-/// Set-ups per run; the median is reported.
+/// Set-ups before and again after the measured phase; the median of all
+/// is reported.
 const SETUP_REPS: usize = 5;
 
 #[derive(Clone, Copy, PartialEq)]
@@ -48,9 +55,8 @@ enum Kind {
     Replay(u64),
 }
 
-/// What a client keeps of a job's output: a digest of its bit-exact
-/// content, so the benchmark's own memory stays flat however many jobs a
-/// run completes.
+/// What a client keeps of a job's output while checking it: a digest of
+/// its bit-exact content.
 #[derive(PartialEq)]
 enum Seen {
     Probe(u64),
@@ -62,34 +68,61 @@ enum Seen {
     },
 }
 
-struct Job {
-    kind: Kind,
-    latency_s: f64,
-    /// What the event-stream client saw (traced phase only): queue wait,
-    /// run time and event count.
-    trace: Option<(f64, f64, u64)>,
-    /// `(replayed, output)` or the job's error.
-    outcome: Result<(bool, Seen), JobError>,
+/// What a client records of its jobs. Outputs are checked as they arrive
+/// and only latencies are kept, so the client's own memory stays small and
+/// the heap peak does not depend on how many jobs a run completes.
+#[derive(Default)]
+struct Tally {
+    probe_ms: Vec<f64>,
+    fresh_ms: Vec<f64>,
+    replay_ms: Vec<f64>,
+    /// Per job, what the event-stream client saw (traced phases only):
+    /// whether it was a campaign, queue wait, run time and event count.
+    traces: Vec<(bool, f64, f64, u64)>,
+    checks: Checks,
 }
 
-/// FNV-1a.
-fn digest(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
-    })
+impl Tally {
+    fn jobs(&self) -> usize {
+        self.probe_ms.len() + self.fresh_ms.len() + self.replay_ms.len()
+    }
+
+    fn absorb(&mut self, other: Tally) {
+        self.probe_ms.extend(other.probe_ms);
+        self.fresh_ms.extend(other.fresh_ms);
+        self.replay_ms.extend(other.replay_ms);
+        self.traces.extend(other.traces);
+        self.checks.absorb(other.checks);
+    }
 }
 
-fn probe_digest(summaries: &[SimSummary]) -> u64 {
-    // `Debug` prints every f64 in its shortest round-trip form, so equal
-    // digests mean bit-identical summaries.
-    digest(format!("{summaries:?}").as_bytes())
+/// FNV-1a over text written into it.
+struct Fnv(u64);
+
+impl std::fmt::Write for Fnv {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        for b in s.bytes() {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x100_0000_01b3);
+        }
+        Ok(())
+    }
 }
 
-fn seen(output: JobOutput, spec: Option<&CampaignSpec>) -> Seen {
+/// Digest of `value`'s `Debug` form, which prints every f64 in its
+/// shortest round-trip form, so equal digests mean bit-identical values.
+/// The text is hashed as it is written, never held, so checking a job
+/// allocates nothing while the service works on the next one.
+fn digest(value: &impl std::fmt::Debug) -> u64 {
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    write!(h, "{value:?}").expect("hashing never fails");
+    h.0
+}
+
+fn seen(output: JobOutput) -> Seen {
     match output {
-        JobOutput::Simulated(s) => Seen::Probe(probe_digest(&s)),
+        JobOutput::Simulated(s) => Seen::Probe(digest(&s)),
         JobOutput::Campaign(c) => Seen::Campaign {
-            digest: digest(&c.encode(spec.expect("campaign jobs carry their spec"))),
+            digest: digest(&c),
             reps: c.reps.len(),
             sound: c.reps.iter().all(|r| {
                 r.evaluations == REP_EVALS
@@ -102,13 +135,21 @@ fn seen(output: JobOutput, spec: Option<&CampaignSpec>) -> Seen {
     }
 }
 
-/// Campaigns run on the paper's fixed D100 networks; the workload seed
-/// varies the probes.
+/// Repetitions of fresh campaign `i`: 1 to [`CHAIN_LEN`] within a chain.
+fn campaign_reps(i: u64) -> usize {
+    1 + (i % CHAIN_LEN) as usize
+}
+
+/// Campaign `i` runs on chain `i / CHAIN_LEN`'s ten D100 networks: the
+/// paper's fixed ones for chain 0, the next ten network seeds for chain 1,
+/// and so on. The workload seed varies the probes only.
 fn campaign_spec(i: u64) -> CampaignSpec {
+    let mut scenario = Scenario::paper(Density::D100);
+    scenario.base_seed += (i / CHAIN_LEN) * scenario.n_networks as u64;
     CampaignSpec {
-        scenario: Scenario::paper(Density::D100),
+        scenario,
         algorithm: AlgorithmKind::Nsga2,
-        budget: CampaignBudget::quick(REP_EVALS, 1 + i as usize),
+        budget: CampaignBudget::quick(REP_EVALS, campaign_reps(i)),
     }
 }
 
@@ -179,71 +220,121 @@ impl Drop for Svc {
     }
 }
 
-/// Submits `spec` and waits for its terminal event.
-fn submit(svc: &Svc, spec: JobSpec, priority: Priority, kind: Kind, traced: bool) -> Job {
-    let campaign = match &spec {
-        JobSpec::Campaign(c) => Some(c.clone()),
-        JobSpec::Simulate(_) => None,
-    };
-    let t0 = Instant::now();
-    let handle = svc.service().submit(spec, priority);
-    let (trace, outcome) = if traced {
-        let t = follow(handle, t0);
-        (Some((t.queue_wait_s, t.run_s, t.events)), t.outcome)
-    } else {
-        (None, handle.wait().map(|r| (r.replayed, r.output)))
-    };
-    let latency_s = t0.elapsed().as_secs_f64();
-    Job {
-        kind,
-        latency_s,
-        trace,
-        outcome: outcome.map(|(replayed, out)| (replayed, seen(out, campaign.as_ref()))),
+/// One closed-loop client of a phase: it submits one job at a time and
+/// records and checks each.
+struct Client<'a> {
+    svc: &'a Svc,
+    traced: bool,
+    /// Digest of direct runs of the probe's seeds; every probe must match.
+    probe: u64,
+    tally: Tally,
+}
+
+impl Client<'_> {
+    /// Submits `spec` as a job of `kind` (probes at `High` priority,
+    /// campaigns at `Normal`), waits for its terminal event, records its
+    /// latency and checks its output; a replay is checked against `fresh`,
+    /// what the fresh run of its campaign returned. Returns what the job
+    /// returned.
+    fn run(&mut self, spec: JobSpec, kind: Kind, fresh: Option<&Seen>) -> Option<Seen> {
+        let tally = &mut self.tally;
+        let priority = match kind {
+            Kind::Probe => Priority::High,
+            Kind::Fresh(_) | Kind::Replay(_) => Priority::Normal,
+        };
+        let t0 = Instant::now();
+        let handle = self.svc.service().submit(spec, priority);
+        let outcome = if self.traced {
+            let t = follow(handle, t0);
+            let is_campaign = kind != Kind::Probe;
+            tally
+                .traces
+                .push((is_campaign, t.queue_wait_s, t.run_s, t.events));
+            t.outcome
+        } else {
+            handle.wait().map(|r| (r.replayed, r.output))
+        };
+        let ms = 1e3 * t0.elapsed().as_secs_f64();
+        match kind {
+            Kind::Probe => tally.probe_ms.push(ms),
+            Kind::Fresh(_) => tally.fresh_ms.push(ms),
+            Kind::Replay(_) => tally.replay_ms.push(ms),
+        }
+
+        let (replayed, output) = match outcome {
+            Ok((replayed, out)) => (replayed, seen(out)),
+            Err(e) => {
+                tally.checks.check(false, || format!("a job failed: {e}"));
+                return None;
+            }
+        };
+        let ok = match (kind, &output) {
+            (Kind::Probe, Seen::Probe(d)) => *d == self.probe,
+            (Kind::Fresh(i), Seen::Campaign { reps, sound, .. }) => {
+                !replayed && *reps == campaign_reps(i) && *sound
+            }
+            (Kind::Replay(_), Seen::Campaign { .. }) => replayed && fresh == Some(&output),
+            _ => false,
+        };
+        tally.checks.check(ok, || match kind {
+            Kind::Probe => "a Simulate probe differs from direct Simulator runs".into(),
+            Kind::Fresh(i) => format!("fresh campaign {i}: replayed, wrong budget or bad front"),
+            Kind::Replay(i) => {
+                format!("replay of campaign {i} is not flagged or not bit-identical")
+            }
+        });
+        Some(output)
     }
 }
 
 /// Both clients for `seconds`, client B starting at fresh campaign
-/// `first`; returns every job, the phase wall time and the next fresh
-/// campaign index.
-fn phase(svc: &Svc, seed: u64, seconds: f64, traced: bool, first: u64) -> (Vec<Job>, f64, u64) {
+/// `first`; `probe` is the digest every probe must match. Returns what the
+/// clients recorded, the phase wall time and the next fresh campaign index.
+fn phase(
+    svc: &Svc,
+    seed: u64,
+    probe: u64,
+    seconds: f64,
+    traced: bool,
+    first: u64,
+) -> (Tally, f64, u64) {
     let t0 = Instant::now();
-    let probe = probe_spec(seed);
-    let (mut jobs, b) = std::thread::scope(|scope| {
+    let spec = probe_spec(seed);
+    let client = || Client {
+        svc,
+        traced,
+        probe,
+        tally: Tally::default(),
+    };
+    let (mut tally, b) = std::thread::scope(|scope| {
         let a = scope.spawn(|| {
-            let mut jobs = Vec::new();
+            let mut c = client();
             while t0.elapsed().as_secs_f64() < seconds {
-                let spec = JobSpec::Simulate(probe.clone());
-                jobs.push(submit(svc, spec, Priority::High, Kind::Probe, traced));
+                c.run(JobSpec::Simulate(spec.clone()), Kind::Probe, None);
             }
-            jobs
+            c.tally
         });
         let b = scope.spawn(|| {
-            let mut jobs = Vec::new();
+            let mut c = client();
             let mut i = first;
             while t0.elapsed().as_secs_f64() < seconds {
                 let spec = campaign_spec(i);
-                let fresh = JobSpec::Campaign(spec.clone());
-                jobs.push(submit(svc, fresh, Priority::Normal, Kind::Fresh(i), traced));
+                let job = JobSpec::Campaign(spec.clone());
+                let fresh = c.run(job, Kind::Fresh(i), None);
                 for _ in 0..REPLAYS_PER_FRESH {
-                    let again = JobSpec::Campaign(spec.clone());
-                    jobs.push(submit(
-                        svc,
-                        again,
-                        Priority::Normal,
-                        Kind::Replay(i),
-                        traced,
-                    ));
+                    let job = JobSpec::Campaign(spec.clone());
+                    c.run(job, Kind::Replay(i), fresh.as_ref());
                 }
                 i += 1;
             }
-            (jobs, i)
+            (c.tally, i)
         });
         let a = a.join().expect("probe client panicked");
         (a, b.join().expect("campaign client panicked"))
     });
     let wall = t0.elapsed().as_secs_f64();
-    jobs.extend(b.0);
-    (jobs, wall, b.1)
+    tally.absorb(b.0);
+    (tally, wall, b.1)
 }
 
 fn summary(seed: u64, report: &manet::sim::SimReport) -> SimSummary {
@@ -283,65 +374,28 @@ fn direct_probe(seed: u64, layers: Option<&mut Layers>) -> Vec<SimSummary> {
         .collect()
 }
 
-fn check_jobs(jobs: &[Job], probe: &[SimSummary], checks: &mut Checks) {
-    let probe = probe_digest(probe);
-    let fresh_result = |i: u64| {
-        jobs.iter().find_map(|j| match (&j.kind, &j.outcome) {
-            (Kind::Fresh(k), Ok((_, seen))) if *k == i => Some(seen),
-            _ => None,
-        })
-    };
-    for job in jobs {
-        let (replayed, output) = match &job.outcome {
-            Ok(ok) => ok,
-            Err(e) => {
-                checks.check(false, || format!("a job failed: {e}"));
-                continue;
-            }
-        };
-        match (job.kind, output) {
-            (Kind::Probe, Seen::Probe(d)) => {
-                checks.check(*d == probe, || {
-                    "a Simulate probe differs from direct Simulator runs".into()
-                });
-            }
-            (Kind::Fresh(i), Seen::Campaign { reps, sound, .. }) => {
-                let ok = !replayed && *reps as u64 == 1 + i && *sound;
-                checks.check(ok, || {
-                    format!("fresh campaign {i}: replayed, wrong budget or bad front")
-                });
-            }
-            (Kind::Replay(i), Seen::Campaign { .. }) => {
-                checks.check(*replayed && fresh_result(i) == Some(output), || {
-                    format!("replay of campaign {i} is not flagged or not bit-identical")
-                });
-            }
-            _ => checks.check(false, || "a job returned the wrong output kind".into()),
-        }
-    }
-}
-
-fn count(jobs: &[Job], pred: impl Fn(Kind) -> bool) -> u64 {
-    jobs.iter().filter(|j| pred(j.kind)).count() as u64
-}
-
 /// Fresh campaigns timed through the service and run directly, for
 /// `serve.overhead_ratio`.
 const OVERHEAD_SAMPLES: u64 = 3;
 
 /// One fresh campaign through the service against the same spec run
-/// directly on a copy of the eval cache it starts from.
+/// directly on a copy of the eval cache it starts from (none at the start
+/// of a chain).
 fn overhead(svc: &Svc, next: u64, layers: &mut Layers) {
     let spec = campaign_spec(next);
     let problem = AedbProblem::paper(spec.scenario.clone()).with_parallel_batches(true);
     let key = format!("{:016x}", problem.cache_fingerprint());
     let snapshot = DiskStorage::new(&svc.root)
         .get(EVAL_CACHE_NAMESPACE, &key)
-        .expect("reading the eval cache")
-        .expect("the eval cache was flushed");
+        .expect("reading the eval cache");
+    cross_check(snapshot.is_some() == (campaign_reps(next) > 1), || {
+        format!("campaign {next}: the eval cache is not where its chain left it")
+    });
     let copy = Arc::new(MemoryStorage::new());
-    copy.put(EVAL_CACHE_NAMESPACE, &key, &snapshot)
-        .expect("memory put");
+    if let Some(snapshot) = snapshot {
+        copy.put(EVAL_CACHE_NAMESPACE, &key, &snapshot)
+            .expect("memory put");
+    }
 
     let t0 = Instant::now();
     let handle = svc
@@ -391,36 +445,39 @@ fn overhead(svc: &Svc, next: u64, layers: &mut Layers) {
 pub fn run(args: &Args) -> Report {
     let mut checks = Checks::default();
     let mut lines = Vec::new();
-    let probe_direct;
-    let (jobs, metrics) = if args.trace {
+    let mut layers = Layers::default();
+    // The probe output check's reference, computed before any timing:
+    // direct `Simulator` runs of the probe's seeds (traced when tracing).
+    let probe = digest(&direct_probe(args.seed, args.trace.then_some(&mut layers)));
+    let (tally, metrics) = if args.trace {
         // Plain and traced services run in the order plain, traced,
         // traced, plain, a quarter of the time each, so warm-up and host
         // drift cancel out of the overhead ratio.
         let plain = Svc::start(false, &mut checks);
         let svc = Svc::start(true, &mut checks);
         let before = svc.io();
-        let (mut all, mut jobs) = (Vec::new(), Vec::new());
+        let (mut all, mut tally) = (Tally::default(), Tally::default());
         let mut next = [1, 1];
         let mut rate = [(0, 0.0); 2];
         for traced in [false, true, true, false] {
             let side = traced as usize;
             let on = if traced { &svc } else { &plain };
-            let (done, wall, n) = phase(on, args.seed, args.seconds / 4.0, traced, next[side]);
+            let quarter = args.seconds / 4.0;
+            let (done, wall, n) = phase(on, args.seed, probe, quarter, traced, next[side]);
             next[side] = n;
-            rate[side].0 += done.len();
+            rate[side].0 += done.jobs();
             rate[side].1 += wall;
             if traced {
-                jobs.extend(done);
+                tally.absorb(done);
             } else {
-                all.extend(done);
+                all.absorb(done);
             }
         }
         drop(plain);
         let io = svc.io() - before;
 
-        let mut layers = Layers::default();
-        let fresh = count(&jobs, |k| matches!(k, Kind::Fresh(_)));
-        let replays = count(&jobs, |k| matches!(k, Kind::Replay(_)));
+        let fresh = tally.fresh_ms.len() as u64;
+        let replays = tally.replay_ms.len() as u64;
         cross_check(replays == REPLAYS_PER_FRESH as u64 * fresh, || {
             format!("{replays} replays for {fresh} fresh campaigns")
         });
@@ -438,13 +495,12 @@ pub fn run(args: &Args) -> Report {
             },
         );
         let s = &mut layers.serve;
-        for job in &jobs {
-            let (wait, run, events) = job.trace.expect("traced phase");
+        for &(is_campaign, wait, run, events) in &tally.traces {
             s.jobs += 1;
             s.events += events;
             s.queue_wait_s += wait;
             s.run_s += run;
-            if job.kind != Kind::Probe {
+            if is_campaign {
                 layers.store.campaign_run_s += run;
                 layers.store.campaign_jobs += 1;
             }
@@ -456,41 +512,33 @@ pub fn run(args: &Args) -> Report {
         for k in 0..OVERHEAD_SAMPLES {
             overhead(&svc, next[1] + k, &mut layers);
         }
-        probe_direct = direct_probe(args.seed, Some(&mut layers));
         layers.validate();
         lines.extend(layers.lines());
-        all.extend(jobs);
+        all.absorb(tally);
         (all, layers.metrics())
     } else {
-        let (setup_s, svc) = median_setup(SETUP_REPS, || Svc::start(false, &mut checks));
-        let (jobs, wall, _) = phase(&svc, args.seed, args.seconds, false, 1);
+        let mut setup = SetupTimes::default();
+        let svc = setup.sample(SETUP_REPS, || Svc::start(false, &mut checks));
+        let (tally, wall, _) = phase(&svc, args.seed, probe, args.seconds, false, 1);
         drop(svc);
-        let ms = |kind: fn(Kind) -> bool| -> Vec<f64> {
-            jobs.iter()
-                .filter(|j| kind(j.kind))
-                .map(|j| 1e3 * j.latency_s)
-                .collect()
-        };
-        let sims = ms(|k| k == Kind::Probe);
-        let fresh = ms(|k| matches!(k, Kind::Fresh(_)));
-        let replays = ms(|k| matches!(k, Kind::Replay(_)));
-        lines.push(timing_line("sim_job_ms", "ms", &sims));
-        lines.push(format!("sim_job_p90_ms: {:.3} ms", quantile(&sims, 0.9)));
-        lines.push(timing_line("campaign_job_ms (fresh)", "ms", &fresh));
+        setup.sample(SETUP_REPS, || Svc::start(false, &mut checks));
+        let sims = &tally.probe_ms;
+        let fresh = &tally.fresh_ms;
+        lines.push(timing_line("sim_job_ms", "ms", sims));
+        lines.push(format!("sim_job_p90_ms: {:.3} ms", quantile(sims, 0.9)));
+        lines.push(timing_line("campaign_job_ms (fresh)", "ms", fresh));
         lines.push(timing_line(
             "replay_job_ms (checked, not timed)",
             "ms",
-            &replays,
+            &tally.replay_ms,
         ));
-        let jobs_per_s = jobs.len() as f64 / wall;
+        let jobs_per_s = tally.jobs() as f64 / wall;
         lines.push(format!("service_jobs_per_s: {jobs_per_s:.3} 1/s"));
-        let op_ms = geomean(&[median(&sims), quantile(&sims, 0.9), median(&fresh)]);
-        probe_direct = direct_probe(args.seed, None);
-        (jobs, end_to_end(setup_s, jobs_per_s, op_ms))
+        let op_ms = geomean(&[median(sims), quantile(sims, 0.9), median(fresh)]);
+        (tally, end_to_end(setup.median_s(), jobs_per_s, op_ms))
     };
 
-    // Output checks, outside the timed region.
-    check_jobs(&jobs, &probe_direct, &mut checks);
+    checks.absorb(tally.checks);
     Report {
         checks,
         metrics,

@@ -64,18 +64,31 @@ pub fn timing_line(name: &str, unit: &str, samples: &[f64]) -> String {
     )
 }
 
-/// Runs `f` `reps` times and returns the median wall time in seconds plus
-/// the product of the last repetition.
-pub fn median_setup<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
-    let mut times = Vec::with_capacity(reps);
-    let mut last = None;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let product = f();
-        times.push(t0.elapsed().as_secs_f64());
-        last = Some(product);
+/// Set-up wall times of one run. A workload times its set-up several
+/// times before its measured phase and as many times after it, so the
+/// median reflects the host over the whole run rather than over the
+/// second or so before measuring starts.
+#[derive(Default)]
+pub struct SetupTimes(Vec<f64>);
+
+impl SetupTimes {
+    /// Runs `f` `reps` times, timing each, and returns the product of the
+    /// last repetition.
+    pub fn sample<T>(&mut self, reps: usize, mut f: impl FnMut() -> T) -> T {
+        let mut last = None;
+        for _ in 0..reps {
+            let t0 = Instant::now();
+            let product = f();
+            self.0.push(t0.elapsed().as_secs_f64());
+            last = Some(product);
+        }
+        last.expect("at least one set-up")
     }
-    (median(&times), last.expect("at least one set-up"))
+
+    /// Median of every set-up timed so far, in seconds.
+    pub fn median_s(&self) -> f64 {
+        median(&self.0)
+    }
 }
 
 /// Peak resident-set size of this process in MiB (`VmHWM`).

@@ -116,10 +116,12 @@ fn bench_fast99(c: &mut Criterion) {
     g.finish();
 }
 
-/// Thread-scaling of the MLS engine itself on a cheap problem: the paper's
-/// claim is that the local search parallelises trivially; this measures the
-/// engine overhead (channel traffic, barriers, lock contention) as threads
-/// grow at a fixed total budget.
+/// Engine overhead of AEDB-MLS per walkers-per-round on a cheap problem:
+/// at a fixed total budget, more walkers mean fewer, wider lockstep rounds
+/// (one `evaluate_batch` and one serial archive merge each). On ZDT1 the
+/// evaluations cost almost nothing, so this times the round machinery —
+/// move proposal, batch assembly, archive offers — not parallel speed-up.
+/// (The group keeps its historical name.)
 fn bench_mls_scaling(c: &mut Criterion) {
     let mut g = c.benchmark_group("mls_thread_scaling_fixed_budget");
     g.sample_size(10);

@@ -32,7 +32,7 @@ pub use serve::campaign::{rep_seed, AlgorithmKind};
 /// * MOEAs receive `scale.evals` evaluations (paper: 10 000),
 /// * AEDB-MLS receives `scale.mls_evals()` = 2.4× that (paper: 24 000,
 ///   §VI: "it performs 2.4 times more evaluations"), split over the
-///   paper's 8 × 12 thread topology at `--paper` scale and a 2 × 2
+///   paper's 8 × 12 walker topology at `--paper` scale and a 2 × 2
 ///   topology otherwise.
 pub fn algorithms_for(scale: &ExperimentScale, kind: AlgorithmKind) -> Box<dyn MoAlgorithm> {
     serve::campaign::algorithm_for(&scale.campaign_budget(), kind)
@@ -191,10 +191,7 @@ mod tests {
         // algorithm instance per run.
         let scale = tiny_scale();
         let problem = Zdt1::new(5);
-        // MLS is excluded: its *internal* 2x2 thread topology makes even
-        // two identical sequential runs diverge (pre-existing behaviour),
-        // so there is no sequential reference to compare against.
-        for kind in [AlgorithmKind::CellDe, AlgorithmKind::Nsga2] {
+        for kind in AlgorithmKind::ALL {
             let sharded = run_algorithm(&scale, kind, &problem);
             let sequential: Vec<_> = (0..scale.reps)
                 .map(|rep| algorithms_for(&scale, kind).run(&problem, 0xBEEF + 97 * rep as u64))

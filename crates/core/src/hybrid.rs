@@ -5,17 +5,20 @@
 //! the solutions generated by CellDE."*
 //!
 //! The hybrid runs in two phases: a CellDE exploration phase produces a
-//! first front; the AEDB-MLS engine then refines it, with every worker
+//! first front; the AEDB-MLS engine then refines it, with every walker
 //! starting from one of the CellDE solutions
 //! ([`Mls::optimize_from`](crate::mls::Mls::optimize_from)). The final
 //! front is the non-dominated union of both phases, so refinement can
-//! never lose ground against phase 1.
+//! never lose ground against phase 1. Both phases report to the run's
+//! observer as one continuous generation stream.
 
 use crate::mls::{Mls, MlsConfig};
 use moea::cellde::{CellDe, CellDeConfig};
 use mopt::algorithm::{MoAlgorithm, NoProgress, RunObserver, RunResult};
 use mopt::dominance::non_dominated;
 use mopt::problem::Problem;
+use mopt::solution::Candidate;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Configuration of the two-phase hybrid.
 #[derive(Debug, Clone)]
@@ -72,17 +75,23 @@ impl MoAlgorithm for CellDeMls {
         seed: u64,
         observer: &dyn RunObserver,
     ) -> RunResult {
-        // Phase 1: exploration, with per-generation progress. The MLS
-        // refinement phase has no generation barrier to hook (it is the
-        // thread-topology engine), so it reports nothing; cancellation
-        // between the phases still takes effect here.
-        let phase1 = CellDe::new(self.config.cellde.clone()).run_observed(problem, seed, observer);
+        // Phase 1: exploration, with per-generation progress.
+        let phase1_observer = Continued::new(observer, 0, 0);
+        let phase1 =
+            CellDe::new(self.config.cellde.clone()).run_observed(problem, seed, &phase1_observer);
         if observer.cancelled() {
             return phase1;
         }
-        // Phase 2: local-search refinement seeded with the phase-1 front.
+        // Phase 2: local-search refinement seeded with the phase-1 front;
+        // its rounds continue phase 1's generation and evaluation counts.
         let mls = Mls::new(self.config.mls.clone());
-        let phase2 = mls.optimize_from(problem, seed ^ 0x5EED_CE11, &phase1.front);
+        let phase2_observer = Continued::new(
+            observer,
+            phase1_observer.last_generation.load(Ordering::Relaxed) + 1,
+            phase1.evaluations,
+        );
+        let phase2 =
+            mls.optimize_impl(problem, seed ^ 0x5EED_CE11, &phase1.front, &phase2_observer);
         // Union: refinement must never lose phase-1 ground.
         let mut all = phase1.front.clone();
         all.extend(phase2.front.iter().cloned());
@@ -93,6 +102,40 @@ impl MoAlgorithm for CellDeMls {
             elapsed: phase1.elapsed + phase2.elapsed,
         }
         .sanitize()
+    }
+}
+
+/// Forwards one phase's progress with its generation and evaluation
+/// counts shifted by what earlier phases reported, remembering the last
+/// generation it forwarded.
+struct Continued<'a> {
+    inner: &'a dyn RunObserver,
+    generations: u64,
+    evaluations: u64,
+    last_generation: AtomicU64,
+}
+
+impl<'a> Continued<'a> {
+    fn new(inner: &'a dyn RunObserver, generations: u64, evaluations: u64) -> Self {
+        Self {
+            inner,
+            generations,
+            evaluations,
+            last_generation: AtomicU64::new(generations),
+        }
+    }
+}
+
+impl RunObserver for Continued<'_> {
+    fn on_generation(&self, generation: u64, evaluations: u64, pool: &[Candidate]) {
+        let generation = self.generations + generation;
+        self.last_generation.store(generation, Ordering::Relaxed);
+        self.inner
+            .on_generation(generation, self.evaluations + evaluations, pool);
+    }
+
+    fn cancelled(&self) -> bool {
+        self.inner.cancelled()
     }
 }
 
@@ -109,9 +152,35 @@ mod tests {
         let r = hybrid.run(&Schaffer::new(), 3);
         assert!(!r.front.is_empty());
         // evaluations: phase1 (360 rounded to generations) + phase2
-        // (2 workers × 120 each); seeded workers skip their init eval
+        // (2 walkers × 120 each); seeded walkers skip their init eval
         assert!(r.evaluations > 400, "evals = {}", r.evaluations);
         assert!(r.evaluations <= 600, "evals = {}", r.evaluations);
+    }
+
+    #[test]
+    fn observed_run_streams_both_phases() {
+        use std::sync::Mutex;
+        struct Recorder(Mutex<Vec<(u64, u64)>>);
+        impl RunObserver for Recorder {
+            fn on_generation(&self, generation: u64, evaluations: u64, _: &[Candidate]) {
+                self.0.lock().unwrap().push((generation, evaluations));
+            }
+        }
+        let hybrid = CellDeMls::new(CellDeMlsConfig::quick(600));
+        let p = Schaffer::new();
+        let plain = hybrid.run(&p, 3);
+        let rec = Recorder(Mutex::new(Vec::new()));
+        let observed = hybrid.run_observed(&p, 3, &rec);
+        let objectives = |r: &RunResult| r.objectives();
+        assert_eq!(objectives(&plain), objectives(&observed));
+        assert_eq!(plain.evaluations, observed.evaluations);
+        // One stream: generations count up by one across the phase
+        // boundary, evaluations never go back, and the last report is
+        // the whole budget.
+        let events = rec.0.into_inner().unwrap();
+        assert!(events.windows(2).all(|w| w[0].0 + 1 == w[1].0));
+        assert!(events.windows(2).all(|w| w[0].1 <= w[1].1));
+        assert_eq!(events.last().unwrap().1, plain.evaluations);
     }
 
     #[test]

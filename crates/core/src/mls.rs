@@ -1,36 +1,35 @@
-//! The AEDB-MLS engine: Fig. 3/Fig. 4 of the paper.
+//! The AEDB-MLS engine: Fig. 3/Fig. 4 of the paper, as lockstep rounds.
 //!
-//! Topology per run:
+//! Round structure of a run with `P` populations of `T` walkers:
 //!
 //! ```text
-//!   ┌ population 0 ─ RwLock<Vec<Candidate>> ┐        ┌───────────────┐
-//!   │ worker 0.0  worker 0.1 … worker 0.T   │──msg──▶│ archive thread │
-//!   └───────────────────────────────────────┘◀─msg───│  (AGA, Eq.·§IV-A)
-//!   ┌ population 1 … (P populations)        │        └───────────────┘
+//!   round r │ walker (0,0) … (0,T−1) │ … │ walker (P−1,0) … (P−1,T−1) │  one BLX-α move each
+//!           └──────────────── one Problem::evaluate_batch ──────────────┘
+//!           serial merge in (p, k) order: archive offer (AGA, §IV-A), acceptance
+//!           every `reset_iterations` rounds: walkers re-seed from archive elites
 //! ```
 //!
-//! Workers of one population collaborate through the shared population
-//! vector (each slot holds its owner's current solution; reference
-//! solutions `t` for the BLX-α move are read from random slots). All
-//! workers collaborate globally *only* through the archive manager thread,
-//! which owns the Adaptive Grid Archive: `Submit` messages offer feasible
-//! solutions, `Sample` messages draw random elites for the periodic
-//! population reinitialisation. This mirrors the paper's hybrid
-//! message-passing + shared-memory model and its non-hierarchical,
-//! peer-only schema (no worker is a master).
+//! Walkers of one population collaborate through the population as it
+//! stood at the end of the previous round: each move's reference solution
+//! `t` is one of those `T` solutions. All walkers collaborate globally
+//! *only* through the elite archive, which collects every feasible move
+//! and hands out random elites for the periodic reinitialisation. The
+//! paper's hybrid model (MPI between populations, threads within one)
+//! becomes one batch per round: the problem's evaluation pool is the
+//! parallelism, and on `AedbProblem` the round's `P·T` candidates share
+//! one simulated protocol-free prefix per network. Every random draw comes
+//! from a per-walker RNG or the archive's RNG, consumed in `(p, k)` order,
+//! so a run is a pure function of its configuration and seed.
 
 use crate::criteria::SearchCriteria;
-use crossbeam::channel::{bounded, unbounded, Sender};
+use mopt::algorithm::{NoProgress, RunObserver};
 use mopt::archive::{AgaArchive, CrowdingArchive, EliteArchive};
 use mopt::dominance::{constrained_dominance, DominanceOrd};
 use mopt::ops::{blx_alpha_step, uniform_init};
 use mopt::problem::Problem;
-use mopt::solution::Candidate;
-use parking_lot::RwLock;
+use mopt::solution::{Bounds, Candidate};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Barrier;
 use std::time::Instant;
 
 /// Which search criteria the local search uses.
@@ -66,9 +65,11 @@ impl CriteriaChoice {
 pub struct MlsConfig {
     /// Number of distributed populations (paper: 8).
     pub n_populations: usize,
-    /// Local-search threads per population (paper: 12).
+    /// Local-search walkers per population, each proposing one move per
+    /// round (paper: 12 threads).
     pub threads_per_population: usize,
-    /// Evaluations each thread performs (paper: 250; total = P·T·E).
+    /// Evaluations each walker performs, its start included (paper: 250;
+    /// total = P·T·E).
     pub evals_per_thread: u64,
     /// Iterations between population reinitialisations from the archive
     /// (paper's tuned value: 50).
@@ -102,7 +103,7 @@ pub enum AcceptanceRule {
     NonDominated,
 }
 
-/// Which bounded elite archive the manager thread maintains.
+/// Which bounded elite archive the run maintains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArchiveKind {
     /// Adaptive Grid Archiving (PAES) — the paper's choice.
@@ -160,14 +161,6 @@ impl MlsConfig {
     }
 }
 
-/// Messages workers send to the archive manager.
-enum ArchiveMsg {
-    /// Offer a solution to the elite archive.
-    Submit(Candidate),
-    /// Request a random elite for reinitialisation.
-    Sample(Sender<Option<Candidate>>),
-}
-
 /// The AEDB-MLS optimiser.
 #[derive(Debug, Clone, Default)]
 pub struct Mls {
@@ -186,138 +179,162 @@ impl Mls {
         Self { config }
     }
 
-    /// Runs the search. Thread interleaving makes multi-thread runs
-    /// non-deterministic in general; a `1 population × 1 thread`
-    /// configuration is fully deterministic for a given seed.
+    /// Runs the search. The front is a pure function of the configuration
+    /// and `seed`: every round is one batch, merged serially, so neither
+    /// the pool size nor scheduling can change it.
     ///
-    /// Every worker's starting point is drawn up front and evaluated
-    /// through the problem's **batched** pipeline
-    /// ([`Problem::evaluate_batch`]) before the worker threads spawn —
-    /// on expensive simulation problems the whole multi-start
-    /// initialisation fans out across cores (and dedupes via the
-    /// problem's cache) instead of trickling in one evaluation per
-    /// worker.
-    pub fn optimize(&self, problem: &dyn Problem, seed: u64) -> crate::mls::MlsResult {
-        let cfg = &self.config;
-        let total = cfg.n_populations * cfg.threads_per_population;
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0xBA7C_41D5_EED0_0113);
-        let xs: Vec<Vec<f64>> = (0..total)
-            .map(|_| uniform_init(problem.bounds(), &mut rng))
-            .collect();
-        let init = problem.make_candidates(xs);
-        self.optimize_impl(problem, seed, &init, init.len() as u64)
+    /// Every walker's starting point is drawn up front and the `P·T`
+    /// starts are evaluated as one batch ([`Problem::evaluate_batch`]),
+    /// like every later round.
+    pub fn optimize(&self, problem: &dyn Problem, seed: u64) -> MlsResult {
+        let starts = self.random_starts(problem, seed);
+        self.optimize_impl(problem, seed, &starts, &NoProgress)
     }
 
-    /// Like [`optimize`](Self::optimize), but workers start from the given
-    /// evaluated solutions (round-robin) instead of random points — the
-    /// hook the paper's future work needs ("include AEDB-MLS in
-    /// [CellDE] as a local search for fine tuning the solutions"). Each
-    /// worker takes one seed round-robin (already-evaluated seeds are not
-    /// re-simulated) and submits it to the archive as its starting point;
-    /// when `seeds` is empty all workers initialise randomly.
+    /// Like [`optimize`](Self::optimize), but walkers start from the given
+    /// solutions (round-robin) instead of random points — the hook the
+    /// paper's future work needs ("include AEDB-MLS in [CellDE] as a local
+    /// search for fine tuning the solutions"). Already-evaluated seeds are
+    /// neither re-simulated nor counted as evaluations; every walker still
+    /// makes `evals_per_thread − 1` moves. When `seeds` is empty every
+    /// walker draws a random start from its own RNG.
     pub fn optimize_from(
         &self,
         problem: &dyn Problem,
         seed: u64,
         seeds: &[Candidate],
-    ) -> crate::mls::MlsResult {
-        self.optimize_impl(problem, seed, seeds, 0)
+    ) -> MlsResult {
+        self.optimize_impl(problem, seed, seeds, &NoProgress)
     }
 
-    /// Shared engine behind [`optimize`](Self::optimize) /
-    /// [`optimize_from`](Self::optimize_from); `pre_evals` counts
-    /// evaluations already spent producing `seeds` (the batched
-    /// initialisation) so result bookkeeping stays exact.
-    fn optimize_impl(
+    /// `P·T` unevaluated uniform starting points.
+    fn random_starts(&self, problem: &dyn Problem, seed: u64) -> Vec<Candidate> {
+        let cfg = &self.config;
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0xBA7C_41D5_EED0_0113);
+        (0..cfg.n_populations * cfg.threads_per_population)
+            .map(|_| Candidate::new(uniform_init(problem.bounds(), &mut rng)))
+            .collect()
+    }
+
+    /// The lockstep engine behind every entry point. Walker `(p, k)`
+    /// starts from `seeds[(p·T + k) mod len]`; the unevaluated starts are
+    /// evaluated as one batch (round 0), then every round evaluates one
+    /// move per walker as one batch. `observer` sees the archive after
+    /// round 0 and after every round, and cancellation stops the run at a
+    /// round boundary.
+    pub(crate) fn optimize_impl(
         &self,
         problem: &dyn Problem,
         seed: u64,
         seeds: &[Candidate],
-        pre_evals: u64,
-    ) -> crate::mls::MlsResult {
+        observer: &dyn RunObserver,
+    ) -> MlsResult {
         let start = Instant::now();
         let cfg = &self.config;
-        let n_params = problem.bounds().len();
-        let criteria = cfg.criteria.resolve(n_params);
-        let evals = AtomicU64::new(0);
-
-        let (tx, rx) = unbounded::<ArchiveMsg>();
-        let populations: Vec<RwLock<Vec<Candidate>>> = (0..cfg.n_populations)
-            .map(|_| RwLock::new(vec![Candidate::new(vec![]); cfg.threads_per_population]))
+        let bounds = problem.bounds();
+        let criteria = cfg.criteria.resolve(bounds.len());
+        let t = cfg.threads_per_population;
+        let walkers = cfg.n_populations * t;
+        let mut rngs: Vec<SmallRng> = (0..walkers)
+            .map(|i| {
+                let (p, k) = (i / t, i % t);
+                SmallRng::seed_from_u64(
+                    seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul((p * 1024 + k + 1) as u64),
+                )
+            })
             .collect();
-        let barriers: Vec<Barrier> = (0..cfg.n_populations)
-            .map(|_| Barrier::new(cfg.threads_per_population))
+
+        // Lines 1–3: initialise (randomly, or from a provided seed solution
+        // when running as a refinement stage), evaluate, archive.
+        let mut current: Vec<Candidate> = rngs
+            .iter_mut()
+            .enumerate()
+            .map(|(i, rng)| match seeds.get(i % seeds.len().max(1)) {
+                Some(c) => c.clone(),
+                None => Candidate::new(uniform_init(bounds, rng)),
+            })
             .collect();
+        let pending: Vec<usize> = (0..walkers)
+            .filter(|&i| !current[i].is_evaluated())
+            .collect();
+        if !pending.is_empty() {
+            let xs = pending
+                .iter()
+                .map(|&i| std::mem::take(&mut current[i].params))
+                .collect();
+            for (&i, c) in pending.iter().zip(problem.make_candidates(xs)) {
+                current[i] = c;
+            }
+        }
+        let mut evaluations = pending.len() as u64;
+        let mut archive: Box<dyn EliteArchive> = match cfg.archive_kind {
+            ArchiveKind::Aga => Box::new(AgaArchive::new(
+                cfg.archive_capacity,
+                cfg.archive_bisections,
+            )),
+            ArchiveKind::Crowding => Box::new(CrowdingArchive::new(cfg.archive_capacity)),
+        };
+        for s in &current {
+            archive.offer(s.clone());
+        }
+        let mut sample_rng = SmallRng::seed_from_u64(seed ^ 0xA5C4_17E5_0C1A_1BEDu64);
+        observer.on_generation(0, evaluations, archive.contents());
 
-        let archive_capacity = cfg.archive_capacity;
-        let archive_bisections = cfg.archive_bisections;
-        let archive_kind = cfg.archive_kind;
-        let mut archive_out: Option<Vec<Candidate>> = None;
+        // Line 5: stopping condition = per-walker evaluation budget (§V);
+        // the start was each walker's first evaluation.
+        for round in 1..cfg.evals_per_thread {
+            if observer.cancelled() {
+                break;
+            }
+            // Lines 6–7: every walker moves against its population as it
+            // stood at the end of the previous round.
+            let xs: Vec<Vec<f64>> = (0..walkers)
+                .map(|i| {
+                    let pop = &current[i - i % t..][..t];
+                    propose(&current[i], pop, &criteria, cfg.alpha, bounds, &mut rngs[i])
+                })
+                .collect();
 
-        std::thread::scope(|scope| {
-            // Archive manager: the message-passing hub of §IV.
-            let archive_handle = scope.spawn(move || {
-                let mut archive: Box<dyn EliteArchive> = match archive_kind {
-                    ArchiveKind::Aga => {
-                        Box::new(AgaArchive::new(archive_capacity, archive_bisections))
-                    }
-                    ArchiveKind::Crowding => Box::new(CrowdingArchive::new(archive_capacity)),
-                };
-                let mut sample_rng = SmallRng::seed_from_u64(seed ^ 0xA5C4_17E5_0C1A_1BEDu64);
-                while let Ok(msg) = rx.recv() {
-                    match msg {
-                        ArchiveMsg::Submit(c) => {
-                            archive.offer(c);
-                        }
-                        ArchiveMsg::Sample(reply) => {
-                            let s = archive.sample_random(&mut sample_rng);
-                            let _ = reply.send(s);
-                        }
-                    }
+            // Line 8: evaluate the whole round at once.
+            let moved = problem.make_candidates(xs);
+            evaluations += walkers as u64;
+
+            // Lines 9–12: accept feasible moves (the paper accepts *all* of
+            // them; the NonDominated rule is an ablation) and share them,
+            // in (p, k) order.
+            for (s, cand) in current.iter_mut().zip(moved) {
+                if !cand.is_feasible() {
+                    continue;
                 }
-                archive.into_contents()
-            });
-
-            // Worker threads.
-            for p in 0..cfg.n_populations {
-                for k in 0..cfg.threads_per_population {
-                    let tx = tx.clone();
-                    let population = &populations[p];
-                    let barrier = &barriers[p];
-                    let criteria = criteria.clone();
-                    let evals = &evals;
-                    let worker_seed =
-                        seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul((p * 1024 + k + 1) as u64));
-                    let idx = p * cfg.threads_per_population + k;
-                    let start_from = seeds
-                        .get(idx % seeds.len().max(1))
-                        .filter(|_| !seeds.is_empty())
-                        .cloned();
-                    scope.spawn(move || {
-                        worker_loop(
-                            problem,
-                            cfg,
-                            &criteria,
-                            population,
-                            barrier,
-                            k,
-                            tx,
-                            evals,
-                            worker_seed,
-                            start_from,
-                        );
-                    });
+                let accept = match cfg.acceptance {
+                    AcceptanceRule::AnyFeasible => true,
+                    AcceptanceRule::NonDominated => {
+                        constrained_dominance(s, &cand) != DominanceOrd::Dominates
+                    }
+                };
+                archive.offer(cand.clone());
+                if accept {
+                    *s = cand;
                 }
             }
-            drop(tx); // workers hold the remaining clones
 
-            archive_out = Some(archive_handle.join().expect("archive thread panicked"));
-        });
+            // Lines 13–16: periodic reinitialisation from the archive.
+            if cfg.reinit
+                && round.is_multiple_of(cfg.reset_iterations)
+                && round + 1 < cfg.evals_per_thread
+            {
+                for s in current.iter_mut() {
+                    if let Some(elite) = archive.sample_random(&mut sample_rng) {
+                        *s = elite;
+                    }
+                }
+            }
+            observer.on_generation(round, evaluations, archive.contents());
+        }
 
-        let front = archive_out.expect("archive thread did not return");
         MlsResult {
-            front,
-            evaluations: pre_evals + evals.load(Ordering::Relaxed),
+            front: archive.into_contents(),
+            evaluations,
             elapsed: start.elapsed(),
         }
     }
@@ -334,118 +351,36 @@ pub struct MlsResult {
     pub elapsed: std::time::Duration,
 }
 
-/// One local-search procedure — the paper's Fig. 3, line for line.
-#[allow(clippy::too_many_arguments)]
-fn worker_loop(
-    problem: &dyn Problem,
-    cfg: &MlsConfig,
+/// One walker's move — the paper's Fig. 3 lines 6–7: pick a random
+/// reference solution `t` from `population` and a search criterion, then
+/// BLX-α each of the criterion's parameters (Eq. 2).
+fn propose(
+    s: &Candidate,
+    population: &[Candidate],
     criteria: &SearchCriteria,
-    population: &RwLock<Vec<Candidate>>,
-    barrier: &Barrier,
-    slot: usize,
-    tx: Sender<ArchiveMsg>,
-    evals: &AtomicU64,
-    seed: u64,
-    start_from: Option<Candidate>,
-) {
-    let bounds = problem.bounds();
-    let mut rng = SmallRng::seed_from_u64(seed);
-
-    // Lines 1–3: initialise (randomly, or from a provided seed solution
-    // when running as a refinement stage), evaluate, archive. A seed that
-    // already carries objectives is not re-simulated and costs nothing.
-    let mut s = match start_from {
-        Some(c) if c.is_evaluated() => c,
-        Some(c) => {
-            evals.fetch_add(1, Ordering::Relaxed);
-            problem.make_candidate(c.params)
-        }
-        None => {
-            evals.fetch_add(1, Ordering::Relaxed);
-            problem.make_candidate(uniform_init(bounds, &mut rng))
-        }
-    };
-    let _ = tx.send(ArchiveMsg::Submit(s.clone()));
-    population.write()[slot] = s.clone();
-
-    // Line 4: wait until the local population is fully initialised.
-    barrier.wait();
-
-    let mut my_evals: u64 = 1;
-    let mut iter: u64 = 0;
-    // Line 5: stopping condition = per-thread evaluation budget (§V).
-    while my_evals < cfg.evals_per_thread {
-        iter += 1;
-
-        // Line 6: random reference solution from the local population.
-        let t = {
-            let pop = population.read();
-            pop[rng.gen_range(0..pop.len())].clone()
-        };
-
-        // Lines 7: the search operator — pick a criterion, BLX-α each of
-        // its parameters (Eq. 2).
-        let group = criteria.pick(&mut rng);
-        let mut x = s.params.clone();
-        for &pidx in group {
-            let (lo, hi) = bounds.get(pidx);
-            let tp = if pidx < t.params.len() {
-                t.params[pidx]
-            } else {
-                x[pidx]
-            };
-            if (x[pidx] - tp).abs() > 0.0 {
-                x[pidx] = blx_alpha_step(x[pidx], tp, cfg.alpha, &mut rng);
-            } else {
-                // Absorbing state (s == t in this coordinate): domain-scaled
-                // minimal kick so the walk cannot freeze. Implementation
-                // choice — the paper leaves this case unspecified.
-                let phi = cfg.alpha * 0.01 * (hi - lo);
-                let rho: f64 = rng.gen();
-                x[pidx] += phi * (3.0 * rho - 2.0);
-            }
-        }
-        bounds.clamp(&mut x);
-
-        // Line 8: evaluate.
-        let cand = problem.make_candidate(x);
-        my_evals += 1;
-        evals.fetch_add(1, Ordering::Relaxed);
-
-        // Lines 9–12: accept feasible moves (the paper accepts *all* of
-        // them; the NonDominated rule is an ablation) and share them.
-        if cand.is_feasible() {
-            let accept = match cfg.acceptance {
-                AcceptanceRule::AnyFeasible => true,
-                AcceptanceRule::NonDominated => {
-                    !s.is_evaluated() || constrained_dominance(&s, &cand) != DominanceOrd::Dominates
-                }
-            };
-            let _ = tx.send(ArchiveMsg::Submit(cand.clone()));
-            if accept {
-                s = cand;
-                population.write()[slot] = s.clone();
-            }
-        }
-
-        // Lines 13–16: periodic reinitialisation from the archive.
-        if cfg.reinit
-            && iter.is_multiple_of(cfg.reset_iterations)
-            && my_evals < cfg.evals_per_thread
-        {
-            let (rtx, rrx) = bounded(1);
-            if tx.send(ArchiveMsg::Sample(rtx)).is_ok() {
-                if let Ok(Some(elite)) = rrx.recv() {
-                    s = elite;
-                    population.write()[slot] = s.clone();
-                }
-            }
-            barrier.wait();
+    alpha: f64,
+    bounds: &Bounds,
+    rng: &mut SmallRng,
+) -> Vec<f64> {
+    let t = &population[rng.gen_range(0..population.len())];
+    let group = criteria.pick(rng);
+    let mut x = s.params.clone();
+    for &pidx in group {
+        let (lo, hi) = bounds.get(pidx);
+        let tp = t.params[pidx];
+        if (x[pidx] - tp).abs() > 0.0 {
+            x[pidx] = blx_alpha_step(x[pidx], tp, alpha, rng);
+        } else {
+            // Absorbing state (s == t in this coordinate): domain-scaled
+            // minimal kick so the walk cannot freeze. Implementation
+            // choice — the paper leaves this case unspecified.
+            let phi = alpha * 0.01 * (hi - lo);
+            let rho: f64 = rng.gen();
+            x[pidx] += phi * (3.0 * rho - 2.0);
         }
     }
-    // Final barrier is unnecessary: threads only read the shared
-    // population, and stragglers sampling a finished thread's slot is the
-    // intended behaviour.
+    bounds.clamp(&mut x);
+    x
 }
 
 impl crate::mls::MlsResult {
@@ -461,7 +396,17 @@ impl mopt::algorithm::MoAlgorithm for Mls {
     }
 
     fn run(&self, problem: &dyn Problem, seed: u64) -> mopt::algorithm::RunResult {
-        let r = self.optimize(problem, seed);
+        self.run_observed(problem, seed, &NoProgress)
+    }
+
+    fn run_observed(
+        &self,
+        problem: &dyn Problem,
+        seed: u64,
+        observer: &dyn RunObserver,
+    ) -> mopt::algorithm::RunResult {
+        let starts = self.random_starts(problem, seed);
+        let r = self.optimize_impl(problem, seed, &starts, observer);
         mopt::algorithm::RunResult {
             front: r.front,
             evaluations: r.evaluations,
@@ -514,9 +459,6 @@ mod tests {
         use rand::rngs::SmallRng;
         use rand::SeedableRng;
 
-        // Single-threaded so the outcome is deterministic regardless of
-        // scheduler interleaving (multi-thread runs are legitimately
-        // non-deterministic and are covered by other tests).
         let problem = Zdt1::new(6);
         let budget = 3200;
         let mls = Mls::new(MlsConfig::quick(1, 1, budget));
@@ -565,21 +507,77 @@ mod tests {
     }
 
     #[test]
-    fn single_thread_is_deterministic() {
-        let mls = Mls::new(MlsConfig::quick(1, 1, 120));
+    fn multi_walker_runs_are_deterministic() {
         let p = Schaffer::new();
-        let a = mls.optimize(&p, 99);
-        let b = mls.optimize(&p, 99);
-        assert_eq!(
-            a.front
+        for (pops, walkers) in [(1, 1), (2, 3)] {
+            let mls = Mls::new(MlsConfig::quick(pops, walkers, 60));
+            let a = mls.optimize(&p, 99);
+            let b = mls.optimize(&p, 99);
+            let project = |r: &MlsResult| {
+                r.front
+                    .iter()
+                    .map(|c| (c.params.clone(), c.objectives.clone()))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(project(&a), project(&b), "{pops}x{walkers}");
+        }
+    }
+
+    #[test]
+    fn observed_run_matches_plain_run() {
+        use mopt::algorithm::{MoAlgorithm, RunResult};
+        use std::sync::Mutex;
+        struct Recorder(Mutex<Vec<(u64, u64, usize)>>);
+        impl RunObserver for Recorder {
+            fn on_generation(&self, generation: u64, evaluations: u64, pool: &[Candidate]) {
+                self.0
+                    .lock()
+                    .unwrap()
+                    .push((generation, evaluations, pool.len()));
+            }
+        }
+        let mls = Mls::new(MlsConfig::quick(2, 3, 40));
+        let p = Zdt1::new(4);
+        let plain = mls.run(&p, 42);
+        let rec = Recorder(Mutex::new(Vec::new()));
+        let observed = mls.run_observed(&p, 42, &rec);
+        let project = |r: &RunResult| {
+            r.front
                 .iter()
-                .map(|c| c.objectives.clone())
-                .collect::<Vec<_>>(),
-            b.front
-                .iter()
-                .map(|c| c.objectives.clone())
+                .map(|c| (c.params.clone(), c.objectives.clone()))
                 .collect::<Vec<_>>()
-        );
+        };
+        assert_eq!(project(&plain), project(&observed));
+        assert_eq!(plain.evaluations, observed.evaluations);
+        // Round 0 (the starts) plus one report per round, 6 evaluations
+        // (one per walker) apart.
+        let events = rec.0.into_inner().unwrap();
+        assert_eq!(events.len(), 40);
+        for (round, &(generation, evaluations, pool)) in events.iter().enumerate() {
+            assert_eq!(generation, round as u64);
+            assert_eq!(evaluations, 6 * (round as u64 + 1));
+            assert!(pool > 0);
+        }
+    }
+
+    #[test]
+    fn cancellation_stops_at_a_round_boundary() {
+        use mopt::algorithm::MoAlgorithm;
+        use std::sync::atomic::{AtomicU64, Ordering};
+        /// Cancels once the run has reported round 3.
+        struct StopAfter(AtomicU64);
+        impl RunObserver for StopAfter {
+            fn on_generation(&self, generation: u64, _: u64, _: &[Candidate]) {
+                self.0.store(generation, Ordering::Relaxed);
+            }
+            fn cancelled(&self) -> bool {
+                self.0.load(Ordering::Relaxed) >= 3
+            }
+        }
+        let mls = Mls::new(MlsConfig::quick(2, 2, 50));
+        let r = mls.run_observed(&Zdt1::new(4), 8, &StopAfter(AtomicU64::new(0)));
+        assert_eq!(r.evaluations, 4 * 4, "start plus three rounds");
+        assert!(!r.front.is_empty());
     }
 
     #[test]

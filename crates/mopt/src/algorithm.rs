@@ -61,11 +61,12 @@ impl RunResult {
 ///   a resident service can abandon a long campaign without killing the
 ///   process.
 ///
-/// Algorithms whose internal structure has no generation barrier to hook
-/// (the multi-threaded AEDB-MLS) fall back to the default
-/// [`MoAlgorithm::run_observed`], which runs to completion and reports
-/// nothing — cancellation for those happens at the caller's coarser
-/// boundaries (e.g. between campaign repetitions).
+/// Every optimiser in the workspace reports through this hook: the
+/// generational MOEAs per generation, AEDB-MLS per lockstep round and the
+/// island model per epoch. An algorithm with no generation structure can
+/// keep the default [`MoAlgorithm::run_observed`], which runs to
+/// completion and reports nothing — cancellation for it happens at the
+/// caller's coarser boundaries (e.g. between campaign repetitions).
 pub trait RunObserver: Sync {
     /// Called after every evaluated generation with the generation index
     /// (0 = the evaluated initial population), the evaluations consumed

@@ -67,7 +67,7 @@ impl AlgorithmKind {
 /// Evaluation budget of one campaign.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CampaignBudget {
-    /// Full paper scale: paper population sizes and thread topology.
+    /// Full paper scale: paper population sizes and walker topology.
     pub paper: bool,
     /// Evaluations per MOEA run (paper: 10 000); AEDB-MLS gets 2.4× this.
     pub evals: u64,
@@ -96,7 +96,7 @@ impl CampaignBudget {
 ///
 /// * MOEAs receive `budget.evals` evaluations (paper: 10 000),
 /// * AEDB-MLS receives [`CampaignBudget::mls_evals`] = 2.4× that (paper:
-///   24 000), split over the paper's 8 × 12 thread topology at paper
+///   24 000), split over the paper's 8 × 12 walker topology at paper
 ///   scale and a 2 × 2 topology otherwise,
 /// * the island optimizer receives `budget.evals` like the MOEAs (the
 ///   equal-budget comparison the bench rows record): 8 islands at paper
@@ -178,10 +178,13 @@ impl CampaignSpec {
     /// FNV-1a fingerprint over every field that affects the result — the
     /// archive key. The scenario is hashed through its `Debug` rendering,
     /// which recursively covers all fields (including builder-only dense
-    /// group knobs that have no grammar text form).
+    /// group knobs that have no grammar text form). The leading version
+    /// tag changes whenever an engine change alters the fronts a spec
+    /// produces, so archives written before it miss instead of replaying
+    /// (v2: lockstep AEDB-MLS).
     pub fn fingerprint(&self) -> u64 {
         let mut h = Fnv::new();
-        h.write(b"campaign v1|");
+        h.write(b"campaign v2|");
         h.write(format!("{:?}", self.scenario).as_bytes());
         h.write(b"|");
         h.write(self.algorithm.name().as_bytes());
@@ -434,6 +437,13 @@ mod tests {
         s.scenario = Scenario::quick(Density::D200, 2);
         assert_ne!(s.fingerprint(), base);
         assert_eq!(spec().fingerprint(), base, "fingerprint is deterministic");
+    }
+
+    #[test]
+    fn fingerprint_encoding_is_pinned() {
+        // Archives on disk are keyed by this value: an encoding change
+        // must be deliberate (bump the version tag) and update this pin.
+        assert_eq!(spec().fingerprint(), 0x24da_751f_7c14_4f6e);
     }
 
     #[test]

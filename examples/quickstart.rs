@@ -46,7 +46,7 @@ fn main() {
     // fixed networks (3 here to keep the example fast; the paper uses 10).
     let problem = AedbProblem::paper(Scenario::quick(Density::D100, 3));
 
-    // AEDB-MLS, laptop-sized: 2 populations × 2 threads × 150 evaluations.
+    // AEDB-MLS, laptop-sized: 2 populations × 2 walkers × 150 evaluations.
     // `MlsConfig::paper()` reproduces the full 8 × 12 × 250 setup.
     let config = MlsConfig {
         criteria: CriteriaChoice::Aedb,

@@ -2,6 +2,7 @@
 //! protocol ("these 10 networks are always the same for evaluating every
 //! solution") depends on them.
 
+use aedb_repro::aedb::problem::SimStats;
 use aedb_repro::prelude::*;
 
 #[test]
@@ -64,24 +65,75 @@ fn cellde_runs_are_reproducible_on_aedb() {
     );
 }
 
+/// Front size and FNV-1a digest of the objective and violation bits of
+/// every front member, in archive order.
+fn front_digest(front: &[Candidate]) -> (usize, u64) {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for c in front {
+        for v in c.objectives.iter().chain([&c.violation]) {
+            for b in v.to_bits().to_le_bytes() {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+    (front.len(), h)
+}
+
+/// `front_digest` of a 2 × 2-walker, 10-evaluation AEDB-MLS run on
+/// `Scenario::quick(D100, 2)` with seed 31. A change to the engine's
+/// random streams, round structure or archive order moves it; a
+/// deliberate one updates it in the same commit and bumps
+/// `CampaignSpec::fingerprint`.
+const GOLDEN_MLS_FRONT: (usize, u64) = (3, 0x48c7_b498_29a0_d80d);
+
 #[test]
-fn single_thread_mls_is_reproducible_on_aedb() {
-    let problem = AedbProblem::paper(Scenario::quick(Density::D100, 2));
+fn mls_runs_are_reproducible_on_aedb() {
+    // Lockstep rounds make a multi-walker run a pure function of its
+    // seed: two runs, and a run with the batch pool off, give the same
+    // front bit for bit.
     let mls = Mls::new(MlsConfig {
         criteria: CriteriaChoice::Aedb,
-        ..MlsConfig::quick(1, 1, 40)
+        ..MlsConfig::quick(2, 2, 10)
     });
-    let a = mls.optimize(&problem, 31);
-    let b = mls.optimize(&problem, 31);
+    let run = |parallel: bool| {
+        let problem =
+            AedbProblem::paper(Scenario::quick(Density::D100, 2)).with_parallel_batches(parallel);
+        let r = mls.optimize(&problem, 31);
+        assert_eq!(r.evaluations, 40);
+        front_digest(&r.front)
+    };
+    let a = run(true);
+    assert_eq!(run(true), a, "two runs of one seed");
+    assert_eq!(run(false), a, "batch pool on vs off");
+    assert_eq!(a, GOLDEN_MLS_FRONT);
+}
+
+#[test]
+fn mls_evaluates_each_round_as_one_checkpointed_batch() {
+    // P·T walkers, E evaluations each, N networks, cache off, one thread:
+    // the starts and every round are one batch of P·T fresh candidates,
+    // so each network's prefix is simulated once per batch and restored
+    // for the P·T − 1 other candidates.
+    let (pops, walkers, evals) = (2u64, 2u64, 5u64);
+    let problem = AedbProblem::paper(Scenario::quick(Density::D100, 2))
+        .with_eval_cache(false)
+        .with_parallel_batches(false);
+    let n = problem.scenario().n_networks as u64;
+    let mls = Mls::new(MlsConfig {
+        criteria: CriteriaChoice::Aedb,
+        ..MlsConfig::quick(pops as usize, walkers as usize, evals)
+    });
+    let r = mls.optimize(&problem, 5);
+    let pt = pops * walkers;
+    assert_eq!(r.evaluations, pt * evals);
     assert_eq!(
-        a.front
-            .iter()
-            .map(|c| c.objectives.clone())
-            .collect::<Vec<_>>(),
-        b.front
-            .iter()
-            .map(|c| c.objectives.clone())
-            .collect::<Vec<_>>()
+        problem.sim_stats(),
+        SimStats {
+            simulations: pt * evals * n,
+            checkpoints: evals * n,
+            restores: (pt - 1) * evals * n,
+        }
     );
 }
 

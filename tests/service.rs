@@ -1,7 +1,8 @@
 //! Integration tests of the resident service (`serve::SimService`):
 //! lifecycle event ordering, bit-identity with the bench-harness
 //! experiment path, archive replay across a service restart, cooperative
-//! cancellation, and memory/disk backend parity.
+//! cancellation (AEDB-MLS rounds included), and memory/disk backend
+//! parity.
 
 use aedb_repro::prelude::*;
 use bench_harness::{run_algorithm, ExperimentScale};
@@ -88,9 +89,7 @@ fn job_lifecycle_events_arrive_in_order() {
 fn campaign_via_service_matches_bench_path() {
     // The acceptance criterion: a campaign submitted through the service
     // is bit-identical to the bench harness running the same experiment
-    // rows (rayon-sharded reps, batch parallelism off). AEDB-MLS is
-    // excluded here for the same reason as in the harness's own tests:
-    // its internal thread topology makes even two direct runs diverge.
+    // rows (rayon-sharded reps, batch parallelism off).
     let scale = ExperimentScale {
         reps: 2,
         networks: 2,
@@ -99,7 +98,7 @@ fn campaign_via_service_matches_bench_path() {
     };
     let scenario = Scenario::quick(Density::D100, scale.networks);
     let service = SimService::in_memory();
-    for algorithm in [AlgorithmKind::Nsga2, AlgorithmKind::CellDe] {
+    for algorithm in AlgorithmKind::ALL {
         let problem = AedbProblem::paper(scenario.clone()).with_parallel_batches(false);
         let bench_runs = run_algorithm(&scale, algorithm, &problem);
 
@@ -220,6 +219,54 @@ fn cancellation_mid_campaign_stops_the_job_not_the_service() {
     handle
         .wait()
         .expect("service still healthy after a cancellation");
+    service.drain();
+}
+
+#[test]
+fn mls_campaign_streams_rounds_and_cancels() {
+    let service = SimService::in_memory();
+    // A budget far too large to finish: only cancellation ends it.
+    let spec = CampaignSpec {
+        algorithm: AlgorithmKind::Mls,
+        ..quick_campaign(2_000_000, 1)
+    };
+    let handle = service.submit(JobSpec::Campaign(spec), Priority::Normal);
+    // Every lockstep round streams one Generation: round g has spent the
+    // 2 × 2 walkers' starts plus g moves each. Cancel once, after round
+    // 1, then drain to the terminal event.
+    let mut next_generation = 0;
+    let mut cancelled = false;
+    loop {
+        match handle.next_event() {
+            Some(JobEvent::Generation {
+                generation,
+                evaluations,
+                front,
+                ..
+            }) => {
+                assert_eq!(generation, next_generation, "rounds stream in order");
+                assert_eq!(evaluations, 4 * (generation + 1));
+                assert!(!front.is_empty());
+                next_generation += 1;
+                if generation >= 1 && !cancelled {
+                    assert!(service.cancel(handle.id()));
+                    cancelled = true;
+                }
+            }
+            Some(JobEvent::Failed { error, .. }) => {
+                assert_eq!(error, JobError::Cancelled);
+                break;
+            }
+            Some(JobEvent::Finished { .. }) => panic!("cancelled campaign finished"),
+            Some(_) => {}
+            None => panic!("service dropped the job"),
+        }
+    }
+    assert!(
+        cancelled,
+        "the campaign streamed two rounds before finishing"
+    );
+    assert_eq!(service.archived_campaigns().unwrap().len(), 0);
     service.drain();
 }
 

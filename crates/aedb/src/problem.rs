@@ -13,7 +13,8 @@
 use crate::params::{AedbParams, N_PARAMS};
 use crate::protocol::Aedb;
 use crate::scenario::Scenario;
-use manet::sim::{SimReport, Simulator};
+use manet::metrics::BroadcastMetrics;
+use manet::sim::Simulator;
 use manet::world::WorldSpec;
 use mopt::problem::{Evaluation, Problem};
 use mopt::solution::Bounds;
@@ -60,13 +61,14 @@ pub struct AedbOutcome {
     pub broadcast_time: f64,
 }
 
-/// How many simulations an [`AedbProblem`] ran, and how many of them
-/// started from a shared protocol-free prefix instead of `t = 0`
+/// How many simulations an [`AedbProblem`] ran, how many of them
+/// started from a shared protocol-free prefix instead of `t = 0`, and how
+/// many stopped once their broadcast settled instead of at `end_time`
 /// ([`AedbProblem::sim_stats`]). Cache hits simulate nothing, so
 /// `simulations` counts `networks` per fresh evaluation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimStats {
-    /// Simulations run to the end, restored or not.
+    /// Simulations run, restored or not.
     pub simulations: u64,
     /// Prefix checkpoints taken: one per network and batch job of two or
     /// more fresh candidates.
@@ -74,6 +76,10 @@ pub struct SimStats {
     /// Simulations that resumed from a checkpoint instead of simulating
     /// the prefix again.
     pub restores: u64,
+    /// Simulations that stopped when their broadcast settled
+    /// ([`Simulator::run_broadcast`]); the others ran to `end_time` with a
+    /// protocol timer or data frame still pending.
+    pub settled: u64,
 }
 
 /// The tuning problem for one density scenario.
@@ -105,6 +111,7 @@ pub struct AedbProblem {
     simulations: AtomicU64,
     checkpoints: AtomicU64,
     restores: AtomicU64,
+    settled: AtomicU64,
     /// When set, the cache is loaded from this storage slot on
     /// construction and flushed back on drop — repeated experiments start
     /// warm. The slot is any [`Storage`] backend plus the `(namespace,
@@ -152,6 +159,7 @@ impl AedbProblem {
             simulations: AtomicU64::new(0),
             checkpoints: AtomicU64::new(0),
             restores: AtomicU64::new(0),
+            settled: AtomicU64::new(0),
             cache_store: None,
         }
     }
@@ -400,15 +408,17 @@ impl AedbProblem {
         )
     }
 
-    /// Simulations run so far, and how many of them shared a checkpointed
-    /// prefix. With `m ≥ 2` unique fresh vectors in one sequential batch
-    /// on `N` networks: `m·N` simulations, `N` checkpoints and `(m−1)·N`
-    /// restores.
+    /// Simulations run so far, how many of them shared a checkpointed
+    /// prefix and how many stopped at settlement. With `m ≥ 2` unique
+    /// fresh vectors in one sequential batch on `N` networks: `m·N`
+    /// simulations, `N` checkpoints and `(m−1)·N` restores; `settled ≤
+    /// simulations` always.
     pub fn sim_stats(&self) -> SimStats {
         SimStats {
             simulations: self.simulations.load(Ordering::Relaxed),
             checkpoints: self.checkpoints.load(Ordering::Relaxed),
             restores: self.restores.load(Ordering::Relaxed),
+            settled: self.settled.load(Ordering::Relaxed),
         }
     }
 
@@ -447,17 +457,19 @@ impl AedbProblem {
 
     /// Simulates `params` on network `k` and returns its raw observables.
     /// Runs on a simulator checked out of the process-wide pool: after
-    /// warm-up a simulation performs no heap allocation beyond the report.
-    /// Networks compile through the declarative [`Scenario::world`] path,
-    /// so heterogeneous dense scenarios (mixed mobility / power classes)
-    /// pose the tuning problem exactly like homogeneous ones.
+    /// warm-up a simulation performs no heap allocation. The simulation
+    /// stops as soon as the broadcast has settled
+    /// ([`Simulator::run_broadcast`]) rather than at `end_time`: the
+    /// observables are final by then, so they are bit-identical to a full
+    /// run's. Networks compile through the declarative [`Scenario::world`]
+    /// path, so heterogeneous dense scenarios (mixed mobility / power
+    /// classes) pose the tuning problem exactly like homogeneous ones.
     pub fn simulate_one(&self, params: AedbParams, k: usize) -> AedbOutcome {
         let world = self.scenario.world(k);
         let mut sim = Self::checkout(&world, params);
-        let report = sim.run_to_end();
+        let outcome = self.run(&mut sim);
         SIM_POOL.lock().push(sim);
-        self.simulations.fetch_add(1, Ordering::Relaxed);
-        Self::outcome(&report)
+        outcome
     }
 
     /// Simulates every candidate of `params` on network `k`, in order,
@@ -466,7 +478,9 @@ impl AedbProblem {
     /// protocol-free prefix: one pooled simulator runs to `broadcast_time
     /// − neighbor_expiry − beacon_interval` and takes a [`Checkpoint`]
     /// there; the first candidate runs on in place and every other one
-    /// restores the checkpoint into the same simulator. The checkpoint
+    /// restores the checkpoint into the same simulator. Each candidate's
+    /// tail ends when its broadcast settles
+    /// ([`Simulator::run_broadcast`]), not at `end_time`. The checkpoint
     /// lives only for this call, so the memory cost is one checkpoint per
     /// worker thread.
     ///
@@ -484,14 +498,12 @@ impl AedbProblem {
         sim.run_until(world.broadcast_time - world.neighbor_expiry - world.beacon_interval);
         let checkpoint = sim.checkpoint();
         let mut outcomes = Vec::with_capacity(params.len());
-        outcomes.push(Self::outcome(&sim.run_to_end()));
+        outcomes.push(self.run(&mut sim));
         for &p in rest {
             sim.restore(&checkpoint, |proto| proto.reset(n, p));
-            outcomes.push(Self::outcome(&sim.run_to_end()));
+            outcomes.push(self.run(&mut sim));
         }
         SIM_POOL.lock().push(sim);
-        self.simulations
-            .fetch_add(params.len() as u64, Ordering::Relaxed);
         self.checkpoints.fetch_add(1, Ordering::Relaxed);
         self.restores
             .fetch_add(rest.len() as u64, Ordering::Relaxed);
@@ -515,12 +527,23 @@ impl AedbProblem {
         }
     }
 
-    fn outcome(report: &SimReport) -> AedbOutcome {
+    /// Runs `sim` until its broadcast settles (or `end_time`), counts the
+    /// simulation in [`SimStats`] and returns its observables.
+    fn run(&self, sim: &mut Simulator<Aedb>) -> AedbOutcome {
+        let outcome = Self::outcome(sim.run_broadcast());
+        self.simulations.fetch_add(1, Ordering::Relaxed);
+        if sim.stopped_before_end() {
+            self.settled.fetch_add(1, Ordering::Relaxed);
+        }
+        outcome
+    }
+
+    fn outcome(b: &BroadcastMetrics) -> AedbOutcome {
         AedbOutcome {
-            energy: report.broadcast.energy_dbm_sum,
-            coverage: report.broadcast.coverage() as f64,
-            forwardings: report.broadcast.forwardings as f64,
-            broadcast_time: report.broadcast.broadcast_time(),
+            energy: b.energy_dbm_sum,
+            coverage: b.coverage() as f64,
+            forwardings: b.forwardings as f64,
+            broadcast_time: b.broadcast_time(),
         }
     }
 
@@ -848,7 +871,8 @@ mod tests {
     fn sim_stats_count_shared_prefixes() {
         // m = 3 unique fresh vectors (plus a duplicate) on N = 2 networks,
         // sequentially: each network's prefix is simulated once and
-        // restored for the two other candidates.
+        // restored for the two other candidates. All six broadcasts
+        // settle well before the 40 s end.
         let p = AedbProblem::paper(Scenario::quick(Density::D100, 2)).with_parallel_batches(false);
         let x = AedbParams::default_config().to_vec();
         let y = vec![0.0, 0.2, -70.0, 1.0, 50.0];
@@ -858,24 +882,45 @@ mod tests {
             simulations: 6,
             checkpoints: 2,
             restores: 4,
+            settled: 6,
         };
         assert_eq!(p.sim_stats(), want);
         let (hits, misses) = p.cache_stats();
         assert_eq!(hits + misses, 4, "one lookup per vector");
         // A lone fresh candidate runs straight through: N simulations and
-        // nothing else, through evaluate and evaluate_batch alike.
+        // nothing else, through evaluate and evaluate_batch alike. Their
+        // multi-second forwarding delays leave two of the four broadcasts
+        // with protocol work pending at 40 s, so those run to the end.
         p.evaluate(&[1.0, 5.0, -95.0, 0.0, 0.0]);
         p.evaluate_batch(&[vec![0.9, 4.0, -92.0, 2.5, 45.0]]);
+        let stats = p.sim_stats();
         assert_eq!(
-            p.sim_stats(),
+            stats,
             SimStats {
                 simulations: want.simulations + 4,
+                settled: want.settled + 2,
                 ..want
             }
         );
+        assert!(stats.settled <= stats.simulations);
         // Cache hits simulate nothing.
         p.evaluate_batch(&[x]);
-        assert_eq!(p.sim_stats().simulations, want.simulations + 4);
+        assert_eq!(p.sim_stats(), stats);
+    }
+
+    #[test]
+    fn default_aedb_broadcast_settles_before_the_end() {
+        // The evaluation stop point: under AEDB's default configuration a
+        // paper network's broadcast settles seconds after the 30 s start,
+        // so the simulation never reaches the 40 s end.
+        let world = Scenario::paper(Density::D100).world(0);
+        let n = world.n_nodes();
+        let params = AedbParams::default_config();
+        let straight = Simulator::from_world(&world, Aedb::new(n, params)).run();
+        let mut sim = Simulator::from_world(&world, Aedb::new(n, params));
+        assert_eq!(*sim.run_broadcast(), straight.broadcast);
+        assert!(sim.stopped_before_end());
+        assert!(sim.now() < sim.end_time(), "stopped at {} s", sim.now());
     }
 
     #[test]

@@ -99,7 +99,10 @@
 //! [`Simulator::restore`] go one step further: the state before the
 //! broadcast does not depend on the protocol, so a batch simulates that
 //! prefix of each network once and restores it for every further
-//! candidate (see [`Checkpoint`]).
+//! candidate (see [`Checkpoint`]). At the other end,
+//! [`Simulator::run_broadcast`] stops a run as soon as the broadcast has
+//! settled — no protocol timer and no data frame left in flight — since
+//! the broadcast metrics cannot change after that.
 
 use crate::events::{ActiveWindow, EventQueue, SpatialActiveWindow};
 use crate::geometry::{Field, Vec2};
@@ -387,6 +390,12 @@ struct World {
     metrics: BroadcastMetrics,
     counters: SimCounters,
     broadcast_started: bool,
+    /// Queued events that will call the protocol: protocol timers plus
+    /// the `TxEnd`s of data frames in flight. Once the broadcast has
+    /// started and this is zero, the broadcast has settled (see
+    /// [`Simulator::run_broadcast`]). Always zero before the broadcast,
+    /// which is the only time a checkpoint can be taken.
+    protocol_pending: usize,
     /// Spatial index over node positions (see module docs).
     grid: SpatialGrid,
     /// Flat SoA copy of every node's current mobility segment — the
@@ -630,6 +639,7 @@ impl World {
             metrics,
             counters: SimCounters::default(),
             broadcast_started: false,
+            protocol_pending: 0,
             grid,
             snapshot,
             refresh_gen: Vec::new(),
@@ -738,6 +748,7 @@ impl World {
         self.metrics.reset(spec.source, spec.broadcast_time);
         self.counters = SimCounters::default();
         self.broadcast_started = false;
+        self.protocol_pending = 0;
         self.candidate_scratch.clear();
         self.delivery_scratch.clear();
         self.max_gate_r = 0.0;
@@ -890,6 +901,12 @@ impl World {
         self.mobility[node].position(t)
     }
 
+    /// Whether the broadcast has settled: it has started and no event that
+    /// could call the protocol is queued (see [`Simulator::run_broadcast`]).
+    fn settled(&self) -> bool {
+        self.broadcast_started && self.protocol_pending == 0
+    }
+
     fn start_transmission(&mut self, node: NodeId, tx_dbm: f64, kind: FrameKind) {
         let now = self.queue.now();
         let duration = match kind {
@@ -927,6 +944,7 @@ impl World {
             FrameKind::Beacon => self.counters.beacons_sent += 1,
             FrameKind::Data => {
                 self.counters.data_sent += 1;
+                self.protocol_pending += 1;
                 self.metrics.record_transmission(node, tx_dbm);
             }
         }
@@ -1594,6 +1612,7 @@ impl ProtocolApi for World {
     }
 
     fn set_timer(&mut self, node: NodeId, delay: f64, tag: u64) {
+        self.protocol_pending += 1;
         self.queue.schedule_in(delay, Event::Timer { node, tag });
     }
 
@@ -1646,14 +1665,18 @@ pub struct Simulator<P: Protocol> {
 /// updates are all protocol-free, so every candidate configuration
 /// simulated on one network shares the same state up to that point. The
 /// tuning problem uses this to simulate that shared prefix once per
-/// network and batch.
+/// network and batch; each candidate's tail then runs from the restored
+/// checkpoint only until its broadcast settles
+/// ([`Simulator::run_broadcast`]).
 ///
 /// The neighbour tables are deliberately not part of a checkpoint: it can
 /// only be taken more than `neighbor_expiry` seconds before the broadcast,
 /// so every entry observed up to then has expired by the first instant a
 /// protocol can read a table, and [`Simulator::restore`] starts from empty
 /// tables instead. Nor are the delivery pipeline's caches (sweep event
-/// horizons, shadowing memo, scratch buffers), which restore re-arms.
+/// horizons, shadowing memo, scratch buffers), which restore re-arms, or
+/// the count of queued protocol events, which is zero before the
+/// broadcast and which restore zeroes.
 #[derive(Debug)]
 pub struct Checkpoint {
     spec: WorldSpec,
@@ -1910,10 +1933,58 @@ impl<P: Protocol> Simulator<P> {
     /// outputs (mobility, grid maintenance, data traffic, protocol
     /// timers) flushes the pending batch first, so every query still sees
     /// exactly the state the sequential path would have. The final flush
-    /// below guarantees no query is left pending when the call returns.
+    /// at the end of the loop guarantees no query is left pending when the
+    /// call returns.
     pub fn run_until(&mut self, t: f64) {
+        self.run_events(t, |_| false);
+    }
+
+    /// Runs until the broadcast has **settled** or until `end_time`,
+    /// whichever comes first, and returns the broadcast's metrics —
+    /// bit-identical to [`run_to_end`](Self::run_to_end)`().broadcast`.
+    ///
+    /// The broadcast has settled once it has started and no protocol
+    /// `Timer` and no data-frame `TxEnd` is queued. The stop is exact
+    /// because the engine calls the protocol only from the broadcast
+    /// start, a protocol timer and a data frame's `TxEnd`, and only those
+    /// events (and the transmissions the protocol starts from them)
+    /// change the [`BroadcastMetrics`]. Once none is queued, none can be
+    /// queued again: everything left until `end_time` is beacons,
+    /// mobility and grid maintenance, which the metrics never see. The
+    /// events processed up to the stop are exactly those a full run
+    /// processes first, in the same order.
+    ///
+    /// The [`counters`](SimReport::counters) stop with the run, so
+    /// callers that need full-horizon beacon counters use
+    /// [`run_to_end`](Self::run_to_end) instead (which also runs on from
+    /// here to the same report a straight run gives).
+    /// [`stopped_before_end`](Self::stopped_before_end) tells whether the
+    /// run stopped at settlement or ran to `end_time` with protocol work
+    /// still pending.
+    pub fn run_broadcast(&mut self) -> &BroadcastMetrics {
+        self.run_events(self.world.spec.end_time, World::settled);
+        &self.world.metrics
+    }
+
+    /// Whether events due at or before `end_time` are still queued: after
+    /// [`run_broadcast`](Self::run_broadcast), whether it stopped at
+    /// settlement and skipped the rest of the run; after
+    /// [`run_to_end`](Self::run_to_end), always `false`.
+    pub fn stopped_before_end(&self) -> bool {
+        self.world
+            .queue
+            .peek_time()
+            .is_some_and(|t| t <= self.world.spec.end_time)
+    }
+
+    /// The event loop behind [`run_until`](Self::run_until) and
+    /// [`run_broadcast`](Self::run_broadcast): dispatches every event up
+    /// to time `t` unless `stop` holds first. `run_until` passes a
+    /// constant `false`, so its loop compiles without the check.
+    #[inline(always)]
+    fn run_events(&mut self, t: f64, stop: impl Fn(&World) -> bool) {
         while let Some(next) = self.world.queue.peek_time() {
-            if next > t {
+            if next > t || stop(&self.world) {
                 break;
             }
             let (_, ev) = self.world.queue.pop().expect("peeked event vanished");
@@ -1983,6 +2054,8 @@ impl<P: Protocol> Simulator<P> {
             metrics,
             counters,
             broadcast_started,
+            // Zero before the broadcast (asserted below): restore zeroes it.
+            protocol_pending,
             grid,
             snapshot,
             refresh_gen,
@@ -2007,6 +2080,7 @@ impl<P: Protocol> Simulator<P> {
             spec.broadcast_time,
             spec.neighbor_expiry
         );
+        debug_assert_eq!(*protocol_pending, 0, "nothing calls the protocol yet");
         debug_assert!(
             shard.as_ref().is_none_or(|sd| sd.pending.is_empty()),
             "run_until leaves no sharded query pending"
@@ -2082,6 +2156,7 @@ impl<P: Protocol> Simulator<P> {
         w.metrics.clone_from(metrics);
         w.counters.clone_from(counters);
         w.broadcast_started = false;
+        w.protocol_pending = 0;
         w.grid.clone_from(grid);
         w.snapshot.clone_from(snapshot);
         w.refresh_gen.clone_from(refresh_gen);
@@ -2135,6 +2210,7 @@ impl<P: Protocol> Simulator<P> {
                     }
                     FrameKind::Data => {
                         let now = self.world.queue.now();
+                        self.world.protocol_pending -= 1;
                         self.world.counters.data_received += deliveries.len() as u64;
                         for &(r, rx_dbm) in &deliveries {
                             self.world.metrics.record_reception(r, now);
@@ -2147,6 +2223,7 @@ impl<P: Protocol> Simulator<P> {
             }
             Event::Timer { node, tag } => {
                 self.world.counters.timers_fired += 1;
+                self.world.protocol_pending -= 1;
                 self.protocol.on_timer(node, tag, &mut self.world);
             }
             Event::StartBroadcast(node) => {
@@ -2661,6 +2738,50 @@ mod tests {
         let restored = sim.run_to_end();
         assert_eq!(restored.broadcast, straight.broadcast);
         assert_eq!(restored.counters, straight.counters);
+    }
+
+    #[test]
+    fn run_broadcast_stops_once_the_broadcast_settles() {
+        // Jittered flooding on a paper world: every forwarder fires within
+        // a fraction of a second of the 30 s start, so the broadcast
+        // settles long before the 40 s end.
+        let c = SimConfig::paper(40, 9);
+        let n = c.n_nodes;
+        let straight = Simulator::new(c.clone(), Flooding::new(n, (0.0, 0.1))).run();
+        let mut sim = Simulator::new(c, Flooding::new(n, (0.0, 0.1)));
+        assert_eq!(*sim.run_broadcast(), straight.broadcast);
+        assert!(sim.stopped_before_end());
+        let stopped = sim.now();
+        assert!(
+            stopped > 30.0 && stopped < sim.end_time(),
+            "stopped at {stopped} s"
+        );
+        // Running on from the stop gives the full-horizon report.
+        let full = sim.run_to_end();
+        assert!(!sim.stopped_before_end());
+        assert_eq!(full.broadcast, straight.broadcast);
+        assert_eq!(full.counters, straight.counters);
+        // The source's own frame is the whole broadcast without forwarders.
+        let c = SimConfig::paper(40, 9);
+        let mut sim = Simulator::new(c, SourceOnly);
+        sim.run_broadcast();
+        assert!(sim.stopped_before_end() && sim.now() < 30.1);
+    }
+
+    #[test]
+    fn run_broadcast_runs_to_end_time_while_timers_are_pending() {
+        // A 20–30 s forwarding jitter puts every forwarder's timer past
+        // the 40 s end: the broadcast never settles, so the run stops at
+        // `end_time` with the timers pending, exactly where run_to_end does.
+        let c = dense_config(4);
+        let n = c.n_nodes;
+        let straight = Simulator::new(c.clone(), Flooding::new(n, (20.0, 30.0))).run();
+        let mut sim = Simulator::new(c, Flooding::new(n, (20.0, 30.0)));
+        assert_eq!(*sim.run_broadcast(), straight.broadcast);
+        assert!(!sim.stopped_before_end());
+        assert_eq!(straight.broadcast.forwardings, 0);
+        let rest = sim.run_to_end();
+        assert_eq!(rest.counters, straight.counters, "nothing was left to run");
     }
 
     #[test]

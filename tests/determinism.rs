@@ -127,12 +127,14 @@ fn mls_evaluates_each_round_as_one_checkpointed_batch() {
     let r = mls.optimize(&problem, 5);
     let pt = pops * walkers;
     assert_eq!(r.evaluations, pt * evals);
+    // 35 of the 40 broadcasts settle before the 40 s end and stop there.
     assert_eq!(
         problem.sim_stats(),
         SimStats {
             simulations: pt * evals * n,
             checkpoints: evals * n,
             restores: (pt - 1) * evals * n,
+            settled: 35,
         }
     );
 }
@@ -391,5 +393,61 @@ fn golden_evaluations_hold_through_evaluate_and_evaluate_batch() {
                 );
             }
         }
+    }
+}
+
+/// The pinned `SimReport` fields, in order: energy, last reception and
+/// start-time bits, then coverage, forwardings, data collisions and
+/// duplicates, then every `SimCounters` field.
+fn report_digest(r: &SimReport) -> [u64; 14] {
+    let b = &r.broadcast;
+    let c = &r.counters;
+    [
+        b.energy_dbm_sum.to_bits(),
+        b.last_rx_time.to_bits(),
+        b.start_time.to_bits(),
+        b.coverage() as u64,
+        b.forwardings as u64,
+        b.collisions as u64,
+        b.duplicates as u64,
+        c.beacons_sent,
+        c.beacons_received,
+        c.data_sent,
+        c.data_received,
+        c.collision_losses,
+        c.half_duplex_losses,
+        c.timers_fired,
+    ]
+}
+
+/// `report_digest` of network 0 of each scenario, run to its end under
+/// `Flooding` with `(0, 0.1)` s jitter: one shadowed homogeneous world
+/// and one heterogeneous world (stationary high-power mesh plus waypoint
+/// walkers). They pin the full-horizon run — every beacon up to
+/// `end_time` — that `run_to_end` serves; a deliberate model change
+/// updates them in the same commit.
+#[rustfmt::skip]
+const GOLDEN_REPORTS: [(&str, [u64; 14]); 2] = [
+    ("60@200@4", [
+        0x408d0947ae147adb, 0x403e338cc271321e, 0x403e000000000000,
+        58, 58, 405, 231,
+        2405, 27826, 59, 292, 804, 58, 58,
+    ]),
+    ("40@200+20:still:20dbm+15:rwp1", [
+        0x40937451eb851eb6, 0x403e39903cd6984a, 0x403e000000000000,
+        73, 73, 658, 257,
+        2999, 38838, 74, 334, 1345, 82, 73,
+    ]),
+];
+
+#[test]
+fn golden_sim_reports_pin_full_horizon_runs() {
+    for (spec, want) in GOLDEN_REPORTS {
+        let world = DenseScenario::parse_spec(spec)
+            .expect("valid spec")
+            .world_spec(0);
+        let n = world.n_nodes();
+        let report = Simulator::from_world(&world, Flooding::new(n, (0.0, 0.1))).run();
+        assert_eq!(report_digest(&report), want, "{spec}: {report:?}");
     }
 }

@@ -996,3 +996,131 @@ proptest! {
         prop_assert_eq!(&again.counters, &straight_flooding.counters);
     }
 }
+
+/// The settle-parity checks of one world under one protocol: `make(n)`
+/// builds a fresh protocol for `n` nodes, `other` is a different world a
+/// pooled simulator ran (and stopped in mid-run) before.
+fn check_settle_parity<P: Protocol>(
+    spec: &WorldSpec,
+    other: &WorldSpec,
+    shards: usize,
+    at: f64,
+    make: impl Fn(usize) -> P,
+) -> Result<(), String> {
+    let n = spec.n_nodes();
+    let fresh = |spec: &WorldSpec| {
+        let mut sim = Simulator::from_world(spec, make(spec.n_nodes()));
+        sim.set_delivery_shards(shards);
+        sim
+    };
+    let full = fresh(spec).run_to_end();
+
+    // Straight: the early stop sees the full run's metrics, and running on
+    // from it gives the full report.
+    let mut sim = fresh(spec);
+    prop_assert_eq!(sim.run_broadcast(), &full.broadcast);
+    prop_assert!(sim.now() <= spec.end_time);
+    let stopped = sim.stopped_before_end();
+    let on = sim.run_to_end();
+    prop_assert_eq!(&on.broadcast, &full.broadcast);
+    prop_assert_eq!(&on.counters, &full.counters);
+    prop_assert!(!sim.stopped_before_end());
+
+    // Restored: a pooled simulator stopped in mid-run on another world
+    // resumes from a checkpoint of this one.
+    let mut donor = fresh(spec);
+    donor.run_until(at * (spec.broadcast_time - spec.neighbor_expiry - 1e-3));
+    let checkpoint = donor.checkpoint();
+    let mut pooled = fresh(other);
+    pooled.run_broadcast();
+    pooled.restore(&checkpoint, |p| *p = make(n));
+    prop_assert_eq!(pooled.run_broadcast(), &full.broadcast);
+    prop_assert_eq!(pooled.stopped_before_end(), stopped);
+
+    // Re-armed: a simulator stopped in mid-run, reset for this world,
+    // reproduces a fresh simulator's full report.
+    let mut pooled = fresh(other);
+    pooled.run_broadcast();
+    pooled.reset_world_with(spec, |p| *p = make(n));
+    let again = pooled.run_to_end();
+    prop_assert_eq!(&again.broadcast, &full.broadcast);
+    prop_assert_eq!(&again.counters, &full.counters);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn settled_broadcasts_match_full_horizon_runs(
+        seed in 0u64..10_000,
+        n_walk in 8usize..24,
+        n_other in 2usize..10,
+        other_kind in 0usize..2,
+        power_idx in 0usize..3,
+        shadowed_i in 0usize..2,
+        mode_i in 0usize..3,
+        shards_i in 0usize..2,
+        field_side in 250.0f64..600.0,
+        tail in 0.5f64..4.0,
+        at in 0.0f64..1.0,
+        jitter in 0.01f64..2.0,
+        min_delay in 0.0f64..1.0,
+        delay_span in 0.05f64..4.0,
+        border in -95.0f64..-70.0,
+        margin in 0.0f64..3.0,
+        neighbors in 0.0f64..50.0,
+    ) {
+        // The guarantee behind the evaluation's early stop: stopping once
+        // the broadcast has settled — or at `end_time`, when the tail is
+        // short enough that timers outlive it — yields exactly the
+        // broadcast metrics of a full-horizon run, straight or restored,
+        // for every delivery mode, shard count, shadowing and
+        // heterogeneous power/mobility mix.
+        use manet::mobility::MobilityModel;
+        let mode = [
+            DeliveryMode::Incremental,
+            DeliveryMode::HorizonRebuild,
+            DeliveryMode::Naive,
+        ][mode_i];
+        let shards = [1usize, 3][shards_i];
+        let other_mobility = [
+            MobilityModel::Stationary,
+            MobilityModel::RandomWaypoint { pause: 1.0 },
+        ][other_kind];
+        let other_power = [10.0, 5.0, 16.02][power_idx];
+        let build = |seed: u64, side: f64, n_walk: usize, shadowed: bool| {
+            let mut radio = manet::RadioConfig::paper();
+            if !shadowed {
+                radio.shadowing_sigma_db = 0.0;
+            }
+            WorldSpec::builder()
+                .area(side, side)
+                .radio(radio)
+                .seed(seed)
+                .group(NodeGroup::new(n_walk).mobility(MobilityModel::RandomWalk {
+                    change_interval: 2.0,
+                }))
+                .group(
+                    NodeGroup::new(n_other)
+                        .mobility(other_mobility)
+                        .tx_power_dbm(other_power),
+                )
+                .broadcast_window(6.0, 6.0 + tail)
+                .delivery_mode(mode)
+                .build()
+                .expect("valid spec")
+        };
+        let spec = build(seed, field_side, n_walk, shadowed_i == 1);
+        let other = build(seed + 1, field_side + 300.0, n_walk + 20, shadowed_i == 0);
+        let params = AedbParams {
+            min_delay,
+            max_delay: min_delay + delay_span,
+            border_threshold: border,
+            margin_threshold: margin,
+            neighbors_threshold: neighbors,
+        };
+        check_settle_parity(&spec, &other, shards, at, |n| Flooding::new(n, (0.0, jitter)))?;
+        check_settle_parity(&spec, &other, shards, at, |n| Aedb::new(n, params))?;
+    }
+}

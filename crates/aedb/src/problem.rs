@@ -14,8 +14,7 @@ use crate::params::{AedbParams, N_PARAMS};
 use crate::protocol::Aedb;
 use crate::scenario::Scenario;
 use manet::metrics::BroadcastMetrics;
-use manet::sim::Simulator;
-use manet::world::WorldSpec;
+use manet::sim::{Checkpoint, Simulator};
 use mopt::problem::{Evaluation, Problem};
 use mopt::solution::Bounds;
 use parking_lot::Mutex;
@@ -23,7 +22,7 @@ use rayon::prelude::*;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use store::{DiskStorage, Storage};
 
 /// Broadcast-time constraint limit (s): "any solution that takes longer
@@ -61,20 +60,24 @@ pub struct AedbOutcome {
     pub broadcast_time: f64,
 }
 
-/// How many simulations an [`AedbProblem`] ran, how many of them
-/// started from a shared protocol-free prefix instead of `t = 0`, and how
-/// many stopped once their broadcast settled instead of at `end_time`
+/// How many simulations an [`AedbProblem`] ran, how many protocol-free
+/// prefixes it simulated to start them from, and how many stopped once
+/// their broadcast settled instead of at `end_time`
 /// ([`AedbProblem::sim_stats`]). Cache hits simulate nothing, so
 /// `simulations` counts `networks` per fresh evaluation.
+///
+/// Over a problem's whole life the counters cross-check:
+/// `checkpoints ≤ networks`, `restores == simulations` and
+/// `settled ≤ simulations`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimStats {
-    /// Simulations run, restored or not.
+    /// Simulations run.
     pub simulations: u64,
-    /// Prefix checkpoints taken: one per network and batch job of two or
-    /// more fresh candidates.
+    /// Prefix checkpoints taken: one the first time each network is
+    /// simulated, kept for the problem's life.
     pub checkpoints: u64,
-    /// Simulations that resumed from a checkpoint instead of simulating
-    /// the prefix again.
+    /// Simulations that resumed from a network's checkpoint — every one,
+    /// since no simulation runs from `t = 0`.
     pub restores: u64,
     /// Simulations that stopped when their broadcast settled
     /// ([`Simulator::run_broadcast`]); the others ran to `end_time` with a
@@ -86,15 +89,18 @@ pub struct SimStats {
 ///
 /// Evaluation simulates the candidate on every fixed network of the
 /// scenario (the inner loop of the paper, which dominates runtime) and
-/// averages the metrics. The batched entry point
-/// [`Problem::evaluate_batch`] fans the whole (candidate × network)
-/// product out over a thread pool at once — the unit of parallelism the
-/// optimisers feed a generation at a time — simulating each network's
-/// protocol-free prefix once for all its candidates, and a
-/// quantized-parameter cache dedupes repeated configurations across
-/// generations.
+/// averages the metrics. Each network's protocol-free prefix is
+/// simulated once for the problem's life and restored for every
+/// simulation on it. The batched entry point [`Problem::evaluate_batch`]
+/// fans the whole (candidate × network) product out over a thread pool at
+/// once — the unit of parallelism the optimisers feed a generation at a
+/// time — and a quantized-parameter cache dedupes repeated configurations
+/// across generations.
 pub struct AedbProblem {
     scenario: Scenario,
+    /// Each network's protocol-free prefix, taken the first time the
+    /// network is simulated (see `simulate_network`).
+    prefixes: Vec<OnceLock<Checkpoint>>,
     bounds: Bounds,
     parallel: bool,
     /// Whether [`Problem::evaluate_batch`] fans its jobs over the thread
@@ -149,6 +155,7 @@ impl AedbProblem {
     /// [`with_eval_cache(false)`](Self::with_eval_cache).
     pub fn paper(scenario: Scenario) -> Self {
         Self {
+            prefixes: (0..scenario.n_networks).map(|_| OnceLock::new()).collect(),
             scenario,
             bounds: AedbParams::bounds(),
             parallel: false,
@@ -408,11 +415,11 @@ impl AedbProblem {
         )
     }
 
-    /// Simulations run so far, how many of them shared a checkpointed
-    /// prefix and how many stopped at settlement. With `m ≥ 2` unique
-    /// fresh vectors in one sequential batch on `N` networks: `m·N`
-    /// simulations, `N` checkpoints and `(m−1)·N` restores; `settled ≤
-    /// simulations` always.
+    /// Simulations run so far, prefixes checkpointed, restores and
+    /// simulations that stopped at settlement. On `N` networks, `m` fresh
+    /// evaluations cost `m·N` simulations and `m·N` restores, while
+    /// `checkpoints` stays at most `N` for the problem's whole life (see
+    /// [`SimStats`]).
     pub fn sim_stats(&self) -> SimStats {
         SimStats {
             simulations: self.simulations.load(Ordering::Relaxed),
@@ -455,76 +462,65 @@ impl AedbProblem {
         }
     }
 
-    /// Simulates `params` on network `k` and returns its raw observables.
-    /// Runs on a simulator checked out of the process-wide pool: after
-    /// warm-up a simulation performs no heap allocation. The simulation
-    /// stops as soon as the broadcast has settled
-    /// ([`Simulator::run_broadcast`]) rather than at `end_time`: the
-    /// observables are final by then, so they are bit-identical to a full
-    /// run's. Networks compile through the declarative [`Scenario::world`]
-    /// path, so heterogeneous dense scenarios (mixed mobility / power
-    /// classes) pose the tuning problem exactly like homogeneous ones.
+    /// Simulates `params` on network `k` and returns its raw observables,
+    /// bit-identical to a straight run of the network under `params`: it
+    /// restores the network's protocol-free prefix, kept for the
+    /// problem's life, and stops once the broadcast has settled
+    /// ([`Simulator::run_broadcast`]). Networks compile through the
+    /// declarative [`Scenario::world`] path, so heterogeneous dense
+    /// scenarios (mixed mobility / power classes) pose the tuning problem
+    /// exactly like homogeneous ones.
     pub fn simulate_one(&self, params: AedbParams, k: usize) -> AedbOutcome {
-        let world = self.scenario.world(k);
-        let mut sim = Self::checkout(&world, params);
-        let outcome = self.run(&mut sim);
-        SIM_POOL.lock().push(sim);
-        outcome
+        self.simulate_network(&[params], k)[0]
     }
 
     /// Simulates every candidate of `params` on network `k`, in order,
-    /// with bit-identical results to one [`simulate_one`](Self::simulate_one)
-    /// per candidate. Two or more candidates share the network's
-    /// protocol-free prefix: one pooled simulator runs to `broadcast_time
-    /// − neighbor_expiry − beacon_interval` and takes a [`Checkpoint`]
-    /// there; the first candidate runs on in place and every other one
-    /// restores the checkpoint into the same simulator. Each candidate's
-    /// tail ends when its broadcast settles
-    /// ([`Simulator::run_broadcast`]), not at `end_time`. The checkpoint
-    /// lives only for this call, so the memory cost is one checkpoint per
-    /// worker thread.
+    /// each with bit-identical results to a straight run from `t = 0`.
     ///
-    /// [`Checkpoint`]: manet::sim::Checkpoint
+    /// No simulation starts at `t = 0`: every one restores the network's
+    /// protocol-free prefix, a [`Checkpoint`] at `broadcast_time −
+    /// neighbor_expiry − beacon_interval` that the first simulation of the
+    /// network on this problem takes and that stays alive for the
+    /// problem's life. Each candidate's tail ends when its broadcast
+    /// settles ([`Simulator::run_broadcast`]), not at `end_time`. The
+    /// simulator comes from the process-wide pool; the restore re-arms it
+    /// whatever world it ran before.
+    ///
+    /// The memory cost is one checkpoint per network and live problem:
+    /// ≈ 8/14/20 KiB for the paper's D100/D200/D300 worlds, and
+    /// proportionally more for dense scenarios.
     fn simulate_network(&self, params: &[AedbParams], k: usize) -> Vec<AedbOutcome> {
-        let (&first, rest) = params
-            .split_first()
-            .expect("a job has at least one candidate");
-        if rest.is_empty() {
-            return vec![self.simulate_one(first, k)];
-        }
-        let world = self.scenario.world(k);
-        let n = world.n_nodes();
-        let mut sim = Self::checkout(&world, first);
-        sim.run_until(world.broadcast_time - world.neighbor_expiry - world.beacon_interval);
-        let checkpoint = sim.checkpoint();
-        let mut outcomes = Vec::with_capacity(params.len());
-        outcomes.push(self.run(&mut sim));
-        for &p in rest {
-            sim.restore(&checkpoint, |proto| proto.reset(n, p));
-            outcomes.push(self.run(&mut sim));
-        }
+        // Bind the checkout first: `SIM_POOL.lock().pop().unwrap_or_else(…)`
+        // would hold the pool lock while a new simulator is built.
+        let pooled = SIM_POOL.lock().pop();
+        let mut sim = pooled.unwrap_or_else(|| {
+            let world = self.scenario.world(k);
+            Simulator::from_world(&world, Aedb::new(world.n_nodes(), params[0]))
+        });
+        let checkpoint = self.prefixes[k].get_or_init(|| self.take_prefix(&mut sim, k));
+        let n = checkpoint.world().n_nodes();
+        let outcomes = params
+            .iter()
+            .map(|&p| {
+                sim.restore(checkpoint, |proto| proto.reset(n, p));
+                self.run(&mut sim)
+            })
+            .collect();
         SIM_POOL.lock().push(sim);
-        self.checkpoints.fetch_add(1, Ordering::Relaxed);
         self.restores
-            .fetch_add(rest.len() as u64, Ordering::Relaxed);
+            .fetch_add(params.len() as u64, Ordering::Relaxed);
         outcomes
     }
 
-    /// A pooled simulator re-armed for `world` under AEDB with `params`
-    /// (a new one when the pool is empty). Return it with
-    /// `SIM_POOL.lock().push(sim)`.
-    fn checkout(world: &WorldSpec, params: AedbParams) -> Simulator<Aedb> {
-        let n = world.n_nodes();
-        // Bind the checkout first: `match SIM_POOL.lock().pop()` would
-        // hold the pool lock while the simulator re-arms.
-        let checked_out = SIM_POOL.lock().pop();
-        match checked_out {
-            Some(mut sim) => {
-                sim.reset_world_with(world, |p| p.reset(n, params));
-                sim
-            }
-            None => Simulator::from_world(world, Aedb::new(n, params)),
-        }
+    /// Simulates network `k`'s protocol-free prefix on `sim` and
+    /// checkpoints it. The engine calls no protocol before the broadcast,
+    /// so `sim`'s protocol is left as it is: every restore re-arms it.
+    fn take_prefix(&self, sim: &mut Simulator<Aedb>, k: usize) -> Checkpoint {
+        let world = self.scenario.world(k);
+        sim.reset_world_with(&world, |_| {});
+        sim.run_until(world.broadcast_time - world.neighbor_expiry - world.beacon_interval);
+        self.checkpoints.fetch_add(1, Ordering::Relaxed);
+        sim.checkpoint()
     }
 
     /// Runs `sim` until its broadcast settles (or `end_time`), counts the
@@ -870,9 +866,9 @@ mod tests {
     #[test]
     fn sim_stats_count_shared_prefixes() {
         // m = 3 unique fresh vectors (plus a duplicate) on N = 2 networks,
-        // sequentially: each network's prefix is simulated once and
-        // restored for the two other candidates. All six broadcasts
-        // settle well before the 40 s end.
+        // sequentially: the first simulation on each network checkpoints
+        // its prefix, and every simulation restores it. All six
+        // broadcasts settle well before the 40 s end.
         let p = AedbProblem::paper(Scenario::quick(Density::D100, 2)).with_parallel_batches(false);
         let x = AedbParams::default_config().to_vec();
         let y = vec![0.0, 0.2, -70.0, 1.0, 50.0];
@@ -881,31 +877,72 @@ mod tests {
         let want = SimStats {
             simulations: 6,
             checkpoints: 2,
-            restores: 4,
+            restores: 6,
             settled: 6,
         };
         assert_eq!(p.sim_stats(), want);
         let (hits, misses) = p.cache_stats();
         assert_eq!(hits + misses, 4, "one lookup per vector");
-        // A lone fresh candidate runs straight through: N simulations and
-        // nothing else, through evaluate and evaluate_batch alike. Their
-        // multi-second forwarding delays leave two of the four broadcasts
-        // with protocol work pending at 40 s, so those run to the end.
+        // A second batch and lone candidates through evaluate and
+        // evaluate_batch restore the same checkpoints: N simulations and
+        // N restores each, and no new checkpoint. The batch's four
+        // broadcasts settle; multi-second forwarding delays leave two of
+        // the four lone ones with protocol work pending at 40 s, so those
+        // run to the end.
+        p.evaluate_batch(&[
+            vec![0.1, 0.3, -75.0, 1.5, 10.0],
+            vec![0.2, 0.6, -88.0, 0.5, 30.0],
+        ]);
         p.evaluate(&[1.0, 5.0, -95.0, 0.0, 0.0]);
         p.evaluate_batch(&[vec![0.9, 4.0, -92.0, 2.5, 45.0]]);
         let stats = p.sim_stats();
         assert_eq!(
-            stats,
-            SimStats {
-                simulations: want.simulations + 4,
-                settled: want.settled + 2,
-                ..want
-            }
+            stats.checkpoints, want.checkpoints,
+            "one per network for life"
         );
-        assert!(stats.settled <= stats.simulations);
+        assert_eq!(stats.simulations, want.simulations + 8);
+        assert_eq!(stats.restores, stats.simulations);
+        assert_eq!(stats.settled, want.settled + 4 + 2);
         // Cache hits simulate nothing.
         p.evaluate_batch(&[x]);
         assert_eq!(p.sim_stats(), stats);
+    }
+
+    #[test]
+    fn sim_stats_keep_one_checkpoint_per_network_across_entry_points() {
+        // Parallel batches, evaluate_full's per-network fan-out and
+        // simulate_one all fill and share the same per-network slots, even
+        // when several threads reach an empty slot at once.
+        let p = AedbProblem::paper(Scenario::quick(Density::D100, 3)).with_parallel_sims(true);
+        let xs: Vec<Vec<f64>> = (0..6)
+            .map(|i| {
+                vec![
+                    0.1 * i as f64,
+                    0.2 + 0.1 * i as f64,
+                    -90.0 + i as f64,
+                    1.0,
+                    20.0,
+                ]
+            })
+            .collect();
+        let batch = p.evaluate_batch(&xs);
+        let params = AedbParams::from_vec(&[0.3, 0.9, -80.0, 2.0, 10.0]);
+        let full = p.evaluate_full(params);
+        let one = p.simulate_one(params, 2);
+        let stats = p.sim_stats();
+        assert_eq!(stats.checkpoints, 3, "one per network");
+        assert_eq!(stats.simulations, 6 * 3 + 3 + 1);
+        assert_eq!(stats.restores, stats.simulations);
+        // The same results as a fresh problem evaluating one candidate at
+        // a time, and as a straight simulation from t = 0.
+        let fresh = AedbProblem::paper(Scenario::quick(Density::D100, 3)).with_eval_cache(false);
+        for (x, ev) in xs.iter().zip(&batch) {
+            assert_eq!(*ev, fresh.evaluate(x));
+        }
+        assert_eq!(full, fresh.evaluate_full(params));
+        let world = fresh.scenario().world(2);
+        let mut sim = Simulator::from_world(&world, Aedb::new(world.n_nodes(), params));
+        assert_eq!(one, AedbProblem::outcome(sim.run_broadcast()));
     }
 
     #[test]

@@ -10,7 +10,7 @@ use aedb::protocol::Aedb;
 use aedb::scenario::{Density, Scenario};
 use bench_harness::scale::DenseScenario;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use manet::sim::Simulator;
+use manet::sim::{DeliveryMode, Simulator};
 use mopt::problem::Problem;
 use std::hint::black_box;
 
@@ -83,7 +83,11 @@ fn bench_deliveries_grid_vs_naive(c: &mut Criterion) {
                 let n = cfg.n_nodes;
                 let mut sim =
                     Simulator::new(cfg.clone(), Aedb::new(n, AedbParams::default_config()));
-                sim.set_naive_deliveries(naive);
+                sim.set_delivery_mode(if naive {
+                    DeliveryMode::Naive
+                } else {
+                    DeliveryMode::Incremental
+                });
                 b.iter(|| {
                     sim.reset_with(cfg.clone(), |p| p.reset(n, AedbParams::default_config()));
                     sim.run_to_end().broadcast.coverage()
@@ -101,7 +105,6 @@ fn bench_deliveries_grid_vs_naive(c: &mut Criterion) {
 /// prefix is the CI smoke filter for the incremental path.
 fn bench_grid_modes(c: &mut Criterion) {
     use manet::protocol::Flooding;
-    use manet::sim::DeliveryMode;
     let mut g = c.benchmark_group("grid_modes");
     g.sample_size(10);
     let scenario = DenseScenario::new(200, 500);

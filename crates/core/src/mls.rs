@@ -16,10 +16,11 @@
 //! and hands out random elites for the periodic reinitialisation. The
 //! paper's hybrid model (MPI between populations, threads within one)
 //! becomes one batch per round: the problem's evaluation pool is the
-//! parallelism, and on `AedbProblem` the round's `P·T` candidates share
-//! one simulated protocol-free prefix per network. Every random draw comes
-//! from a per-walker RNG or the archive's RNG, consumed in `(p, k)` order,
-//! so a run is a pure function of its configuration and seed.
+//! parallelism, and on `AedbProblem` the round's `P·T` candidates all
+//! restore each network's one simulated protocol-free prefix. Every
+//! random draw comes from a per-walker RNG or the archive's RNG, consumed
+//! in `(p, k)` order, so a run is a pure function of its configuration
+//! and seed.
 
 use crate::criteria::SearchCriteria;
 use mopt::algorithm::{NoProgress, RunObserver};

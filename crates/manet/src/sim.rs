@@ -298,22 +298,76 @@ struct Transmission {
     floor_hi_r2: f64,
 }
 
+/// A queued event. Node ids are stored as `u32` and a transmission as its
+/// [`InFlight`] slot, which keeps every queue entry at 32 bytes.
 #[derive(Debug, Clone, Copy)]
 enum Event {
-    Beacon(NodeId),
-    MobilityChange(NodeId),
-    TxEnd(Transmission),
+    Beacon(u32),
+    MobilityChange(u32),
+    /// End of the transmission in this [`InFlight`] slot.
+    TxEnd(u32),
     Timer {
-        node: NodeId,
+        node: u32,
         tag: u64,
     },
-    StartBroadcast(NodeId),
+    StartBroadcast(u32),
     /// Earliest possible cell crossing of `node`; stale when `gen` no
     /// longer matches (the node's mobility segment changed since).
     GridRefresh {
-        node: NodeId,
+        node: u32,
         gen: u32,
     },
+}
+
+// Every queued event is an `Event` plus its time and sequence number, so an
+// inline payload would grow the whole queue (and every checkpoint of it).
+const _: () = assert!(std::mem::size_of::<Event>() <= 16);
+
+/// The transmissions on the air, each in the slot its [`Event::TxEnd`]
+/// carries: the queue holds a 4-byte slot instead of the whole
+/// [`Transmission`]. Freed slots are reused last-in first-out, so the slab
+/// never grows past the most frames ever on the air at once.
+#[derive(Debug, Clone, Default)]
+struct InFlight {
+    slots: Vec<Transmission>,
+    free: Vec<u32>,
+}
+
+impl InFlight {
+    /// Stores `tx` and returns its slot.
+    fn insert(&mut self, tx: Transmission) -> u32 {
+        match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = tx;
+                slot
+            }
+            None => {
+                self.slots.push(tx);
+                (self.slots.len() - 1) as u32
+            }
+        }
+    }
+
+    /// The transmission in `slot`.
+    fn get(&self, slot: u32) -> &Transmission {
+        &self.slots[slot as usize]
+    }
+
+    /// Removes the transmission in `slot`, freeing the slot.
+    fn take(&mut self, slot: u32) -> Transmission {
+        self.free.push(slot);
+        self.slots[slot as usize]
+    }
+
+    /// Number of transmissions stored.
+    fn len(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
+
+    fn clear(&mut self) {
+        self.slots.clear();
+        self.free.clear();
+    }
 }
 
 impl FrameKind {
@@ -372,6 +426,8 @@ struct World {
     /// the horizon-rebuild staleness margin and the half-duplex reach.
     max_speed: f64,
     queue: EventQueue<Event>,
+    /// The payloads of the queued [`Event::TxEnd`]s.
+    in_flight: InFlight,
     mobility: Vec<AnyMobility>,
     tables: Vec<NeighborTable>,
     rng: SmallRng,
@@ -631,6 +687,7 @@ impl World {
             node_tx: Vec::new(),
             max_speed: 0.0,
             queue: EventQueue::new(),
+            in_flight: InFlight::default(),
             mobility: Vec::new(),
             tables: Vec::new(),
             rng: SmallRng::seed_from_u64(0),
@@ -667,6 +724,11 @@ impl World {
             panic!("{e}");
         }
         let n_nodes = spec.n_nodes();
+        // Makes every `node as u32` of an `Event` lossless.
+        assert!(
+            u32::try_from(n_nodes).is_ok(),
+            "{n_nodes} nodes: events store node ids as u32"
+        );
         let max_tx = spec.max_tx_dbm();
 
         let cell = grid_cell(&spec.radio, spec.field, max_tx);
@@ -685,6 +747,7 @@ impl World {
         self.refresh_events = 0;
 
         self.queue.clear();
+        self.in_flight.clear();
         self.rng = SmallRng::seed_from_u64(spec.seed);
         self.mobility.clear();
         self.node_tx.clear();
@@ -728,18 +791,20 @@ impl World {
                 };
                 if m.next_change().is_finite() {
                     self.queue
-                        .schedule(m.next_change(), Event::MobilityChange(node));
+                        .schedule(m.next_change(), Event::MobilityChange(node as u32));
                 }
                 self.mobility.push(m);
                 self.node_tx.push(tx);
                 // Desynchronised beacon phases.
                 let offset = self.rng.gen_range(0.0..spec.beacon_interval);
-                self.queue.schedule(offset, Event::Beacon(node));
+                self.queue.schedule(offset, Event::Beacon(node as u32));
                 node += 1;
             }
         }
-        self.queue
-            .schedule(spec.broadcast_time, Event::StartBroadcast(spec.source));
+        self.queue.schedule(
+            spec.broadcast_time,
+            Event::StartBroadcast(spec.source as u32),
+        );
 
         self.clear_tables(n_nodes);
 
@@ -828,8 +893,13 @@ impl World {
             return;
         }
         let gen = self.refresh_gen[node];
-        self.queue
-            .schedule(now + dt, Event::GridRefresh { node, gen });
+        self.queue.schedule(
+            now + dt,
+            Event::GridRefresh {
+                node: node as u32,
+                gen,
+            },
+        );
     }
 
     /// Handles a [`Event::GridRefresh`]: ignores it when stale, otherwise
@@ -951,7 +1021,8 @@ impl World {
         self.max_gate_r = self.max_gate_r.max(gate);
         self.active.insert(kind.lane(), tx.end, tx);
         self.frames.insert(kind.lane(), tx.end, tx.pos, tx);
-        self.queue.schedule(tx.end, Event::TxEnd(tx));
+        let slot = self.in_flight.insert(tx);
+        self.queue.schedule(tx.end, Event::TxEnd(slot));
     }
 
     /// Exact delivery test for receiver `r` under propagation, half-duplex
@@ -1199,9 +1270,9 @@ impl World {
     /// resolving it inline; returns whether the caller must flush now
     /// (batch cap reached). Only called when sharding is active on the
     /// incremental path.
-    fn defer_beacon_txend(&mut self, tx: &Transmission) -> bool {
+    fn defer_beacon_txend(&mut self, tx: Transmission) -> bool {
         let sd = self.shard.as_mut().expect("sharding checked by caller");
-        sd.pending.push(*tx);
+        sd.pending.push(tx);
         sd.pending.len() >= SHARD_BATCH_CAP
     }
 
@@ -1613,7 +1684,13 @@ impl ProtocolApi for World {
 
     fn set_timer(&mut self, node: NodeId, delay: f64, tag: u64) {
         self.protocol_pending += 1;
-        self.queue.schedule_in(delay, Event::Timer { node, tag });
+        self.queue.schedule_in(
+            delay,
+            Event::Timer {
+                node: node as u32,
+                tag,
+            },
+        );
     }
 
     fn transmit(&mut self, node: NodeId, tx_dbm: f64) {
@@ -1665,18 +1742,25 @@ pub struct Simulator<P: Protocol> {
 /// updates are all protocol-free, so every candidate configuration
 /// simulated on one network shares the same state up to that point. The
 /// tuning problem uses this to simulate that shared prefix once per
-/// network and batch; each candidate's tail then runs from the restored
-/// checkpoint only until its broadcast settles
+/// network for its whole life; each candidate's tail then runs from the
+/// restored checkpoint only until its broadcast settles
 /// ([`Simulator::run_broadcast`]).
 ///
-/// The neighbour tables are deliberately not part of a checkpoint: it can
-/// only be taken more than `neighbor_expiry` seconds before the broadcast,
-/// so every entry observed up to then has expired by the first instant a
-/// protocol can read a table, and [`Simulator::restore`] starts from empty
-/// tables instead. Nor are the delivery pipeline's caches (sweep event
-/// horizons, shadowing memo, scratch buffers), which restore re-arms, or
-/// the count of queued protocol events, which is zero before the
-/// broadcast and which restore zeroes.
+/// A checkpoint holds only what restore cannot derive, so that one per
+/// network can stay alive (≈ 20 KiB for a 75-node paper world):
+///
+/// * The neighbour tables: a checkpoint can only be taken more than
+///   `neighbor_expiry` seconds before the broadcast, so every entry
+///   observed up to then has expired by the first instant a protocol can
+///   read a table, and restore starts from empty tables instead.
+/// * The SoA kinematic snapshot: it always mirrors the mobility segments
+///   (kept so by every re-anchor), so restore rebuilds it from them.
+/// * The broadcast metrics: nothing records into them before the
+///   broadcast, so restore resets them to their initial state.
+/// * The delivery pipeline's caches (sweep event horizons, shadowing memo,
+///   scratch buffers), which restore re-arms, and the count of queued
+///   protocol events, which is zero before the broadcast and which restore
+///   zeroes.
 #[derive(Debug)]
 pub struct Checkpoint {
     spec: WorldSpec,
@@ -1684,20 +1768,26 @@ pub struct Checkpoint {
     node_tx: Vec<f64>,
     max_speed: f64,
     queue: EventQueue<Event>,
+    in_flight: InFlight,
     mobility: Vec<AnyMobility>,
     rng: SmallRng,
     active: ActiveWindow<Transmission>,
     frames: SpatialActiveWindow<Transmission>,
-    metrics: BroadcastMetrics,
     counters: SimCounters,
     grid: SpatialGrid,
-    snapshot: KinematicSnapshot,
     refresh_gen: Vec<u32>,
     refresh_events: u64,
     max_gate_r: f64,
     hd_reach: f64,
     capture_ratio_mw: f64,
     mode: DeliveryMode,
+}
+
+impl Checkpoint {
+    /// The world this checkpoint was taken in.
+    pub fn world(&self) -> &WorldSpec {
+        &self.spec
+    }
 }
 
 impl<P: Protocol> Simulator<P> {
@@ -1811,19 +1901,6 @@ impl<P: Protocol> Simulator<P> {
     /// The currently selected delivery-resolution path.
     pub fn delivery_mode(&self) -> DeliveryMode {
         self.world.mode
-    }
-
-    /// Convenience wrapper around [`set_delivery_mode`]
-    /// (`true` → [`DeliveryMode::Naive`], `false` → the default
-    /// incremental grid), kept for the existing parity tests and benches.
-    ///
-    /// [`set_delivery_mode`]: Self::set_delivery_mode
-    pub fn set_naive_deliveries(&mut self, on: bool) {
-        self.set_delivery_mode(if on {
-            DeliveryMode::Naive
-        } else {
-            DeliveryMode::Incremental
-        });
     }
 
     /// Spatial-grid maintenance counters accumulated since the last
@@ -1989,12 +2066,15 @@ impl<P: Protocol> Simulator<P> {
             }
             let (_, ev) = self.world.queue.pop().expect("peeked event vanished");
             if self.world.shard.is_some() && self.world.mode == DeliveryMode::Incremental {
-                match &ev {
-                    Event::TxEnd(tx) if tx.kind == FrameKind::Beacon => {
+                match ev {
+                    Event::TxEnd(slot)
+                        if self.world.in_flight.get(slot).kind == FrameKind::Beacon =>
+                    {
                         // Beacon deliveries have no same-event side
                         // effects beyond the neighbour-table observes and
                         // loss counters the flush replays in order, so
                         // they can be deferred into the shard batch.
+                        let tx = self.world.in_flight.take(slot);
                         if self.world.defer_beacon_txend(tx) {
                             self.world.flush_sharded();
                         }
@@ -2023,6 +2103,11 @@ impl<P: Protocol> Simulator<P> {
         self.world.queue.now()
     }
 
+    /// Frames on the air now: started, with their end not yet processed.
+    pub fn on_air(&self) -> usize {
+        self.world.in_flight.len()
+    }
+
     /// Copies the simulation state at the current time into a
     /// protocol-independent [`Checkpoint`]: drive the simulator with
     /// [`run_until`](Self::run_until) first, then restore the checkpoint
@@ -2045,18 +2130,23 @@ impl<P: Protocol> Simulator<P> {
             node_tx,
             max_speed,
             queue,
+            in_flight,
             mobility,
             // Expired by the broadcast (asserted below): restore clears them.
             tables: _,
             rng,
             active,
             frames,
+            // Initial until the broadcast (asserted below): restore resets
+            // them.
             metrics,
             counters,
             broadcast_started,
             // Zero before the broadcast (asserted below): restore zeroes it.
             protocol_pending,
             grid,
+            // Mirrors the mobility segments (asserted below): restore
+            // rebuilds it from them.
             snapshot,
             refresh_gen,
             refresh_events,
@@ -2081,6 +2171,15 @@ impl<P: Protocol> Simulator<P> {
             spec.neighbor_expiry
         );
         debug_assert_eq!(*protocol_pending, 0, "nothing calls the protocol yet");
+        debug_assert_eq!(
+            *metrics,
+            BroadcastMetrics::new(spec.source, spec.broadcast_time),
+            "nothing records into the metrics before the broadcast"
+        );
+        debug_assert!(
+            (0..*n_nodes).all(|i| snapshot.segment(i) == mobility[i].segment()),
+            "the snapshot mirrors the mobility segments"
+        );
         debug_assert!(
             shard.as_ref().is_none_or(|sd| sd.pending.is_empty()),
             "run_until leaves no sharded query pending"
@@ -2091,14 +2190,13 @@ impl<P: Protocol> Simulator<P> {
             node_tx: node_tx.clone(),
             max_speed: *max_speed,
             queue: queue.clone(),
+            in_flight: in_flight.clone(),
             mobility: mobility.clone(),
             rng: rng.clone(),
             active: active.clone(),
             frames: frames.clone(),
-            metrics: metrics.clone(),
             counters: counters.clone(),
             grid: grid.clone(),
-            snapshot: snapshot.clone(),
             refresh_gen: refresh_gen.clone(),
             refresh_events: *refresh_events,
             max_gate_r: *max_gate_r,
@@ -2115,10 +2213,11 @@ impl<P: Protocol> Simulator<P> {
     /// checkpoint's world under this protocol gives, bit for bit — whatever
     /// world this simulator ran before.
     ///
-    /// The neighbour tables start empty (see [`Checkpoint`]), and the
-    /// delivery scratch of the previous run is re-armed — including every
-    /// cached sweep event horizon, which described the previous world's
-    /// cells. The delivery mode is the checkpoint's; the shard count and
+    /// The neighbour tables start empty, the broadcast metrics initial and
+    /// the kinematic snapshot rebuilt from the mobility segments (see
+    /// [`Checkpoint`]), and the delivery scratch of the previous run is
+    /// re-armed — including every cached sweep event horizon, which
+    /// described the previous world's cells. The delivery mode is the checkpoint's; the shard count and
     /// the profiling switch stay this simulator's, and the profiling and
     /// sweep accumulators restart from zero.
     pub fn restore<F: FnOnce(&mut P)>(&mut self, checkpoint: &Checkpoint, rearm: F) {
@@ -2128,14 +2227,13 @@ impl<P: Protocol> Simulator<P> {
             node_tx,
             max_speed,
             queue,
+            in_flight,
             mobility,
             rng,
             active,
             frames,
-            metrics,
             counters,
             grid,
-            snapshot,
             refresh_gen,
             refresh_events,
             max_gate_r,
@@ -2149,16 +2247,18 @@ impl<P: Protocol> Simulator<P> {
         w.node_tx.clone_from(node_tx);
         w.max_speed = *max_speed;
         w.queue.clone_from(queue);
+        w.in_flight.clone_from(in_flight);
         w.mobility.clone_from(mobility);
         w.rng.clone_from(rng);
         w.active.clone_from(active);
         w.frames.clone_from(frames);
-        w.metrics.clone_from(metrics);
+        w.metrics.reset(spec.source, spec.broadcast_time);
         w.counters.clone_from(counters);
         w.broadcast_started = false;
         w.protocol_pending = 0;
         w.grid.clone_from(grid);
-        w.snapshot.clone_from(snapshot);
+        w.snapshot
+            .rebuild(spec.field, mobility.iter().map(|m| m.segment()));
         w.refresh_gen.clone_from(refresh_gen);
         w.refresh_events = *refresh_events;
         w.max_gate_r = *max_gate_r;
@@ -2174,7 +2274,8 @@ impl<P: Protocol> Simulator<P> {
 
     fn dispatch(&mut self, ev: Event) {
         match ev {
-            Event::Beacon(node) => {
+            Event::Beacon(id) => {
+                let node = id as NodeId;
                 // Beacons go out at the node's power *class* (per-group in
                 // heterogeneous worlds; the radio default otherwise).
                 self.world
@@ -2183,20 +2284,22 @@ impl<P: Protocol> Simulator<P> {
                 // cannot lock in (there is no CSMA in this model).
                 let base = self.world.spec.beacon_interval;
                 let jitter = base * (0.95 + 0.1 * self.world.rng.gen::<f64>());
-                self.world.queue.schedule_in(jitter, Event::Beacon(node));
+                self.world.queue.schedule_in(jitter, Event::Beacon(id));
             }
-            Event::MobilityChange(node) => {
+            Event::MobilityChange(id) => {
+                let node = id as NodeId;
                 self.world.mobility[node].advance(&mut self.world.rng);
                 let next = self.world.mobility[node].next_change();
                 if next.is_finite() {
-                    self.world.queue.schedule(next, Event::MobilityChange(node));
+                    self.world.queue.schedule(next, Event::MobilityChange(id));
                 }
                 self.world.reanchor_grid_refresh(node);
             }
             Event::GridRefresh { node, gen } => {
-                self.world.handle_grid_refresh(node, gen);
+                self.world.handle_grid_refresh(node as NodeId, gen);
             }
-            Event::TxEnd(tx) => {
+            Event::TxEnd(slot) => {
+                let tx = self.world.in_flight.take(slot);
                 let mut deliveries = std::mem::take(&mut self.world.delivery_scratch);
                 deliveries.clear();
                 self.world.compute_deliveries(&tx, &mut deliveries);
@@ -2224,11 +2327,11 @@ impl<P: Protocol> Simulator<P> {
             Event::Timer { node, tag } => {
                 self.world.counters.timers_fired += 1;
                 self.world.protocol_pending -= 1;
-                self.protocol.on_timer(node, tag, &mut self.world);
+                self.protocol.on_timer(node as NodeId, tag, &mut self.world);
             }
             Event::StartBroadcast(node) => {
                 self.world.broadcast_started = true;
-                self.protocol.on_start(node, &mut self.world);
+                self.protocol.on_start(node as NodeId, &mut self.world);
             }
         }
     }
@@ -2547,12 +2650,14 @@ mod tests {
             }
             let (_, ev) = world.queue.pop().unwrap();
             match ev {
-                Event::Beacon(node) => {
+                Event::Beacon(id) => {
+                    let node = id as NodeId;
                     world.start_transmission(node, world.node_tx[node], FrameKind::Beacon);
                     let base = world.spec.beacon_interval;
-                    world.queue.schedule_in(base, Event::Beacon(node));
+                    world.queue.schedule_in(base, Event::Beacon(id));
                 }
-                Event::TxEnd(tx) => {
+                Event::TxEnd(slot) => {
+                    let tx = world.in_flight.take(slot);
                     ds.clear();
                     world.compute_deliveries(&tx, &mut ds);
                     let now = world.queue.now();
@@ -2562,17 +2667,18 @@ mod tests {
                         }
                     }
                 }
-                Event::MobilityChange(n) => {
+                Event::MobilityChange(id) => {
+                    let n = id as NodeId;
                     world.mobility[n].advance(&mut world.rng);
                     let next = world.mobility[n].next_change();
                     if next.is_finite() {
-                        world.queue.schedule(next, Event::MobilityChange(n));
+                        world.queue.schedule(next, Event::MobilityChange(id));
                     }
                     world.reanchor_grid_refresh(n);
                 }
-                Event::GridRefresh { node, gen } => world.handle_grid_refresh(node, gen),
-                Event::StartBroadcast(n) => protocol.on_start(n, &mut world),
-                Event::Timer { node, tag } => protocol.on_timer(node, tag, &mut world),
+                Event::GridRefresh { node, gen } => world.handle_grid_refresh(node as NodeId, gen),
+                Event::StartBroadcast(n) => protocol.on_start(n as NodeId, &mut world),
+                Event::Timer { node, tag } => protocol.on_timer(node as NodeId, tag, &mut world),
             }
         }
         // dense network: every node should know (almost) everyone

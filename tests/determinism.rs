@@ -112,9 +112,9 @@ fn mls_runs_are_reproducible_on_aedb() {
 #[test]
 fn mls_evaluates_each_round_as_one_checkpointed_batch() {
     // P·T walkers, E evaluations each, N networks, cache off, one thread:
-    // the starts and every round are one batch of P·T fresh candidates,
-    // so each network's prefix is simulated once per batch and restored
-    // for the P·T − 1 other candidates.
+    // the starts and every round are one batch of P·T fresh candidates.
+    // Each network's prefix is simulated once for the problem's life and
+    // every simulation restores it.
     let (pops, walkers, evals) = (2u64, 2u64, 5u64);
     let problem = AedbProblem::paper(Scenario::quick(Density::D100, 2))
         .with_eval_cache(false)
@@ -132,8 +132,8 @@ fn mls_evaluates_each_round_as_one_checkpointed_batch() {
         problem.sim_stats(),
         SimStats {
             simulations: pt * evals * n,
-            checkpoints: evals * n,
-            restores: (pt - 1) * evals * n,
+            checkpoints: n,
+            restores: pt * evals * n,
             settled: 35,
         }
     );
@@ -154,14 +154,14 @@ fn grid_deliveries_match_naive_scan_bitwise() {
             let params = AedbParams::default_config();
             let mut fast = Simulator::new(cfg.clone(), Aedb::new(n, params));
             let mut slow = Simulator::new(cfg.clone(), Aedb::new(n, params));
-            slow.set_naive_deliveries(true);
+            slow.set_delivery_mode(DeliveryMode::Naive);
             let (rf, rs) = (fast.run_to_end(), slow.run_to_end());
             assert_eq!(rf.broadcast, rs.broadcast, "{density} network {k} (AEDB)");
             assert_eq!(rf.counters, rs.counters, "{density} network {k} (AEDB)");
             // flooding exercises max-power, high-collision regimes
             let mut fast = Simulator::new(cfg.clone(), Flooding::new(n, (0.0, 0.1)));
             let mut slow = Simulator::new(cfg, Flooding::new(n, (0.0, 0.1)));
-            slow.set_naive_deliveries(true);
+            slow.set_delivery_mode(DeliveryMode::Naive);
             let (rf, rs) = (fast.run_to_end(), slow.run_to_end());
             assert_eq!(
                 rf.broadcast, rs.broadcast,

@@ -901,12 +901,13 @@ proptest! {
         margin in 0.0f64..3.0,
         neighbors in 0.0f64..50.0,
     ) {
-        // The checkpoint guarantee behind the network-major batch: a
-        // checkpoint taken anywhere before `broadcast − expiry` under one
-        // protocol, restored into a simulator that last ran another (larger)
-        // world under another protocol, runs on to exactly the report of a
-        // straight run — for every delivery mode, shard count, shadowing and
-        // heterogeneous power/mobility mix.
+        // The checkpoint guarantee behind the tuning problem's per-network
+        // prefix cache: a checkpoint taken anywhere before `broadcast −
+        // expiry` under one protocol — with frames on the air or not —
+        // restored again and again into a simulator that ran another
+        // (larger) world under another protocol in between, runs on to
+        // exactly the report of a straight run — for every delivery mode,
+        // shard count, shadowing and heterogeneous power/mobility mix.
         use manet::mobility::MobilityModel;
         use manet::world::{NodeGroup, WorldSpec};
         let mode = [
@@ -965,35 +966,55 @@ proptest! {
 
         let mut donor = Simulator::from_world(&spec, flooding());
         donor.set_delivery_shards(shards);
-        let t = at * (spec.broadcast_time - spec.neighbor_expiry - 1e-3);
-        donor.run_until(t);
+        let limit = spec.broadcast_time - spec.neighbor_expiry - 1e-3;
+        donor.run_until(at * limit);
         let checkpoint = donor.checkpoint();
         // The donor runs on in place as if never checkpointed.
         let donor_report = donor.run_to_end();
         prop_assert_eq!(&donor_report.broadcast, &straight_flooding.broadcast);
         prop_assert_eq!(&donor_report.counters, &straight_flooding.counters);
 
-        // A dirty AEDB simulator: larger field, more nodes, other seed and
-        // shadowing, already run to its end.
+        // A second checkpoint with a beacon on the air: its end event and
+        // frame must round-trip through the checkpoint.
+        let mut probe = Simulator::from_world(&spec, flooding());
+        probe.set_delivery_shards(shards);
+        let mut t = at * (limit - 1.0);
+        probe.run_until(t);
+        while probe.on_air() == 0 && t < limit {
+            t += 1e-4;
+            probe.run_until(t);
+        }
+        prop_assert!(probe.on_air() > 0, "no frame on the air before {} s", limit);
+        let on_air = probe.checkpoint();
+
+        // A pooled AEDB simulator, as the tuning problem keeps them: it
+        // restores each checkpoint again and again, and runs another
+        // (larger, other seed and shadowing) world in between, which it
+        // leaves in mid-run.
         let big = build(seed + 1, field_side + 300.0, n_walk + 20, shadowed_i == 0);
         let mut dirty = Simulator::from_world(&big, Aedb::new(big.n_nodes(), params));
         dirty.set_delivery_shards(shards);
-        dirty.run_to_end();
-        let mut restored = Vec::new();
         for _ in 0..2 {
-            dirty.restore(&checkpoint, |p| p.reset(n, params));
-            restored.push(dirty.run_to_end());
-        }
-        for report in &restored {
-            prop_assert_eq!(&report.broadcast, &straight_aedb.broadcast);
-            prop_assert_eq!(&report.counters, &straight_aedb.counters);
+            for (cp, frames) in [(&checkpoint, None), (&on_air, Some(probe.on_air()))] {
+                dirty.reset_world_with(&big, |p| p.reset(big.n_nodes(), params));
+                dirty.run_until(at * big.end_time);
+                dirty.restore(cp, |p| p.reset(n, params));
+                if let Some(frames) = frames {
+                    prop_assert_eq!(dirty.on_air(), frames);
+                }
+                let report = dirty.run_to_end();
+                prop_assert_eq!(&report.broadcast, &straight_aedb.broadcast);
+                prop_assert_eq!(&report.counters, &straight_aedb.counters);
+            }
         }
 
         // ... and back under flooding, into the donor that just finished.
-        donor.restore(&checkpoint, |p| *p = flooding());
-        let again = donor.run_to_end();
-        prop_assert_eq!(&again.broadcast, &straight_flooding.broadcast);
-        prop_assert_eq!(&again.counters, &straight_flooding.counters);
+        for cp in [&checkpoint, &on_air] {
+            donor.restore(cp, |p| *p = flooding());
+            let again = donor.run_to_end();
+            prop_assert_eq!(&again.broadcast, &straight_flooding.broadcast);
+            prop_assert_eq!(&again.counters, &straight_flooding.counters);
+        }
     }
 }
 

@@ -109,6 +109,52 @@ fn mls_runs_are_reproducible_on_aedb() {
     assert_eq!(a, GOLDEN_MLS_FRONT);
 }
 
+/// `front_digest` of every other optimizer on `Scenario::quick(D100, 2)`
+/// with a 40-evaluation budget and seed 31. Like `GOLDEN_MLS_FRONT`, these
+/// pin absolute outputs: a change to the simulator, the evaluation
+/// pipeline or an optimizer's random streams moves them, and a deliberate
+/// one updates them in the same commit.
+const GOLDEN_FRONTS: [(&str, (usize, u64)); 5] = [
+    ("NSGAII", (4, 0x9be2_5632_84a2_56db)),
+    ("MOCell", (3, 0x5a12_1fef_56e2_69d9)),
+    ("CellDE", (9, 0x0731_4468_3ba5_d8da)),
+    ("CellDE+MLS", (5, 0xd24a_da11_cbff_78df)),
+    ("Island", (3, 0xa02f_fbfd_5ce8_15eb)),
+];
+
+#[test]
+fn golden_fronts_pin_every_optimizer() {
+    let mut island = IslandConfig::quick(2, 40);
+    island.workers = 2;
+    let algorithms: [Box<dyn MoAlgorithm>; 5] = [
+        Box::new(Nsga2::new(Nsga2Config {
+            population: 8,
+            max_evaluations: 40,
+            ..Default::default()
+        })),
+        Box::new(MoCell::new(MoCellConfig::quick(3, 40))),
+        Box::new(CellDe::new(CellDeConfig {
+            grid_side: 3,
+            max_evaluations: 40,
+            ..Default::default()
+        })),
+        Box::new(CellDeMls::new(CellDeMlsConfig::quick(40))),
+        Box::new(IslandOptimizer::new(island)),
+    ];
+    for (alg, (name, want)) in algorithms.iter().zip(GOLDEN_FRONTS) {
+        assert_eq!(alg.name(), name);
+        let run = |parallel: bool| {
+            let problem = AedbProblem::paper(Scenario::quick(Density::D100, 2))
+                .with_parallel_batches(parallel);
+            front_digest(&alg.run(&problem, 31).front)
+        };
+        let a = run(true);
+        assert_eq!(run(true), a, "{name}: two runs of one seed");
+        assert_eq!(run(false), a, "{name}: batch pool on vs off");
+        assert_eq!(a, want, "{name}");
+    }
+}
+
 #[test]
 fn mls_evaluates_each_round_as_one_checkpointed_batch() {
     // P·T walkers, E evaluations each, N networks, cache off, one thread:

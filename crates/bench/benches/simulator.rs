@@ -2,7 +2,8 @@
 //! simulation per density (the paper's unit of fitness cost), a single
 //! complete fitness evaluation (10 networks), and — the perf baseline of
 //! the batched pipeline — delivery throughput of the spatial grid versus
-//! the naive O(n²) scan at 100/200/300 dev/km² on scaled fields.
+//! the naive O(n²) scan at 100/200/300 dev/km² on scaled fields, plus a
+//! shadowed 200 dev/km² pair.
 
 use aedb::params::AedbParams;
 use aedb::problem::AedbProblem;
@@ -66,18 +67,28 @@ fn bench_flooding_baseline(c: &mut Criterion) {
     });
 }
 
-/// The tentpole perf baseline: full-simulation (≈ deliveries-bound)
-/// throughput with the spatial grid against the naive all-nodes scan, at
-/// the paper's three densities scaled out to large node counts. Future
-/// PRs compare against these numbers; the 200 dev/km² pair must show the
-/// grid ≥ 2× faster.
+/// The perf baseline: full-simulation (≈ deliveries-bound) throughput
+/// with the spatial grid against the naive all-nodes scan, at the paper's
+/// three densities scaled out to large node counts, plus a shadowed pair
+/// exercising the bounded-tail query — the workload that used to force
+/// the naive path. Future PRs compare against these numbers; the
+/// 200 dev/km² pair must show the grid ≥ 2× faster.
 fn bench_deliveries_grid_vs_naive(c: &mut Criterion) {
     let mut g = c.benchmark_group("deliveries_throughput");
     g.sample_size(10);
-    for (per_km2, n_nodes) in [(100u32, 250usize), (200, 500), (300, 750)] {
-        let scenario = DenseScenario::new(per_km2, n_nodes);
+    let scenarios = [
+        ("", DenseScenario::new(100, 250)),
+        ("", DenseScenario::new(200, 500)),
+        ("", DenseScenario::new(300, 750)),
+        (
+            "shadowed_",
+            DenseScenario::new(200, 500).with_shadowing(4.0),
+        ),
+    ];
+    for (prefix, scenario) in scenarios {
         for naive in [false, true] {
-            let id = BenchmarkId::new(if naive { "naive" } else { "grid" }, per_km2);
+            let path = if naive { "naive" } else { "grid" };
+            let id = BenchmarkId::new(format!("{prefix}{path}"), scenario.per_km2);
             g.bench_with_input(id, &naive, |b, &naive| {
                 let cfg = scenario.sim_config(0);
                 let n = cfg.n_nodes;
@@ -98,64 +109,15 @@ fn bench_deliveries_grid_vs_naive(c: &mut Criterion) {
     g.finish();
 }
 
-/// The incremental-core comparison: one full dense simulation per
-/// delivery mode (incremental event-driven grid vs horizon rebuild vs
-/// naive scan), plus a shadowed pair exercising the bounded-tail query —
-/// the workload that used to force the naive path. The `grid_modes/`
-/// prefix is the CI smoke filter for the incremental path.
-fn bench_grid_modes(c: &mut Criterion) {
-    use manet::protocol::Flooding;
-    let mut g = c.benchmark_group("grid_modes");
-    g.sample_size(10);
-    let scenario = DenseScenario::new(200, 500);
-    for (name, mode) in [
-        ("incremental", DeliveryMode::Incremental),
-        ("rebuild", DeliveryMode::HorizonRebuild),
-        ("naive", DeliveryMode::Naive),
-    ] {
-        g.bench_with_input(BenchmarkId::new(name, 500), &mode, |b, &mode| {
-            let cfg = scenario.sim_config(0);
-            let n = cfg.n_nodes;
-            let mut sim = Simulator::new(cfg.clone(), Flooding::new(n, (0.0, 0.1)));
-            sim.set_delivery_mode(mode);
-            b.iter(|| {
-                sim.reset_with(cfg.clone(), |p| *p = Flooding::new(n, (0.0, 0.1)));
-                sim.run_to_end().broadcast.coverage()
-            });
-        });
-    }
-    // Shadowed: the bounded-tail grid against the naive scan at the
-    // 200 dev/km² acceptance density.
-    let shadowed = DenseScenario::new(200, 500).with_shadowing(4.0);
-    for (name, mode) in [
-        ("shadowed_incremental", DeliveryMode::Incremental),
-        ("shadowed_naive", DeliveryMode::Naive),
-    ] {
-        g.bench_with_input(BenchmarkId::new(name, 500), &mode, |b, &mode| {
-            let cfg = shadowed.sim_config(0);
-            let n = cfg.n_nodes;
-            let mut sim = Simulator::new(cfg.clone(), Flooding::new(n, (0.0, 0.1)));
-            sim.set_delivery_mode(mode);
-            b.iter(|| {
-                sim.reset_with(cfg.clone(), |p| *p = Flooding::new(n, (0.0, 0.1)));
-                sim.run_to_end().broadcast.coverage()
-            });
-        });
-    }
-    g.finish();
-}
-
 /// The query-side microbenchmark behind the PR-3 overhaul: the candidate
-/// filter in isolation, over the same spatial grid, at 400 dev/km². Three
+/// filter in isolation, over the same spatial grid, at 400 dev/km². Two
 /// data paths answer "which nodes are within the decode radius, exactly,
 /// right now":
 ///
 /// * `snapshot_soa` — walk the grid cells straight into a filter over the
 ///   SoA kinematic lanes (the incremental delivery query),
 /// * `dyn_mobility` — same walk, but each position through the virtual
-///   `dyn Mobility` dispatch (the historical incremental filter),
-/// * `stored_positions` — the horizon-rebuild filter: distance test on
-///   bucketed (stale) positions, radius inflated by the staleness margin.
+///   `dyn Mobility` dispatch (the historical incremental filter).
 fn bench_candidate_filter(c: &mut Criterion) {
     use manet::geometry::{Field, Vec2};
     use manet::grid::SpatialGrid;
@@ -194,7 +156,7 @@ fn bench_candidate_filter(c: &mut Criterion) {
         Simulator::new(probe, manet::protocol::SourceOnly).grid_cell_size()
     };
     let mut grid = SpatialGrid::new(field, cell);
-    grid.rebuild(n, 0.0, |i| mobility[i].position(0.0));
+    grid.rebuild(n, |i| mobility[i].position(0.0));
     let mut snap = KinematicSnapshot::new(field);
     snap.rebuild(field, mobility.iter().map(|m| m.segment()));
     // Query within the bucket-slack window: the live simulator guarantees
@@ -237,20 +199,6 @@ fn bench_candidate_filter(c: &mut Criterion) {
                     out.push(i)
                 });
                 out.retain(|&i| mobility[i].position(t).distance_sq(center) <= r2);
-                out.sort_unstable();
-                total += out.len();
-            }
-            black_box(total)
-        });
-    });
-    g.bench_function("stored_positions", |b| {
-        let mut out: Vec<usize> = Vec::new();
-        b.iter(|| {
-            let mut total = 0usize;
-            for &center in &centers {
-                out.clear();
-                // staleness margin: v_max (2 m/s) x rebuild horizon (1 s)
-                grid.candidates_within(center, radius + 2.0, &mut out);
                 out.sort_unstable();
                 total += out.len();
             }
@@ -303,7 +251,7 @@ fn bench_lane_sweep(c: &mut Criterion) {
         Simulator::new(probe, manet::protocol::SourceOnly).grid_cell_size()
     };
     let mut grid = SpatialGrid::new(field, cell);
-    grid.rebuild(n, 0.0, |i| mobility[i].position(0.0));
+    grid.rebuild(n, |i| mobility[i].position(0.0));
     let mut snap = KinematicSnapshot::new(field);
     snap.rebuild(field, mobility.iter().map(|m| m.segment()));
     // Same staleness argument as `candidate_filter`: buckets from t = 0
@@ -358,42 +306,13 @@ fn bench_lane_sweep(c: &mut Criterion) {
     g.finish();
 }
 
-/// The PR-8 tentpole end to end: the same dense incremental simulation
-/// resolved with 1, 2 and 4 stripe workers
-/// ([`Simulator::set_delivery_shards`]). Outcomes are bit-identical at
-/// every shard count, so the spread is pure scheduling: stripe-parallel
-/// query resolution against its sequential merge and batching overhead.
-/// On a single-core runner the 2/4-shard rows measure that overhead
-/// alone; the speedup only appears with real cores.
-fn bench_sharded_query(c: &mut Criterion) {
-    use manet::protocol::Flooding;
-    let mut g = c.benchmark_group("sharded_query");
-    g.sample_size(10);
-    let scenario = DenseScenario::new(200, 500);
-    for shards in [1usize, 2, 4] {
-        g.bench_with_input(BenchmarkId::new("shards", shards), &shards, |b, &shards| {
-            let cfg = scenario.sim_config(0);
-            let n = cfg.n_nodes;
-            let mut sim = Simulator::new(cfg.clone(), Flooding::new(n, (0.0, 0.1)));
-            sim.set_delivery_shards(shards);
-            b.iter(|| {
-                sim.reset_with(cfg.clone(), |p| *p = Flooding::new(n, (0.0, 0.1)));
-                sim.run_to_end().broadcast.coverage()
-            });
-        });
-    }
-    g.finish();
-}
-
 criterion_group!(
     benches,
     bench_single_simulation,
     bench_full_evaluation,
     bench_flooding_baseline,
     bench_deliveries_grid_vs_naive,
-    bench_grid_modes,
     bench_candidate_filter,
-    bench_lane_sweep,
-    bench_sharded_query
+    bench_lane_sweep
 );
 criterion_main!(benches);

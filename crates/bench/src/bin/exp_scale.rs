@@ -1,37 +1,27 @@
 //! Beyond-paper scale experiment: simulation throughput on the dense
-//! scenarios (hundreds to 10⁵ nodes, optionally shadowed) across the three
-//! delivery paths — incremental grid (default), horizon-rebuild grid
-//! (the historical baseline) and the naive O(n²) scan — plus the
-//! space-sharded incremental path and a batched AEDB evaluation posed
-//! directly on a dense scenario.
+//! scenarios (hundreds to 10⁵ nodes, optionally shadowed) for the
+//! incremental delivery path against the naive O(n²) oracle, plus a
+//! batched AEDB evaluation posed directly on a dense scenario.
 //!
-//! Emits **`BENCH_scale.json`** (schema `bench-scale-v6`, documented and
+//! Emits **`BENCH_scale.json`** (schema `bench-scale-v7`, documented and
 //! rendered in [`bench_harness::scale`] — this binary only fills in
 //! [`ScaleRow`]s) so the perf trajectory stays machine-readable across
 //! PRs: per row, the canonical scenario spec text, wall time per delivery
 //! mode (fastest of five identical runs below the 10⁵-node ceiling row,
-//! which is single-shot) plus the sharded incremental run
-//! ([`Simulator::set_delivery_shards`], coverage asserted identical to
-//! the sequential run), the candidate-filter vs receive-outcome split
-//! of the query (from
-//! [`Simulator::query_profile`]) plus the interference-phase share of the
-//! incremental outcome, the batched sweep's work counters
-//! ([`Simulator::sweep_stats`]) and the process's peak RSS high-water
-//! mark when the row finished. A fixed **calibration workload** is timed
-//! first, so CI's perf-regression gate
+//! which is single-shot), the candidate-filter vs receive-outcome split
+//! of the query (from [`Simulator::query_profile`]) plus the
+//! interference-phase share of the incremental outcome, the batched
+//! sweep's work counters ([`Simulator::sweep_stats`]) and the process's
+//! peak RSS high-water mark when the row finished. A fixed **calibration
+//! workload** is timed first, so CI's perf-regression gate
 //! (`scripts/check_bench_regression.py`) can check *absolute* wall-time
 //! ceilings (normalised by the calibration run, robust to runner speed)
-//! on top of the speedup floors; the artifact also records the host's
-//! available parallelism so sharded-speedup floors only gate runners
-//! with enough cores.
+//! on top of the speedup floors.
 //!
 //! Flags: `--dense 500@200,2000@200@4,10000@400` selects scenarios in the
 //! shared grammar (`nodes@density[@sigma]`, plus heterogeneous
 //! `+n[:still|:walkI|:rwpP][:POWERdbm]` groups), `--paper` runs all
-//! presets including the 10⁴/10⁵-node, shadowed and heterogeneous ones,
-//! `--shards N` fixes the sharded run's worker count (`0` = auto: the
-//! host's available parallelism clamped to 2..=4; `1` skips the sharded
-//! measurement).
+//! presets including the 10⁴/10⁵-node, shadowed and heterogeneous ones.
 use aedb::params::AedbParams;
 use aedb::scenario::DenseScenario;
 use bench_harness::scale::{peak_rss_bytes, BatchedEval, ExperimentScale, ScaleArtifact, ScaleRow};
@@ -55,16 +45,16 @@ struct ModeRun {
     /// Exact receive-outcome seconds (profiled).
     outcome_s: f64,
     /// Interference-resolution share of `outcome_s` (incremental only;
-    /// the historical paths keep their verbatim single-loop shape).
+    /// the naive oracle has no finer split).
     interference_s: f64,
     /// Batched-sweep work counters (all zero outside incremental mode,
     /// which is the only path that sweeps).
     sweep: SweepStats,
 }
 
-/// Rows at or above this node count are measured single-shot — tripling
-/// a minutes-long rebuild baseline would dominate the whole experiment
-/// for one row's noise margin.
+/// Rows at or above this node count are measured single-shot — repeating
+/// a run of minutes would dominate the whole experiment for one row's
+/// noise margin.
 const SINGLE_SHOT_NODES: usize = 50_000;
 
 /// Measure one delivery mode on one scenario, keeping the fastest of a
@@ -74,18 +64,10 @@ const SINGLE_SHOT_NODES: usize = 50_000;
 /// (same seed), so the kept run's coverage/profile/counters are the
 /// row's values, not a mix.
 fn run_mode(d: &DenseScenario, mode: DeliveryMode) -> ModeRun {
-    run_sharded(d, mode, 1)
-}
-
-/// Like [`run_mode`], but resolving deliveries across `shards` stripe
-/// workers (`1` = the ordinary sequential path). Sharding only changes
-/// *how* the work is scheduled, never the outcome — the caller asserts
-/// coverage parity against the sequential run.
-fn run_sharded(d: &DenseScenario, mode: DeliveryMode, shards: usize) -> ModeRun {
     let reps = if d.n_nodes >= SINGLE_SHOT_NODES { 1 } else { 5 };
     let mut best: Option<ModeRun> = None;
     for _ in 0..reps {
-        let r = run_mode_once(d, mode, shards);
+        let r = run_mode_once(d, mode);
         let faster = match &best {
             None => true,
             Some(b) => r.seconds < b.seconds,
@@ -97,7 +79,7 @@ fn run_sharded(d: &DenseScenario, mode: DeliveryMode, shards: usize) -> ModeRun 
     best.expect("reps >= 1")
 }
 
-fn run_mode_once(d: &DenseScenario, mode: DeliveryMode, shards: usize) -> ModeRun {
+fn run_mode_once(d: &DenseScenario, mode: DeliveryMode) -> ModeRun {
     // Every scenario — homogeneous or heterogeneous — compiles through the
     // declarative WorldSpec path.
     let world = d.world_spec(0);
@@ -105,9 +87,8 @@ fn run_mode_once(d: &DenseScenario, mode: DeliveryMode, shards: usize) -> ModeRu
     let duration = world.end_time;
     let mut sim = Simulator::from_world(&world, Flooding::new(n, (0.0, 0.1)));
     sim.set_delivery_mode(mode);
-    sim.set_delivery_shards(shards);
-    // Profiling samples two `Instant`s per delivery query in *every* mode,
-    // so the overhead cancels out of the mode-vs-mode speedups.
+    // Profiling samples two `Instant`s per delivery query in both modes,
+    // so the overhead cancels out of the naive-over-incremental speedup.
     sim.set_query_profiling(true);
     let t0 = Instant::now();
     let report = sim.run_to_end();
@@ -156,64 +137,39 @@ fn main() {
         dense.extend(DenseScenario::XL_PRESETS);
         scale.dense = dense;
     }
-    let host_parallelism = std::thread::available_parallelism().map_or(1, |p| p.get());
-    // Auto-pick a shard count worth measuring: 2..=4 workers covers every
-    // CI runner shape without oversubscribing laptops. `--shards 1` skips
-    // the sharded measurement entirely (columns stay null).
-    let shards = match scale.shards {
-        0 => host_parallelism.clamp(2, 4),
-        s => s,
-    };
     let calibration_s = calibration_seconds();
     println!("calibration workload (500@200 full protocol, min of 3): {calibration_s:.3} s");
-    println!("host parallelism: {host_parallelism}");
-    println!("== dense-scenario simulation throughput: delivery modes compared ==");
+    println!("== dense-scenario simulation throughput: incremental vs naive ==");
     let mut t = Table::new(vec![
         "scenario",
         "field (m)",
         "incremental (s)",
-        "sharded (s)",
         "filter/outcome/intf (s)",
-        "rebuild (s)",
         "naive (s)",
-        "inc/reb ops",
+        "bucket ops",
         "cull/visit cells",
         "coverage",
     ]);
     let mut rows: Vec<ScaleRow> = Vec::new();
     for d in &scale.dense {
         let inc = run_mode(d, DeliveryMode::Incremental);
-        let reb = run_mode(d, DeliveryMode::HorizonRebuild);
-        assert_eq!(inc.coverage, reb.coverage, "delivery modes must agree");
         let naive = (d.n_nodes <= NAIVE_CAP).then(|| {
             let r = run_mode(d, DeliveryMode::Naive);
             assert_eq!(inc.coverage, r.coverage, "delivery modes must agree");
-            r
-        });
-        let sharded = (shards >= 2).then(|| {
-            let r = run_sharded(d, DeliveryMode::Incremental, shards);
-            assert_eq!(
-                inc.coverage, r.coverage,
-                "sharding must not change outcomes"
-            );
             r
         });
         t.row(vec![
             d.to_string(),
             f(d.field().width, 0),
             f(inc.seconds, 3),
-            sharded
-                .as_ref()
-                .map_or("-".into(), |s| format!("{}@{shards}", f(s.seconds, 3))),
             format!(
                 "{}/{}/{}",
                 f(inc.filter_s, 3),
                 f(inc.outcome_s, 3),
                 f(inc.interference_s, 3)
             ),
-            f(reb.seconds, 3),
             naive.as_ref().map_or("-".into(), |n| f(n.seconds, 3)),
-            format!("{}/{}", inc.bucket_ops, reb.bucket_ops),
+            inc.bucket_ops.to_string(),
             format!("{}/{}", inc.sweep.cells_culled, inc.sweep.cells_visited),
             inc.coverage.to_string(),
         ]);
@@ -225,17 +181,11 @@ fn main() {
             beacons_per_sec: inc.beacons_per_sec,
             coverage: inc.coverage,
             incremental_s: inc.seconds,
-            rebuild_s: reb.seconds,
             naive_s: naive.as_ref().map(|n| n.seconds),
-            shards: sharded.as_ref().map(|_| shards),
-            sharded_s: sharded.as_ref().map(|s| s.seconds),
             incremental_filter_s: inc.filter_s,
             incremental_outcome_s: inc.outcome_s,
             incremental_interference_s: inc.interference_s,
-            rebuild_filter_s: reb.filter_s,
-            rebuild_outcome_s: reb.outcome_s,
             incremental_bucket_ops: inc.bucket_ops,
-            rebuild_bucket_ops: reb.bucket_ops,
             sweep: inc.sweep,
             peak_rss_bytes: peak_rss_bytes(),
         });
@@ -281,7 +231,6 @@ fn main() {
 
     let artifact = ScaleArtifact {
         calibration_seconds: calibration_s,
-        host_parallelism,
         rows,
         batched_eval,
     };

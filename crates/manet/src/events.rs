@@ -124,39 +124,10 @@ impl<E> EventQueue<E> {
     }
 }
 
-/// The set of recently started transmissions that can still interfere with
-/// a frame under delivery resolution — the **O(active-set)** replacement
-/// for a flat `VecDeque` log.
-///
-/// Entries are grouped into *lanes*, one per on-air duration class (the
-/// simulator uses two: beacon frames and data frames). Within a lane every
-/// entry has the same duration, so insertion order (= start order, because
-/// simulation time is monotone) is also expiry order and pruning is a pure
-/// front-pop. Across lanes that invariant does not hold — a long data frame
-/// started before a short beacon outlives it — which is exactly the case
-/// that made the old single-deque prune stall and retain already-expired
-/// entries.
-///
-/// Iteration yields survivors in global insertion order (a two-pointer
-/// merge on the per-entry sequence number). That matters for determinism:
-/// interference powers are summed in iteration order, so the order must be
-/// bit-identical to the historical single-deque scan.
-#[derive(Debug, Clone)]
-pub struct ActiveWindow<T> {
-    /// Per-lane `(seq, end_time, payload)`, end-monotone within a lane.
-    lanes: Vec<std::collections::VecDeque<(u64, f64, T)>>,
-    seq: u64,
-    /// Conservative lower bound on the earliest `end` among lane fronts
-    /// (`+inf` when empty): [`prune`](Self::prune) is called once per
-    /// delivery query but only drops anything when a frame actually
-    /// expired, so a one-compare fast path beats walking every lane front.
-    next_expiry: f64,
-}
-
 /// The **spatialised** active window: in-flight transmissions bucketed by
 /// grid cell, so a delivery query only touches the frames *near* its
-/// receivers instead of the whole active set — O(nearby frames) per query
-/// where the flat [`ActiveWindow`] is O(active set) per receiver.
+/// receivers instead of every frame on the air — O(nearby frames) per
+/// query where a flat list of live frames is O(on air) per receiver.
 ///
 /// The structure is the product of two decompositions:
 ///
@@ -165,9 +136,10 @@ pub struct ActiveWindow<T> {
 ///   a frame bucketed in a cell farther from the receiver than the query
 ///   radius is provably outside its own gating radius, so skipping it
 ///   cannot change any interference sum;
-/// * **lanes** (one per on-air duration class, exactly as in the flat
-///   window) keep expiry a pure front-pop: within one `(cell, lane)`
-///   bucket, insertion order is expiry order.
+/// * **lanes** (one per on-air duration class) keep expiry a pure
+///   front-pop: within one `(cell, lane)` bucket, insertion order is
+///   expiry order, because every entry of a lane has the same duration
+///   and simulation time is monotone.
 ///
 /// Pruning stays O(dropped) across all buckets through one per-lane
 /// *order queue* recording which bucket received each insertion: the front
@@ -177,10 +149,11 @@ pub struct ActiveWindow<T> {
 ///
 /// Every entry carries the global insertion sequence number. A gather over
 /// the cells of a query disc returns `(seq, item)` pairs; sorting them by
-/// `seq` replays the exact insertion order of the flat window, which is
-/// what keeps interference sums (accumulated in iteration order)
-/// **bit-identical** to the historical scan — asserted by the unit tests
-/// here and the random-trace proptest in the property suite.
+/// `seq` replays the exact insertion order, which is what keeps
+/// interference sums (accumulated in iteration order) **bit-identical**
+/// to the naive oracle's scan of a plain list of live frames — asserted
+/// by the unit tests here and the random-trace proptest in the property
+/// suite.
 #[derive(Debug, Clone)]
 pub struct SpatialActiveWindow<T> {
     geom: CellGeometry,
@@ -193,8 +166,9 @@ pub struct SpatialActiveWindow<T> {
     seq: u64,
     live: usize,
     /// Conservative lower bound on the earliest `end` among lane fronts
-    /// (`+inf` when empty) — same one-compare prune fast path as the flat
-    /// [`ActiveWindow`].
+    /// (`+inf` when empty): [`prune`](Self::prune) is called once per
+    /// delivery query but only drops anything when a frame actually
+    /// expired, so a one-compare fast path beats walking every lane front.
     next_expiry: f64,
 }
 
@@ -247,9 +221,8 @@ impl<T> SpatialActiveWindow<T> {
     }
 
     /// Inserts `item`, transmitted from `pos` and expiring at `end`, into
-    /// `lane`. As with the flat window, entries of one lane must arrive
-    /// with non-decreasing `end` (same duration class + monotone simulation
-    /// time guarantees this).
+    /// `lane`. Entries of one lane must arrive with non-decreasing `end`
+    /// (same duration class + monotone simulation time guarantees this).
     pub fn insert(&mut self, lane: usize, end: f64, pos: Vec2, item: T) {
         let bucket = self.geom.cell_of(pos) * self.lanes + lane;
         debug_assert!(
@@ -340,12 +313,6 @@ impl<T> SpatialActiveWindow<T> {
     /// `seq` to replay global insertion order. Conservative in the same
     /// sense as the node grid: the caller still applies its exact per-frame
     /// tests, so visiting extra cells can never change an outcome.
-    ///
-    /// Takes `&self` and touches no interior mutability, so shard workers
-    /// gather from one shared window concurrently while resolving a
-    /// delivery batch (`World::flush_sharded`); sorting by `seq` then
-    /// replays the same global insertion order on every worker, keeping
-    /// interference sums bit-identical to the sequential pass.
     pub fn gather_into(&self, center: Vec2, radius: f64, out: &mut Vec<(u64, T)>)
     where
         T: Copy,
@@ -360,8 +327,8 @@ impl<T> SpatialActiveWindow<T> {
     }
 
     /// Every live entry as `(seq, end, pos, item)` in global insertion
-    /// order — the reference view the parity tests compare against the
-    /// flat window.
+    /// order — the view the parity tests compare against a plain list of
+    /// live frames.
     pub fn entries_in_order(&self) -> Vec<(u64, f64, Vec2, T)>
     where
         T: Copy,
@@ -373,99 +340,6 @@ impl<T> SpatialActiveWindow<T> {
             .collect();
         v.sort_unstable_by_key(|&(seq, _, _, _)| seq);
         v
-    }
-}
-
-impl<T> ActiveWindow<T> {
-    /// Creates a window with `lanes` duration classes.
-    pub fn new(lanes: usize) -> Self {
-        assert!(lanes >= 1);
-        Self {
-            lanes: (0..lanes)
-                .map(|_| std::collections::VecDeque::new())
-                .collect(),
-            seq: 0,
-            next_expiry: f64::INFINITY,
-        }
-    }
-
-    /// Empties the window, retaining lane allocations.
-    pub fn clear(&mut self) {
-        for lane in &mut self.lanes {
-            lane.clear();
-        }
-        self.seq = 0;
-        self.next_expiry = f64::INFINITY;
-    }
-
-    /// Inserts `item` expiring at `end` into `lane`. Entries in one lane
-    /// must be inserted with non-decreasing `end` (same duration class +
-    /// monotone simulation time guarantees this).
-    pub fn insert(&mut self, lane: usize, end: f64, item: T) {
-        debug_assert!(
-            self.lanes[lane].back().is_none_or(|&(_, e, _)| e <= end),
-            "lane {lane} end times must be non-decreasing"
-        );
-        self.lanes[lane].push_back((self.seq, end, item));
-        self.seq += 1;
-        self.next_expiry = self.next_expiry.min(end);
-    }
-
-    /// Drops every entry with `end <= threshold` — O(dropped), so the
-    /// total prune work over a run is bounded by the number of insertions,
-    /// and a cached earliest-expiry bound short-circuits the (common)
-    /// calls with nothing to drop in one compare.
-    pub fn prune(&mut self, threshold: f64) {
-        if threshold < self.next_expiry {
-            return;
-        }
-        let mut min_end = f64::INFINITY;
-        for lane in &mut self.lanes {
-            while lane.front().is_some_and(|&(_, e, _)| e <= threshold) {
-                lane.pop_front();
-            }
-            if let Some(&(_, e, _)) = lane.front() {
-                min_end = min_end.min(e);
-            }
-        }
-        self.next_expiry = min_end;
-    }
-
-    /// Number of live entries.
-    pub fn len(&self) -> usize {
-        self.lanes.iter().map(|l| l.len()).sum()
-    }
-
-    /// Whether no entries are live.
-    pub fn is_empty(&self) -> bool {
-        self.lanes.iter().all(|l| l.is_empty())
-    }
-
-    /// Iterates the live entries in global insertion order.
-    pub fn iter(&self) -> ActiveWindowIter<'_, T> {
-        ActiveWindowIter {
-            cursors: self.lanes.iter().map(|l| l.iter().peekable()).collect(),
-        }
-    }
-}
-
-/// Merged in-insertion-order iterator over an [`ActiveWindow`].
-pub struct ActiveWindowIter<'a, T> {
-    cursors: Vec<std::iter::Peekable<std::collections::vec_deque::Iter<'a, (u64, f64, T)>>>,
-}
-
-impl<'a, T> Iterator for ActiveWindowIter<'a, T> {
-    type Item = &'a T;
-
-    fn next(&mut self) -> Option<&'a T> {
-        let lane = self
-            .cursors
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(i, c)| c.peek().map(|&&(seq, _, _)| (seq, i)))
-            .min()
-            .map(|(_, i)| i)?;
-        self.cursors[lane].next().map(|(_, _, item)| item)
     }
 }
 
@@ -581,46 +455,6 @@ mod tests {
         assert_eq!(q.pop().unwrap().1, "c");
     }
 
-    #[test]
-    fn active_window_iterates_in_global_insertion_order() {
-        // Two lanes with interleaved insertions: iteration must replay the
-        // exact insertion order (the historical single-deque order that
-        // interference summation depends on).
-        let mut w: ActiveWindow<&str> = ActiveWindow::new(2);
-        w.insert(1, 10.0, "data-a"); // long frame, inserted first
-        w.insert(0, 2.0, "beacon-a");
-        w.insert(0, 2.5, "beacon-b");
-        w.insert(1, 11.0, "data-b");
-        w.insert(0, 3.0, "beacon-c");
-        let got: Vec<&str> = w.iter().copied().collect();
-        assert_eq!(
-            got,
-            ["data-a", "beacon-a", "beacon-b", "data-b", "beacon-c"]
-        );
-        assert_eq!(w.len(), 5);
-    }
-
-    #[test]
-    fn active_window_prunes_expired_behind_long_frames() {
-        // The stall case of the old flat deque: short frames that expired
-        // *behind* a long-lived frame must still be dropped.
-        let mut w: ActiveWindow<u32> = ActiveWindow::new(2);
-        w.insert(1, 100.0, 1); // long data frame holds the front
-        w.insert(0, 2.0, 2);
-        w.insert(0, 3.0, 3);
-        w.insert(0, 50.0, 4);
-        w.prune(3.0); // drops both expired beacons, keeps the data frame
-        let got: Vec<u32> = w.iter().copied().collect();
-        assert_eq!(got, [1, 4]);
-        assert_eq!(w.len(), 2);
-        w.prune(100.0);
-        assert!(w.is_empty());
-        // clear resets the sequence counter too
-        w.insert(0, 1.0, 9);
-        w.clear();
-        assert!(w.iter().next().is_none());
-    }
-
     fn test_geom(side: f64, cell: f64) -> CellGeometry {
         CellGeometry::new(crate::geometry::Field::new(side, side), cell)
     }
@@ -646,9 +480,9 @@ mod tests {
 
     #[test]
     fn spatial_window_prunes_across_buckets_in_o_dropped() {
-        // Same stall case as the flat window, but with the short frames
-        // scattered over different cells: a long data frame in one bucket
-        // must not shield expired beacons in other buckets.
+        // Short frames that expired *behind* a long-lived frame, scattered
+        // over different cells: a long data frame in one bucket must not
+        // shield expired beacons in other buckets.
         let mut w: SpatialActiveWindow<u32> = SpatialActiveWindow::new(test_geom(300.0, 100.0), 2);
         w.insert(1, 100.0, Vec2::new(150.0, 150.0), 1); // long data frame
         w.insert(0, 2.0, Vec2::new(10.0, 10.0), 2);
@@ -671,8 +505,7 @@ mod tests {
     #[test]
     fn spatial_window_gather_replays_insertion_order_after_sort() {
         // Entries interleaved across lanes and cells: sorting a gather by
-        // seq must reproduce the flat window's global insertion order.
-        let mut flat: ActiveWindow<u32> = ActiveWindow::new(2);
+        // seq must reproduce the global insertion order.
         let mut spatial: SpatialActiveWindow<u32> =
             SpatialActiveWindow::new(test_geom(300.0, 100.0), 2);
         let pts = [
@@ -683,15 +516,13 @@ mod tests {
             (0, 3.0, 150.0, 10.0, 5),
         ];
         for &(lane, end, x, y, v) in &pts {
-            flat.insert(lane, end, v);
             spatial.insert(lane, end, Vec2::new(x, y), v);
         }
         let mut got = Vec::new();
         spatial.gather_into(Vec2::new(150.0, 150.0), 1000.0, &mut got);
         got.sort_unstable_by_key(|&(seq, _)| seq);
-        let flat_order: Vec<u32> = flat.iter().copied().collect();
         let spatial_order: Vec<u32> = got.iter().map(|&(_, v)| v).collect();
-        assert_eq!(spatial_order, flat_order);
+        assert_eq!(spatial_order, [1, 2, 3, 4, 5]);
     }
 
     #[test]

@@ -12,33 +12,25 @@
 //! [`crate::radio::SHADOW_TAIL_SIGMAS`]) spanning more cells, but still a
 //! constant-area neighbourhood instead of the whole field.
 //!
-//! # Two maintenance disciplines
+//! # Event-driven maintenance
 //!
-//! The grid supports both of the simulator's delivery paths (see
-//! [`crate::sim::DeliveryMode`]):
+//! [`rebuild`] places all `n` nodes once, at the start of a run. From then
+//! on each cell is a compact array of member ids (push to insert,
+//! swap-remove to delete) so [`update_node`] moves one node between cells
+//! in O(1). The simulator drives these updates from per-node
+//! *cell-crossing events*: a node at distance `d` from its cell boundary
+//! moving at speed `s` cannot change cell before `d / s`, so a refresh
+//! scheduled then keeps every bucket exact (up to a tiny Zeno floor,
+//! compensated in the query radius) at a total cost proportional to the
+//! number of actual cell crossings.
 //!
-//! 1. **Horizon rebuild** (the historical scheme): [`rebuild`] re-buckets
-//!    all `n` nodes on a coarse time horizon, and queries add a *staleness
-//!    margin* `v_max · (t_query − t_build)` to the radius because node
-//!    positions drift between rebuilds. O(n) per horizon lapse regardless
-//!    of how little anything moved.
-//! 2. **Incremental** (event-driven): each cell is a compact array of
-//!    member ids (push to insert, swap-remove to delete) so
-//!    [`update_node`] moves one node between cells in O(1). The simulator
-//!    drives these updates from per-node *cell-crossing events*: a node at
-//!    distance `d` from its cell boundary moving at speed `s` cannot change
-//!    cell before `d / s`, so a refresh scheduled then keeps every bucket
-//!    exact (up to a tiny Zeno floor, compensated in the query radius) at a
-//!    total cost proportional to the number of actual cell crossings —
-//!    O(active set), not O(n · horizons).
-//!
-//! Both disciplines are *conservative pre-filters*: candidates still
-//! undergo the precise received-power test, so extra candidates cost a
-//! little time but can never change the outcome, and the query radius is
-//! inflated by a small epsilon so floating-point rounding at the range
-//! boundary cannot exclude a node the exact test would accept. This is
-//! what makes all delivery paths bit-identical (asserted by
-//! `tests/determinism.rs` and the property suite).
+//! The grid is a *conservative pre-filter*: candidates still undergo the
+//! precise received-power test, so extra candidates cost a little time
+//! but can never change the outcome, and the query radius is inflated by
+//! a small epsilon so floating-point rounding at the range boundary
+//! cannot exclude a node the exact test would accept. This is what makes
+//! the incremental delivery path bit-identical to the naive oracle
+//! (asserted by `tests/determinism.rs` and the property suite).
 
 use crate::geometry::{Field, Vec2};
 
@@ -91,23 +83,6 @@ impl CellGeometry {
         self.cols
     }
 
-    /// Which of `shards` contiguous column stripes owns the cell column
-    /// containing `p`.
-    ///
-    /// Stripes partition the columns `0..cols` into `shards` contiguous,
-    /// monotone ranges (`col * shards / cols`, clamped), so every position
-    /// has exactly one owner and neighbouring columns land in the same or
-    /// adjacent stripes. The sharded delivery path
-    /// ([`crate::sim::Simulator::set_delivery_shards`]) assigns each queued
-    /// transmission to the stripe of its *sender*; the query itself reads
-    /// whatever cells its disc overlaps (the stripe's halo), so stripe
-    /// boundaries never constrain which receivers a query can reach.
-    pub fn stripe_of(&self, p: Vec2, shards: usize) -> usize {
-        debug_assert!(shards >= 1, "stripe_of requires at least one shard");
-        let cx = ((p.x / self.cell) as usize).min(self.cols - 1);
-        (cx * shards / self.cols).min(shards - 1)
-    }
-
     /// Distance (m) from `p` to the nearest boundary of the cell that
     /// contains it — the incremental refresh scheduler divides this by the
     /// node's speed bound to find the earliest possible cell crossing.
@@ -150,21 +125,18 @@ impl CellGeometry {
     }
 }
 
-/// Maintenance-cost counters of a [`SpatialGrid`] — the measurable half of
-/// the "incremental beats horizon-rebuild" claim. A bucket *op* is one
+/// Maintenance-cost counters of a [`SpatialGrid`]. A bucket *op* is one
 /// membership write: a rebuild costs `n` ops, an incremental node move
 /// costs 2 (swap-remove from the old cell + push into the new one).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GridStats {
-    /// Linked-list writes performed so far.
+    /// Bucket membership writes performed so far.
     pub bucket_ops: u64,
-    /// Full [`SpatialGrid::rebuild`] passes performed so far.
-    pub rebuilds: u64,
     /// Incremental cell transitions applied by [`SpatialGrid::update_node`].
     pub node_moves: u64,
 }
 
-/// Bucketed node positions with contiguous per-cell member arrays (no
+/// Node ids bucketed by cell in contiguous per-cell member arrays (no
 /// per-query allocation; rebuilds reuse every buffer, incremental updates
 /// are O(1) via swap-remove + push).
 ///
@@ -191,10 +163,6 @@ pub struct SpatialGrid {
     slot: Vec<u32>,
     /// Cell index each node is currently bucketed in.
     cell_idx: Vec<usize>,
-    /// Node positions captured at the last rebuild/update.
-    pos: Vec<Vec2>,
-    /// Simulation time of the last rebuild.
-    built_at: f64,
     /// Maintenance counters.
     stats: GridStats,
 }
@@ -212,8 +180,6 @@ impl SpatialGrid {
             buckets: vec![Vec::new(); geom.n_cells()],
             slot: Vec::new(),
             cell_idx: Vec::new(),
-            pos: Vec::new(),
-            built_at: f64::NEG_INFINITY,
             stats: GridStats::default(),
         }
     }
@@ -226,11 +192,6 @@ impl SpatialGrid {
     /// The grid's cell decomposition of the field.
     pub fn geometry(&self) -> CellGeometry {
         self.geom
-    }
-
-    /// Simulation time of the last rebuild (`-inf` before the first).
-    pub fn built_at(&self) -> f64 {
-        self.built_at
     }
 
     /// Maintenance counters accumulated since the last
@@ -273,9 +234,9 @@ impl SpatialGrid {
         self.stats.bucket_ops += 1;
     }
 
-    /// Re-buckets all `n` nodes using `position(i)` sampled at time `t`.
+    /// Buckets all `n` nodes at `position(i)` — the initial placement.
     /// Reuses every internal buffer; O(cells + n).
-    pub fn rebuild<F: FnMut(usize) -> Vec2>(&mut self, n: usize, t: f64, mut position: F) {
+    pub fn rebuild<F: FnMut(usize) -> Vec2>(&mut self, n: usize, mut position: F) {
         for bucket in &mut self.buckets {
             bucket.clear();
         }
@@ -283,23 +244,16 @@ impl SpatialGrid {
         self.slot.resize(n, u32::MAX);
         self.cell_idx.clear();
         self.cell_idx.resize(n, NONE);
-        self.pos.clear();
         for i in 0..n {
-            let p = position(i);
-            self.pos.push(p);
-            let c = self.cell_of(p);
+            let c = self.cell_of(position(i));
             self.link(i, c);
         }
-        self.built_at = t;
-        self.stats.rebuilds += 1;
     }
 
     /// Moves node `i` (already bucketed by a previous
-    /// [`rebuild`](Self::rebuild)) to the cell containing `p` in O(1) and
-    /// records `p` as its latest known position. Returns whether the node
-    /// actually changed cell.
+    /// [`rebuild`](Self::rebuild)) to the cell containing `p` in O(1).
+    /// Returns whether the node actually changed cell.
     pub fn update_node(&mut self, i: usize, p: Vec2) -> bool {
-        self.pos[i] = p;
         let c = self.cell_of(p);
         if c == self.cell_idx[i] {
             return false;
@@ -310,41 +264,14 @@ impl SpatialGrid {
         true
     }
 
-    /// Pushes into `out` every node whose **bucketed** position lies within
-    /// `radius` of `center` (conservative: callers must re-check candidates
-    /// against exact, current positions). `out` is appended to, unsorted.
-    pub fn candidates_within(&self, center: Vec2, radius: f64, out: &mut Vec<usize>) {
-        self.visit_cells(center, radius, |grid, cell| {
-            let r2 = radius * radius;
-            for &i in &grid.buckets[cell] {
-                let i = i as usize;
-                if grid.pos[i].distance_sq(center) <= r2 {
-                    out.push(i);
-                }
-            }
-        });
-    }
-
-    /// Pushes into `out` every node bucketed in a cell overlapping the disc
-    /// of `radius` around `center`, with **no** per-node distance filter —
-    /// the query used by the incremental discipline, where buckets are
-    /// exact but stored positions may be older than the bucket (a node is
-    /// re-bucketed when it crosses a cell boundary, not when it moves
-    /// within its cell). `out` is appended to, unsorted.
-    pub fn cells_within(&self, center: Vec2, radius: f64, out: &mut Vec<usize>) {
-        self.for_each_in_cells(center, radius, |i| out.push(i));
-    }
-
     /// Calls `f(node)` for every node bucketed in a cell overlapping the
-    /// disc of `radius` around `center` — [`cells_within`](Self::cells_within)
-    /// without the intermediate id list, so the delivery query can filter
-    /// candidates as it walks the cell buckets instead of materialising and
-    /// re-traversing them. Visit order (cell-major, bucket order within a
-    /// cell) is identical to `cells_within`.
+    /// disc of `radius` around `center`, cell-major and in bucket order
+    /// within a cell. There is no per-node distance filter: buckets are
+    /// exact, so callers filter on the nodes' current positions.
     #[inline]
     pub fn for_each_in_cells<F: FnMut(usize)>(&self, center: Vec2, radius: f64, mut f: F) {
-        self.visit_cells(center, radius, |grid, cell| {
-            for &i in &grid.buckets[cell] {
+        self.geom.for_each_cell_in_disc(center, radius, |cell| {
+            for &i in &self.buckets[cell] {
                 f(i as usize);
             }
         });
@@ -410,13 +337,7 @@ impl SpatialGrid {
     /// every id in every [`bucket`](Self::bucket) is below this.
     #[inline]
     pub fn n_nodes(&self) -> usize {
-        self.pos.len()
-    }
-
-    /// Visits every cell overlapping the disc (`center`, `radius`).
-    fn visit_cells<F: FnMut(&Self, usize)>(&self, center: Vec2, radius: f64, mut visit: F) {
-        let geom = self.geom;
-        geom.for_each_cell_in_disc(center, radius, |cell| visit(self, cell));
+        self.cell_idx.len()
     }
 }
 
@@ -424,36 +345,18 @@ impl SpatialGrid {
 mod tests {
     use super::*;
 
-    #[test]
-    fn stripes_partition_columns_contiguously() {
-        let geom = CellGeometry::new(Field::new(2300.0, 900.0), 100.0);
-        for shards in [1usize, 2, 3, 7, 23, 64] {
-            let mut last = 0usize;
-            let mut seen_cols = 0usize;
-            for cx in 0..geom.cols() {
-                let p = Vec2::new((cx as f64 + 0.5) * geom.cell_size(), 10.0);
-                let s = geom.stripe_of(p, shards);
-                assert!(s < shards, "stripe index within range");
-                assert!(s >= last, "stripes are monotone in the column index");
-                if shards <= geom.cols() {
-                    // With at most one shard per column, owned stripes
-                    // are contiguous; more shards than columns leaves
-                    // some shards column-less (indices may skip).
-                    assert!(s - last <= 1, "stripes are contiguous (no gaps)");
-                }
-                last = s;
-                seen_cols += 1;
+    /// The nodes the cell walk visits whose position in `pts` lies within
+    /// `radius` of `center`, sorted — what the delivery query's filter
+    /// keeps.
+    fn within(grid: &SpatialGrid, pts: &[Vec2], center: Vec2, radius: f64) -> Vec<usize> {
+        let mut v = Vec::new();
+        grid.for_each_in_cells(center, radius, |i| {
+            if pts[i].distance_sq(center) <= radius * radius {
+                v.push(i);
             }
-            assert_eq!(seen_cols, geom.cols());
-            // More shards than columns still covers every column with a
-            // single unambiguous owner.
-            if shards <= geom.cols() {
-                assert_eq!(last, shards - 1, "every stripe owns at least a column");
-            }
-        }
-        // Boundary clamp: x == width lands in the last column's stripe.
-        let p = Vec2::new(2300.0, 0.0);
-        assert_eq!(geom.stripe_of(p, 4), 3);
+        });
+        v.sort_unstable();
+        v
     }
 
     fn brute_force(pts: &[Vec2], center: Vec2, radius: f64) -> Vec<usize> {
@@ -482,7 +385,8 @@ mod tests {
         let field = Field::new(500.0, 500.0);
         let mut grid = SpatialGrid::new(field, 140.0);
         let pts = pseudo_points(200, 500.0);
-        grid.rebuild(pts.len(), 0.0, |i| pts[i]);
+        grid.rebuild(pts.len(), |i| pts[i]);
+        assert_eq!(grid.n_nodes(), pts.len());
         for &(cx, cy, r) in &[
             (250.0, 250.0, 139.0),
             (0.0, 0.0, 100.0),
@@ -490,36 +394,26 @@ mod tests {
             (250.0, 0.0, 50.0),
         ] {
             let center = Vec2::new(cx, cy);
-            let mut got = Vec::new();
-            grid.candidates_within(center, r, &mut got);
-            got.sort_unstable();
-            assert_eq!(got, brute_force(&pts, center, r), "query ({cx},{cy}) r={r}");
-            // the unfiltered cell query must be a superset
-            let mut cells = Vec::new();
-            grid.cells_within(center, r, &mut cells);
-            for hit in brute_force(&pts, center, r) {
-                assert!(cells.contains(&hit), "cells_within missed {hit}");
-            }
+            assert_eq!(
+                within(&grid, &pts, center, r),
+                brute_force(&pts, center, r),
+                "query ({cx},{cy}) r={r}"
+            );
         }
     }
 
     #[test]
-    fn rebuild_reuses_buffers_and_updates_positions() {
+    fn rebuild_reuses_buffers_and_replaces_placement() {
         let field = Field::new(100.0, 100.0);
         let mut grid = SpatialGrid::new(field, 50.0);
-        grid.rebuild(2, 0.0, |i| Vec2::new(10.0 + i as f64, 10.0));
-        let mut out = Vec::new();
-        grid.candidates_within(Vec2::new(10.0, 10.0), 5.0, &mut out);
-        assert_eq!(out.len(), 2);
+        let near = [Vec2::new(10.0, 10.0), Vec2::new(11.0, 10.0)];
+        grid.rebuild(2, |i| near[i]);
+        assert_eq!(within(&grid, &near, Vec2::new(10.0, 10.0), 5.0).len(), 2);
         // Move both nodes far away; the grid must reflect the new state.
-        grid.rebuild(2, 1.0, |_| Vec2::new(90.0, 90.0));
-        out.clear();
-        grid.candidates_within(Vec2::new(10.0, 10.0), 5.0, &mut out);
-        assert!(out.is_empty());
-        assert_eq!(grid.built_at(), 1.0);
-        out.clear();
-        grid.candidates_within(Vec2::new(90.0, 90.0), 5.0, &mut out);
-        assert_eq!(out.len(), 2);
+        let far = [Vec2::new(90.0, 90.0); 2];
+        grid.rebuild(2, |i| far[i]);
+        assert!(within(&grid, &far, Vec2::new(10.0, 10.0), 5.0).is_empty());
+        assert_eq!(within(&grid, &far, Vec2::new(90.0, 90.0), 5.0).len(), 2);
     }
 
     #[test]
@@ -529,7 +423,7 @@ mod tests {
         let field = Field::new(300.0, 300.0);
         let mut inc = SpatialGrid::new(field, 70.0);
         let mut pts = pseudo_points(120, 300.0);
-        inc.rebuild(pts.len(), 0.0, |i| pts[i]);
+        inc.rebuild(pts.len(), |i| pts[i]);
         let mut x: u64 = 0xDEAD_BEEF_1234_5678;
         let mut step = move || {
             x ^= x << 13;
@@ -544,27 +438,29 @@ mod tests {
                 inc.update_node(i, *p);
             }
             let mut reference = SpatialGrid::new(field, 70.0);
-            reference.rebuild(pts.len(), 0.0, |i| pts[i]);
-            for &(cx, cy, r) in &[(150.0, 150.0, 69.0), (10.0, 290.0, 50.0)] {
-                let center = Vec2::new(cx, cy);
-                let (mut a, mut b) = (Vec::new(), Vec::new());
-                inc.candidates_within(center, r, &mut a);
-                reference.candidates_within(center, r, &mut b);
+            reference.rebuild(pts.len(), |i| pts[i]);
+            for cell in 0..reference.geometry().n_cells() {
+                let mut a = inc.bucket(cell).to_vec();
+                let mut b = reference.bucket(cell).to_vec();
                 a.sort_unstable();
                 b.sort_unstable();
-                assert_eq!(a, b, "round {round} query ({cx},{cy})");
+                assert_eq!(a, b, "round {round} cell {cell}");
             }
         }
         let stats = inc.stats();
         assert!(stats.node_moves > 0, "walks this large must cross cells");
-        assert_eq!(stats.rebuilds, 1, "only the initial placement rebuilds");
+        assert_eq!(
+            stats.bucket_ops,
+            pts.len() as u64 + 2 * stats.node_moves,
+            "one placement, then two ops per move"
+        );
     }
 
     #[test]
     fn update_node_within_cell_is_free() {
         let field = Field::new(100.0, 100.0);
         let mut grid = SpatialGrid::new(field, 50.0);
-        grid.rebuild(1, 0.0, |_| Vec2::new(10.0, 10.0));
+        grid.rebuild(1, |_| Vec2::new(10.0, 10.0));
         let ops0 = grid.stats().bucket_ops;
         assert!(!grid.update_node(0, Vec2::new(12.0, 11.0)));
         assert_eq!(grid.stats().bucket_ops, ops0, "same-cell move costs 0 ops");
@@ -589,10 +485,9 @@ mod tests {
     fn boundary_positions_bucket_into_last_cells() {
         let field = Field::new(100.0, 100.0);
         let mut grid = SpatialGrid::new(field, 30.0); // 4x4 cells, ragged edge
-        grid.rebuild(1, 0.0, |_| Vec2::new(100.0, 100.0));
-        let mut out = Vec::new();
-        grid.candidates_within(Vec2::new(99.0, 99.0), 2.0, &mut out);
-        assert_eq!(out, vec![0]);
+        let pts = [Vec2::new(100.0, 100.0)];
+        grid.rebuild(1, |i| pts[i]);
+        assert_eq!(within(&grid, &pts, Vec2::new(99.0, 99.0), 2.0), vec![0]);
     }
 
     #[test]
@@ -639,9 +534,8 @@ mod tests {
     fn query_disc_larger_than_field_sees_everyone() {
         let field = Field::new(50.0, 50.0);
         let mut grid = SpatialGrid::new(field, 60.0); // single cell
-        grid.rebuild(5, 0.0, |i| Vec2::new(i as f64 * 10.0, 25.0));
-        let mut out = Vec::new();
-        grid.candidates_within(Vec2::new(25.0, 25.0), 1_000.0, &mut out);
-        assert_eq!(out.len(), 5);
+        let pts: Vec<Vec2> = (0..5).map(|i| Vec2::new(i as f64 * 10.0, 25.0)).collect();
+        grid.rebuild(5, |i| pts[i]);
+        assert_eq!(within(&grid, &pts, Vec2::new(25.0, 25.0), 1_000.0).len(), 5);
     }
 }

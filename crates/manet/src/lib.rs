@@ -46,7 +46,6 @@ pub mod mobility;
 pub mod neighbor;
 pub mod protocol;
 pub mod radio;
-pub mod shard;
 pub mod sim;
 pub mod snapshot;
 pub mod sweep;
@@ -58,7 +57,6 @@ pub use grid::GridStats;
 pub use metrics::BroadcastMetrics;
 pub use protocol::{Protocol, ProtocolApi};
 pub use radio::{dbm_to_mw, mw_to_dbm, PathLoss, RadioConfig, SHADOW_TAIL_SIGMAS};
-pub use shard::ShardPool;
 pub use sim::{DeliveryMode, NodeId, SimConfig, Simulator, GRID_BUCKET_SLACK_M};
 pub use sweep::{DeliverySweep, SweepStats, SWEEP_WIDTH};
 pub use world::{DenseScenario, GroupPlacement, NodeGroup, WorldSpec};

@@ -31,15 +31,8 @@
 //! [`Mobility::position`] — the contract documented on
 //! [`KinematicSegment`] and asserted by this module's tests plus the
 //! cross-mode parity suites — which is what lets the optimised delivery
-//! path produce the same results as the historical ones down to the last
+//! path produce the same results as the naive oracle down to the last
 //! bit.
-//!
-//! The query side of the snapshot (`position`, the lane accessors the
-//! sweep kernels read) is `&self` with no interior mutability, so the
-//! space-sharded delivery path shares one snapshot read-only across all
-//! stripe workers while a batch resolves; mutation (`set`, `rebuild`)
-//! happens only between batches, on the event thread, after the workers
-//! have joined.
 //!
 //! [`Mobility::position`]: crate::mobility::Mobility::position
 //! [`PathLoss::threshold_band_sq`]: crate::radio::PathLoss::threshold_band_sq

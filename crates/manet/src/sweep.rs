@@ -42,7 +42,7 @@
 //! [`KinematicSnapshot::position`] followed by
 //! [`Vec2::distance_sq`] — same operations, same order, no fused
 //! multiply-adds, no re-association — so the sweep is bit-identical to the
-//! scalar filter for every candidate, and all three
+//! scalar filter for every candidate, and both
 //! [`DeliveryMode`](crate::sim::DeliveryMode)s stay parity-pinned (asserted
 //! by the property suite's sweep-vs-scalar pin and the cross-mode
 //! determinism tests). Chunking only restructures *which loop* the
@@ -147,21 +147,6 @@ pub struct SweepStats {
     pub scalar_candidates: u64,
 }
 
-/// Component-wise sum — the deterministic reduction
-/// [`Simulator::sweep_stats`](crate::sim::Simulator::sweep_stats) applies
-/// over per-shard-worker sweeps. Each worker counts only the queries it
-/// owns and ownership is a pure function of sender position, so summing
-/// in worker-index order yields the same totals regardless of how the
-/// threads actually interleaved.
-impl std::ops::AddAssign for SweepStats {
-    fn add_assign(&mut self, rhs: Self) {
-        self.cells_visited += rhs.cells_visited;
-        self.cells_culled += rhs.cells_culled;
-        self.batched_candidates += rhs.batched_candidates;
-        self.scalar_candidates += rhs.scalar_candidates;
-    }
-}
-
 /// A cached per-cell event horizon: every member's exact position at time
 /// `t` lies within `radius` of `center`, and no member moves faster than
 /// `vmax` until the cell is invalidated. Valid only while `stamp` is
@@ -238,15 +223,6 @@ impl DeliverySweep {
     #[inline]
     pub fn invalidate_cell(&mut self, cell: usize) {
         self.bounds[cell].stamp = 0;
-    }
-
-    /// Invalidates every cached bound (used when the delivery mode
-    /// switches, after which another discipline may have re-bucketed
-    /// nodes without per-cell notifications).
-    pub fn invalidate_all(&mut self) {
-        for b in &mut self.bounds {
-            b.stamp = 0;
-        }
     }
 
     /// Work counters accumulated since the last [`reset`](Self::reset).
@@ -613,7 +589,7 @@ mod tests {
         let mut snap = KinematicSnapshot::new(field());
         snap.rebuild(field(), ms.iter().map(|m| m.segment()));
         let mut grid = SpatialGrid::new(field(), 70.0);
-        grid.rebuild(n, 0.0, |i| ms[i].position(0.0));
+        grid.rebuild(n, |i| ms[i].position(0.0));
         (ms, snap, grid)
     }
 
@@ -676,7 +652,7 @@ mod tests {
         let mut snap = KinematicSnapshot::new(field());
         snap.rebuild(field(), ms.iter().map(|m| m.segment()));
         let mut grid = SpatialGrid::new(field(), 70.0);
-        grid.rebuild(ms.len(), 0.0, |i| ms[i].position(0.0));
+        grid.rebuild(ms.len(), |i| ms[i].position(0.0));
         let mut sweep = DeliverySweep::new();
         sweep.reset(grid.geometry().n_cells(), ms.len());
         for q in 0..40 {
@@ -719,7 +695,7 @@ mod tests {
         let mut snap = KinematicSnapshot::new(f);
         snap.rebuild(f, ms.iter().map(|m| m.segment()));
         let mut grid = SpatialGrid::new(f, cell);
-        grid.rebuild(ms.len(), 0.0, |i| ms[i].position(0.0));
+        grid.rebuild(ms.len(), |i| ms[i].position(0.0));
         let mut sweep = DeliverySweep::new();
         sweep.reset(grid.geometry().n_cells(), ms.len());
         // query from a cell's near corner: the disc clips neighbour cells
@@ -757,7 +733,7 @@ mod tests {
         let mut snap = KinematicSnapshot::new(f);
         snap.rebuild(f, ms.iter().map(|m| m.segment()));
         let mut grid = SpatialGrid::new(f, cell);
-        grid.rebuild(ms.len(), 0.0, |i| ms[i].position(0.0));
+        grid.rebuild(ms.len(), |i| ms[i].position(0.0));
         let mut sweep = DeliverySweep::new();
         sweep.reset(grid.geometry().n_cells(), ms.len());
         let center = Vec2::new(95.0, 50.0);

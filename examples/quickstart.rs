@@ -30,11 +30,9 @@ fn main() {
         .build()
         .expect("valid spec");
     let n = world.n_nodes();
-    // On a multi-core host, delivery resolution can be space-sharded
-    // across stripe workers (`sim.set_delivery_shards(cores)`) — results
-    // are bit-identical at every shard count, so it is purely a speed
-    // knob for big worlds. This 27-node world is far too small to profit,
-    // so the default single-shard path is left alone here.
+    // The default incremental delivery path; `sim.set_delivery_mode(
+    // DeliveryMode::Naive)` would select the all-nodes oracle, which gives
+    // the same report bit for bit.
     let report = Simulator::from_world(&world, Flooding::new(n, (0.0, 0.1))).run();
     println!(
         "warm-up: flooding on a {}-node mixed world reaches {} devices\n",

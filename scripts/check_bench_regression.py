@@ -10,12 +10,8 @@ Two kinds of checks:
   `--dense` spec text that produced the row) and a speedup metric. The
   gate fails when the fresh value is missing, null, or more than
   `tolerance` (fractional, e.g. 0.10 = 10%) below the floor — so a PR that
-  slows the incremental delivery path relative to its baselines fails CI
-  instead of silently eroding the headline numbers. A floor may carry
-  `min_host_parallelism`: it is then skipped (printed as SKIPPED, never
-  failed) when the artifact's `host_parallelism` is below it — the
-  escape hatch for sharded-speedup floors, which are meaningless on
-  runners without the cores to realise the parallelism.
+  slows the incremental delivery path relative to the naive oracle fails
+  CI instead of silently eroding the headline numbers.
 * **Absolute ceilings** (`absolute_ceilings`): speedup ratios are blind to
   a *uniform* slowdown (both modes 2x slower = same ratio). Each ceiling
   bounds `row[metric] / calibration.seconds` — the row's wall time in
@@ -65,17 +61,9 @@ def main(argv):
 
     tolerance = float(floors.get("tolerance", 0.0))
     rows = {row_key(r): r for r in bench.get("scenarios", [])}
-    host = bench.get("host_parallelism") or 1
     failures = []
     for f in floors["floors"]:
         scenario, metric, floor = f["scenario"], f["metric"], float(f["floor"])
-        min_host = int(f.get("min_host_parallelism", 1))
-        if host < min_host:
-            print(
-                f"check_bench_regression: {scenario} {metric} SKIPPED "
-                f"(host_parallelism {host} < required {min_host})"
-            )
-            continue
         row = rows.get(scenario)
         if row is None:
             failures.append(f"scenario {scenario} missing from {bench_path} (rows: {sorted(rows)})")

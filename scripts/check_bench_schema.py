@@ -1,29 +1,26 @@
 #!/usr/bin/env python3
-"""Validate a BENCH_scale.json artifact against the bench-scale-v6 schema.
+"""Validate a BENCH_scale.json artifact against the bench-scale-v7 schema.
 
 Usage: check_bench_schema.py [PATH] [--rows N]
 
 PATH defaults to BENCH_scale.json in the current directory. --rows asserts
 the exact scenario-row count (CI passes the count its smoke run produces).
 
-The v6 schema is emitted by ScaleArtifact in crates/bench/src/scale.rs and
-documented field-by-field in docs/BENCH_SCHEMA.md (calibration workload,
-host_parallelism gating and ceiling semantics included).
+The v7 schema is emitted by ScaleArtifact in crates/bench/src/scale.rs and
+documented field-by-field in docs/BENCH_SCHEMA.md (calibration workload
+and ceiling semantics included).
 Beyond key presence, the structural invariants checked here are the ones a
 broken profiler or a half-written emitter would violate:
 
-  * the calibration workload has a positive wall time and the artifact
-    records a positive host parallelism;
+  * the calibration workload has a positive wall time;
   * every row's `spec` is a non-empty scenario-grammar string whose head
     matches the row's nodes/density columns for homogeneous rows;
   * filter + outcome query time cannot exceed the mode's end-to-end time;
   * the interference phase is a sub-interval of the outcome phase;
   * the event horizon cannot cull more cells than the sweep visited, and
     an incremental run that delivered anything must have swept candidates;
-  * `shards` and `sharded_s` are null together or present together, with
-    `shards` >= 2 when present (a 1-shard run is just the sequential path);
-  * the recorded speedup columns must equal the wall-time ratios they
-    summarise.
+  * the recorded speedup column must equal the wall-time ratio it
+    summarises.
 """
 
 import json
@@ -37,25 +34,17 @@ REQUIRED = [
     "beacons_per_sec",
     "coverage",
     "incremental_s",
-    "rebuild_s",
     "naive_s",
-    "shards",
-    "sharded_s",
     "incremental_filter_s",
     "incremental_outcome_s",
     "incremental_interference_s",
-    "rebuild_filter_s",
-    "rebuild_outcome_s",
     "incremental_bucket_ops",
-    "rebuild_bucket_ops",
     "sweep_cells_visited",
     "sweep_cells_culled",
     "sweep_batched_candidates",
     "sweep_scalar_candidates",
     "peak_rss_bytes",
-    "speedup_rebuild_over_incremental",
     "speedup_naive_over_incremental",
-    "speedup_sharded_over_incremental",
 ]
 
 
@@ -79,16 +68,13 @@ def main(argv):
     except (OSError, ValueError) as e:
         fail(f"cannot read {path}: {e}")
 
-    if d.get("schema") != "bench-scale-v6":
-        fail(f"schema is {d.get('schema')!r}, want 'bench-scale-v6'")
+    if d.get("schema") != "bench-scale-v7":
+        fail(f"schema is {d.get('schema')!r}, want 'bench-scale-v7'")
     cal = d.get("calibration")
     if not isinstance(cal, dict) or not isinstance(cal.get("seconds"), (int, float)):
         fail("missing calibration object with numeric 'seconds'")
     if cal["seconds"] <= 0:
         fail(f"calibration seconds must be positive, got {cal['seconds']}")
-    host = d.get("host_parallelism")
-    if not isinstance(host, int) or host < 1:
-        fail(f"host_parallelism must be a positive integer, got {host!r}")
     scenarios = d.get("scenarios")
     if not isinstance(scenarios, list) or not scenarios:
         fail("scenarios must be a non-empty list")
@@ -109,8 +95,6 @@ def main(argv):
             fail(f"row {name}: incremental query split exceeds end-to-end time")
         if row["incremental_interference_s"] > row["incremental_outcome_s"]:
             fail(f"row {name}: interference phase exceeds the outcome phase")
-        if row["rebuild_filter_s"] + row["rebuild_outcome_s"] > row["rebuild_s"]:
-            fail(f"row {name}: rebuild query split exceeds end-to-end time")
         for key in (
             "sweep_cells_visited",
             "sweep_cells_culled",
@@ -125,32 +109,17 @@ def main(argv):
         swept = row["sweep_batched_candidates"] + row["sweep_scalar_candidates"]
         if row["coverage"] > 1 and swept == 0:
             fail(f"row {name}: incremental run delivered but swept no candidates")
-        want = row["rebuild_s"] / row["incremental_s"]
-        got = row["speedup_rebuild_over_incremental"]
-        if abs(got - want) > 1e-4 * max(1.0, want):
-            fail(f"row {name}: speedup column {got} != rebuild_s/incremental_s {want}")
         if row["naive_s"] is not None:
             want = row["naive_s"] / row["incremental_s"]
             got = row["speedup_naive_over_incremental"]
             if got is None or abs(got - want) > 1e-4 * max(1.0, want):
                 fail(f"row {name}: naive speedup column {got} != {want}")
-        if (row["shards"] is None) != (row["sharded_s"] is None):
-            fail(f"row {name}: shards and sharded_s must be null together")
-        if row["shards"] is not None:
-            if not isinstance(row["shards"], int) or row["shards"] < 2:
-                fail(f"row {name}: shards must be an integer >= 2, got {row['shards']!r}")
-            if row["sharded_s"] <= 0:
-                fail(f"row {name}: sharded_s must be positive, got {row['sharded_s']}")
-            want = row["incremental_s"] / row["sharded_s"]
-            got = row["speedup_sharded_over_incremental"]
-            if got is None or abs(got - want) > 1e-4 * max(1.0, want):
-                fail(f"row {name}: sharded speedup column {got} != {want}")
-        elif row["speedup_sharded_over_incremental"] is not None:
-            fail(f"row {name}: sharded speedup must be null when unsharded")
+        elif row["speedup_naive_over_incremental"] is not None:
+            fail(f"row {name}: naive speedup must be null without a naive run")
 
     if "batched_eval" not in d:
         fail("missing batched_eval object")
-    print(f"check_bench_schema: OK ({len(scenarios)} rows, schema bench-scale-v6)")
+    print(f"check_bench_schema: OK ({len(scenarios)} rows, schema bench-scale-v7)")
 
 
 if __name__ == "__main__":

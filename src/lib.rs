@@ -7,8 +7,8 @@
 //!
 //! * [`manet`] — discrete-event MANET simulator (the ns-3 substitute) with
 //!   an incremental, reusable core: delivery queries go through a uniform
-//!   grid maintained by per-node cell-crossing events (O(1) moves instead
-//!   of horizon rebuilds — see [`manet::sim::DeliveryMode`]), interference
+//!   grid maintained by per-node cell-crossing events (O(1) moves, checked
+//!   against a naive oracle — see [`manet::sim::DeliveryMode`]), interference
 //!   tracking is O(active-set), shadowed scenarios use a bounded-tail
 //!   (+4σ) finite-range query, and a simulator instance can be
 //!   [`reset`](manet::sim::Simulator::reset) across runs without

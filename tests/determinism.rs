@@ -314,25 +314,23 @@ fn event_horizon_culling_never_skips_a_decodable_receiver() {
 }
 
 #[test]
-fn sharded_halo_never_drops_a_receiver_at_stripe_edges() {
-    // The sharded delivery pin: a dense stationary line of nodes spanning
-    // the full field width guarantees that *every* stripe boundary has
-    // senders whose decode discs (and interference/half-duplex reach)
-    // cross into neighbouring stripes. If a worker's gather radius were
-    // ever short of decode-plus-gating reach, a receiver just across a
-    // stripe edge would lose a delivery — or an interferer just outside
-    // the stripe would be missed, flipping a capture decision — and the
-    // run would split from the naive full-scan oracle below. Stationary
-    // worlds are also the worst case for batch growth (no mobility events
-    // ever force a flush), so this exercises the batch-cap flush path.
+fn incremental_matches_naive_on_a_dense_line_across_cell_edges() {
+    // A dense stationary line of nodes spanning the full field width puts
+    // senders and receivers at every grid-cell edge, so decode discs and
+    // interference/half-duplex reach cross into neighbouring cells all
+    // along the line. If the cell walk or the frame gather were ever short
+    // of decode-plus-gating reach, a receiver just across a cell edge would
+    // lose a delivery — or an interferer just outside the gathered cells
+    // would be missed, flipping a capture decision — and the incremental
+    // run would split from the naive full scan.
     use manet::geometry::Vec2;
     use manet::mobility::MobilityModel;
-    let mut builder = WorldSpec::builder()
+    let world = WorldSpec::builder()
         .area(1200.0, 300.0)
         .broadcast_window(6.0, 10.0)
         .seed(11)
         // A horizontal band across the whole width: every grid column is
-        // populated, so each stripe edge is straddled by radio reach.
+        // populated.
         .group(
             NodeGroup::new(90)
                 .mobility(MobilityModel::Stationary)
@@ -340,32 +338,28 @@ fn sharded_halo_never_drops_a_receiver_at_stripe_edges() {
                     min: Vec2::new(0.0, 120.0),
                     max: Vec2::new(1200.0, 180.0),
                 }),
-        );
-    // A few mobile walkers add mid-run re-anchors and grid refreshes.
-    builder = builder.group(NodeGroup::new(10).mobility(MobilityModel::RandomWalk {
-        change_interval: 20.0,
-    }));
-    let world = builder.build().expect("valid world");
+        )
+        // A few mobile walkers add mid-run re-anchors and grid refreshes.
+        .group(NodeGroup::new(10).mobility(MobilityModel::RandomWalk {
+            change_interval: 20.0,
+        }))
+        .build()
+        .expect("valid world");
     let n = world.n_nodes();
-    let naive = {
+    let run = |mode: DeliveryMode| {
         let mut sim = Simulator::from_world(&world, Flooding::new(n, (0.0, 0.1)));
-        sim.set_delivery_mode(DeliveryMode::Naive);
+        sim.set_delivery_mode(mode);
         sim.run_to_end()
     };
-    for shards in [1usize, 2, 3, 7] {
-        let mut sim = Simulator::from_world(&world, Flooding::new(n, (0.0, 0.1)));
-        sim.set_delivery_shards(shards);
-        assert_eq!(sim.delivery_shards(), shards);
-        let report = sim.run_to_end();
-        assert_eq!(
-            report.broadcast, naive.broadcast,
-            "halo dropped a receiver at {shards} shards"
-        );
-        assert_eq!(
-            report.counters, naive.counters,
-            "halo dropped a receiver at {shards} shards"
-        );
-    }
+    let (inc, naive) = (run(DeliveryMode::Incremental), run(DeliveryMode::Naive));
+    assert_eq!(
+        inc.broadcast, naive.broadcast,
+        "a cell edge dropped a receiver"
+    );
+    assert_eq!(
+        inc.counters, naive.counters,
+        "a cell edge dropped a receiver"
+    );
 }
 
 /// Bit patterns of `[energy, −coverage, forwardings, violation]`.

@@ -245,11 +245,12 @@ proptest! {
         n_prunes in 0usize..6,
         seed in 0u64..10_000,
     ) {
-        // Random transmission traces through both active-window
-        // structures: the flat insertion-order scan and the spatialised
-        // gather (sorted by seq) must see the same contributing frames in
-        // the same order and accumulate bit-identical interference sums.
-        use manet::events::{ActiveWindow, SpatialActiveWindow};
+        // Random transmission traces through the spatialised window and
+        // the naive oracle's model of the air — a plain `Vec` of live
+        // frames in transmission order, pruned by `retain`: the sorted
+        // spatial gather must see the same contributing frames in the same
+        // order and accumulate bit-identical interference sums.
+        use manet::events::SpatialActiveWindow;
         use manet::geometry::{Field, Vec2};
         use manet::grid::CellGeometry;
         use rand::rngs::SmallRng;
@@ -262,7 +263,7 @@ proptest! {
         let cell = radio
             .interference_floor_range(radio.default_tx_dbm)
             .min(side);
-        let mut flat: ActiveWindow<(Vec2, f64, f64)> = ActiveWindow::new(2);
+        let mut flat: Vec<(f64, (Vec2, f64, f64))> = Vec::new();
         let mut spatial: SpatialActiveWindow<(Vec2, f64, f64)> =
             SpatialActiveWindow::new(CellGeometry::new(field, cell), 2);
 
@@ -277,18 +278,18 @@ proptest! {
             let gate = radio.interference_floor_range(tx_dbm);
             max_gate = max_gate.max(gate);
             let end = t + durations[lane];
-            flat.insert(lane, end, (pos, tx_dbm, gate * gate));
+            flat.push((end, (pos, tx_dbm, gate * gate)));
             spatial.insert(lane, end, pos, (pos, tx_dbm, gate * gate));
             if n_prunes > 0 && k % (n_frames / n_prunes + 1) == 0 {
                 let cutoff = t - rng.gen_range(0.0..0.005);
-                flat.prune(cutoff);
+                flat.retain(|&(end, _)| end > cutoff);
                 spatial.prune(cutoff);
             }
             prop_assert_eq!(flat.len(), spatial.len());
         }
 
         // interference sums at random receiver positions: iterate the
-        // flat window in insertion order vs the sorted spatial gather
+        // live frames in transmission order vs the sorted spatial gather
         let pl = radio.path_loss;
         let floor = radio.rx_sensitivity_dbm - manet::radio::INTERFERENCE_FLOOR_DB;
         let mut scratch: Vec<(u64, (Vec2, f64, f64))> = Vec::new();
@@ -296,7 +297,7 @@ proptest! {
             let rpos = Vec2::new(rng.gen_range(0.0..side), rng.gen_range(0.0..side));
             let mut flat_sum = 0.0;
             let mut flat_terms = 0u32;
-            for &(pos, tx_dbm, gate_r2) in flat.iter() {
+            for &(_, (pos, tx_dbm, gate_r2)) in &flat {
                 let d2 = pos.distance_sq(rpos);
                 if d2 > gate_r2 {
                     continue;
@@ -346,7 +347,7 @@ proptest! {
         // Receivers placed *exactly* at the decode-threshold distance (and
         // at ±1e-9 relative nudges — inside the log-free test's fallback
         // band) from a stationary source: the sharpest inputs for the
-        // squared-distance decode compare. Every delivery mode must agree
+        // squared-distance decode compare. Both delivery modes must agree
         // bit-for-bit on who decodes.
         let scale = [1.0 - 1e-9, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.0 + 1e-9][scale_idx];
         let mut c = SimConfig::paper(1 + n_ring, seed);
@@ -373,10 +374,7 @@ proptest! {
             sim.run_to_end()
         };
         let inc = run(DeliveryMode::Incremental);
-        let reb = run(DeliveryMode::HorizonRebuild);
         let naive = run(DeliveryMode::Naive);
-        prop_assert_eq!(&inc.broadcast, &reb.broadcast);
-        prop_assert_eq!(&inc.counters, &reb.counters);
         prop_assert_eq!(&inc.broadcast, &naive.broadcast);
         prop_assert_eq!(&inc.counters, &naive.counters);
     }
@@ -389,9 +387,9 @@ proptest! {
         sigma_idx in 0usize..3,
         field_side in 200.0f64..700.0,
     ) {
-        // Random mobility traces across all three delivery paths: the
-        // incremental event-driven grid, the horizon-rebuild grid and the
-        // naive scan must report identical metrics AND counters. Shadowed
+        // Random mobility traces across both delivery paths: the
+        // incremental event-driven grid and the naive scan must report
+        // identical metrics AND counters. Shadowed
         // configs are included: the +4σ bounded tail lives inside the
         // propagation model itself (see manet::radio::SHADOW_TAIL_SIGMAS,
         // whose clipped-mass error budget is asserted in the radio tests),
@@ -415,10 +413,7 @@ proptest! {
             sim.run_to_end()
         };
         let inc = run(DeliveryMode::Incremental);
-        let reb = run(DeliveryMode::HorizonRebuild);
         let naive = run(DeliveryMode::Naive);
-        prop_assert_eq!(&inc.broadcast, &reb.broadcast);
-        prop_assert_eq!(&inc.counters, &reb.counters);
         prop_assert_eq!(&inc.broadcast, &naive.broadcast);
         prop_assert_eq!(&inc.counters, &naive.counters);
     }
@@ -435,7 +430,7 @@ proptest! {
         // boundary coordinate and the snapshot filter at the exact decode
         // radius are the fenceposts the SoA query must get right. Both a
         // frozen lattice and a lattice that immediately walks off its
-        // boundaries must keep all three delivery paths bit-identical.
+        // boundaries must keep both delivery paths bit-identical.
         let mut probe = SimConfig::paper(1, 0);
         probe.mobility = manet::mobility::MobilityModel::Stationary;
         let cell = Simulator::new(probe, SourceOnly).grid_cell_size();
@@ -463,10 +458,7 @@ proptest! {
             sim.run_to_end()
         };
         let inc = run(DeliveryMode::Incremental);
-        let reb = run(DeliveryMode::HorizonRebuild);
         let naive = run(DeliveryMode::Naive);
-        prop_assert_eq!(&inc.broadcast, &reb.broadcast);
-        prop_assert_eq!(&inc.counters, &reb.counters);
         prop_assert_eq!(&inc.broadcast, &naive.broadcast);
         prop_assert_eq!(&inc.counters, &naive.counters);
     }
@@ -495,10 +487,7 @@ proptest! {
             sim.run_to_end()
         };
         let inc = run(DeliveryMode::Incremental);
-        let reb = run(DeliveryMode::HorizonRebuild);
         let naive = run(DeliveryMode::Naive);
-        prop_assert_eq!(&inc.broadcast, &reb.broadcast);
-        prop_assert_eq!(&inc.counters, &reb.counters);
         prop_assert_eq!(&inc.broadcast, &naive.broadcast);
         prop_assert_eq!(&inc.counters, &naive.counters);
     }
@@ -518,7 +507,7 @@ proptest! {
     ) {
         // The WorldSpec tentpole guarantee: heterogeneous populations —
         // mixed mobility models AND two radio power classes in one world —
-        // keep all three delivery paths bit-identical. Per-group powers
+        // keep both delivery paths bit-identical. Per-group powers
         // flow through the per-transmission threshold precomputation and
         // per-node mobility through the snapshot's kind lane, so nothing
         // in the parity argument is mode-specific.
@@ -551,88 +540,9 @@ proptest! {
             Simulator::from_world(&spec, Flooding::new(n, (0.0, 0.1))).run()
         };
         let inc = run(DeliveryMode::Incremental);
-        let reb = run(DeliveryMode::HorizonRebuild);
         let naive = run(DeliveryMode::Naive);
-        prop_assert_eq!(&inc.broadcast, &reb.broadcast);
-        prop_assert_eq!(&inc.counters, &reb.counters);
         prop_assert_eq!(&inc.broadcast, &naive.broadcast);
         prop_assert_eq!(&inc.counters, &naive.counters);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
-
-    #[test]
-    fn sharded_delivery_bit_identical_across_shard_counts(
-        seed in 0u64..10_000,
-        n_band in 24usize..60,
-        n_walk in 6usize..16,
-        power_idx in 0usize..3,
-        shadowed_i in 0usize..2,
-        width in 600.0f64..1400.0,
-    ) {
-        // The space-sharding guarantee: any shard count reproduces the
-        // sequential incremental run bit-for-bit — same metrics, same
-        // counters — with the naive full scan as an independent oracle.
-        // The generated worlds are adversarial for the halo/merge logic:
-        // a stationary band spanning every grid column (so each stripe
-        // boundary is straddled by decode and interference reach, and no
-        // mobility event ever forces a flush — the batch-cap path runs),
-        // a mobile population whose mid-run re-anchors and grid refreshes
-        // land between batches, a second transmit-power class, and
-        // optionally shadowed links.
-        use manet::geometry::Vec2;
-        use manet::mobility::MobilityModel;
-        use manet::world::{NodeGroup, WorldSpec};
-        let shadowed = shadowed_i == 1;
-        let other_power = [10.0, 5.0, 16.02][power_idx];
-        let build = || {
-            let mut radio = manet::RadioConfig::paper();
-            if !shadowed {
-                radio.shadowing_sigma_db = 0.0;
-            }
-            WorldSpec::builder()
-                .area(width, 300.0)
-                .radio(radio)
-                .seed(seed)
-                .group(
-                    NodeGroup::new(n_band)
-                        .mobility(MobilityModel::Stationary)
-                        .placement(GroupPlacement::Rect {
-                            min: Vec2::new(0.0, 120.0),
-                            max: Vec2::new(width, 180.0),
-                        }),
-                )
-                .group(
-                    NodeGroup::new(n_walk)
-                        .mobility(MobilityModel::RandomWalk { change_interval: 5.0 })
-                        .tx_power_dbm(other_power),
-                )
-                .broadcast_window(3.0, 6.0)
-                .build()
-                .expect("valid spec")
-        };
-        let run = |mode: DeliveryMode, shards: usize| {
-            let spec = build();
-            let n = spec.n_nodes();
-            let mut sim = Simulator::from_world(&spec, Flooding::new(n, (0.0, 0.1)));
-            sim.set_delivery_mode(mode);
-            sim.set_delivery_shards(shards);
-            sim.run_to_end()
-        };
-        let sequential = run(DeliveryMode::Incremental, 1);
-        let naive = run(DeliveryMode::Naive, 1);
-        prop_assert_eq!(&sequential.broadcast, &naive.broadcast);
-        prop_assert_eq!(&sequential.counters, &naive.counters);
-        for shards in [2usize, 3, 7] {
-            let sharded = run(DeliveryMode::Incremental, shards);
-            prop_assert!(
-                sequential.broadcast == sharded.broadcast
-                    && sequential.counters == sharded.counters,
-                "diverged at {} shards", shards
-            );
-        }
     }
 }
 
@@ -766,7 +676,7 @@ proptest! {
         let mut snap = KinematicSnapshot::new(field);
         snap.rebuild(field, segs.iter().copied());
         let mut grid = SpatialGrid::new(field, cell);
-        grid.rebuild(n, 0.0, |i| starts[i]);
+        grid.rebuild(n, |i| starts[i]);
         let mut sweep = DeliverySweep::new();
         sweep.reset(grid.geometry().n_cells(), n);
 
@@ -890,8 +800,7 @@ proptest! {
         other_kind in 0usize..2,
         power_idx in 0usize..3,
         shadowed_i in 0usize..2,
-        mode_i in 0usize..3,
-        shards_i in 0usize..2,
+        mode_i in 0usize..2,
         field_side in 250.0f64..600.0,
         at in 0.0f64..1.0,
         jitter in 0.01f64..0.2,
@@ -906,16 +815,11 @@ proptest! {
         // expiry` under one protocol — with frames on the air or not —
         // restored again and again into a simulator that ran another
         // (larger) world under another protocol in between, runs on to
-        // exactly the report of a straight run — for every delivery mode,
-        // shard count, shadowing and heterogeneous power/mobility mix.
+        // exactly the report of a straight run — for both delivery modes,
+        // shadowing and heterogeneous power/mobility mix.
         use manet::mobility::MobilityModel;
         use manet::world::{NodeGroup, WorldSpec};
-        let mode = [
-            DeliveryMode::Incremental,
-            DeliveryMode::HorizonRebuild,
-            DeliveryMode::Naive,
-        ][mode_i];
-        let shards = [1usize, 3][shards_i];
+        let mode = [DeliveryMode::Incremental, DeliveryMode::Naive][mode_i];
         let other_mobility = [
             MobilityModel::Stationary,
             MobilityModel::RandomWaypoint { pause: 1.0 },
@@ -953,19 +857,10 @@ proptest! {
             neighbors_threshold: neighbors,
         };
         let flooding = || Flooding::new(n, (0.0, jitter));
-        let straight_flooding = {
-            let mut sim = Simulator::from_world(&spec, flooding());
-            sim.set_delivery_shards(shards);
-            sim.run_to_end()
-        };
-        let straight_aedb = {
-            let mut sim = Simulator::from_world(&spec, Aedb::new(n, params));
-            sim.set_delivery_shards(shards);
-            sim.run_to_end()
-        };
+        let straight_flooding = Simulator::from_world(&spec, flooding()).run();
+        let straight_aedb = Simulator::from_world(&spec, Aedb::new(n, params)).run();
 
         let mut donor = Simulator::from_world(&spec, flooding());
-        donor.set_delivery_shards(shards);
         let limit = spec.broadcast_time - spec.neighbor_expiry - 1e-3;
         donor.run_until(at * limit);
         let checkpoint = donor.checkpoint();
@@ -977,7 +872,6 @@ proptest! {
         // A second checkpoint with a beacon on the air: its end event and
         // frame must round-trip through the checkpoint.
         let mut probe = Simulator::from_world(&spec, flooding());
-        probe.set_delivery_shards(shards);
         let mut t = at * (limit - 1.0);
         probe.run_until(t);
         while probe.on_air() == 0 && t < limit {
@@ -993,7 +887,6 @@ proptest! {
         // leaves in mid-run.
         let big = build(seed + 1, field_side + 300.0, n_walk + 20, shadowed_i == 0);
         let mut dirty = Simulator::from_world(&big, Aedb::new(big.n_nodes(), params));
-        dirty.set_delivery_shards(shards);
         for _ in 0..2 {
             for (cp, frames) in [(&checkpoint, None), (&on_air, Some(probe.on_air()))] {
                 dirty.reset_world_with(&big, |p| p.reset(big.n_nodes(), params));
@@ -1024,16 +917,11 @@ proptest! {
 fn check_settle_parity<P: Protocol>(
     spec: &WorldSpec,
     other: &WorldSpec,
-    shards: usize,
     at: f64,
     make: impl Fn(usize) -> P,
 ) -> Result<(), String> {
     let n = spec.n_nodes();
-    let fresh = |spec: &WorldSpec| {
-        let mut sim = Simulator::from_world(spec, make(spec.n_nodes()));
-        sim.set_delivery_shards(shards);
-        sim
-    };
+    let fresh = |spec: &WorldSpec| Simulator::from_world(spec, make(spec.n_nodes()));
     let full = fresh(spec).run_to_end();
 
     // Straight: the early stop sees the full run's metrics, and running on
@@ -1080,8 +968,7 @@ proptest! {
         other_kind in 0usize..2,
         power_idx in 0usize..3,
         shadowed_i in 0usize..2,
-        mode_i in 0usize..3,
-        shards_i in 0usize..2,
+        mode_i in 0usize..2,
         field_side in 250.0f64..600.0,
         tail in 0.5f64..4.0,
         at in 0.0f64..1.0,
@@ -1096,15 +983,10 @@ proptest! {
         // the broadcast has settled — or at `end_time`, when the tail is
         // short enough that timers outlive it — yields exactly the
         // broadcast metrics of a full-horizon run, straight or restored,
-        // for every delivery mode, shard count, shadowing and
-        // heterogeneous power/mobility mix.
+        // for both delivery modes, shadowing and heterogeneous
+        // power/mobility mix.
         use manet::mobility::MobilityModel;
-        let mode = [
-            DeliveryMode::Incremental,
-            DeliveryMode::HorizonRebuild,
-            DeliveryMode::Naive,
-        ][mode_i];
-        let shards = [1usize, 3][shards_i];
+        let mode = [DeliveryMode::Incremental, DeliveryMode::Naive][mode_i];
         let other_mobility = [
             MobilityModel::Stationary,
             MobilityModel::RandomWaypoint { pause: 1.0 },
@@ -1141,7 +1023,7 @@ proptest! {
             margin_threshold: margin,
             neighbors_threshold: neighbors,
         };
-        check_settle_parity(&spec, &other, shards, at, |n| Flooding::new(n, (0.0, jitter)))?;
-        check_settle_parity(&spec, &other, shards, at, |n| Aedb::new(n, params))?;
+        check_settle_parity(&spec, &other, at, |n| Flooding::new(n, (0.0, jitter)))?;
+        check_settle_parity(&spec, &other, at, |n| Aedb::new(n, params))?;
     }
 }

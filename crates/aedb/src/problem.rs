@@ -61,14 +61,14 @@ pub struct AedbOutcome {
 }
 
 /// How many simulations an [`AedbProblem`] ran, how many protocol-free
-/// prefixes it simulated to start them from, and how many stopped once
-/// their broadcast settled instead of at `end_time`
+/// prefixes and broadcast edges it simulated to start them from, and how
+/// many stopped once their broadcast settled instead of at `end_time`
 /// ([`AedbProblem::sim_stats`]). Cache hits simulate nothing, so
 /// `simulations` counts `networks` per fresh evaluation.
 ///
 /// Over a problem's whole life the counters cross-check:
-/// `checkpoints ≤ networks`, `restores == simulations` and
-/// `settled ≤ simulations`.
+/// `checkpoints ≤ networks`, `restores == simulations`,
+/// `edges ≤ simulations` and `settled ≤ simulations`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimStats {
     /// Simulations run.
@@ -79,6 +79,9 @@ pub struct SimStats {
     /// Simulations that resumed from a network's checkpoint — every one,
     /// since no simulation runs from `t = 0`.
     pub restores: u64,
+    /// Broadcast-edge checkpoints taken: one per job of two or more
+    /// candidates, which all restore it (see `simulate_network`).
+    pub edges: u64,
     /// Simulations that stopped when their broadcast settled
     /// ([`Simulator::run_broadcast`]); the others ran to `end_time` with a
     /// protocol timer or data frame still pending.
@@ -117,6 +120,7 @@ pub struct AedbProblem {
     simulations: AtomicU64,
     checkpoints: AtomicU64,
     restores: AtomicU64,
+    edges: AtomicU64,
     settled: AtomicU64,
     /// When set, the cache is loaded from this storage slot on
     /// construction and flushed back on drop — repeated experiments start
@@ -166,6 +170,7 @@ impl AedbProblem {
             simulations: AtomicU64::new(0),
             checkpoints: AtomicU64::new(0),
             restores: AtomicU64::new(0),
+            edges: AtomicU64::new(0),
             settled: AtomicU64::new(0),
             cache_store: None,
         }
@@ -415,16 +420,17 @@ impl AedbProblem {
         )
     }
 
-    /// Simulations run so far, prefixes checkpointed, restores and
-    /// simulations that stopped at settlement. On `N` networks, `m` fresh
-    /// evaluations cost `m·N` simulations and `m·N` restores, while
-    /// `checkpoints` stays at most `N` for the problem's whole life (see
-    /// [`SimStats`]).
+    /// Simulations run so far, prefixes checkpointed, restores, broadcast
+    /// edges and simulations that stopped at settlement. On `N` networks,
+    /// `m` fresh evaluations cost `m·N` simulations and `m·N` restores,
+    /// while `checkpoints` stays at most `N` for the problem's whole life
+    /// (see [`SimStats`]).
     pub fn sim_stats(&self) -> SimStats {
         SimStats {
             simulations: self.simulations.load(Ordering::Relaxed),
             checkpoints: self.checkpoints.load(Ordering::Relaxed),
             restores: self.restores.load(Ordering::Relaxed),
+            edges: self.edges.load(Ordering::Relaxed),
             settled: self.settled.load(Ordering::Relaxed),
         }
     }
@@ -477,18 +483,25 @@ impl AedbProblem {
     /// Simulates every candidate of `params` on network `k`, in order,
     /// each with bit-identical results to a straight run from `t = 0`.
     ///
-    /// No simulation starts at `t = 0`: every one restores the network's
-    /// protocol-free prefix, a [`Checkpoint`] at `broadcast_time −
-    /// neighbor_expiry − beacon_interval` that the first simulation of the
-    /// network on this problem takes and that stays alive for the
-    /// problem's life. Each candidate's tail ends when its broadcast
-    /// settles ([`Simulator::run_broadcast`]), not at `end_time`. The
-    /// simulator comes from the process-wide pool; the restore re-arms it
-    /// whatever world it ran before.
+    /// No simulation starts at `t = 0`. The network's protocol-free
+    /// prefix is a [`Checkpoint`] at `broadcast_time − neighbor_expiry`
+    /// (clamped at 0) that the first simulation of the network on this
+    /// problem takes and that stays alive for the problem's life; it
+    /// holds no neighbour entries, since no beacon received by then is
+    /// still live at the broadcast. A lone candidate runs straight from it. Two or more
+    /// share the window up to the broadcast too: the job restores the
+    /// prefix once, runs it to `broadcast_time.next_down()`, checkpoints
+    /// that edge (neighbour tables included) and restores every candidate
+    /// from there. Each candidate's tail ends when its broadcast settles
+    /// ([`Simulator::run_broadcast`]), not at `end_time`. The simulator
+    /// comes from the process-wide pool; the restore re-arms it whatever
+    /// world it ran before.
     ///
-    /// The memory cost is one checkpoint per network and live problem:
-    /// ≈ 8/14/20 KiB for the paper's D100/D200/D300 worlds, and
-    /// proportionally more for dense scenarios.
+    /// The memory cost is one prefix per network and live problem
+    /// (≈ 8/14/20 KiB for the paper's D100/D200/D300 worlds, and
+    /// proportionally more for dense scenarios), plus one edge per running
+    /// job, which also holds the live neighbour entries and is dropped
+    /// when the job ends.
     fn simulate_network(&self, params: &[AedbParams], k: usize) -> Vec<AedbOutcome> {
         // Bind the checkout first: `SIM_POOL.lock().pop().unwrap_or_else(…)`
         // would hold the pool lock while a new simulator is built.
@@ -497,12 +510,22 @@ impl AedbProblem {
             let world = self.scenario.world(k);
             Simulator::from_world(&world, Aedb::new(world.n_nodes(), params[0]))
         });
-        let checkpoint = self.prefixes[k].get_or_init(|| self.take_prefix(&mut sim, k));
-        let n = checkpoint.world().n_nodes();
+        let prefix = self.prefixes[k].get_or_init(|| self.take_prefix(&mut sim, k));
+        let n = prefix.world().n_nodes();
+        let edge;
+        let start = if params.len() > 1 {
+            sim.restore(prefix, |_| {});
+            sim.run_until(prefix.world().broadcast_time.next_down());
+            self.edges.fetch_add(1, Ordering::Relaxed);
+            edge = sim.checkpoint();
+            &edge
+        } else {
+            prefix
+        };
         let outcomes = params
             .iter()
             .map(|&p| {
-                sim.restore(checkpoint, |proto| proto.reset(n, p));
+                sim.restore(start, |proto| proto.reset(n, p));
                 self.run(&mut sim)
             })
             .collect();
@@ -518,7 +541,7 @@ impl AedbProblem {
     fn take_prefix(&self, sim: &mut Simulator<Aedb>, k: usize) -> Checkpoint {
         let world = self.scenario.world(k);
         sim.reset_world_with(&world, |_| {});
-        sim.run_until(world.broadcast_time - world.neighbor_expiry - world.beacon_interval);
+        sim.run_until((world.broadcast_time - world.neighbor_expiry).max(0.0));
         self.checkpoints.fetch_add(1, Ordering::Relaxed);
         sim.checkpoint()
     }
@@ -867,8 +890,9 @@ mod tests {
     fn sim_stats_count_shared_prefixes() {
         // m = 3 unique fresh vectors (plus a duplicate) on N = 2 networks,
         // sequentially: the first simulation on each network checkpoints
-        // its prefix, and every simulation restores it. All six
-        // broadcasts settle well before the 40 s end.
+        // its prefix, each network's job of three takes one broadcast
+        // edge, and every simulation restores. All six broadcasts settle
+        // well before the 40 s end.
         let p = AedbProblem::paper(Scenario::quick(Density::D100, 2)).with_parallel_batches(false);
         let x = AedbParams::default_config().to_vec();
         let y = vec![0.0, 0.2, -70.0, 1.0, 50.0];
@@ -878,6 +902,7 @@ mod tests {
             simulations: 6,
             checkpoints: 2,
             restores: 6,
+            edges: 2,
             settled: 6,
         };
         assert_eq!(p.sim_stats(), want);
@@ -885,7 +910,8 @@ mod tests {
         assert_eq!(hits + misses, 4, "one lookup per vector");
         // A second batch and lone candidates through evaluate and
         // evaluate_batch restore the same checkpoints: N simulations and
-        // N restores each, and no new checkpoint. The batch's four
+        // N restores each, and no new checkpoint. Only the batch of two
+        // takes edges, one per network. The batch's four
         // broadcasts settle; multi-second forwarding delays leave two of
         // the four lone ones with protocol work pending at 40 s, so those
         // run to the end.
@@ -902,10 +928,40 @@ mod tests {
         );
         assert_eq!(stats.simulations, want.simulations + 8);
         assert_eq!(stats.restores, stats.simulations);
+        assert_eq!(stats.edges, want.edges + 2);
         assert_eq!(stats.settled, want.settled + 4 + 2);
         // Cache hits simulate nothing.
         p.evaluate_batch(&[x]);
         assert_eq!(p.sim_stats(), stats);
+    }
+
+    #[test]
+    fn sim_stats_count_one_edge_per_multi_candidate_job() {
+        // k = 3 candidates on N = 3 networks, one chunk per network: each
+        // network's job runs to the broadcast edge once, and all three
+        // candidates restore from there, bit-identical to evaluating them
+        // one at a time. A lone evaluate runs straight from the prefixes.
+        let p = AedbProblem::paper(Scenario::quick(Density::D100, 3))
+            .with_eval_cache(false)
+            .with_parallel_batches(false);
+        let xs: Vec<Vec<f64>> = vec![
+            AedbParams::default_config().to_vec(),
+            vec![0.0, 0.2, -70.0, 1.0, 50.0],
+            vec![0.5, 2.5, -82.0, 2.0, 25.0],
+        ];
+        let batch = p.evaluate_batch(&xs);
+        let stats = p.sim_stats();
+        assert_eq!(stats.edges, 3, "one edge per network");
+        assert_eq!(stats.checkpoints, 3);
+        assert_eq!(stats.simulations, 9);
+        assert_eq!(stats.restores, stats.simulations);
+        for (x, ev) in xs.iter().zip(&batch) {
+            assert_eq!(*ev, p.evaluate(x));
+        }
+        let lone = p.sim_stats();
+        assert_eq!(lone.edges, stats.edges, "lone evaluations take no edge");
+        assert_eq!(lone.simulations, 18);
+        assert_eq!(lone.restores, lone.simulations);
     }
 
     #[test]

@@ -1,10 +1,6 @@
 //! Configuration of the island optimizer.
 
 /// Parameters of an [`IslandOptimizer`](crate::IslandOptimizer) run.
-///
-/// Everything except [`workers`](Self::workers) affects the search
-/// trajectory; `workers` is a pure execution knob (see the
-/// [crate docs](crate) for the determinism contract).
 #[derive(Debug, Clone)]
 pub struct IslandConfig {
     /// Number of islands (ring length).
@@ -32,9 +28,6 @@ pub struct IslandConfig {
     pub mutation_prob: Option<f64>,
     /// Polynomial-mutation distribution index.
     pub mutation_eta: f64,
-    /// Worker threads advancing islands within an epoch; `0` = one per
-    /// available core. Never affects results.
-    pub workers: usize,
 }
 
 impl Default for IslandConfig {
@@ -52,7 +45,6 @@ impl Default for IslandConfig {
             crossover_eta: 20.0,
             mutation_prob: None,
             mutation_eta: 20.0,
-            workers: 0,
         }
     }
 }

@@ -5,13 +5,14 @@ use mopt::archive::AgaArchive;
 use mopt::dominance::{constrained_dominance, DominanceOrd};
 use mopt::ops::{binary_tournament, polynomial_mutation, sbx_crossover, uniform_init};
 use mopt::problem::Problem;
-use mopt::solution::Candidate;
+use mopt::solution::{Bounds, Candidate};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 /// An island's state. Between epoch boundaries an island touches nothing
-/// but itself (population, archive, own RNG), which is what lets any
-/// worker schedule advance islands concurrently without changing results.
+/// but itself (population, archive, own RNG), which is what lets the
+/// optimizer evaluate every island's child of a step as one batch without
+/// changing results.
 #[derive(Debug)]
 pub struct Island {
     /// Ring position (also the RNG stream selector).
@@ -56,36 +57,34 @@ impl Island {
         }
     }
 
-    /// Advances the steady-state loop by exactly `quota` evaluations:
-    /// each step selects two parents by binary tournament, produces one
-    /// SBX + polynomial-mutation offspring, evaluates it immediately,
-    /// offers it to the archive and lets it contest a death-tournament
-    /// slot in the population (the loser is replaced unless it dominates
-    /// the offspring).
-    pub fn run_epoch(&mut self, problem: &dyn Problem, cfg: &IslandConfig, quota: u64) {
-        if self.population.is_empty() {
-            return;
-        }
-        let bounds = problem.bounds();
+    /// The first half of one steady-state step: selects two parents by
+    /// binary tournament and returns one SBX + polynomial-mutation
+    /// offspring, still to be evaluated. The population must not be empty.
+    pub fn propose(&mut self, bounds: &Bounds, cfg: &IslandConfig) -> Vec<f64> {
         let pm = cfg.mutation_prob.unwrap_or(1.0 / bounds.len() as f64);
-        for _ in 0..quota {
-            let p1 = binary_tournament(&self.population, &mut self.rng);
-            let p2 = binary_tournament(&self.population, &mut self.rng);
-            let (mut child, _twin) = sbx_crossover(
-                &self.population[p1].params,
-                &self.population[p2].params,
-                cfg.crossover_eta,
-                cfg.crossover_prob,
-                bounds,
-                &mut self.rng,
-            );
-            polynomial_mutation(&mut child, cfg.mutation_eta, pm, bounds, &mut self.rng);
-            let child = problem.make_candidate(child);
-            self.archive.try_insert(child.clone());
-            let slot = death_slot(&self.population, &mut self.rng);
-            if constrained_dominance(&self.population[slot], &child) != DominanceOrd::Dominates {
-                self.population[slot] = child;
-            }
+        let p1 = binary_tournament(&self.population, &mut self.rng);
+        let p2 = binary_tournament(&self.population, &mut self.rng);
+        let (mut child, _twin) = sbx_crossover(
+            &self.population[p1].params,
+            &self.population[p2].params,
+            cfg.crossover_eta,
+            cfg.crossover_prob,
+            bounds,
+            &mut self.rng,
+        );
+        polynomial_mutation(&mut child, cfg.mutation_eta, pm, bounds, &mut self.rng);
+        child
+    }
+
+    /// The second half of the step: offers the evaluated offspring to the
+    /// archive and lets it contest a death-tournament slot in the
+    /// population (the loser is replaced unless it dominates the
+    /// offspring).
+    pub fn accept(&mut self, child: Candidate) {
+        self.archive.try_insert(child.clone());
+        let slot = death_slot(&self.population, &mut self.rng);
+        if constrained_dominance(&self.population[slot], &child) != DominanceOrd::Dominates {
+            self.population[slot] = child;
         }
     }
 }
@@ -132,31 +131,29 @@ mod tests {
     }
 
     #[test]
-    fn epoch_consumes_exactly_the_quota() {
-        use mopt::problem::CountingProblem;
+    fn proposals_stay_in_bounds() {
         let cfg = IslandConfig::quick(1, 1000);
-        let problem = CountingProblem::new(Schaffer::new());
+        let problem = Schaffer::new();
         let mut isl = Island::new(0, 5, &cfg);
         isl.init(&problem, cfg.population);
-        assert_eq!(problem.evaluations(), cfg.population as u64);
-        isl.run_epoch(&problem, &cfg, 17);
-        assert_eq!(problem.evaluations(), cfg.population as u64 + 17);
-    }
-
-    #[test]
-    fn empty_island_survives_an_epoch() {
-        let cfg = IslandConfig::quick(1, 100);
-        let mut isl = Island::new(0, 1, &cfg);
-        isl.run_epoch(&Schaffer::new(), &cfg, 5); // no population: no-op
-        assert!(isl.archive.is_empty());
+        for _ in 0..50 {
+            let child = isl.propose(problem.bounds(), &cfg);
+            assert!(problem.bounds().contains(&child), "{child:?}");
+            isl.accept(problem.make_candidate(child));
+        }
+        assert_eq!(isl.population.len(), cfg.population);
     }
 
     #[test]
     fn archive_collects_elites() {
         let cfg = IslandConfig::quick(1, 1000);
+        let problem = Schaffer::new();
         let mut isl = Island::new(0, 9, &cfg);
-        isl.init(&Schaffer::new(), cfg.population);
-        isl.run_epoch(&Schaffer::new(), &cfg, 100);
+        isl.init(&problem, cfg.population);
+        for _ in 0..100 {
+            let child = isl.propose(problem.bounds(), &cfg);
+            isl.accept(problem.make_candidate(child));
+        }
         assert!(!isl.archive.is_empty());
         assert!(isl.archive.len() <= cfg.archive_capacity);
     }

@@ -14,15 +14,20 @@
 //!
 //! ## The epoch / migration / deterministic-merge contract
 //!
-//! Island runs are **bit-reproducible for a fixed seed regardless of
-//! worker count or timing**. The contract that makes this true:
+//! Island runs are **bit-reproducible for a fixed seed regardless of how
+//! the problem evaluates a batch**. The contract that makes this true:
 //!
 //! * Time is divided into **epochs**. Within an epoch, island `i` advances
 //!   by a pre-computed evaluation quota as a *pure function* of its
 //!   epoch-start state and its own RNG ([`Island::seed_for`] derives a
 //!   per-island stream from `(run seed, island index)`); islands share no
-//!   mutable state mid-epoch, so any worker schedule computes the same
-//!   islands.
+//!   mutable state mid-epoch.
+//! * An epoch runs in **lockstep steps**: at each step every island with
+//!   quota left proposes one child ([`Island::propose`]), the children are
+//!   evaluated as one [`mopt::problem::Problem::make_candidates`] batch —
+//!   where the problem's own thread pool parallelises them — and each
+//!   island accepts its child ([`Island::accept`]) in island-index order.
+//!   Each island draws from its RNG in the same order as if it ran alone.
 //! * **Migration** happens only at epoch boundaries (every
 //!   [`IslandConfig::migration_every`] epochs), serially in island-index
 //!   order, from pre-migration archive snapshots: island `i` receives the
@@ -34,9 +39,8 @@
 //!   reference point is **non-decreasing over epochs** (points are only
 //!   ever removed when a dominating point arrives).
 //!
-//! [`IslandConfig::workers`] is therefore a pure throughput knob: the
-//! determinism tests pin that 1, 2 and N workers produce bit-identical
-//! final archives.
+//! The determinism tests pin that batch evaluation with the problem's
+//! pool on and off produces bit-identical final archives.
 //!
 //! Cancellation (via [`mopt::algorithm::RunObserver::cancelled`]) is
 //! honoured at epoch boundaries and returns the sanitized best-so-far

@@ -1,4 +1,4 @@
-//! The island optimizer: epoch loop, worker scheduling, global merge.
+//! The island optimizer: epoch loop, lockstep steps, global merge.
 
 use crate::anytime::AnytimeArchive;
 use crate::config::IslandConfig;
@@ -23,35 +23,30 @@ impl IslandOptimizer {
     }
 }
 
-/// Advances each island by its quota, fanning islands over `workers`
-/// threads. Every island is a pure function of its own state during the
-/// epoch, so the partitioning (and the worker count itself) cannot change
-/// results — only wall time.
+/// Advances each island by its quota in lockstep steps: at step `s`,
+/// every island with quota left proposes one child from its own RNG, the
+/// children are evaluated as one [`Problem::make_candidates`] batch, and
+/// each island then accepts its child, in island-index order. An island
+/// touches only its own state during the epoch, so its RNG draws come in
+/// the same order as if it ran its steps alone: the results are those of
+/// advancing the islands one after another.
 fn advance_islands(
     islands: &mut [Island],
     quotas: &[u64],
     problem: &dyn Problem,
     cfg: &IslandConfig,
-    workers: usize,
 ) {
-    let n = islands.len();
-    let workers = workers.clamp(1, n.max(1));
-    if workers <= 1 || n <= 1 {
-        for (isl, &q) in islands.iter_mut().zip(quotas) {
-            isl.run_epoch(problem, cfg, q);
+    let steps = quotas.iter().copied().max().unwrap_or(0);
+    for step in 0..steps {
+        let active: Vec<usize> = (0..islands.len()).filter(|&i| quotas[i] > step).collect();
+        let children = active
+            .iter()
+            .map(|&i| islands[i].propose(problem.bounds(), cfg))
+            .collect();
+        for (&i, child) in active.iter().zip(problem.make_candidates(children)) {
+            islands[i].accept(child);
         }
-        return;
     }
-    let chunk = n.div_ceil(workers);
-    std::thread::scope(|scope| {
-        for (isls, qs) in islands.chunks_mut(chunk).zip(quotas.chunks(chunk)) {
-            scope.spawn(move || {
-                for (isl, &q) in isls.iter_mut().zip(qs) {
-                    isl.run_epoch(problem, cfg, q);
-                }
-            });
-        }
-    });
 }
 
 impl MoAlgorithm for IslandOptimizer {
@@ -75,13 +70,6 @@ impl MoAlgorithm for IslandOptimizer {
     ) -> RunResult {
         let start = Instant::now();
         let cfg = &self.config;
-        let workers = if cfg.workers == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            cfg.workers
-        };
         let mut islands: Vec<Island> = (0..cfg.islands.max(1))
             .map(|i| Island::new(i, seed, cfg))
             .collect();
@@ -103,8 +91,8 @@ impl MoAlgorithm for IslandOptimizer {
         observer.on_generation(epoch, evals, global.members());
 
         while evals < cfg.max_evaluations && !observer.cancelled() {
-            // Quotas fixed up front, in island-index order, so the budget
-            // split is independent of worker timing.
+            // Quotas fixed up front, in island-index order; an empty
+            // island gets none.
             let mut remaining = cfg.max_evaluations - evals;
             let quotas: Vec<u64> = islands
                 .iter()
@@ -121,7 +109,7 @@ impl MoAlgorithm for IslandOptimizer {
             if spent == 0 {
                 break; // every island is empty: the budget can't be spent
             }
-            advance_islands(&mut islands, &quotas, problem, cfg, workers);
+            advance_islands(&mut islands, &quotas, problem, cfg);
             evals += spent;
             epoch += 1;
             if cfg.migration_every > 0 && epoch.is_multiple_of(cfg.migration_every) {
@@ -175,20 +163,31 @@ mod tests {
     }
 
     #[test]
-    fn bit_identical_across_worker_counts() {
-        let p = Zdt1::new(5);
-        let mut cfg = IslandConfig::quick(4, 800);
-        cfg.workers = 1;
-        let sequential = IslandOptimizer::new(cfg.clone()).run(&p, 9);
-        for workers in [2, 3, 4, 16] {
-            cfg.workers = workers;
-            let parallel = IslandOptimizer::new(cfg.clone()).run(&p, 9);
-            assert_eq!(
-                front_bits(&sequential),
-                front_bits(&parallel),
-                "{workers} workers diverged from sequential"
-            );
-            assert_eq!(sequential.evaluations, parallel.evaluations);
+    fn lockstep_batches_match_islands_advanced_one_by_one() {
+        // Every lockstep step is one batch of one child per island with
+        // quota left; the same islands advanced one at a time, each child
+        // evaluated alone, end in the same state.
+        use mopt::problem::CountingProblem;
+        let p = CountingProblem::new(Zdt1::new(5));
+        let cfg = IslandConfig::quick(3, 600);
+        let mut lockstep: Vec<Island> = (0..3).map(|i| Island::new(i, 9, &cfg)).collect();
+        let mut alone: Vec<Island> = (0..3).map(|i| Island::new(i, 9, &cfg)).collect();
+        for isl in lockstep.iter_mut().chain(alone.iter_mut()) {
+            isl.init(&p, cfg.population);
+        }
+        let quotas = [7, 0, 4];
+        let before = p.evaluations();
+        advance_islands(&mut lockstep, &quotas, &p, &cfg);
+        assert_eq!(p.evaluations() - before, 11, "exactly the quotas");
+        for (isl, &q) in alone.iter_mut().zip(&quotas) {
+            for _ in 0..q {
+                let child = isl.propose(p.bounds(), &cfg);
+                isl.accept(p.make_candidate(child));
+            }
+        }
+        for (a, b) in lockstep.iter().zip(&alone) {
+            assert_eq!(a.population, b.population, "island {}", a.index);
+            assert_eq!(a.archive.members(), b.archive.members());
         }
     }
 

@@ -69,6 +69,13 @@ impl NeighborTable {
     /// per forwarding decision, thousands of times per simulation.
     pub fn live_into(&self, now: f64, expiry: f64, out: &mut Vec<NeighborEntry>) {
         out.clear();
+        self.extend_live(now, expiry, out);
+        // Deterministic order regardless of hash-map iteration.
+        out.sort_by_key(|e| e.id);
+    }
+
+    /// Appends the entries live at `now` to `out`, in hash-map order.
+    pub fn extend_live(&self, now: f64, expiry: f64, out: &mut Vec<NeighborEntry>) {
         out.extend(
             self.entries
                 .iter()
@@ -80,8 +87,17 @@ impl NeighborTable {
                     last_seen,
                 }),
         );
-        // Deterministic order regardless of hash-map iteration.
-        out.sort_by_key(|e| e.id);
+    }
+
+    /// A table holding exactly `entries`, sized to them.
+    pub fn from_entries(entries: &[NeighborEntry]) -> Self {
+        let mut map = HashMap::with_capacity(entries.len());
+        map.extend(
+            entries
+                .iter()
+                .map(|e| (e.id, (e.rx_dbm, e.tx_dbm, e.last_seen))),
+        );
+        Self { entries: map }
     }
 
     /// Evicts entries older than `expiry`.

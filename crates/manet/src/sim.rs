@@ -1317,18 +1317,24 @@ pub struct Simulator<P: Protocol> {
 /// placement, mobility, beacons, grid maintenance and neighbour-table
 /// updates are all protocol-free, so every candidate configuration
 /// simulated on one network shares the same state up to that point. The
-/// tuning problem uses this to simulate that shared prefix once per
-/// network for its whole life; each candidate's tail then runs from the
-/// restored checkpoint only until its broadcast settles
-/// ([`Simulator::run_broadcast`]).
+/// tuning problem keeps one tableless checkpoint per network for its whole
+/// life, at `broadcast_time − neighbor_expiry`; a batch runs each network
+/// from there to the instant before the broadcast once and checkpoints
+/// that edge, and each candidate's tail then runs from the restored edge
+/// only until its broadcast settles ([`Simulator::run_broadcast`]).
 ///
 /// A checkpoint holds only what restore cannot derive, so that one per
 /// network can stay alive (≈ 20 KiB for a 75-node paper world):
 ///
-/// * The neighbour tables: a checkpoint can only be taken more than
-///   `neighbor_expiry` seconds before the broadcast, so every entry
-///   observed up to then has expired by the first instant a protocol can
-///   read a table, and restore starts from empty tables instead.
+/// * The neighbour tables keep only the entries still live at
+///   `broadcast_time`, the first instant a protocol can read a table,
+///   stored flat (one entries `Vec` plus per-node ends). This is exact:
+///   the read filter `now − last_seen <= neighbor_expiry` is monotone in
+///   `now`, so an entry that fails it at the broadcast fails it at every
+///   later read, and readers only see the filtered, id-sorted output. A
+///   checkpoint taken before `broadcast_time − neighbor_expiry` therefore
+///   holds no entries, and one taken exactly there only beacons received
+///   at that very instant.
 /// * The SoA kinematic snapshot: it always mirrors the mobility segments
 ///   (kept so by every re-anchor), so restore rebuilds it from them.
 /// * The broadcast metrics: nothing records into them before the
@@ -1346,6 +1352,11 @@ pub struct Checkpoint {
     queue: EventQueue<Event>,
     in_flight: InFlight,
     mobility: Vec<AnyMobility>,
+    /// Every node's neighbour entries live at the broadcast, node by node.
+    neighbors: Vec<NeighborEntry>,
+    /// Node `i`'s entries are `neighbors[neighbor_ends[i - 1]..neighbor_ends[i]]`,
+    /// starting at 0 for node 0.
+    neighbor_ends: Vec<u32>,
     rng: SmallRng,
     live: Vec<Transmission>,
     frames: SpatialActiveWindow<Transmission>,
@@ -1594,11 +1605,13 @@ impl<P: Protocol> Simulator<P> {
     /// [`Flooding`](crate::protocol::Flooding) restores into a simulator of
     /// any other [`Protocol`].
     ///
+    /// A checkpoint is exact at any instant before the broadcast, up to
+    /// `broadcast_time.next_down()`: it keeps the neighbour entries still
+    /// live at `broadcast_time` (see [`Checkpoint`]), so one taken at or
+    /// before `broadcast_time − neighbor_expiry` carries (next to) none.
+    ///
     /// # Panics
-    /// Panics if the broadcast has started, or if it starts within
-    /// `neighbor_expiry` seconds of now: a checkpoint omits the neighbour
-    /// tables, which is exact only while every entry observed so far is
-    /// guaranteed to have expired when the broadcast starts.
+    /// Panics if the broadcast has started.
     pub fn checkpoint(&self) -> Checkpoint {
         // Exhaustive on purpose: a new `World` field fails to compile here
         // until someone decides whether a checkpoint must carry it.
@@ -1610,8 +1623,7 @@ impl<P: Protocol> Simulator<P> {
             queue,
             in_flight,
             mobility,
-            // Expired by the broadcast (asserted below): restore clears them.
-            tables: _,
+            tables,
             rng,
             live,
             frames,
@@ -1638,13 +1650,10 @@ impl<P: Protocol> Simulator<P> {
             mode,
             profile_on: _,
         } = &self.world;
-        let now = queue.now();
         assert!(
-            !*broadcast_started && spec.broadcast_time - now > spec.neighbor_expiry,
-            "checkpoint at t = {now} s: neighbour tables could still be read at the \
-             broadcast (t = {} s, expiry {} s)",
-            spec.broadcast_time,
-            spec.neighbor_expiry
+            !*broadcast_started,
+            "checkpoint at t = {} s: the broadcast has started",
+            queue.now()
         );
         debug_assert_eq!(*protocol_pending, 0, "nothing calls the protocol yet");
         debug_assert_eq!(
@@ -1656,6 +1665,18 @@ impl<P: Protocol> Simulator<P> {
             (0..*n_nodes).all(|i| snapshot.segment(i) == mobility[i].segment()),
             "the snapshot mirrors the mobility segments"
         );
+        // Only entries live at the broadcast can ever be read again; the
+        // capacity is trimmed to them, so a prefix kept for a problem's
+        // life allocates nothing here.
+        let mut neighbors = Vec::new();
+        let neighbor_ends = tables
+            .iter()
+            .map(|t| {
+                t.extend_live(spec.broadcast_time, spec.neighbor_expiry, &mut neighbors);
+                u32::try_from(neighbors.len()).expect("neighbour entries fit u32")
+            })
+            .collect();
+        neighbors.shrink_to_fit();
         Checkpoint {
             spec: spec.clone(),
             n_nodes: *n_nodes,
@@ -1664,6 +1685,8 @@ impl<P: Protocol> Simulator<P> {
             queue: queue.clone(),
             in_flight: in_flight.clone(),
             mobility: mobility.clone(),
+            neighbors,
+            neighbor_ends,
             rng: rng.clone(),
             live: live.clone(),
             frames: frames.clone(),
@@ -1685,10 +1708,12 @@ impl<P: Protocol> Simulator<P> {
     /// checkpoint's world under this protocol gives, bit for bit — whatever
     /// world this simulator ran before.
     ///
-    /// The neighbour tables start empty, the broadcast metrics initial and
-    /// the kinematic snapshot rebuilt from the mobility segments (see
-    /// [`Checkpoint`]), and the delivery scratch of the previous run is
-    /// re-armed — including every cached sweep event horizon, which
+    /// The neighbour tables are rebuilt from the checkpoint's live entries,
+    /// each sized to its own entries rather than to the capacity this
+    /// simulator's tables grew to before; the broadcast metrics start
+    /// initial and the kinematic snapshot is rebuilt from the mobility
+    /// segments (see [`Checkpoint`]). The delivery scratch of the previous
+    /// run is re-armed — including every cached sweep event horizon, which
     /// described the previous world's cells. The delivery mode is the
     /// checkpoint's; the profiling switch stays this simulator's, and the
     /// profiling and sweep accumulators restart from zero.
@@ -1701,6 +1726,8 @@ impl<P: Protocol> Simulator<P> {
             queue,
             in_flight,
             mobility,
+            neighbors,
+            neighbor_ends,
             rng,
             live,
             frames,
@@ -1721,6 +1748,13 @@ impl<P: Protocol> Simulator<P> {
         w.queue.clone_from(queue);
         w.in_flight.clone_from(in_flight);
         w.mobility.clone_from(mobility);
+        w.tables.clear();
+        let mut start = 0;
+        w.tables.extend(neighbor_ends.iter().map(|&end| {
+            let table = NeighborTable::from_entries(&neighbors[start..end as usize]);
+            start = end as usize;
+            table
+        }));
         w.rng.clone_from(rng);
         w.live.clone_from(live);
         w.frames.clone_from(frames);
@@ -1737,7 +1771,6 @@ impl<P: Protocol> Simulator<P> {
         w.hd_reach = *hd_reach;
         w.capture_ratio_mw = *capture_ratio_mw;
         w.mode = *mode;
-        w.clear_tables(*n_nodes);
         w.delivery_scratch.clear();
         w.reset_query_scratch();
         rearm(&mut self.protocol);
@@ -2228,14 +2261,14 @@ mod tests {
     #[test]
     fn checkpoint_restores_the_paper_prefix() {
         // Table II: broadcast at 30 s, expiry 2.5 s, beacons every 1 s —
-        // the prefix the tuning problem shares is [0, 26.5] s.
+        // the prefix the tuning problem keeps is [0, 27.5] s.
         let c = SimConfig::paper(40, 9);
         let n = c.n_nodes;
         let straight = Simulator::new(c.clone(), Flooding::new(n, (0.0, 0.1))).run();
         let mut sim = Simulator::new(c, Flooding::new(n, (0.0, 0.1)));
-        sim.run_until(26.5);
+        sim.run_until(27.5);
         let at = sim.now();
-        assert!(at <= 26.5 && at > 25.0);
+        assert!(at <= 27.5 && at > 26.0);
         let checkpoint = sim.checkpoint();
         sim.run_to_end();
         sim.restore(&checkpoint, |p| *p = Flooding::new(n, (0.0, 0.1)));
@@ -2290,14 +2323,40 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "neighbour tables could still be read")]
-    fn checkpoint_inside_the_expiry_horizon_panics() {
-        // 28 s is within 2.5 s of the 30 s broadcast: a beacon observed
-        // now would still be live when the protocol first reads a table.
+    fn checkpoints_carry_the_entries_live_at_the_broadcast() {
+        // At `broadcast − expiry` every entry observed so far is stale by
+        // the broadcast; at the edge the tables are full, and the restored
+        // tables read exactly like the donor's from the broadcast on.
+        let c = SimConfig::paper(40, 9);
+        let n = c.n_nodes;
+        let mut sim = Simulator::new(c.clone(), Flooding::new(n, (0.0, 0.1)));
+        sim.run_until(c.broadcast_time - c.neighbor_expiry);
+        assert!(sim.checkpoint().neighbors.is_empty());
+        sim.run_until(c.broadcast_time.next_down());
+        let edge = sim.checkpoint();
+        assert!(edge.neighbors.len() >= n, "{}", edge.neighbors.len());
+        let mut restored = Simulator::new(SimConfig::paper(20, 3), Flooding::new(20, (0.0, 0.1)));
+        restored.restore(&edge, |p| *p = Flooding::new(n, (0.0, 0.1)));
+        let bt = c.broadcast_time;
+        for node in 0..n {
+            let live = sim.world.tables[node].live(bt, c.neighbor_expiry);
+            assert_eq!(
+                restored.world.tables[node].live(bt, c.neighbor_expiry),
+                live
+            );
+            assert_eq!(restored.world.tables[node].len(), live.len());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "the broadcast has started")]
+    fn checkpoint_after_the_broadcast_start_panics() {
+        // The protocol has run: its state is no longer the same for every
+        // candidate.
         let c = SimConfig::paper(20, 3);
         let n = c.n_nodes;
-        let mut sim = Simulator::new(c, Flooding::new(n, (0.0, 0.1)));
-        sim.run_until(28.0);
+        let mut sim = Simulator::new(c.clone(), Flooding::new(n, (0.0, 0.1)));
+        sim.run_until(c.broadcast_time);
         let _ = sim.checkpoint();
     }
 }

@@ -93,7 +93,7 @@
 use crate::geometry::{Field, Vec2};
 use crate::mobility::MobilityModel;
 use crate::radio::RadioConfig;
-use crate::sim::{DeliveryMode, NodeId, Placement, SimConfig};
+use crate::sim::{DeliveryMode, NodeId, Placement, SimConfig, GRID_BUCKET_SLACK_M};
 use serde::{Deserialize, Serialize};
 
 /// How one group's initial positions are chosen. Every variant draws (or
@@ -232,7 +232,10 @@ pub enum WorldError {
     PlacementOutsideField(usize),
     /// A placement rectangle is inverted or degenerate.
     EmptyPlacementRect(usize),
-    /// A group's speed range is negative, inverted or non-finite.
+    /// A group's speed range is negative, inverted or non-finite, or its
+    /// top speed is so high that a grid refresh [`GRID_BUCKET_SLACK_M`]
+    /// metres away would be scheduled at the current instant by
+    /// `end_time`, so the run could never advance.
     BadSpeedRange(usize),
     /// `end_time < broadcast_time`.
     BadTimes,
@@ -359,7 +362,8 @@ impl WorldSpec {
                 return Err(WorldError::EmptyGroup(gi));
             }
             let (lo, hi) = g.speed_range;
-            if !(lo >= 0.0 && hi >= lo && hi.is_finite()) {
+            let stalls = self.end_time + GRID_BUCKET_SLACK_M / g.max_speed() == self.end_time;
+            if !(lo >= 0.0 && hi >= lo && hi.is_finite()) || stalls {
                 return Err(WorldError::BadSpeedRange(gi));
             }
             match &g.placement {
@@ -1052,6 +1056,13 @@ mod tests {
             b().group(NodeGroup::new(3).speed_range(2.0, 1.0))
                 .build()
                 .unwrap_err(),
+            WorldError::BadSpeedRange(1)
+        );
+        // At 1e300 m/s a 0.1 m grid refresh lands at `now` itself, so the
+        // run would livelock: the spec parses but must not validate.
+        let probe = DenseScenario::parse_spec("3@200+1:speed0-1e300").expect("parses");
+        assert_eq!(
+            probe.world_spec(0).validate().unwrap_err(),
             WorldError::BadSpeedRange(1)
         );
         assert!(matches!(

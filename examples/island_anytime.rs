@@ -7,8 +7,9 @@
 //!    epochs stream [`JobEvent::AnytimeFront`] snapshots of the global
 //!    anytime archive — the best-so-far front, improving monotonically,
 //! 2. the *same* campaign run **directly** through [`IslandOptimizer`]
-//!    with more workers — bit-identical, because epochs are deterministic
-//!    barriers and the merge order is fixed,
+//!    with the problem's batch pool off — bit-identical, because each
+//!    island draws from its own RNG in a fixed order and the merge order
+//!    is fixed,
 //! 3. a long campaign **cancelled mid-run**: the stream has already
 //!    delivered the best-so-far front, so cancellation loses nothing.
 //!
@@ -67,11 +68,10 @@ fn main() {
     let service_front = &campaign.reps[0].front;
     println!("  finished: terminal front size {}", service_front.len());
 
-    // 2. The same run, directly and with a different worker count. The
-    //    worker knob only changes throughput — never the result.
-    let problem = AedbProblem::paper(spec.scenario.clone()).with_parallel_batches(true);
-    let mut cfg = IslandConfig::quick(2, spec.budget.evals);
-    cfg.workers = 4;
+    // 2. The same run, directly and with every batch evaluated on one
+    //    thread. The pool only changes throughput — never the result.
+    let problem = AedbProblem::paper(spec.scenario.clone()).with_parallel_batches(false);
+    let cfg = IslandConfig::quick(2, spec.budget.evals);
     let direct = IslandOptimizer::new(cfg).run(&problem, 0xBEEF); // rep 0's seed
     let bits = |front: &[Candidate]| -> Vec<Vec<u64>> {
         front
@@ -82,9 +82,9 @@ fn main() {
     assert_eq!(
         bits(service_front),
         bits(&direct.front),
-        "4 workers diverged from the service run"
+        "the sequential batches diverged from the service run"
     );
-    println!("\n== direct 4-worker run is bit-identical to the service run ==");
+    println!("\n== direct sequential-batch run is bit-identical to the service run ==");
 
     // 3. Cancellation at an epoch boundary keeps the streamed front.
     let job = service.submit(

@@ -124,8 +124,7 @@ const GOLDEN_FRONTS: [(&str, (usize, u64)); 5] = [
 
 #[test]
 fn golden_fronts_pin_every_optimizer() {
-    let mut island = IslandConfig::quick(2, 40);
-    island.workers = 2;
+    let island = IslandConfig::quick(2, 40);
     let algorithms: [Box<dyn MoAlgorithm>; 5] = [
         Box::new(Nsga2::new(Nsga2Config {
             population: 8,
@@ -159,8 +158,9 @@ fn golden_fronts_pin_every_optimizer() {
 fn mls_evaluates_each_round_as_one_checkpointed_batch() {
     // P·T walkers, E evaluations each, N networks, cache off, one thread:
     // the starts and every round are one batch of P·T fresh candidates.
-    // Each network's prefix is simulated once for the problem's life and
-    // every simulation restores it.
+    // Each network's prefix is simulated once for the problem's life;
+    // every batch runs each network to its broadcast edge once, and every
+    // simulation restores.
     let (pops, walkers, evals) = (2u64, 2u64, 5u64);
     let problem = AedbProblem::paper(Scenario::quick(Density::D100, 2))
         .with_eval_cache(false)
@@ -180,6 +180,7 @@ fn mls_evaluates_each_round_as_one_checkpointed_batch() {
             simulations: pt * evals * n,
             checkpoints: n,
             restores: pt * evals * n,
+            edges: evals * n,
             settled: 35,
         }
     );

@@ -1,5 +1,5 @@
 //! Integration tests of the island optimizer (`crates/island`): seed
-//! determinism across repeated runs and worker counts on the real AEDB
+//! determinism across repeated runs and batch modes on the real AEDB
 //! problem, and the anytime-front stream through the resident service
 //! (`JobEvent::AnytimeFront` epochs, monotone hypervolume, cancellation,
 //! archive replay).
@@ -28,31 +28,29 @@ fn island_campaign(evals: u64, reps: usize) -> CampaignSpec {
 }
 
 #[test]
-fn island_runs_bit_reproducible_on_aedb_across_runs_and_workers() {
+fn island_runs_bit_reproducible_on_aedb_across_runs_and_batch_modes() {
     // The acceptance criterion: fixed seeds ⇒ identical final archive,
-    // regardless of how many workers advance the islands — on the real
-    // tuning problem, not just the synthetic test functions.
-    let problem =
+    // whether the problem evaluates each lockstep batch on one thread or
+    // across its pool — on the real tuning problem, not just the
+    // synthetic test functions.
+    let sequential =
         AedbProblem::paper(Scenario::quick(Density::D100, 2)).with_parallel_batches(false);
-    let mut cfg = IslandConfig::quick(2, 60);
-    cfg.workers = 1;
-    let baseline = IslandOptimizer::new(cfg.clone()).run(&problem, 0xBEEF);
-    let again = IslandOptimizer::new(cfg.clone()).run(&problem, 0xBEEF);
+    let cfg = IslandConfig::quick(2, 60);
+    let baseline = IslandOptimizer::new(cfg.clone()).run(&sequential, 0xBEEF);
+    let again = IslandOptimizer::new(cfg.clone()).run(&sequential, 0xBEEF);
     assert_eq!(
         front_bits(&baseline.front),
         front_bits(&again.front),
         "repeated run diverged"
     );
-    for workers in [2, 4] {
-        cfg.workers = workers;
-        let parallel = IslandOptimizer::new(cfg.clone()).run(&problem, 0xBEEF);
-        assert_eq!(
-            front_bits(&baseline.front),
-            front_bits(&parallel.front),
-            "{workers} workers diverged from sequential"
-        );
-        assert_eq!(baseline.evaluations, parallel.evaluations);
-    }
+    let pooled = AedbProblem::paper(Scenario::quick(Density::D100, 2));
+    let parallel = IslandOptimizer::new(cfg).run(&pooled, 0xBEEF);
+    assert_eq!(
+        front_bits(&baseline.front),
+        front_bits(&parallel.front),
+        "pooled batches diverged from sequential ones"
+    );
+    assert_eq!(baseline.evaluations, parallel.evaluations);
 }
 
 #[test]

@@ -811,12 +811,13 @@ proptest! {
         neighbors in 0.0f64..50.0,
     ) {
         // The checkpoint guarantee behind the tuning problem's per-network
-        // prefix cache: a checkpoint taken anywhere before `broadcast −
-        // expiry` under one protocol — with frames on the air or not —
-        // restored again and again into a simulator that ran another
-        // (larger) world under another protocol in between, runs on to
-        // exactly the report of a straight run — for both delivery modes,
-        // shadowing and heterogeneous power/mobility mix.
+        // prefix and per-job broadcast edge: a checkpoint taken anywhere
+        // before the broadcast — up to its edge, `broadcast.next_down()`,
+        // with live neighbour entries, frames on the air or not — under
+        // one protocol, restored again and again into a simulator that ran
+        // another (larger) world under another protocol in between, runs
+        // on to exactly the report of a straight run — for both delivery
+        // modes, shadowing and heterogeneous power/mobility mix.
         use manet::mobility::MobilityModel;
         use manet::world::{NodeGroup, WorldSpec};
         let mode = [DeliveryMode::Incremental, DeliveryMode::Naive][mode_i];
@@ -861,7 +862,7 @@ proptest! {
         let straight_aedb = Simulator::from_world(&spec, Aedb::new(n, params)).run();
 
         let mut donor = Simulator::from_world(&spec, flooding());
-        let limit = spec.broadcast_time - spec.neighbor_expiry - 1e-3;
+        let limit = spec.broadcast_time.next_down();
         donor.run_until(at * limit);
         let checkpoint = donor.checkpoint();
         // The donor runs on in place as if never checkpointed.
@@ -875,11 +876,17 @@ proptest! {
         let mut t = at * (limit - 1.0);
         probe.run_until(t);
         while probe.on_air() == 0 && t < limit {
-            t += 1e-4;
+            t = (t + 1e-4).min(limit);
             probe.run_until(t);
         }
         prop_assert!(probe.on_air() > 0, "no frame on the air before {} s", limit);
         let on_air = probe.checkpoint();
+
+        // A third pinned exactly at the edge, with the neighbour tables
+        // full.
+        let mut edger = Simulator::from_world(&spec, flooding());
+        edger.run_until(limit);
+        let edge = edger.checkpoint();
 
         // A pooled AEDB simulator, as the tuning problem keeps them: it
         // restores each checkpoint again and again, and runs another
@@ -888,7 +895,11 @@ proptest! {
         let big = build(seed + 1, field_side + 300.0, n_walk + 20, shadowed_i == 0);
         let mut dirty = Simulator::from_world(&big, Aedb::new(big.n_nodes(), params));
         for _ in 0..2 {
-            for (cp, frames) in [(&checkpoint, None), (&on_air, Some(probe.on_air()))] {
+            for (cp, frames) in [
+                (&checkpoint, None),
+                (&on_air, Some(probe.on_air())),
+                (&edge, Some(edger.on_air())),
+            ] {
                 dirty.reset_world_with(&big, |p| p.reset(big.n_nodes(), params));
                 dirty.run_until(at * big.end_time);
                 dirty.restore(cp, |p| p.reset(n, params));
@@ -902,7 +913,7 @@ proptest! {
         }
 
         // ... and back under flooding, into the donor that just finished.
-        for cp in [&checkpoint, &on_air] {
+        for cp in [&checkpoint, &on_air, &edge] {
             donor.restore(cp, |p| *p = flooding());
             let again = donor.run_to_end();
             prop_assert_eq!(&again.broadcast, &straight_flooding.broadcast);
@@ -936,15 +947,19 @@ fn check_settle_parity<P: Protocol>(
     prop_assert!(!sim.stopped_before_end());
 
     // Restored: a pooled simulator stopped in mid-run on another world
-    // resumes from a checkpoint of this one.
+    // resumes from a checkpoint of this one, taken before the broadcast
+    // or at its edge, with the neighbour tables full.
     let mut donor = fresh(spec);
-    donor.run_until(at * (spec.broadcast_time - spec.neighbor_expiry - 1e-3));
-    let checkpoint = donor.checkpoint();
-    let mut pooled = fresh(other);
-    pooled.run_broadcast();
-    pooled.restore(&checkpoint, |p| *p = make(n));
-    prop_assert_eq!(pooled.run_broadcast(), &full.broadcast);
-    prop_assert_eq!(pooled.stopped_before_end(), stopped);
+    let before = at * (spec.broadcast_time - spec.neighbor_expiry - 1e-3);
+    for t in [before, spec.broadcast_time.next_down()] {
+        donor.run_until(t);
+        let checkpoint = donor.checkpoint();
+        let mut pooled = fresh(other);
+        pooled.run_broadcast();
+        pooled.restore(&checkpoint, |p| *p = make(n));
+        prop_assert_eq!(pooled.run_broadcast(), &full.broadcast);
+        prop_assert_eq!(pooled.stopped_before_end(), stopped);
+    }
 
     // Re-armed: a simulator stopped in mid-run, reset for this world,
     // reproduces a fresh simulator's full report.

@@ -207,10 +207,10 @@ mod tests {
 
     fn run<P: Protocol>(make: impl Fn(usize) -> P, seed_offset: u64) -> manet::sim::SimReport {
         let scenario = Scenario::quick(Density::D200, 1);
-        let mut cfg = scenario.sim_config(0);
-        cfg.seed += seed_offset;
-        let n = cfg.n_nodes;
-        Simulator::new(cfg, make(n)).run()
+        let mut world = scenario.world(0);
+        world.seed += seed_offset;
+        let n = world.n_nodes();
+        Simulator::from_world(&world, make(n)).run()
     }
 
     #[test]

@@ -105,7 +105,6 @@ pub struct AedbProblem {
     /// network is simulated (see `simulate_network`).
     prefixes: Vec<OnceLock<Checkpoint>>,
     bounds: Bounds,
-    parallel: bool,
     /// Whether [`Problem::evaluate_batch`] fans its jobs over the thread
     /// pool (`true` by default). Turned off when a caller shards *whole
     /// repetitions* across the pool instead (`bench::runner`), so the two
@@ -162,7 +161,6 @@ impl AedbProblem {
             prefixes: (0..scenario.n_networks).map(|_| OnceLock::new()).collect(),
             scenario,
             bounds: AedbParams::bounds(),
-            parallel: false,
             parallel_batches: true,
             cache: Some(Mutex::new(HashMap::new())),
             cache_hits: AtomicU64::new(0),
@@ -174,14 +172,6 @@ impl AedbProblem {
             settled: AtomicU64::new(0),
             cache_store: None,
         }
-    }
-
-    /// Enables the thread pool across the scenario's networks for callers
-    /// that evaluate one candidate at a time (sensitivity analysis,
-    /// examples). Batch evaluation always parallelises.
-    pub fn with_parallel_sims(mut self, on: bool) -> Self {
-        self.parallel = on;
-        self
     }
 
     /// Enables/disables the quantized evaluation cache (on by default).
@@ -590,15 +580,13 @@ impl AedbProblem {
     }
 
     /// Whether a lone candidate's networks should fan out over the thread
-    /// pool: always when [`with_parallel_sims`](Self::with_parallel_sims)
-    /// asked for it, and **automatically for dense campaigns** — there a
-    /// single candidate is hundreds-to-10⁴-node simulations, so leaving
-    /// nine cores idle per candidate dominates end-to-end time. Gated on
-    /// `parallel_batches` so callers that shard whole repetitions across
-    /// the pool (`bench::runner`) keep a single layer of parallelism.
+    /// pool: only for **dense campaigns** — there a single candidate is
+    /// hundreds-to-10⁴-node simulations, so leaving nine cores idle per
+    /// candidate dominates end-to-end time. Gated on `parallel_batches` so
+    /// callers that shard whole repetitions across the pool
+    /// (`bench::runner`) keep a single layer of parallelism.
     fn parallel_single_candidate(&self) -> bool {
-        self.parallel
-            || (self.parallel_batches && self.scenario.is_dense() && self.scenario.n_networks > 1)
+        self.parallel_batches && self.scenario.is_dense() && self.scenario.n_networks > 1
     }
 
     /// Full evaluation: averages the observables over all networks —
@@ -782,12 +770,13 @@ mod tests {
 
     #[test]
     fn parallel_matches_sequential() {
+        // A one-candidate batch fans its networks over the pool; a lone
+        // evaluate runs them in sequence.
         let x = AedbParams::default_config().to_vec();
         let seq = AedbProblem::paper(Scenario::quick(Density::D100, 4)).evaluate(&x);
         let par = AedbProblem::paper(Scenario::quick(Density::D100, 4))
-            .with_parallel_sims(true)
-            .evaluate(&x);
-        assert_eq!(seq.objectives, par.objectives);
+            .evaluate_batch(std::slice::from_ref(&x));
+        assert_eq!(seq.objectives, par[0].objectives);
     }
 
     #[test]
@@ -966,10 +955,10 @@ mod tests {
 
     #[test]
     fn sim_stats_keep_one_checkpoint_per_network_across_entry_points() {
-        // Parallel batches, evaluate_full's per-network fan-out and
-        // simulate_one all fill and share the same per-network slots, even
-        // when several threads reach an empty slot at once.
-        let p = AedbProblem::paper(Scenario::quick(Density::D100, 3)).with_parallel_sims(true);
+        // Parallel batches, evaluate_full and simulate_one all fill and
+        // share the same per-network slots, even when several batch jobs
+        // reach an empty slot at once.
+        let p = AedbProblem::paper(Scenario::quick(Density::D100, 3));
         let xs: Vec<Vec<f64>> = (0..6)
             .map(|i| {
                 vec![
@@ -1212,12 +1201,11 @@ mod tests {
 
     #[test]
     fn paper_scale_single_candidate_stays_sequential() {
-        // Paper-scale problems keep the historical sequential single-
-        // candidate path unless with_parallel_sims opts in: thousands of
-        // 25–75-node simulations parallelise better one layer up.
+        // Paper-scale problems keep the sequential single-candidate path:
+        // thousands of 25–75-node simulations parallelise better one
+        // layer up.
         let p = AedbProblem::paper(Scenario::quick(Density::D100, 2));
         assert!(!p.parallel_single_candidate());
-        assert!(p.with_parallel_sims(true).parallel_single_candidate());
     }
 
     #[test]

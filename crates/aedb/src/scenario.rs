@@ -6,10 +6,6 @@
 //! is evaluated on **10 fixed networks**: the same 10 seeds for every
 //! candidate configuration.
 
-use manet::geometry::Field;
-use manet::mobility::MobilityModel;
-use manet::radio::RadioConfig;
-use manet::sim::SimConfig;
 use manet::world::WorldSpec;
 use serde::{Deserialize, Serialize};
 
@@ -149,48 +145,17 @@ impl Scenario {
 
     /// Compiles evaluation network `k` into a [`WorldSpec`] — the single
     /// path every evaluation takes into the simulator
-    /// (`Simulator::from_world`), covering heterogeneous dense scenarios
-    /// the flat [`sim_config`](Self::sim_config) cannot express. For
-    /// homogeneous scenarios the compiled world is exactly
-    /// `sim_config(k).to_world()`, so the tuning problem's networks are
-    /// bit-identical to the historical `SimConfig` pipeline.
+    /// (`Simulator::from_world`): Table II verbatim
+    /// ([`WorldSpec::paper`]), or the dense override's
+    /// [`world_spec`](DenseScenario::world_spec) when one is set, on
+    /// network seed [`network_seed(k)`](Self::network_seed).
     pub fn world(&self, k: usize) -> WorldSpec {
-        if let Some(d) = &self.dense {
-            let mut w = d.world_spec(0);
-            w.seed = self.network_seed(k);
-            return w;
-        }
-        self.sim_config(k).to_world()
-    }
-
-    /// The simulator configuration of evaluation network `k` — Table II
-    /// verbatim (500 m field, random walk at [0,2] m/s with 20 s direction
-    /// changes, 16.02 dBm default power, broadcast at 30 s, end at 40 s),
-    /// or the dense override's scaled field when one is set. Panics for
-    /// heterogeneous dense scenarios — those only compile through
-    /// [`world`](Self::world).
-    pub fn sim_config(&self, k: usize) -> SimConfig {
-        if let Some(d) = &self.dense {
-            let mut c = d.sim_config(0);
-            c.seed = self.network_seed(k);
-            return c;
-        }
-        SimConfig {
-            field: Field::paper(),
-            n_nodes: self.density.n_nodes(),
-            speed_range: (0.0, 2.0),
-            mobility: MobilityModel::RandomWalk {
-                change_interval: 20.0,
-            },
-            radio: RadioConfig::paper(),
-            beacon_interval: 1.0,
-            neighbor_expiry: 2.5,
-            broadcast_time: 30.0,
-            end_time: 40.0,
-            source: 0,
-            seed: self.network_seed(k),
-            placement: manet::sim::Placement::UniformRandom,
-        }
+        let mut w = match &self.dense {
+            Some(d) => d.world_spec(0),
+            None => WorldSpec::paper(self.density.n_nodes(), 0),
+        };
+        w.seed = self.network_seed(k);
+        w
     }
 }
 
@@ -215,18 +180,26 @@ mod tests {
 
     #[test]
     fn paper_scenario_matches_table_ii() {
-        let s = Scenario::paper(Density::D200);
-        assert_eq!(s.n_networks, 10);
-        let c = s.sim_config(0);
-        assert_eq!(c.n_nodes, 50);
-        assert_eq!(c.field.width, 500.0);
-        assert_eq!(c.speed_range, (0.0, 2.0));
-        assert_eq!(c.radio.default_tx_dbm, 16.02);
-        assert_eq!(c.broadcast_time, 30.0);
-        assert_eq!(c.end_time, 40.0);
-        assert!(
-            matches!(c.mobility, MobilityModel::RandomWalk { change_interval } if change_interval == 20.0)
-        );
+        // Table II itself is pinned on `WorldSpec::paper`; every paper
+        // scenario's network is exactly that world on its fixed seed.
+        for d in Density::ALL {
+            let s = Scenario::paper(d);
+            assert_eq!(s.n_networks, 10);
+            for k in 0..s.n_networks {
+                assert_eq!(s.world(k), WorldSpec::paper(d.n_nodes(), s.network_seed(k)));
+            }
+        }
+    }
+
+    #[test]
+    fn homogeneous_dense_worlds_differ_from_paper_only_in_field_and_shadowing() {
+        let d = DenseScenario::new(200, 500).with_shadowing(4.0);
+        let w = d.world_spec(3);
+        let mut paper = WorldSpec::paper(500, d.base_seed + 3);
+        assert_ne!(w, paper);
+        paper.field = d.field();
+        paper.radio.shadowing_sigma_db = 4.0;
+        assert_eq!(w, paper);
     }
 
     #[test]
@@ -271,8 +244,8 @@ mod tests {
         let s = Scenario::dense(d.clone(), 4);
         assert_eq!(s.n_networks, 4);
         assert_eq!(s.label(), d.to_string());
-        let c = s.sim_config(2);
-        assert_eq!(c.n_nodes, 500);
+        let c = s.world(2);
+        assert_eq!(c.n_nodes(), 500);
         assert_eq!(c.seed, d.base_seed + 2);
         assert_eq!(c.radio.shadowing_sigma_db, 4.0);
         // scaled field holds the density, physical setup stays Table II
@@ -280,7 +253,7 @@ mod tests {
         assert_eq!(c.radio.default_tx_dbm, 16.02);
         assert_eq!(c.broadcast_time, 30.0);
         // distinct fixed networks
-        assert_ne!(s.sim_config(0).seed, s.sim_config(1).seed);
+        assert_ne!(s.world(0).seed, s.world(1).seed);
     }
 
     #[test]

@@ -26,9 +26,10 @@ fn bench_single_simulation(c: &mut Criterion) {
                 let scenario = Scenario::paper(density);
                 let params = AedbParams::default_config();
                 b.iter(|| {
-                    let cfg = scenario.sim_config(0);
-                    let n = cfg.n_nodes;
-                    let report = Simulator::new(cfg, Aedb::new(n, black_box(params))).run();
+                    let world = scenario.world(0);
+                    let n = world.n_nodes();
+                    let report =
+                        Simulator::from_world(&world, Aedb::new(n, black_box(params))).run();
                     black_box(report.broadcast.coverage())
                 });
             },
@@ -59,9 +60,9 @@ fn bench_flooding_baseline(c: &mut Criterion) {
     c.bench_function("flooding_simulation_d200", |b| {
         let scenario = Scenario::paper(Density::D200);
         b.iter(|| {
-            let cfg = scenario.sim_config(0);
-            let n = cfg.n_nodes;
-            let report = Simulator::new(cfg, Flooding::new(n, (0.0, 0.1))).run();
+            let world = scenario.world(0);
+            let n = world.n_nodes();
+            let report = Simulator::from_world(&world, Flooding::new(n, (0.0, 0.1))).run();
             black_box(report.broadcast.coverage())
         });
     });
@@ -90,17 +91,17 @@ fn bench_deliveries_grid_vs_naive(c: &mut Criterion) {
             let path = if naive { "naive" } else { "grid" };
             let id = BenchmarkId::new(format!("{prefix}{path}"), scenario.per_km2);
             g.bench_with_input(id, &naive, |b, &naive| {
-                let cfg = scenario.sim_config(0);
-                let n = cfg.n_nodes;
-                let mut sim =
-                    Simulator::new(cfg.clone(), Aedb::new(n, AedbParams::default_config()));
-                sim.set_delivery_mode(if naive {
+                let mut world = scenario.world_spec(0);
+                world.delivery_mode = if naive {
                     DeliveryMode::Naive
                 } else {
                     DeliveryMode::Incremental
-                });
+                };
+                let n = world.n_nodes();
+                let mut sim =
+                    Simulator::from_world(&world, Aedb::new(n, AedbParams::default_config()));
                 b.iter(|| {
-                    sim.reset_with(cfg.clone(), |p| p.reset(n, AedbParams::default_config()));
+                    sim.reset_world_with(&world, |p| p.reset(n, AedbParams::default_config()));
                     sim.run_to_end().broadcast.coverage()
                 });
             });
@@ -115,7 +116,7 @@ fn bench_deliveries_grid_vs_naive(c: &mut Criterion) {
 /// right now":
 ///
 /// * `snapshot_soa` — walk the grid cells straight into a filter over the
-///   SoA kinematic lanes (the incremental delivery query),
+///   kinematic snapshot records (the incremental delivery query),
 /// * `dyn_mobility` — same walk, but each position through the virtual
 ///   `dyn Mobility` dispatch (the historical incremental filter).
 fn bench_candidate_filter(c: &mut Criterion) {
@@ -145,15 +146,14 @@ fn bench_candidate_filter(c: &mut Criterion) {
             ))
         })
         .collect();
-    let scenario_cfg = aedb::scenario::DenseScenario::new(400, n).sim_config(0);
+    let scenario_cfg = aedb::scenario::DenseScenario::new(400, n).world_spec(0);
     let radius = scenario_cfg.radio.default_range();
     // Probe the simulator's actual cell sizing instead of duplicating its
     // (private) divisor constant — retuning it retunes this bench too.
     let cell = {
         let mut probe = scenario_cfg;
-        probe.n_nodes = 1;
-        probe.source = 0;
-        Simulator::new(probe, manet::protocol::SourceOnly).grid_cell_size()
+        probe.groups[0].n = 1;
+        Simulator::from_world(&probe, manet::protocol::SourceOnly).grid_cell_size()
     };
     let mut grid = SpatialGrid::new(field, cell);
     grid.rebuild(n, |i| mobility[i].position(0.0));
@@ -242,13 +242,12 @@ fn bench_lane_sweep(c: &mut Criterion) {
             ))
         })
         .collect();
-    let scenario_cfg = aedb::scenario::DenseScenario::new(400, n).sim_config(0);
+    let scenario_cfg = aedb::scenario::DenseScenario::new(400, n).world_spec(0);
     let radius = scenario_cfg.radio.default_range();
     let cell = {
         let mut probe = scenario_cfg;
-        probe.n_nodes = 1;
-        probe.source = 0;
-        Simulator::new(probe, manet::protocol::SourceOnly).grid_cell_size()
+        probe.groups[0].n = 1;
+        Simulator::from_world(&probe, manet::protocol::SourceOnly).grid_cell_size()
     };
     let mut grid = SpatialGrid::new(field, cell);
     grid.rebuild(n, |i| mobility[i].position(0.0));

@@ -29,12 +29,11 @@ fn main() {
         let scenario = Scenario::quick(density, scale.networks);
         let mut mean_src = 0.0;
         for k in 0..scenario.n_networks {
-            let cfg = scenario.sim_config(k);
-            let radio = cfg.radio;
-            let mut sim = Simulator::new(cfg, SourceOnly);
+            let world = scenario.world(k);
+            let mut sim = Simulator::from_world(&world, SourceOnly);
             sim.run_until(30.0);
             let pos = sim.positions_at(30.0);
-            let s = connectivity_stats(&pos, &radio);
+            let s = connectivity_stats(&pos, &world.radio);
             mean_src += s.source_component as f64 / scenario.n_networks as f64;
             t.row(vec![
                 density.to_string(),

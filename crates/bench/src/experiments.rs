@@ -21,14 +21,17 @@ use mopt::stats::{boxplot, compare_samples, Comparison};
 pub fn exp_config() {
     println!("== Table II: configuration of the simulated networks ==");
     let mut t = Table::new(vec!["parameter", "value"]);
-    let c = Scenario::paper(Density::D100).sim_config(0);
+    let c = Scenario::paper(Density::D100).world(0);
     t.row(vec![
         "devices/km²".to_string(),
         "100, 200, 300 (25/50/75 nodes)".to_string(),
     ]);
     t.row(vec![
         "speed".to_string(),
-        format!("[{}, {}] m/s", c.speed_range.0, c.speed_range.1),
+        format!(
+            "[{}, {}] m/s",
+            c.groups[0].speed_range.0, c.groups[0].speed_range.1
+        ),
     ]);
     t.row(vec![
         "area".to_string(),
@@ -40,7 +43,7 @@ pub fn exp_config() {
     ]);
     t.row(vec![
         "dir. & speed change".to_string(),
-        match c.mobility {
+        match c.groups[0].mobility {
             manet::mobility::MobilityModel::RandomWalk { change_interval } => {
                 format!("every {change_interval} s (random walk)")
             }
@@ -49,7 +52,10 @@ pub fn exp_config() {
     ]);
     t.row(vec![
         "warm-up / broadcast / end".to_string(),
-        format!("{} s / {} s / {} s", 30, 30, 40),
+        format!(
+            "{} s / {} s / {} s",
+            c.broadcast_time, c.broadcast_time, c.end_time
+        ),
     ]);
     t.row(vec![
         "fixed networks per evaluation".to_string(),

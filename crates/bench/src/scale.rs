@@ -409,12 +409,12 @@ mod tests {
         // 500 nodes at 200/km² need 2.5 km² => side ≈ 1581 m
         assert!((field.area() - 2.5e6).abs() < 1.0, "area {}", field.area());
         assert!((field.width - 1581.14).abs() < 0.1);
-        let c = d.sim_config(0);
-        assert_eq!(c.n_nodes, 500);
+        let c = d.world_spec(0);
+        assert_eq!(c.n_nodes(), 500);
         assert_eq!(c.radio.default_tx_dbm, 16.02);
         // fixed networks: seeds deterministic and distinct
-        assert_eq!(d.sim_config(3).seed, d.sim_config(3).seed);
-        assert_ne!(d.sim_config(0).seed, d.sim_config(1).seed);
+        assert_eq!(d.world_spec(3).seed, d.world_spec(3).seed);
+        assert_ne!(d.world_spec(0).seed, d.world_spec(1).seed);
     }
 
     #[test]
@@ -494,7 +494,7 @@ mod tests {
         assert_eq!(s.dense[0].n_nodes, 2000);
         assert_eq!(s.dense[1].shadowing_sigma_db, 0.0);
         assert_eq!(s.dense[1].n_nodes, 10_000);
-        let c = s.dense[0].sim_config(0);
+        let c = s.dense[0].world_spec(0);
         assert_eq!(c.radio.shadowing_sigma_db, 4.0);
     }
 
@@ -509,12 +509,12 @@ mod tests {
         use manet::protocol::Flooding;
         use manet::sim::{DeliveryMode, Simulator};
         let d = DenseScenario::new(200, 1000).with_shadowing(4.0);
-        let mut cfg = d.sim_config(0);
+        let mut cfg = d.world_spec(0);
         cfg.broadcast_time = 8.0;
         cfg.end_time = 10.0;
-        let n = cfg.n_nodes;
+        let n = cfg.n_nodes();
         let run = |mode: DeliveryMode| {
-            let mut sim = Simulator::new(cfg.clone(), Flooding::new(n, (0.0, 0.1)));
+            let mut sim = Simulator::from_world(&cfg, Flooding::new(n, (0.0, 0.1)));
             sim.set_delivery_mode(mode);
             sim.run_to_end()
         };
@@ -547,11 +547,11 @@ mod tests {
         use manet::sim::Simulator;
         let d = DenseScenario::XL_PRESETS[1].clone();
         assert_eq!(d.n_nodes, 10_000);
-        let mut cfg = d.sim_config(0);
+        let mut cfg = d.world_spec(0);
         cfg.broadcast_time = 0.5;
         cfg.end_time = 1.0;
-        let n = cfg.n_nodes;
-        let report = Simulator::new(cfg, Flooding::new(n, (0.0, 0.1))).run();
+        let n = cfg.n_nodes();
+        let report = Simulator::from_world(&cfg, Flooding::new(n, (0.0, 0.1))).run();
         assert_eq!(report.n_nodes, 10_000);
         assert!(report.counters.beacons_sent >= 5_000);
         assert!(report.broadcast.coverage() > 100);
@@ -565,9 +565,9 @@ mod tests {
         use aedb::protocol::Aedb;
         use manet::sim::Simulator;
         let d = DenseScenario::new(200, 500);
-        let cfg = d.sim_config(0);
-        let n = cfg.n_nodes;
-        let report = Simulator::new(cfg, Aedb::new(n, AedbParams::default_config())).run();
+        let cfg = d.world_spec(0);
+        let n = cfg.n_nodes();
+        let report = Simulator::from_world(&cfg, Aedb::new(n, AedbParams::default_config())).run();
         assert_eq!(report.n_nodes, 500);
         assert!(report.counters.beacons_sent > 10_000);
     }

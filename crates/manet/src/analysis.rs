@@ -171,10 +171,11 @@ mod tests {
         // bounded by the source's component at broadcast time (mobility
         // can only shrink/extend it slightly within one dissemination)
         use crate::protocol::Flooding;
-        use crate::sim::{SimConfig, Simulator};
-        let cfg = SimConfig::paper(30, 99);
-        let n = cfg.n_nodes;
-        let sim = Simulator::new(cfg.clone(), Flooding::new(n, (0.0, 0.05)));
+        use crate::sim::Simulator;
+        use crate::world::WorldSpec;
+        let cfg = WorldSpec::paper(30, 99);
+        let n = cfg.n_nodes();
+        let sim = Simulator::from_world(&cfg, Flooding::new(n, (0.0, 0.05)));
         let report = sim.run();
         // rebuild positions at broadcast time via a fresh simulator's
         // mobility state is non-trivial here; instead assert the loose

@@ -33,9 +33,10 @@
 //! * [`metrics`] — per-broadcast metrics (coverage, energy, forwardings,
 //!   broadcast time) that form the objectives of the tuning problem.
 //!
-//! The simulator is deterministic: the same [`sim::SimConfig`] and seed
-//! always produce the same trajectory, which the paper relies on ("these 10
-//! networks are always the same for evaluating every solution").
+//! The simulator is deterministic: the same [`WorldSpec`] (its seed
+//! included) always produces the same trajectory, which the paper relies
+//! on ("these 10 networks are always the same for evaluating every
+//! solution").
 
 pub mod analysis;
 pub mod events;
@@ -57,6 +58,6 @@ pub use grid::GridStats;
 pub use metrics::BroadcastMetrics;
 pub use protocol::{Protocol, ProtocolApi};
 pub use radio::{dbm_to_mw, mw_to_dbm, PathLoss, RadioConfig, SHADOW_TAIL_SIGMAS};
-pub use sim::{DeliveryMode, NodeId, SimConfig, Simulator, GRID_BUCKET_SLACK_M};
+pub use sim::{DeliveryMode, NodeId, Simulator, GRID_BUCKET_SLACK_M};
 pub use sweep::{DeliverySweep, SweepStats, SWEEP_WIDTH};
 pub use world::{DenseScenario, GroupPlacement, NodeGroup, WorldSpec};

@@ -14,7 +14,7 @@ use crate::geometry::{Field, Vec2};
 use rand::Rng;
 
 /// Which closed-form trajectory family a [`KinematicSegment`] belongs to —
-/// the discriminant the SoA snapshot (`manet::snapshot`) branches on
+/// the discriminant the kinematic snapshot (`manet::snapshot`) branches on
 /// *once per query*, instead of dispatching through `dyn Mobility` per
 /// candidate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,7 +84,7 @@ pub trait Mobility {
     /// The closed-form description of the *current* segment, valid until
     /// the next [`advance`](Mobility::advance). Evaluating the segment per
     /// [`KinematicSegment`]'s contract must reproduce
-    /// [`position`](Mobility::position) bit-for-bit — the SoA snapshot
+    /// [`position`](Mobility::position) bit-for-bit — the kinematic snapshot
     /// layer (`manet::snapshot`) relies on this to keep every delivery
     /// path bit-identical.
     fn segment(&self) -> KinematicSegment;

@@ -11,8 +11,8 @@
 //! [`WorldSpec`](crate::world::WorldSpec) — possibly **heterogeneous**:
 //! several node groups with their own mobility model, placement, speed
 //! range and transmit-power class — and compile into the engine through
-//! [`Simulator::from_world`]; the flat [`SimConfig`] is a single-group
-//! adapter kept for the paper's homogeneous setups.
+//! [`Simulator::from_world`]. The paper's homogeneous setup is
+//! [`WorldSpec::paper`](crate::world::WorldSpec::paper).
 //!
 //! ## Performance architecture — the incremental simulation core
 //!
@@ -28,20 +28,21 @@
 //!   boundary (`distance-to-edge / segment-speed`), and each refresh
 //!   moves the node between cell lists in O(1). Total maintenance is
 //!   proportional to actual cell crossings, not to `n` per time step.
-//! * the **SoA kinematic snapshot** ([`crate::snapshot`]): flat per-node
-//!   lanes of every mobility segment (origin, velocity/displacement,
-//!   start, arrival), refreshed in O(1) from the same mobility-change
-//!   events that re-anchor the grid schedule. The incremental delivery
-//!   query walks grid cells *directly* into a filter over these lanes
-//!   (no intermediate id list, no per-candidate `dyn Mobility` dispatch)
-//!   and hands each survivor's exact position and squared distance
-//!   straight to the outcome test, whose arithmetic is bit-identical to
-//!   the naive oracle's per-receiver test.
+//! * the **kinematic snapshot** ([`crate::snapshot`]): one flat
+//!   cache-line record per node of its mobility segment (origin,
+//!   velocity/displacement, start, arrival), refreshed in O(1) from the
+//!   same mobility-change events that re-anchor the grid schedule. The
+//!   incremental delivery query walks grid cells *directly* into a
+//!   filter over these records (no intermediate id list, no
+//!   per-candidate `dyn Mobility` dispatch) and hands each survivor's
+//!   exact position and squared distance straight to the outcome test,
+//!   whose arithmetic is bit-identical to the naive oracle's
+//!   per-receiver test.
 //! * a **log-free receive test**: each transmission precomputes
 //!   squared-distance decode thresholds (the dB-domain `rx ≥ sensitivity`
 //!   comparison reproduced exactly at precompute time, see
 //!   [`crate::radio::PathLoss::threshold_band_sq`]), so the unshadowed
-//!   decode test is a `d²` compare against the snapshot lanes with no
+//!   decode test is a `d²` compare against the snapshot records with no
 //!   `log10` per candidate; the received power of a decodable candidate
 //!   is deferred until a delivery or capture comparison needs its value.
 //!   Interferers likewise carry precomputed floor/gating radii
@@ -77,9 +78,9 @@
 //! ([`QueryProfile`]), the breakdown `exp_scale` records per
 //! `BENCH_scale.json` row.
 //!
-//! The simulator is also **reusable**: [`Simulator::reset`] re-arms every
-//! pre-allocated structure (event queue, active window, neighbour tables,
-//! mobility states, delivery scratch buffers) for a new configuration
+//! The simulator is also **reusable**: [`Simulator::reset_world`] re-arms
+//! every pre-allocated structure (event queue, active window, neighbour
+//! tables, mobility states, delivery scratch buffers) for a new world
 //! without per-run heap churn — batched evaluation runs thousands of
 //! simulations per optimizer generation. [`Simulator::checkpoint`] and
 //! [`Simulator::restore`] go one step further: the state before the
@@ -140,80 +141,6 @@ pub enum DeliveryMode {
     /// Exact O(n) scan of every node per transmission against every frame
     /// on the air — the oracle for parity tests and benchmarks.
     Naive,
-}
-
-/// Complete flat configuration of one *homogeneous* simulation run — the
-/// paper's shape: one mobility model, one speed range, one power class.
-///
-/// Internally the engine speaks the declarative
-/// [`WorldSpec`](crate::world::WorldSpec); `SimConfig` is a thin adapter
-/// over it ([`SimConfig::to_world`] lifts it into a single-group spec with
-/// identical RNG draw order, so the conversion is bit-exact).
-/// Heterogeneous scenarios — several node groups with their own mobility,
-/// placement and transmit-power class — are built with
-/// [`WorldSpec::builder`](crate::world::WorldSpec::builder) and run through
-/// [`Simulator::from_world`].
-#[derive(Debug, Clone)]
-pub struct SimConfig {
-    /// The simulation field.
-    pub field: Field,
-    /// Number of devices.
-    pub n_nodes: usize,
-    /// Node speed range (m/s); Table II: `[0, 2]`.
-    pub speed_range: (f64, f64),
-    /// Mobility model; Table II: random walk, re-draw every 20 s.
-    pub mobility: MobilityModel,
-    /// Physical layer.
-    pub radio: RadioConfig,
-    /// Beacon (hello) period in seconds; the paper's AEDB uses 1 s.
-    pub beacon_interval: f64,
-    /// Neighbour entries older than this many seconds are considered gone.
-    pub neighbor_expiry: f64,
-    /// Time the broadcast starts (warm-up before it); Table II: 30 s.
-    pub broadcast_time: f64,
-    /// End of the simulation; Table II: 40 s.
-    pub end_time: f64,
-    /// The broadcasting source node.
-    pub source: NodeId,
-    /// RNG seed — fixing it fixes the *network*: placement, mobility and
-    /// beacon phases are all derived from it.
-    pub seed: u64,
-    /// How initial node positions are chosen.
-    pub placement: Placement,
-}
-
-/// Initial node placement.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Placement {
-    /// Uniformly random in the field (the paper's setup).
-    UniformRandom,
-    /// Explicit positions (deterministic topologies for tests/examples);
-    /// must provide exactly `n_nodes` points inside the field.
-    Explicit(Vec<Vec2>),
-}
-
-impl SimConfig {
-    /// The paper's scenario (Table II) for a given node count and seed.
-    /// Node counts for the three densities on the 500 m × 500 m field:
-    /// 25 (100 dev/km²), 50 (200 dev/km²), 75 (300 dev/km²).
-    pub fn paper(n_nodes: usize, seed: u64) -> Self {
-        Self {
-            field: Field::paper(),
-            n_nodes,
-            speed_range: (0.0, 2.0),
-            mobility: MobilityModel::RandomWalk {
-                change_interval: 20.0,
-            },
-            radio: RadioConfig::paper(),
-            beacon_interval: 1.0,
-            neighbor_expiry: 2.5,
-            broadcast_time: 30.0,
-            end_time: 40.0,
-            source: 0,
-            seed,
-            placement: Placement::UniformRandom,
-        }
-    }
 }
 
 /// Result of a simulation run.
@@ -369,9 +296,7 @@ pub struct QueryProfile {
 
 /// Simulator state visible to protocols through [`ProtocolApi`].
 struct World {
-    /// The compiled scenario — the engine speaks [`WorldSpec`] natively;
-    /// [`SimConfig`] is a single-group adapter over it
-    /// ([`SimConfig::to_world`]).
+    /// The compiled scenario.
     spec: WorldSpec,
     /// Total node count (cached sum over the spec's groups).
     n_nodes: usize,
@@ -410,8 +335,8 @@ struct World {
     protocol_pending: usize,
     /// Spatial index over node positions (see module docs).
     grid: SpatialGrid,
-    /// Flat SoA copy of every node's current mobility segment — the
-    /// cache-friendly lanes the incremental delivery query evaluates
+    /// Flat copy of every node's current mobility segment — the
+    /// cache-friendly records the incremental delivery query evaluates
     /// exact positions from (bit-identical to the `mobility` structs).
     snapshot: KinematicSnapshot,
     /// Per-node refresh generation; bumped whenever a node's mobility
@@ -692,7 +617,7 @@ impl World {
         self.spec = spec;
         self.hd_reach = self.max_speed * 2.0 * max_duration + 1.0;
 
-        // Initial placement of the spatial index and of the SoA kinematic
+        // Initial placement of the spatial index and of the kinematic
         // snapshot, then one cell-crossing refresh per node. Grid
         // maintenance is mode-independent — it depends only on mobility
         // and cell geometry — so both DeliveryModes process an identical
@@ -772,7 +697,7 @@ impl World {
     }
 
     /// Re-anchors `node`'s refresh schedule after its mobility segment
-    /// changed: refreshes the node's SoA snapshot lanes in O(1) (the
+    /// changed: refreshes the node's snapshot record in O(1) (the
     /// snapshot must always mirror the mobility structs), stale-marks any
     /// in-flight refresh, re-buckets the node at its current (exact)
     /// position and schedules against the new speed.
@@ -942,7 +867,7 @@ impl World {
 
     /// The optimised delivery query (the default [`DeliveryMode`]):
     /// iterates the grid cells overlapping the decode disc directly into a
-    /// filter over the SoA kinematic snapshot — no intermediate id list,
+    /// filter over the kinematic snapshot — no intermediate id list,
     /// no per-candidate `dyn Mobility` dispatch — then resolves outcomes
     /// in two passes whose arithmetic is bit-identical to the oracle's
     /// per-receiver test ([`receive_outcome`](World::receive_outcome)):
@@ -983,7 +908,7 @@ impl World {
         filtered.clear();
         // Buckets are exact up to the refresh slack; stored positions may
         // be older than the bucket, so walk whole cells (inflated by the
-        // slack) and filter on *current* exact positions from the lanes —
+        // slack) and filter on *current* exact positions from the records —
         // batched into fixed-width chunk kernels by the sweep, which also
         // skips cells its event-horizon cache proves out of decode reach
         // (see `crate::sweep` for the bit-exactness argument).
@@ -1300,8 +1225,8 @@ impl ProtocolApi for World {
 
 /// A configured simulation run driving a protocol `P`.
 ///
-/// Construction allocates; [`Simulator::reset`] re-arms the same instance
-/// for another run (same or different configuration) without heap churn —
+/// Construction allocates; [`Simulator::reset_world`] re-arms the same
+/// instance for another run (same or different world) without heap churn —
 /// the batched evaluation pipeline keeps one simulator per worker thread
 /// alive across thousands of runs.
 pub struct Simulator<P: Protocol> {
@@ -1335,7 +1260,7 @@ pub struct Simulator<P: Protocol> {
 ///   checkpoint taken before `broadcast_time − neighbor_expiry` therefore
 ///   holds no entries, and one taken exactly there only beacons received
 ///   at that very instant.
-/// * The SoA kinematic snapshot: it always mirrors the mobility segments
+/// * The kinematic snapshot: it always mirrors the mobility segments
 ///   (kept so by every re-anchor), so restore rebuilds it from them.
 /// * The broadcast metrics: nothing records into them before the
 ///   broadcast, so restore resets them to their initial state.
@@ -1378,24 +1303,12 @@ impl Checkpoint {
 }
 
 impl<P: Protocol> Simulator<P> {
-    /// Builds the simulator from a flat [`SimConfig`] — a thin adapter
-    /// over [`from_world`](Self::from_world) through
-    /// [`SimConfig::to_world`], kept for the homogeneous scenarios the
-    /// paper evaluates.
-    pub fn new(config: SimConfig, protocol: P) -> Self {
-        let spec = config.to_world();
-        Self {
-            world: World::empty(spec),
-            protocol,
-        }
-    }
-
     /// Builds the simulator from a declarative [`WorldSpec`]: places every
     /// group's nodes, seeds their mobility models, resolves per-group
     /// transmit-power classes and schedules the initial
     /// beacon/mobility/broadcast events. The single compilation path every
-    /// scenario surface funnels through (`SimConfig`, dense scenarios, the
-    /// text grammar).
+    /// scenario surface funnels through (the paper's scenarios, dense
+    /// scenarios, the text grammar).
     ///
     /// Panics with the spec's [`WorldError`](crate::world::WorldError)
     /// message when the spec is invalid; call
@@ -1407,24 +1320,6 @@ impl<P: Protocol> Simulator<P> {
         };
         sim.world.mode = spec.delivery_mode;
         sim
-    }
-
-    /// Re-arms the simulator for a new run, replacing the protocol state
-    /// and reusing every internal allocation. The currently selected
-    /// [`DeliveryMode`] is kept (the historical contract of the
-    /// `SimConfig` surface); [`reset_world`](Self::reset_world) applies
-    /// the spec's mode instead.
-    pub fn reset(&mut self, config: SimConfig, protocol: P) {
-        self.world.reset(config.to_world());
-        self.protocol = protocol;
-    }
-
-    /// Like [`reset`](Self::reset), but re-arms the existing protocol in
-    /// place through `rearm` instead of replacing it — protocols with
-    /// per-node buffers (e.g. AEDB) avoid reallocating them every run.
-    pub fn reset_with<F: FnOnce(&mut P)>(&mut self, config: SimConfig, rearm: F) {
-        self.world.reset(config.to_world());
-        rearm(&mut self.protocol);
     }
 
     /// Re-arms the simulator for a [`WorldSpec`], replacing the protocol
@@ -1487,7 +1382,7 @@ impl<P: Protocol> Simulator<P> {
     /// Enables/disables wall-time profiling of the delivery query (off by
     /// default — the two extra `Instant::now` samples per query are only
     /// taken when enabled, so unprofiled runs pay nothing). The setting
-    /// survives [`reset`](Self::reset); the accumulators do not.
+    /// survives [`reset_world`](Self::reset_world); the accumulators do not.
     pub fn set_query_profiling(&mut self, on: bool) {
         self.world.profile_on = on;
     }
@@ -1513,7 +1408,7 @@ impl<P: Protocol> Simulator<P> {
     }
 
     /// Runs to `end_time` and returns the report, keeping the simulator
-    /// alive for a subsequent [`reset`](Self::reset).
+    /// alive for a subsequent [`reset_world`](Self::reset_world).
     pub fn run_to_end(&mut self) -> SimReport {
         self.run_until(self.world.spec.end_time);
         SimReport {
@@ -1845,10 +1740,11 @@ impl<P: Protocol> Simulator<P> {
 mod tests {
     use super::*;
     use crate::protocol::{Flooding, SourceOnly};
+    use crate::world::GroupPlacement;
 
-    fn dense_config(seed: u64) -> SimConfig {
+    fn dense_config(seed: u64) -> WorldSpec {
         // 50 nodes in a small field: fully connected at default power.
-        let mut c = SimConfig::paper(50, seed);
+        let mut c = WorldSpec::paper(50, seed);
         c.field = Field::new(100.0, 100.0);
         c
     }
@@ -1856,7 +1752,7 @@ mod tests {
     #[test]
     fn source_only_reaches_one_hop_neighbors() {
         let c = dense_config(1);
-        let report = Simulator::new(c, SourceOnly).run();
+        let report = Simulator::from_world(&c, SourceOnly).run();
         // 100 m field, ~150 m range: everyone is one hop away.
         assert_eq!(
             report.broadcast.coverage(),
@@ -1871,10 +1767,10 @@ mod tests {
 
     #[test]
     fn flooding_covers_multihop_network() {
-        let mut c = SimConfig::paper(60, 4);
+        let mut c = WorldSpec::paper(60, 4);
         c.field = Field::new(400.0, 400.0); // multi-hop but well connected
-        let n = c.n_nodes;
-        let report = Simulator::new(c, Flooding::new(n, (0.0, 0.05))).run();
+        let n = c.n_nodes();
+        let report = Simulator::from_world(&c, Flooding::new(n, (0.0, 0.05))).run();
         assert!(
             report.broadcast.coverage() > 50,
             "coverage {} too small; counters {:?}",
@@ -1888,9 +1784,9 @@ mod tests {
     #[test]
     fn determinism_same_seed_same_report() {
         let run = |seed| {
-            let c = SimConfig::paper(40, seed);
-            let n = c.n_nodes;
-            let r = Simulator::new(c, Flooding::new(n, (0.0, 0.1))).run();
+            let c = WorldSpec::paper(40, seed);
+            let n = c.n_nodes();
+            let r = Simulator::from_world(&c, Flooding::new(n, (0.0, 0.1))).run();
             (
                 r.broadcast.coverage(),
                 r.broadcast.forwardings,
@@ -1907,9 +1803,9 @@ mod tests {
         );
     }
 
-    fn run_mode(mode: DeliveryMode, c: SimConfig) -> SimReport {
-        let n = c.n_nodes;
-        let mut sim = Simulator::new(c, Flooding::new(n, (0.0, 0.1)));
+    fn run_mode(mode: DeliveryMode, c: WorldSpec) -> SimReport {
+        let n = c.n_nodes();
+        let mut sim = Simulator::from_world(&c, Flooding::new(n, (0.0, 0.1)));
         sim.set_delivery_mode(mode);
         sim.run_to_end()
     }
@@ -1921,17 +1817,17 @@ mod tests {
         // grid and the naive scan.
         for seed in [1u64, 7, 23, 99] {
             for mk in [
-                SimConfig::paper(75, seed),
-                SimConfig::paper(25, seed),
+                WorldSpec::paper(75, seed),
+                WorldSpec::paper(25, seed),
                 dense_config(seed),
                 {
-                    let mut c = SimConfig::paper(30, seed);
-                    c.mobility = MobilityModel::Stationary;
+                    let mut c = WorldSpec::paper(30, seed);
+                    c.groups[0].mobility = MobilityModel::Stationary;
                     c
                 },
                 {
-                    let mut c = SimConfig::paper(30, seed);
-                    c.mobility = MobilityModel::RandomWaypoint { pause: 3.0 };
+                    let mut c = WorldSpec::paper(30, seed);
+                    c.groups[0].mobility = MobilityModel::RandomWaypoint { pause: 3.0 };
                     c
                 },
             ] {
@@ -1950,7 +1846,7 @@ mod tests {
         // grid — no naive fallback — and both delivery paths remain
         // bit-identical.
         for sigma in [4.0, 6.0] {
-            let mut c = SimConfig::paper(40, 3);
+            let mut c = WorldSpec::paper(40, 3);
             c.radio.shadowing_sigma_db = sigma;
             let inc = run_mode(DeliveryMode::Incremental, c.clone());
             let naive = run_mode(DeliveryMode::Naive, c);
@@ -1963,18 +1859,18 @@ mod tests {
     fn reset_reuses_simulator_across_configs() {
         // A fresh simulator and a reset one must agree bit-for-bit, even
         // when the reset crosses node counts and field sizes.
-        let c1 = SimConfig::paper(40, 11);
+        let c1 = WorldSpec::paper(40, 11);
         let c2 = dense_config(5);
-        let n1 = c1.n_nodes;
-        let n2 = c2.n_nodes;
-        let fresh1 = Simulator::new(c1.clone(), Flooding::new(n1, (0.0, 0.1))).run();
-        let fresh2 = Simulator::new(c2.clone(), Flooding::new(n2, (0.0, 0.2))).run();
+        let n1 = c1.n_nodes();
+        let n2 = c2.n_nodes();
+        let fresh1 = Simulator::from_world(&c1, Flooding::new(n1, (0.0, 0.1))).run();
+        let fresh2 = Simulator::from_world(&c2, Flooding::new(n2, (0.0, 0.2))).run();
 
-        let mut sim = Simulator::new(c1.clone(), Flooding::new(n1, (0.0, 0.1)));
+        let mut sim = Simulator::from_world(&c1, Flooding::new(n1, (0.0, 0.1)));
         let r1 = sim.run_to_end();
-        sim.reset(c2, Flooding::new(n2, (0.0, 0.2)));
+        sim.reset_world(&c2, Flooding::new(n2, (0.0, 0.2)));
         let r2 = sim.run_to_end();
-        sim.reset(c1, Flooding::new(n1, (0.0, 0.1)));
+        sim.reset_world(&c1, Flooding::new(n1, (0.0, 0.1)));
         let r1_again = sim.run_to_end();
 
         assert_eq!(r1.broadcast, fresh1.broadcast);
@@ -1991,7 +1887,7 @@ mod tests {
         // stays affordable in a debug build; `exp_scale` runs the full
         // 40 s protocol in release. Asserts the incremental grid is
         // bit-identical to the all-nodes scan.
-        let mut c = SimConfig::paper(10_000, 7_410_000);
+        let mut c = WorldSpec::paper(10_000, 7_410_000);
         c.field = Field::new(5000.0, 5000.0);
         c.broadcast_time = 0.25;
         c.end_time = 0.5;
@@ -2013,13 +1909,13 @@ mod tests {
         // re-anchored by the MobilityChange event so the delivery query at
         // tx.end filters against the *new* segment — bit-identically to
         // the mobility structs — and both modes must stay in lockstep.
-        let mut c = SimConfig::paper(40, 21);
-        c.mobility = MobilityModel::RandomWalk {
+        let mut c = WorldSpec::paper(40, 21);
+        c.groups[0].mobility = MobilityModel::RandomWalk {
             change_interval: 30.5, // fires once, mid-transmission
         };
         c.radio.data_duration = 1.0;
-        let n = c.n_nodes;
-        let mut sim = Simulator::new(c.clone(), Flooding::new(n, (0.0, 0.0)));
+        let n = c.n_nodes();
+        let mut sim = Simulator::from_world(&c, Flooding::new(n, (0.0, 0.0)));
         sim.run_until(30.7); // past the change, before the frame ends
         let w = &sim.world;
         for i in 0..n {
@@ -2047,9 +1943,9 @@ mod tests {
     /// Like [`run_mode`] but with zero forwarding jitter, so data-frame
     /// timings are fully determined by the radio constants (the exact
     /// alignment the segment-boundary tests need).
-    fn run_mode_jitterless(mode: DeliveryMode, c: SimConfig) -> SimReport {
-        let n = c.n_nodes;
-        let mut sim = Simulator::new(c, Flooding::new(n, (0.0, 0.0)));
+    fn run_mode_jitterless(mode: DeliveryMode, c: WorldSpec) -> SimReport {
+        let n = c.n_nodes();
+        let mut sim = Simulator::from_world(&c, Flooding::new(n, (0.0, 0.0)));
         sim.set_delivery_mode(mode);
         sim.run_to_end()
     }
@@ -2064,8 +1960,8 @@ mod tests {
         // the sharpest case for the snapshot lanes. Both modes must agree
         // bit-for-bit.
         for seed in [2u64, 13, 77] {
-            let mut c = SimConfig::paper(50, seed);
-            c.mobility = MobilityModel::RandomWalk {
+            let mut c = WorldSpec::paper(50, seed);
+            c.groups[0].mobility = MobilityModel::RandomWalk {
                 change_interval: 2.0,
             };
             c.radio.data_duration = 2.0;
@@ -2079,7 +1975,7 @@ mod tests {
     #[test]
     fn beacons_populate_neighbor_tables() {
         let c = dense_config(3);
-        let sim = Simulator::new(c, SourceOnly);
+        let sim = Simulator::from_world(&c, SourceOnly);
         // run manually to just after a couple of beacon rounds
         let mut world = sim.world;
         let mut protocol = sim.protocol;
@@ -2134,18 +2030,18 @@ mod tests {
     #[test]
     fn sparse_network_partitions_limit_coverage() {
         // 5 nodes in a huge field: almost surely out of range of each other.
-        let mut c = SimConfig::paper(5, 11);
+        let mut c = WorldSpec::paper(5, 11);
         c.field = Field::new(5000.0, 5000.0);
-        let n = c.n_nodes;
-        let report = Simulator::new(c, Flooding::new(n, (0.0, 0.05))).run();
+        let n = c.n_nodes();
+        let report = Simulator::from_world(&c, Flooding::new(n, (0.0, 0.05))).run();
         assert!(report.broadcast.coverage() < 4);
     }
 
     #[test]
     fn no_self_delivery_and_energy_accounting() {
         let c = dense_config(5);
-        let n = c.n_nodes;
-        let report = Simulator::new(c, Flooding::new(n, (0.0, 0.2))).run();
+        let n = c.n_nodes();
+        let report = Simulator::from_world(&c, Flooding::new(n, (0.0, 0.2))).run();
         // flooding: everyone forwards once at default power
         let f = report.broadcast.forwardings as f64;
         assert!((report.broadcast.energy_dbm_sum - f * 16.02).abs() < 1e-6);
@@ -2159,10 +2055,10 @@ mod tests {
     fn broadcast_time_monotone_with_flooding_jitter() {
         // larger forwarding jitter stretches the dissemination in time
         let bt = |jitter: (f64, f64)| {
-            let mut c = SimConfig::paper(60, 17);
+            let mut c = WorldSpec::paper(60, 17);
             c.field = Field::new(400.0, 400.0);
-            let n = c.n_nodes;
-            Simulator::new(c, Flooding::new(n, jitter))
+            let n = c.n_nodes();
+            Simulator::from_world(&c, Flooding::new(n, jitter))
                 .run()
                 .broadcast
                 .broadcast_time()
@@ -2176,15 +2072,15 @@ mod tests {
     fn explicit_placement_chain_topology() {
         // A 4-node chain spaced 120 m apart (range ≈ 150 m): flooding must
         // traverse hop by hop and reach the far end.
-        let mut c = SimConfig::paper(4, 1);
-        c.mobility = crate::mobility::MobilityModel::Stationary;
-        c.placement = Placement::Explicit(vec![
+        let mut c = WorldSpec::paper(4, 1);
+        c.groups[0].mobility = crate::mobility::MobilityModel::Stationary;
+        c.groups[0].placement = GroupPlacement::Explicit(vec![
             Vec2::new(10.0, 250.0),
             Vec2::new(130.0, 250.0),
             Vec2::new(250.0, 250.0),
             Vec2::new(370.0, 250.0),
         ]);
-        let report = Simulator::new(c, Flooding::new(4, (0.01, 0.05))).run();
+        let report = Simulator::from_world(&c, Flooding::new(4, (0.01, 0.05))).run();
         assert_eq!(
             report.broadcast.coverage(),
             3,
@@ -2198,16 +2094,16 @@ mod tests {
     #[test]
     #[should_panic(expected = "placement size mismatch")]
     fn explicit_placement_arity_checked() {
-        let mut c = SimConfig::paper(3, 1);
-        c.placement = Placement::Explicit(vec![Vec2::new(0.0, 0.0)]);
-        let _ = Simulator::new(c, SourceOnly);
+        let mut c = WorldSpec::paper(3, 1);
+        c.groups[0].placement = GroupPlacement::Explicit(vec![Vec2::new(0.0, 0.0)]);
+        let _ = Simulator::from_world(&c, SourceOnly);
     }
 
     #[test]
     fn run_until_snapshots_positions() {
-        let c = SimConfig::paper(10, 5);
+        let c = WorldSpec::paper(10, 5);
         let field = c.field;
-        let mut sim = Simulator::new(c, SourceOnly);
+        let mut sim = Simulator::from_world(&c, SourceOnly);
         sim.run_until(30.0);
         assert!(sim.now() <= 30.0);
         let pos = sim.positions_at(30.0);
@@ -2223,11 +2119,11 @@ mod tests {
         // Both modes keep the grid and the live-frame windows maintained,
         // so switching between run_until segments leaves the trajectory
         // exactly where a run in either mode would have been.
-        let mut c = SimConfig::paper(80, 9);
+        let mut c = WorldSpec::paper(80, 9);
         c.field = Field::new(500.0, 500.0);
-        let n = c.n_nodes;
-        let baseline = Simulator::new(c.clone(), Flooding::new(n, (0.0, 0.1))).run();
-        let mut sim = Simulator::new(c, Flooding::new(n, (0.0, 0.1)));
+        let n = c.n_nodes();
+        let baseline = Simulator::from_world(&c, Flooding::new(n, (0.0, 0.1))).run();
+        let mut sim = Simulator::from_world(&c, Flooding::new(n, (0.0, 0.1)));
         sim.run_until(10.0);
         sim.set_delivery_mode(DeliveryMode::Naive);
         sim.run_until(25.0);
@@ -2248,8 +2144,8 @@ mod tests {
         // equidistant receivers lose both.
         let mut c = dense_config(23);
         c.radio.capture_db = 10.0;
-        let n = c.n_nodes;
-        let report = Simulator::new(c, Flooding::new(n, (0.0, 0.0))).run();
+        let n = c.n_nodes();
+        let report = Simulator::from_world(&c, Flooding::new(n, (0.0, 0.0))).run();
         // all forwarders fire at exactly the same time => massive collisions
         assert!(
             report.counters.collision_losses + report.counters.half_duplex_losses > 0,
@@ -2262,10 +2158,10 @@ mod tests {
     fn checkpoint_restores_the_paper_prefix() {
         // Table II: broadcast at 30 s, expiry 2.5 s, beacons every 1 s —
         // the prefix the tuning problem keeps is [0, 27.5] s.
-        let c = SimConfig::paper(40, 9);
-        let n = c.n_nodes;
-        let straight = Simulator::new(c.clone(), Flooding::new(n, (0.0, 0.1))).run();
-        let mut sim = Simulator::new(c, Flooding::new(n, (0.0, 0.1)));
+        let c = WorldSpec::paper(40, 9);
+        let n = c.n_nodes();
+        let straight = Simulator::from_world(&c, Flooding::new(n, (0.0, 0.1))).run();
+        let mut sim = Simulator::from_world(&c, Flooding::new(n, (0.0, 0.1)));
         sim.run_until(27.5);
         let at = sim.now();
         assert!(at <= 27.5 && at > 26.0);
@@ -2283,10 +2179,10 @@ mod tests {
         // Jittered flooding on a paper world: every forwarder fires within
         // a fraction of a second of the 30 s start, so the broadcast
         // settles long before the 40 s end.
-        let c = SimConfig::paper(40, 9);
-        let n = c.n_nodes;
-        let straight = Simulator::new(c.clone(), Flooding::new(n, (0.0, 0.1))).run();
-        let mut sim = Simulator::new(c, Flooding::new(n, (0.0, 0.1)));
+        let c = WorldSpec::paper(40, 9);
+        let n = c.n_nodes();
+        let straight = Simulator::from_world(&c, Flooding::new(n, (0.0, 0.1))).run();
+        let mut sim = Simulator::from_world(&c, Flooding::new(n, (0.0, 0.1)));
         assert_eq!(*sim.run_broadcast(), straight.broadcast);
         assert!(sim.stopped_before_end());
         let stopped = sim.now();
@@ -2300,8 +2196,8 @@ mod tests {
         assert_eq!(full.broadcast, straight.broadcast);
         assert_eq!(full.counters, straight.counters);
         // The source's own frame is the whole broadcast without forwarders.
-        let c = SimConfig::paper(40, 9);
-        let mut sim = Simulator::new(c, SourceOnly);
+        let c = WorldSpec::paper(40, 9);
+        let mut sim = Simulator::from_world(&c, SourceOnly);
         sim.run_broadcast();
         assert!(sim.stopped_before_end() && sim.now() < 30.1);
     }
@@ -2312,9 +2208,9 @@ mod tests {
         // the 40 s end: the broadcast never settles, so the run stops at
         // `end_time` with the timers pending, exactly where run_to_end does.
         let c = dense_config(4);
-        let n = c.n_nodes;
-        let straight = Simulator::new(c.clone(), Flooding::new(n, (20.0, 30.0))).run();
-        let mut sim = Simulator::new(c, Flooding::new(n, (20.0, 30.0)));
+        let n = c.n_nodes();
+        let straight = Simulator::from_world(&c, Flooding::new(n, (20.0, 30.0))).run();
+        let mut sim = Simulator::from_world(&c, Flooding::new(n, (20.0, 30.0)));
         assert_eq!(*sim.run_broadcast(), straight.broadcast);
         assert!(!sim.stopped_before_end());
         assert_eq!(straight.broadcast.forwardings, 0);
@@ -2327,15 +2223,16 @@ mod tests {
         // At `broadcast − expiry` every entry observed so far is stale by
         // the broadcast; at the edge the tables are full, and the restored
         // tables read exactly like the donor's from the broadcast on.
-        let c = SimConfig::paper(40, 9);
-        let n = c.n_nodes;
-        let mut sim = Simulator::new(c.clone(), Flooding::new(n, (0.0, 0.1)));
+        let c = WorldSpec::paper(40, 9);
+        let n = c.n_nodes();
+        let mut sim = Simulator::from_world(&c, Flooding::new(n, (0.0, 0.1)));
         sim.run_until(c.broadcast_time - c.neighbor_expiry);
         assert!(sim.checkpoint().neighbors.is_empty());
         sim.run_until(c.broadcast_time.next_down());
         let edge = sim.checkpoint();
         assert!(edge.neighbors.len() >= n, "{}", edge.neighbors.len());
-        let mut restored = Simulator::new(SimConfig::paper(20, 3), Flooding::new(20, (0.0, 0.1)));
+        let mut restored =
+            Simulator::from_world(&WorldSpec::paper(20, 3), Flooding::new(20, (0.0, 0.1)));
         restored.restore(&edge, |p| *p = Flooding::new(n, (0.0, 0.1)));
         let bt = c.broadcast_time;
         for node in 0..n {
@@ -2353,9 +2250,9 @@ mod tests {
     fn checkpoint_after_the_broadcast_start_panics() {
         // The protocol has run: its state is no longer the same for every
         // candidate.
-        let c = SimConfig::paper(20, 3);
-        let n = c.n_nodes;
-        let mut sim = Simulator::new(c.clone(), Flooding::new(n, (0.0, 0.1)));
+        let c = WorldSpec::paper(20, 3);
+        let n = c.n_nodes();
+        let mut sim = Simulator::from_world(&c, Flooding::new(n, (0.0, 0.1)));
         sim.run_until(c.broadcast_time);
         let _ = sim.checkpoint();
     }

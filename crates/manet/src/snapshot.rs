@@ -1,4 +1,4 @@
-//! Structure-of-arrays **kinematic snapshot** of every node's current
+//! Flat **kinematic snapshot** of every node's current
 //! mobility segment — the flat data the delivery query filters candidates
 //! against.
 //!
@@ -7,23 +7,23 @@
 //! returns. Doing that through `dyn Mobility::position(t)` costs an enum
 //! dispatch plus a pointer chase into a ~100-byte mobility struct per
 //! candidate — a cache miss each at 10⁴ nodes. The snapshot instead keeps
-//! one flat lane per segment field ([`Vec2`] origins, [`Vec2`]
-//! velocities/displacements, `f64` segment starts and arrival times, plus
-//! a [`SegmentKind`] discriminant lane for heterogeneous worlds), so the
-//! candidate filter touches a handful of densely packed arrays with a
-//! single branch on the kind per candidate — perfectly predicted whenever
-//! a world (or a spatial neighbourhood of it) is dominated by one
-//! mobility model.
+//! each node's segment in one 64-byte [`PackedSegment`] record (origin,
+//! velocity/displacement, segment start, arrival time and the
+//! [`SegmentKind`] discriminant heterogeneous worlds need), plus a
+//! waypoint-destination lane. The candidate filter reads one cache line
+//! per candidate with a single branch on the kind — perfectly predicted
+//! whenever a world (or a spatial neighbourhood of it) is dominated by
+//! one mobility model.
 //!
 //! Since the log-free receive-outcome rewrite, the squared distances this
 //! filter computes are not just a pre-filter input but the *decode test
 //! itself*: unshadowed, the delivery query compares each candidate's `d²`
 //! straight against the transmission's precomputed threshold band
 //! ([`PathLoss::threshold_band_sq`]) — no per-candidate `log10` — so the
-//! lanes feed the exact outcome classification, not merely a candidate
+//! records feed the exact outcome classification, not merely a candidate
 //! list.
 //!
-//! Lanes are refreshed in **O(1)** when a node's mobility segment changes
+//! Records are refreshed in **O(1)** when a node's mobility segment changes
 //! (the simulator drives [`KinematicSnapshot::set`] from the same
 //! mobility-change events that bump its per-node refresh generations) and
 //! rebuilt in O(n) on simulator reset. [`KinematicSnapshot::position`]
@@ -41,22 +41,17 @@ use crate::geometry::{Field, Vec2};
 use crate::mobility::{KinematicSegment, SegmentKind};
 
 /// One node's hot segment fields packed (and padded) into a single
-/// 64-byte cache line — the gather-friendly mirror of the SoA lanes.
+/// 64-byte cache line.
 ///
 /// The chunk kernels of [`crate::sweep`] evaluate candidates *gathered*
-/// by a spatial query, so every access is effectively random: reading
-/// the SoA lanes costs one cache line per lane touched (kind, origin,
+/// by a spatial query, so every access is effectively random: one lane
+/// per field would cost one cache line per field touched (kind, origin,
 /// velocity, segment start — four lines per candidate at 10⁴+ nodes),
-/// while this record serves all four from one. The SoA lanes remain the
-/// canonical layout for sequential whole-world passes; the mirror is
-/// maintained in lockstep by [`KinematicSnapshot::rebuild`] and
-/// [`KinematicSnapshot::set`] and holds the **same `f64` values**, so
-/// kernels reading it stay bit-identical to
-/// [`KinematicSnapshot::position`].
+/// while this record serves all four from one.
 ///
 /// Waypoint destinations are deliberately absent (they would overflow
-/// the line): waypoint evaluation needs the arrival/parking branches
-/// anyway, so it always takes the scalar lane path.
+/// the line): they live in their own lane, read only by the waypoint
+/// arm of [`KinematicSnapshot::position`].
 #[derive(Debug, Clone, Copy)]
 #[repr(C, align(64))]
 pub struct PackedSegment {
@@ -72,45 +67,29 @@ pub struct PackedSegment {
     pub kind: SegmentKind,
 }
 
-/// Read-only view of a [`KinematicSnapshot`]'s flat lanes, index-aligned
-/// by node id — what the fixed-width chunk kernels of [`crate::sweep`]
-/// iterate instead of going through the per-node accessors.
-#[derive(Debug, Clone, Copy)]
-pub struct SegmentLanes<'a> {
-    /// The simulation field (walk segments reflect off its walls).
-    pub field: Field,
-    /// Trajectory-family discriminant per node.
-    pub kinds: &'a [SegmentKind],
-    /// Segment origins (walk/waypoint) or fixed positions (still).
-    pub origin: &'a [Vec2],
-    /// Walk velocities / waypoint leg displacements (see
-    /// [`KinematicSegment::velocity`]).
-    pub velocity: &'a [Vec2],
-    /// Segment start times.
-    pub t0: &'a [f64],
-    /// Waypoint arrival times (`+∞` otherwise).
-    pub arrival: &'a [f64],
-    /// Waypoint destinations (`== origin` otherwise).
-    pub dest: &'a [Vec2],
+impl From<KinematicSegment> for PackedSegment {
+    fn from(s: KinematicSegment) -> Self {
+        Self {
+            origin: s.origin,
+            velocity: s.velocity,
+            t0: s.t0,
+            arrival: s.arrival,
+            kind: s.kind,
+        }
+    }
 }
 
-/// Flat per-node segment lanes (see the module docs). The
-/// [`SegmentKind`] discriminant is itself a lane: heterogeneous worlds
-/// ([`crate::world::WorldSpec`]) mix mobility models across node groups,
-/// so each node carries its own kind. For the homogeneous worlds the
-/// paper evaluates, every entry of the kind lane is identical and the
-/// per-candidate branch stays perfectly predicted — the historical
-/// single-kind fast path in all but name.
+/// Per-node segment records plus the waypoint-destination lane, both
+/// index-aligned by node id (see the module docs). Each record carries
+/// its own [`SegmentKind`]: heterogeneous worlds
+/// ([`crate::world::WorldSpec`]) mix mobility models across node groups.
+/// For the homogeneous worlds the paper evaluates, every record has the
+/// same kind and the per-candidate branch stays perfectly predicted.
 #[derive(Debug, Clone)]
 pub struct KinematicSnapshot {
-    kinds: Vec<SegmentKind>,
     field: Field,
-    origin: Vec<Vec2>,
-    velocity: Vec<Vec2>,
-    t0: Vec<f64>,
-    arrival: Vec<f64>,
-    dest: Vec<Vec2>,
     packed: Vec<PackedSegment>,
+    dest: Vec<Vec2>,
 }
 
 impl KinematicSnapshot {
@@ -118,112 +97,70 @@ impl KinematicSnapshot {
     /// before querying.
     pub fn new(field: Field) -> Self {
         Self {
-            kinds: Vec::new(),
             field,
-            origin: Vec::new(),
-            velocity: Vec::new(),
-            t0: Vec::new(),
-            arrival: Vec::new(),
-            dest: Vec::new(),
             packed: Vec::new(),
+            dest: Vec::new(),
         }
     }
 
     /// Number of nodes captured.
     pub fn len(&self) -> usize {
-        self.origin.len()
+        self.packed.len()
     }
 
     /// Whether the snapshot holds no nodes.
     pub fn is_empty(&self) -> bool {
-        self.origin.is_empty()
+        self.packed.is_empty()
+    }
+
+    /// The simulation field (walk segments reflect off its walls).
+    pub fn field(&self) -> Field {
+        self.field
     }
 
     /// The segment kind of node `i`.
     pub fn kind_of(&self, i: usize) -> SegmentKind {
-        self.kinds[i]
+        self.packed[i].kind
     }
 
-    /// Re-captures every node's segment, reusing the lane allocations.
-    /// Kinds may differ per node (heterogeneous worlds).
+    /// Re-captures every node's segment, reusing the allocations. Kinds
+    /// may differ per node (heterogeneous worlds).
     pub fn rebuild<I: IntoIterator<Item = KinematicSegment>>(&mut self, field: Field, segs: I) {
         self.field = field;
-        self.kinds.clear();
-        self.origin.clear();
-        self.velocity.clear();
-        self.t0.clear();
-        self.arrival.clear();
-        self.dest.clear();
         self.packed.clear();
+        self.dest.clear();
         for s in segs {
-            self.kinds.push(s.kind);
-            self.origin.push(s.origin);
-            self.velocity.push(s.velocity);
-            self.t0.push(s.t0);
-            self.arrival.push(s.arrival);
+            self.packed.push(PackedSegment::from(s));
             self.dest.push(s.dest);
-            self.packed.push(PackedSegment {
-                origin: s.origin,
-                velocity: s.velocity,
-                t0: s.t0,
-                arrival: s.arrival,
-                kind: s.kind,
-            });
         }
     }
 
-    /// O(1) refresh of node `i`'s lanes after its mobility segment changed
-    /// (a waypoint arrival, a random-walk re-draw).
+    /// O(1) refresh of node `i`'s record after its mobility segment
+    /// changed (a waypoint arrival, a random-walk re-draw).
     pub fn set(&mut self, i: usize, s: KinematicSegment) {
-        self.kinds[i] = s.kind;
-        self.origin[i] = s.origin;
-        self.velocity[i] = s.velocity;
-        self.t0[i] = s.t0;
-        self.arrival[i] = s.arrival;
+        self.packed[i] = PackedSegment::from(s);
         self.dest[i] = s.dest;
-        self.packed[i] = PackedSegment {
+    }
+
+    /// The segment of node `i`, reassembled (tests/diagnostics).
+    pub fn segment(&self, i: usize) -> KinematicSegment {
+        let s = &self.packed[i];
+        KinematicSegment {
+            kind: s.kind,
             origin: s.origin,
             velocity: s.velocity,
             t0: s.t0,
             arrival: s.arrival,
-            kind: s.kind,
-        };
-    }
-
-    /// The segment lanes of node `i`, reassembled (tests/diagnostics).
-    pub fn segment(&self, i: usize) -> KinematicSegment {
-        KinematicSegment {
-            kind: self.kinds[i],
-            origin: self.origin[i],
-            velocity: self.velocity[i],
-            t0: self.t0[i],
-            arrival: self.arrival[i],
             dest: self.dest[i],
         }
     }
 
-    /// Borrowed view of the raw segment lanes, consumed by the batched
-    /// candidate sweep ([`crate::sweep`]). The lanes are index-aligned:
-    /// entry `i` of every slice describes node `i`'s current segment, and
-    /// evaluating them per [`KinematicSegment`]'s contract reproduces
-    /// [`position`](Self::position) bit-for-bit.
-    /// The cache-line-packed mirror of the hot lanes (see
-    /// [`PackedSegment`]), index-aligned by node id. Holds the same
-    /// values as the lanes at all times.
+    /// The per-node segment records (see [`PackedSegment`]), index-aligned
+    /// by node id — what the chunk kernels of [`crate::sweep`] read.
+    /// Evaluating record `i` per [`KinematicSegment`]'s contract
+    /// reproduces [`position`](Self::position) bit-for-bit.
     pub fn packed(&self) -> &[PackedSegment] {
         &self.packed
-    }
-
-    pub fn lanes(&self) -> SegmentLanes<'_> {
-        SegmentLanes {
-            field: self.field,
-            kinds: &self.kinds,
-            origin: &self.origin,
-            velocity: &self.velocity,
-            t0: &self.t0,
-            arrival: &self.arrival,
-            dest: &self.dest,
-        }
     }
 
     /// Exact position of node `i` at time `t` — bit-identical to the
@@ -232,23 +169,24 @@ impl KinematicSnapshot {
     /// [`Mobility::position`]: crate::mobility::Mobility::position
     #[inline]
     pub fn position(&self, i: usize, t: f64) -> Vec2 {
-        match self.kinds[i] {
+        let s = &self.packed[i];
+        match s.kind {
             SegmentKind::Walk => {
-                let dt = (t - self.t0[i]).max(0.0);
-                self.field.reflect(self.origin[i] + self.velocity[i] * dt)
+                let dt = (t - s.t0).max(0.0);
+                self.field.reflect(s.origin + s.velocity * dt)
             }
             SegmentKind::Waypoint => {
-                if t >= self.arrival[i] {
+                if t >= s.arrival {
                     return self.dest[i];
                 }
-                let total = self.arrival[i] - self.t0[i];
+                let total = s.arrival - s.t0;
                 if total <= 0.0 {
                     return self.dest[i];
                 }
-                let frac = ((t - self.t0[i]) / total).clamp(0.0, 1.0);
-                self.origin[i] + self.velocity[i] * frac
+                let frac = ((t - s.t0) / total).clamp(0.0, 1.0);
+                s.origin + s.velocity * frac
             }
-            SegmentKind::Still => self.origin[i],
+            SegmentKind::Still => s.origin,
         }
     }
 }

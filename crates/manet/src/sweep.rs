@@ -1,4 +1,4 @@
-//! Batched **lane sweeps** over the SoA kinematic snapshot — the delivery
+//! Batched **lane sweeps** over the kinematic snapshot — the delivery
 //! query's candidate filter, restructured for the autovectorizer — plus
 //! per-cell **event-horizon culling**.
 //!
@@ -6,7 +6,7 @@
 //!
 //! The historical incremental filter interleaved three very different
 //! kinds of work per candidate: a linked-list pointer chase through the
-//! grid cell, a gather into the snapshot lanes to evaluate the exact
+//! grid cell, a gather into the snapshot records to evaluate the exact
 //! position, and a push of the survivor triple. The mix defeats both the
 //! hardware prefetcher and the compiler's vectorizer. [`DeliverySweep`]
 //! splits the phases:
@@ -24,7 +24,7 @@
 //!    ids. A chunk whose ids share one [`SegmentKind`] runs a
 //!    branch-free straight-line kernel over the nodes'
 //!    [`PackedSegment`](crate::snapshot::PackedSegment) records (one
-//!    cache line per candidate instead of one per lane touched);
+//!    cache line per candidate);
 //!    mixed-kind chunks and the tail fall back to the scalar
 //!    [`KinematicSnapshot::position`] path. Each candidate within the
 //!    decode radius is *marked* in a two-level survivor bitset.
@@ -46,20 +46,20 @@
 //! [`DeliveryMode`](crate::sim::DeliveryMode)s stay parity-pinned (asserted
 //! by the property suite's sweep-vs-scalar pin and the cross-mode
 //! determinism tests). Chunking only restructures *which loop* the
-//! operations run in; it never changes what is computed. The packed
-//! records hold the same `f64` values as the lanes (maintained in
-//! lockstep by the snapshot), and the emission pass re-runs the identical
+//! operations run in; it never changes what is computed. The kernels
+//! read the same packed records [`KinematicSnapshot::position`] reads,
+//! and the emission pass re-runs the identical
 //! operation sequence per survivor, so recomputation cannot drift: the
 //! survivor *set* is decided by the sweep, and every emitted triple
 //! equals the one the historical filter produced. The set is
-//! order-independent (each id's predicate depends only on its own lanes),
+//! order-independent (each id's predicate depends only on its own record),
 //! and ascending-id emission reproduces the historical sort order exactly
 //! because node ids are unique.
 //!
 //! # Event-horizon culling
 //!
 //! Every time the sweep evaluates a cell whose membership changed since
-//! the last evaluation, it also derives a **bound** from the lanes it just
+//! the last evaluation, it also derives a **bound** from the records it just
 //! touched: a disc (centre + radius) covering every member's exact
 //! position at sweep time `t₀`, plus the maximum member speed `v`. Until
 //! the cell's membership or a member's segment changes again, every member
@@ -67,7 +67,7 @@
 //! 1-Lipschitz and a waypoint leg never moves faster than its own leg
 //! speed, so straight-line drift bounds folded drift. A later query from
 //! centre `c` with decode radius `r` can therefore skip the whole cell
-//! without touching its lanes whenever
+//! without touching its records whenever
 //!
 //! ```text
 //! |c − centre| > r + radius + v · (t − t₀) + margin
@@ -338,9 +338,9 @@ impl DeliverySweep {
     /// Recomputes the event horizon of `cell` from its full current
     /// membership: the tightest disc around the members' exact positions
     /// at `t` plus the largest per-member speed bound derivable from the
-    /// segment lanes.
+    /// segment records.
     fn refresh_bound(&mut self, grid: &SpatialGrid, snap: &KinematicSnapshot, cell: usize, t: f64) {
-        let lanes = snap.lanes();
+        let packed = snap.packed();
         self.bound_pos.clear();
         let bound_pos = &mut self.bound_pos;
         let (mut min_x, mut min_y) = (f64::INFINITY, f64::INFINITY);
@@ -353,20 +353,18 @@ impl DeliverySweep {
             min_y = min_y.min(p.y);
             max_x = max_x.max(p.x);
             max_y = max_y.max(p.y);
-            let v2 = match lanes.kinds[i] {
-                SegmentKind::Walk => {
-                    let v = lanes.velocity[i];
-                    v.x * v.x + v.y * v.y
-                }
+            let s = &packed[i];
+            let v2 = match s.kind {
+                SegmentKind::Walk => s.velocity.x * s.velocity.x + s.velocity.y * s.velocity.y,
                 SegmentKind::Waypoint => {
                     // `velocity` is the leg displacement; the node covers
                     // it over `arrival - t0` seconds and then parks. Once
                     // parked (or for a degenerate leg) it cannot move
                     // again without a segment change, which invalidates
                     // this bound.
-                    let total = lanes.arrival[i] - lanes.t0[i];
-                    if total > 0.0 && t < lanes.arrival[i] {
-                        let v = lanes.velocity[i];
+                    let total = s.arrival - s.t0;
+                    if total > 0.0 && t < s.arrival {
+                        let v = s.velocity;
                         (v.x * v.x + v.y * v.y) / (total * total)
                     } else {
                         0.0
@@ -402,7 +400,7 @@ impl DeliverySweep {
         if n == 0 {
             return;
         }
-        let field = snap.lanes().field;
+        let field = snap.field();
         let packed = snap.packed();
         let ids = &self.ids[..];
         let survivors = &mut self.survivors[..];
@@ -440,8 +438,7 @@ impl DeliverySweep {
             match (single_kind, k0) {
                 (true, SegmentKind::Walk) => {
                     // Per lane: exactly the Walk arm of
-                    // `KinematicSnapshot::position`, then `distance_sq` —
-                    // the packed mirror holds the same f64s as the lanes.
+                    // `KinematicSnapshot::position`, then `distance_sq`.
                     for &id in chunk {
                         let s = rec(packed, id);
                         let dt = (t - s.t0).max(0.0);
@@ -490,7 +487,7 @@ impl DeliverySweep {
         t: f64,
         out: &mut Vec<(usize, Vec2, f64)>,
     ) {
-        let field = snap.lanes().field;
+        let field = snap.field();
         let packed = snap.packed();
         for sw in 0..self.summary.len() {
             let mut sbits = self.summary[sw];

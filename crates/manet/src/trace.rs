@@ -227,19 +227,20 @@ mod tests {
     use super::*;
     use crate::geometry::Vec2;
     use crate::protocol::Flooding;
-    use crate::sim::{Placement, SimConfig, Simulator};
+    use crate::sim::Simulator;
+    use crate::world::{GroupPlacement, WorldSpec};
 
     fn traced_chain_run_seed(seed: u64) -> (TraceLog, crate::sim::SimReport) {
-        let mut c = SimConfig::paper(3, seed);
-        c.mobility = crate::mobility::MobilityModel::Stationary;
-        c.placement = Placement::Explicit(vec![
+        let mut c = WorldSpec::paper(3, seed);
+        c.groups[0].mobility = crate::mobility::MobilityModel::Stationary;
+        c.groups[0].placement = GroupPlacement::Explicit(vec![
             Vec2::new(10.0, 250.0),
             Vec2::new(130.0, 250.0),
             Vec2::new(250.0, 250.0),
         ]);
         let log = TraceLog::new();
         let protocol = Traced::new(Flooding::new(3, (0.01, 0.02)), log.clone());
-        let report = Simulator::new(c, protocol).run();
+        let report = Simulator::from_world(&c, protocol).run();
         (log, report)
     }
 

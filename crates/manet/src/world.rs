@@ -84,16 +84,15 @@
 //! `[0, 2]`, uniform placement, default power) — in modifier order
 //! mobility, speed, placement, power.
 //!
-//! The historical entry points — [`SimConfig`], `Scenario::dense`, the
-//! bench `--dense` flag — are thin adapters over this module:
-//! [`SimConfig::to_world`] lifts a flat config into a single-group spec,
-//! and [`DenseScenario::world_spec`] compiles a density-scaled scenario
-//! (heterogeneous groups included) into a [`WorldSpec`].
+//! The paper's scenario is [`WorldSpec::paper`]; `Scenario::dense` and the
+//! bench `--dense` flag go through [`DenseScenario::world_spec`], which
+//! starts from it and compiles a density-scaled scenario (heterogeneous
+//! groups included) into a [`WorldSpec`].
 
 use crate::geometry::{Field, Vec2};
 use crate::mobility::MobilityModel;
 use crate::radio::RadioConfig;
-use crate::sim::{DeliveryMode, NodeId, Placement, SimConfig, GRID_BUCKET_SLACK_M};
+use crate::sim::{DeliveryMode, NodeId, GRID_BUCKET_SLACK_M};
 use serde::{Deserialize, Serialize};
 
 /// How one group's initial positions are chosen. Every variant draws (or
@@ -180,13 +179,7 @@ impl NodeGroup {
     /// Whether every knob still has its default value (the implicit head
     /// group of the text grammar).
     fn is_default(&self) -> bool {
-        self.mobility
-            == MobilityModel::RandomWalk {
-                change_interval: 20.0,
-            }
-            && self.speed_range == (0.0, 2.0)
-            && self.tx_power_dbm.is_none()
-            && self.placement == GroupPlacement::Uniform
+        *self == NodeGroup::new(self.n)
     }
 
     /// The worst-case speed bound of this group (the grid staleness /
@@ -274,9 +267,9 @@ impl std::error::Error for WorldError {}
 /// radio, protocol timing and a set of [`NodeGroup`]s. See the
 /// [module docs](self) for the design and a worked heterogeneous example.
 ///
-/// Build one with [`WorldSpec::builder`] (validates on
-/// [`build`](WorldSpecBuilder::build)) or lift a flat [`SimConfig`] with
-/// [`SimConfig::to_world`]; run it with
+/// Start from the paper's scenario with [`WorldSpec::paper`] or build one
+/// with [`WorldSpec::builder`] (validates on
+/// [`build`](WorldSpecBuilder::build)); run it with
 /// [`Simulator::from_world`](crate::sim::Simulator::from_world).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WorldSpec {
@@ -325,6 +318,19 @@ impl WorldSpec {
                 delivery_mode: DeliveryMode::default(),
             },
         }
+    }
+
+    /// The paper's scenario (Table II) for `n_nodes` nodes on the network
+    /// fixed by `seed`: the builder's defaults plus one [`NodeGroup::new`]
+    /// group — uniform placement, random walk at [0, 2] m/s re-drawn every
+    /// 20 s. The paper's densities are 25, 50 and 75 nodes (100, 200 and
+    /// 300 dev/km²). Valid for any `n_nodes >= 1`; callers edit
+    /// `groups[0]` to change placement, mobility or speeds.
+    pub fn paper(n_nodes: usize, seed: u64) -> Self {
+        Self::builder()
+            .group(NodeGroup::new(n_nodes))
+            .seed(seed)
+            .spec
     }
 
     /// Total node count across all groups.
@@ -480,38 +486,6 @@ impl WorldSpecBuilder {
     pub fn build(self) -> Result<WorldSpec, WorldError> {
         self.spec.validate()?;
         Ok(self.spec)
-    }
-}
-
-impl SimConfig {
-    /// Lifts this flat configuration into a single-group [`WorldSpec`] —
-    /// the adapter that keeps the historical `SimConfig` construction
-    /// working while the engine itself speaks [`WorldSpec`]. The
-    /// conversion is exact: compiling the result reproduces the historical
-    /// simulation bit-for-bit (same RNG draw order, same thresholds).
-    pub fn to_world(&self) -> WorldSpec {
-        let placement = match &self.placement {
-            Placement::UniformRandom => GroupPlacement::Uniform,
-            Placement::Explicit(pts) => GroupPlacement::Explicit(pts.clone()),
-        };
-        WorldSpec {
-            field: self.field,
-            radio: self.radio,
-            groups: vec![NodeGroup {
-                n: self.n_nodes,
-                mobility: self.mobility,
-                speed_range: self.speed_range,
-                tx_power_dbm: None,
-                placement,
-            }],
-            beacon_interval: self.beacon_interval,
-            neighbor_expiry: self.neighbor_expiry,
-            broadcast_time: self.broadcast_time,
-            end_time: self.end_time,
-            source: self.source,
-            seed: self.seed,
-            delivery_mode: DeliveryMode::default(),
-        }
     }
 }
 
@@ -671,12 +645,6 @@ impl DenseScenario {
         self
     }
 
-    /// Whether the scenario is a single paper-default population — the
-    /// subset [`sim_config`](Self::sim_config) can represent.
-    pub fn is_homogeneous(&self) -> bool {
-        self.groups.is_empty() || (self.groups.len() == 1 && self.groups[0].is_default())
-    }
-
     /// The square field holding `n_nodes` at `per_km2` devices/km².
     pub fn field(&self) -> Field {
         let area_km2 = self.n_nodes as f64 / self.per_km2 as f64;
@@ -684,33 +652,14 @@ impl DenseScenario {
         Field::new(side_m, side_m)
     }
 
-    /// The homogeneous base configuration of network `k`: Table II's
-    /// physical setup on the scaled field with the scenario's shadowing.
-    fn base_config(&self, k: usize) -> SimConfig {
-        let mut c = SimConfig::paper(self.n_nodes, self.base_seed + k as u64);
-        c.field = self.field();
-        c.radio.shadowing_sigma_db = self.shadowing_sigma_db;
-        c
-    }
-
-    /// Simulator configuration of network `k` — only valid for
-    /// [homogeneous](Self::is_homogeneous) scenarios (a flat [`SimConfig`]
-    /// cannot express groups); heterogeneous scenarios compile through
-    /// [`world_spec`](Self::world_spec).
-    pub fn sim_config(&self, k: usize) -> SimConfig {
-        assert!(
-            self.is_homogeneous(),
-            "heterogeneous DenseScenario has no flat SimConfig; use world_spec()"
-        );
-        self.base_config(k)
-    }
-
-    /// Compiles network `k` into a [`WorldSpec`]: Table II's physical
-    /// setup (inherited from [`SimConfig::paper`] so the scale experiments
-    /// can never drift from the paper protocol) on the density-scaled
-    /// field, with this scenario's groups applied.
+    /// Compiles network `k` into a [`WorldSpec`]: [`WorldSpec::paper`]
+    /// (so the scale experiments can never drift from the paper protocol)
+    /// on the density-scaled field with this scenario's shadowing and
+    /// groups.
     pub fn world_spec(&self, k: usize) -> WorldSpec {
-        let mut w = self.base_config(k).to_world();
+        let mut w = WorldSpec::paper(self.n_nodes, self.base_seed + k as u64);
+        w.field = self.field();
+        w.radio.shadowing_sigma_db = self.shadowing_sigma_db;
         if !self.groups.is_empty() {
             w.groups = self.groups.clone();
         }
@@ -1019,11 +968,7 @@ mod tests {
             .seed(9)
             .build()
             .expect("valid");
-        assert_eq!(spec, {
-            let mut c = SimConfig::paper(50, 9).to_world();
-            c.delivery_mode = DeliveryMode::Incremental;
-            c
-        });
+        assert_eq!(spec, WorldSpec::paper(50, 9));
         assert_eq!(spec.n_nodes(), 50);
         assert_eq!(spec.max_tx_dbm(), 16.02);
         assert_eq!(spec.max_speed(), 2.0);
@@ -1132,19 +1077,36 @@ mod tests {
     }
 
     #[test]
-    fn sim_config_round_trips_to_world() {
-        let mut c = SimConfig::paper(30, 5);
-        c.placement =
-            Placement::Explicit((0..30).map(|i| Vec2::new(10.0 + i as f64, 20.0)).collect());
-        let w = c.to_world();
-        assert_eq!(w.n_nodes(), 30);
+    fn paper_world_carries_table_ii() {
+        let w = WorldSpec::paper(30, 5);
+        w.validate().expect("the paper's world is valid");
+        assert_eq!((w.field.width, w.field.height), (500.0, 500.0));
+        assert_eq!(w.radio, RadioConfig::paper());
+        assert_eq!(w.radio.default_tx_dbm, 16.02);
+        assert_eq!(w.radio.shadowing_sigma_db, 0.0);
         assert_eq!(w.groups.len(), 1);
+        let g = &w.groups[0];
+        assert_eq!(g.n, 30);
+        assert_eq!(
+            g.mobility,
+            MobilityModel::RandomWalk {
+                change_interval: 20.0
+            }
+        );
+        assert_eq!(g.speed_range, (0.0, 2.0));
+        assert_eq!(g.tx_power_dbm, None);
+        assert_eq!(g.placement, GroupPlacement::Uniform);
+        assert_eq!(w.beacon_interval, 1.0);
+        assert_eq!(w.neighbor_expiry, 2.5);
+        assert_eq!((w.broadcast_time, w.end_time), (30.0, 40.0));
+        assert_eq!(w.source, 0);
         assert_eq!(w.seed, 5);
-        assert!(matches!(
-            &w.groups[0].placement,
-            GroupPlacement::Explicit(pts) if pts.len() == 30
-        ));
-        w.validate().expect("paper config is valid");
+        assert_eq!(w.delivery_mode, DeliveryMode::Incremental);
+        // Explicit placements go on the one group.
+        let mut e = w;
+        e.groups[0].placement =
+            GroupPlacement::Explicit((0..30).map(|i| Vec2::new(10.0 + i as f64, 20.0)).collect());
+        e.validate().expect("explicit placement is valid");
     }
 
     #[test]
@@ -1153,7 +1115,7 @@ mod tests {
         assert_eq!(d, DenseScenario::new(200, 2000));
         let d = DenseScenario::parse_spec(" 1000@200@4 ").expect("valid");
         assert_eq!(d, DenseScenario::new(200, 1000).with_shadowing(4.0));
-        assert!(d.is_homogeneous());
+        assert!(d.groups.is_empty());
     }
 
     #[test]
@@ -1174,7 +1136,6 @@ mod tests {
             d.groups[2],
             NodeGroup::new(20).mobility(MobilityModel::RandomWaypoint { pause: 2.5 })
         );
-        assert!(!d.is_homogeneous());
         // base seed follows the total population, like `new`
         assert_eq!(d.base_seed, 7_000_000 + 200 * 10_000 + 570);
     }
@@ -1299,16 +1260,11 @@ mod tests {
         // the field holds the density for the *total* population
         assert!((w.field.area() - 2.5e6).abs() < 1.0);
         w.validate().expect("valid world");
-        // homogeneous path stays the historical SimConfig conversion
+        // the homogeneous path is the paper's world on the scaled field
         let h = DenseScenario::new(200, 500);
-        assert_eq!(h.world_spec(1), h.sim_config(1).to_world());
-    }
-
-    #[test]
-    #[should_panic(expected = "no flat SimConfig")]
-    fn heterogeneous_sim_config_panics() {
-        let d = DenseScenario::parse_spec("400@200+100:still").expect("valid");
-        let _ = d.sim_config(0);
+        let mut paper = WorldSpec::paper(500, h.base_seed + 1);
+        paper.field = h.field();
+        assert_eq!(h.world_spec(1), paper);
     }
 
     #[test]

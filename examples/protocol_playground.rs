@@ -14,7 +14,7 @@
 //! (`Scenario::world` → `Simulator::from_world`), and a final section
 //! shows what that API adds: a **heterogeneous** population (mobile
 //! walkers plus a stationary low-power backbone) built with the
-//! `WorldSpec` builder — no `SimConfig` surgery.
+//! `WorldSpec` builder.
 //!
 //! ```sh
 //! cargo run --release --example protocol_playground

@@ -17,8 +17,7 @@ use manet::world::{NodeGroup, WorldSpec};
 fn main() {
     // Scenarios are declarative: a WorldSpec describes the field and the
     // node population (here the paper's 25-node sparse setup plus two
-    // stationary low-power sinks) and compiles straight into a simulator —
-    // no hand-assembled SimConfig.
+    // stationary low-power sinks) and compiles straight into a simulator.
     let world = WorldSpec::builder()
         .seed(1)
         .group(NodeGroup::new(25))

@@ -11,7 +11,7 @@
 //!   against a naive oracle — see [`manet::sim::DeliveryMode`]), interference
 //!   tracking is O(active-set), shadowed scenarios use a bounded-tail
 //!   (+4σ) finite-range query, and a simulator instance can be
-//!   [`reset`](manet::sim::Simulator::reset) across runs without
+//!   [`reset_world`](manet::sim::Simulator::reset_world) across runs without
 //!   reallocating,
 //! * [`aedb`] — the AEDB broadcast protocol and its tuning problem, with
 //!   batched (candidate × network) evaluation and a quantized evaluation
@@ -125,7 +125,7 @@ pub mod prelude {
     pub use island::{AnytimeArchive, IslandConfig, IslandOptimizer};
     pub use manet::grid::SpatialGrid;
     pub use manet::protocol::{Flooding, Protocol, ProtocolApi, SourceOnly};
-    pub use manet::sim::{DeliveryMode, SimConfig, SimReport, Simulator};
+    pub use manet::sim::{DeliveryMode, SimReport, Simulator};
     pub use manet::world::{GroupPlacement, NodeGroup, WorldSpec};
     pub use moea::cellde::{CellDe, CellDeConfig};
     pub use moea::mocell::{MoCell, MoCellConfig};

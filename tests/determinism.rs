@@ -195,19 +195,19 @@ fn grid_deliveries_match_naive_scan_bitwise() {
     for density in [Density::D100, Density::D200, Density::D300] {
         let scenario = Scenario::paper(density);
         for k in [0usize, 4, 9] {
-            let cfg = scenario.sim_config(k);
-            let n = cfg.n_nodes;
+            let cfg = scenario.world(k);
+            let n = cfg.n_nodes();
             // AEDB under tuning parameters
             let params = AedbParams::default_config();
-            let mut fast = Simulator::new(cfg.clone(), Aedb::new(n, params));
-            let mut slow = Simulator::new(cfg.clone(), Aedb::new(n, params));
+            let mut fast = Simulator::from_world(&cfg, Aedb::new(n, params));
+            let mut slow = Simulator::from_world(&cfg, Aedb::new(n, params));
             slow.set_delivery_mode(DeliveryMode::Naive);
             let (rf, rs) = (fast.run_to_end(), slow.run_to_end());
             assert_eq!(rf.broadcast, rs.broadcast, "{density} network {k} (AEDB)");
             assert_eq!(rf.counters, rs.counters, "{density} network {k} (AEDB)");
             // flooding exercises max-power, high-collision regimes
-            let mut fast = Simulator::new(cfg.clone(), Flooding::new(n, (0.0, 0.1)));
-            let mut slow = Simulator::new(cfg, Flooding::new(n, (0.0, 0.1)));
+            let mut fast = Simulator::from_world(&cfg, Flooding::new(n, (0.0, 0.1)));
+            let mut slow = Simulator::from_world(&cfg, Flooding::new(n, (0.0, 0.1)));
             slow.set_delivery_mode(DeliveryMode::Naive);
             let (rf, rs) = (fast.run_to_end(), slow.run_to_end());
             assert_eq!(

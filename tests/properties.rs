@@ -187,10 +187,10 @@ proptest! {
             neighbors_threshold: neighbors,
         };
         let scenario = Scenario::quick(Density::D100, 1);
-        let mut cfg = scenario.sim_config(0);
+        let mut cfg = scenario.world(0);
         cfg.seed = seed; // random network
-        let n = cfg.n_nodes;
-        let report = Simulator::new(cfg, Aedb::new(n, params)).run();
+        let n = cfg.n_nodes();
+        let report = Simulator::from_world(&cfg, Aedb::new(n, params)).run();
         let b = &report.broadcast;
         prop_assert!(b.coverage() < n);
         prop_assert!(b.forwardings <= n, "more forwardings than nodes");
@@ -350,8 +350,8 @@ proptest! {
         // squared-distance decode compare. Both delivery modes must agree
         // bit-for-bit on who decodes.
         let scale = [1.0 - 1e-9, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.0 + 1e-9][scale_idx];
-        let mut c = SimConfig::paper(1 + n_ring, seed);
-        c.mobility = manet::mobility::MobilityModel::Stationary;
+        let mut c = WorldSpec::paper(1 + n_ring, seed);
+        c.groups[0].mobility = manet::mobility::MobilityModel::Stationary;
         c.broadcast_time = 2.0;
         c.end_time = 4.0;
         let radio = c.radio;
@@ -366,10 +366,10 @@ proptest! {
             pts.push(p);
         }
         prop_assume!(pts.iter().all(|p| c.field.contains(*p)));
-        c.placement = manet::sim::Placement::Explicit(pts);
-        let n = c.n_nodes;
+        c.groups[0].placement = GroupPlacement::Explicit(pts);
+        let n = c.n_nodes();
         let run = |mode: DeliveryMode| {
-            let mut sim = Simulator::new(c.clone(), Flooding::new(n, (0.0, 0.1)));
+            let mut sim = Simulator::from_world(&c, Flooding::new(n, (0.0, 0.1)));
             sim.set_delivery_mode(mode);
             sim.run_to_end()
         };
@@ -395,9 +395,9 @@ proptest! {
         // whose clipped-mass error budget is asserted in the radio tests),
         // so shadowing changes *what* is simulated, never how the paths
         // relate — equality stays bit-exact.
-        let mut c = SimConfig::paper(n, seed);
+        let mut c = WorldSpec::paper(n, seed);
         c.field = manet::geometry::Field::new(field_side, field_side);
-        c.mobility = match mobility_kind {
+        c.groups[0].mobility = match mobility_kind {
             0 => manet::mobility::MobilityModel::RandomWalk { change_interval: 5.0 },
             1 => manet::mobility::MobilityModel::RandomWaypoint { pause: 1.0 },
             _ => manet::mobility::MobilityModel::Stationary,
@@ -408,7 +408,7 @@ proptest! {
         c.broadcast_time = 3.0;
         c.end_time = 6.0;
         let run = |mode: DeliveryMode| {
-            let mut sim = Simulator::new(c.clone(), Flooding::new(n, (0.0, 0.1)));
+            let mut sim = Simulator::from_world(&c, Flooding::new(n, (0.0, 0.1)));
             sim.set_delivery_mode(mode);
             sim.run_to_end()
         };
@@ -431,11 +431,11 @@ proptest! {
         // radius are the fenceposts the SoA query must get right. Both a
         // frozen lattice and a lattice that immediately walks off its
         // boundaries must keep both delivery paths bit-identical.
-        let mut probe = SimConfig::paper(1, 0);
-        probe.mobility = manet::mobility::MobilityModel::Stationary;
-        let cell = Simulator::new(probe, SourceOnly).grid_cell_size();
-        let mut c = SimConfig::paper(cols * rows, seed);
-        c.mobility = if moving == 1 {
+        let mut probe = WorldSpec::paper(1, 0);
+        probe.groups[0].mobility = manet::mobility::MobilityModel::Stationary;
+        let cell = Simulator::from_world(&probe, SourceOnly).grid_cell_size();
+        let mut c = WorldSpec::paper(cols * rows, seed);
+        c.groups[0].mobility = if moving == 1 {
             manet::mobility::MobilityModel::RandomWalk { change_interval: 5.0 }
         } else {
             manet::mobility::MobilityModel::Stationary
@@ -450,10 +450,10 @@ proptest! {
             })
             .collect();
         prop_assume!(pts.iter().all(|p| c.field.contains(*p)));
-        c.placement = manet::sim::Placement::Explicit(pts);
-        let n = c.n_nodes;
+        c.groups[0].placement = GroupPlacement::Explicit(pts);
+        let n = c.n_nodes();
         let run = |mode: DeliveryMode| {
-            let mut sim = Simulator::new(c.clone(), Flooding::new(n, (0.0, 0.1)));
+            let mut sim = Simulator::from_world(&c, Flooding::new(n, (0.0, 0.1)));
             sim.set_delivery_mode(mode);
             sim.run_to_end()
         };
@@ -476,13 +476,13 @@ proptest! {
         // segments — the event-order tie the snapshot lanes must resolve
         // identically to the mobility structs in every delivery mode.
         let ci = [0.5, 1.0, 2.0][ci_idx];
-        let mut c = SimConfig::paper(n, seed);
-        c.mobility = manet::mobility::MobilityModel::RandomWalk { change_interval: ci };
+        let mut c = WorldSpec::paper(n, seed);
+        c.groups[0].mobility = manet::mobility::MobilityModel::RandomWalk { change_interval: ci };
         c.radio.data_duration = ci;
         c.broadcast_time = 3.0;
         c.end_time = 7.0;
         let run = |mode: DeliveryMode| {
-            let mut sim = Simulator::new(c.clone(), Flooding::new(n, (0.0, 0.0)));
+            let mut sim = Simulator::from_world(&c, Flooding::new(n, (0.0, 0.0)));
             sim.set_delivery_mode(mode);
             sim.run_to_end()
         };

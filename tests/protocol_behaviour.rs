@@ -17,9 +17,9 @@ fn aedb_saves_energy_versus_flooding() {
     let mut flood_cov = 0.0;
     let mut flood_energy = 0.0;
     for k in 0..nets {
-        let cfg = scenario.sim_config(k);
-        let n = cfg.n_nodes;
-        let r = Simulator::new(cfg, Flooding::new(n, (0.0, 0.1))).run();
+        let cfg = scenario.world(k);
+        let n = cfg.n_nodes();
+        let r = Simulator::from_world(&cfg, Flooding::new(n, (0.0, 0.1))).run();
         flood_cov += r.broadcast.coverage() as f64 / nets as f64;
         flood_energy += r.broadcast.energy_dbm_sum / nets as f64;
     }
@@ -178,10 +178,10 @@ fn shadowing_perturbs_but_does_not_break_dissemination() {
     // with and without 6 dB shadowing — metrics change but stay physical.
     let scenario = Scenario::quick(Density::D200, 1);
     let run = |sigma: f64| {
-        let mut cfg = scenario.sim_config(0);
+        let mut cfg = scenario.world(0);
         cfg.radio.shadowing_sigma_db = sigma;
-        let n = cfg.n_nodes;
-        Simulator::new(cfg, Aedb::new(n, AedbParams::default_config())).run()
+        let n = cfg.n_nodes();
+        Simulator::from_world(&cfg, Aedb::new(n, AedbParams::default_config())).run()
     };
     let clean = run(0.0);
     let shadowed = run(6.0);

@@ -3,14 +3,15 @@
 //! incremental delivery path against the naive O(n²) oracle, plus a
 //! batched AEDB evaluation posed directly on a dense scenario.
 //!
-//! Emits **`BENCH_scale.json`** (schema `bench-scale-v7`, documented and
+//! Emits **`BENCH_scale.json`** (schema `bench-scale-v8`, documented and
 //! rendered in [`bench_harness::scale`] — this binary only fills in
 //! [`ScaleRow`]s) so the perf trajectory stays machine-readable across
 //! PRs: per row, the canonical scenario spec text, wall time per delivery
 //! mode (fastest of five identical runs below the 10⁵-node ceiling row,
 //! which is single-shot), the candidate-filter vs receive-outcome split
 //! of the query (from [`Simulator::query_profile`]) plus the
-//! interference-phase share of the incremental outcome, the batched
+//! interference-phase share of the incremental outcome and the
+//! neighbour-table write time, the batched
 //! sweep's work counters ([`Simulator::sweep_stats`]) and the process's
 //! peak RSS high-water mark when the row finished. A fixed **calibration
 //! workload** is timed first, so CI's perf-regression gate
@@ -47,6 +48,8 @@ struct ModeRun {
     /// Interference-resolution share of `outcome_s` (incremental only;
     /// the naive oracle has no finer split).
     interference_s: f64,
+    /// Neighbour-table write seconds (profiled).
+    observe_s: f64,
     /// Batched-sweep work counters (all zero outside incremental mode,
     /// which is the only path that sweeps).
     sweep: SweepStats,
@@ -102,6 +105,7 @@ fn run_mode_once(d: &DenseScenario, mode: DeliveryMode) -> ModeRun {
         filter_s: profile.filter_s,
         outcome_s: profile.outcome_s,
         interference_s: profile.interference_s,
+        observe_s: profile.observe_s,
         sweep: sim.sweep_stats(),
     }
 }
@@ -185,6 +189,7 @@ fn main() {
             incremental_filter_s: inc.filter_s,
             incremental_outcome_s: inc.outcome_s,
             incremental_interference_s: inc.interference_s,
+            incremental_observe_s: inc.observe_s,
             incremental_bucket_ops: inc.bucket_ops,
             sweep: inc.sweep,
             peak_rss_bytes: peak_rss_bytes(),

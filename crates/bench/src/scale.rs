@@ -3,9 +3,9 @@
 //! [`DenseScenario`]s (hundreds of nodes) that the simulator's spatial
 //! grid makes tractable.
 //!
-//! # The `bench-scale-v7` artifact schema
+//! # The `bench-scale-v8` artifact schema
 //!
-//! `exp_scale` writes `BENCH_scale.json` with `"schema": "bench-scale-v7"`
+//! `exp_scale` writes `BENCH_scale.json` with `"schema": "bench-scale-v8"`
 //! so the performance trajectory stays machine-readable across PRs (and so
 //! CI can fail on regressions — see `scripts/check_bench_regression.py`).
 //! The prose reference — including how the regression gate consumes the
@@ -28,6 +28,7 @@
 //! | `incremental_s`, `naive_s` | end-to-end wall time per delivery mode (`naive_s` is `null` above the naive cap) |
 //! | `incremental_filter_s`, `incremental_outcome_s` | candidate-filter vs receive-outcome split of the incremental query (`Simulator::query_profile`) |
 //! | `incremental_interference_s` | interference+capture share of `incremental_outcome_s` (the phase the spatialised active window optimises; always ≤ the outcome time) |
+//! | `incremental_observe_s` | time spent writing delivered beacons into the receivers' neighbour tables (`QueryProfile::observe_s`; outside the query) |
 //! | `incremental_bucket_ops` | grid-maintenance bucket membership writes of the incremental run |
 //! | `sweep_cells_visited`, `sweep_cells_culled` | non-empty cells the incremental run's batched sweep reached, and how many the event horizon skipped whole ([`manet::SweepStats`]; culled ≤ visited) |
 //! | `sweep_batched_candidates`, `sweep_scalar_candidates` | candidates evaluated by full-width chunk kernels vs the scalar fallback (mixed-kind chunks + per-query tails) |
@@ -35,7 +36,8 @@
 //! | `speedup_naive_over_incremental` | the headline ratio CI's perf gate checks against committed floors — `naive_s / incremental_s`, derived by the emitter, never hand-set (`null` above the naive cap) |
 //!
 //! The trailing `batched_eval` object records one batched AEDB evaluation
-//! posed directly on the first dense scenario. v6 → v7 removed the
+//! posed directly on the first dense scenario. v7 → v8 added
+//! `incremental_observe_s`; v6 → v7 removed the
 //! horizon-rebuild and sharded columns, their speedups and the top-level
 //! `host_parallelism`, along with the delivery paths they measured; v5 →
 //! v6 added those sharded columns; v4 → v5 added the four sweep counters
@@ -68,10 +70,10 @@ pub fn peak_rss_bytes() -> Option<u64> {
 
 /// Schema identifier written by [`ScaleArtifact::to_json`]; bump it here
 /// (and in `scripts/check_bench_schema.py`) when the field list changes.
-pub const SCALE_SCHEMA: &str = "bench-scale-v7";
+pub const SCALE_SCHEMA: &str = "bench-scale-v8";
 
 /// One scenario row of the scale artifact — the measured columns of the
-/// v7 schema (see the module docs for the field table). The speedup
+/// v8 schema (see the module docs for the field table). The speedup
 /// column is *derived* from the wall times at emission, so it cannot
 /// disagree with the ratio it summarises.
 #[derive(Debug, Clone)]
@@ -98,6 +100,8 @@ pub struct ScaleRow {
     pub incremental_outcome_s: f64,
     /// Interference+capture share of `incremental_outcome_s`.
     pub incremental_interference_s: f64,
+    /// Neighbour-table write time of the incremental run.
+    pub incremental_observe_s: f64,
     /// Grid bucket membership writes, incremental mode.
     pub incremental_bucket_ops: u64,
     /// Batched-sweep work counters from the incremental run.
@@ -147,7 +151,7 @@ fn json_opt(v: Option<f64>) -> String {
 }
 
 impl ScaleArtifact {
-    /// Renders the artifact as the v7 JSON document.
+    /// Renders the artifact as the v8 JSON document.
     pub fn to_json(&self) -> String {
         let mut rows = String::new();
         for (i, r) in self.rows.iter().enumerate() {
@@ -161,7 +165,7 @@ impl ScaleArtifact {
                  \"beacons_per_sec\": {}, \"coverage\": {},\n     \
                  \"incremental_s\": {}, \"naive_s\": {},\n     \
                  \"incremental_filter_s\": {}, \"incremental_outcome_s\": {},\n     \
-                 \"incremental_interference_s\": {},\n     \
+                 \"incremental_interference_s\": {}, \"incremental_observe_s\": {},\n     \
                  \"incremental_bucket_ops\": {},\n     \
                  \"sweep_cells_visited\": {}, \"sweep_cells_culled\": {},\n     \
                  \"sweep_batched_candidates\": {}, \"sweep_scalar_candidates\": {},\n     \
@@ -178,6 +182,7 @@ impl ScaleArtifact {
                 json_num(r.incremental_filter_s),
                 json_num(r.incremental_outcome_s),
                 json_num(r.incremental_interference_s),
+                json_num(r.incremental_observe_s),
                 r.incremental_bucket_ops,
                 r.sweep.cells_visited,
                 r.sweep.cells_culled,

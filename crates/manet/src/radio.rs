@@ -285,19 +285,110 @@ pub fn link_shadowing_db(sigma_db: f64, seed: u64, a: usize, b: usize) -> f64 {
     if sigma_db <= 0.0 {
         return 0.0;
     }
-    let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-    let mut h = seed ^ 0x9E37_79B9_7F4A_7C15u64;
-    for v in [lo as u64, hi as u64] {
-        h ^= v
-            .wrapping_add(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(h << 6)
-            .wrapping_add(h >> 2);
-        h = splitmix64(h);
+    LinkDraw::new(seed, a, b).shadowing_db(sigma_db)
+}
+
+/// The first half of [`link_shadowing_db`]: the hash of the unordered
+/// pair `{a, b}` under the seed, and the first Box–Muller uniform `u1`
+/// drawn from it. `u1` alone bounds the draw (`|g| ≤ √(−2 ln u1)`), which
+/// is what [`ShadowCull`] tests before paying for the rest.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LinkDraw {
+    hash: u64,
+    /// The first uniform of the Box–Muller pair, in `[0, 1)`.
+    pub u1: f64,
+}
+
+impl LinkDraw {
+    /// Hashes the link `{a, b}` under `seed` and draws its `u1`.
+    pub fn new(seed: u64, a: usize, b: usize) -> Self {
+        let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
+        let mut h = seed ^ 0x9E37_79B9_7F4A_7C15u64;
+        for v in [lo as u64, hi as u64] {
+            h ^= v
+                .wrapping_add(0x9E37_79B9_7F4A_7C15)
+                .wrapping_add(h << 6)
+                .wrapping_add(h >> 2);
+            h = splitmix64(h);
+        }
+        let u1 = (splitmix64(h) >> 11) as f64 / (1u64 << 53) as f64;
+        LinkDraw { hash: h, u1 }
     }
-    let u1 = (splitmix64(h) >> 11) as f64 / (1u64 << 53) as f64;
-    let u2 = (splitmix64(h ^ 0xDEAD_BEEF) >> 11) as f64 / (1u64 << 53) as f64;
-    let g = (-2.0 * (u1.max(1e-300)).ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-    sigma_db * g.min(SHADOW_TAIL_SIGMAS)
+
+    /// The link's shadowing in dB for `sigma_db > 0`: exactly
+    /// [`link_shadowing_db`]`(sigma_db, seed, a, b)`.
+    pub fn shadowing_db(self, sigma_db: f64) -> f64 {
+        let u2 = (splitmix64(self.hash ^ 0xDEAD_BEEF) >> 11) as f64 / (1u64 << 53) as f64;
+        let g = (-2.0 * (self.u1.max(1e-300)).ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
+        sigma_db * g.min(SHADOW_TAIL_SIGMAS)
+    }
+}
+
+/// An exact pre-cull for the shadowed decode test of one transmission:
+/// decides from a candidate's squared distance `d²` and its link's
+/// [`LinkDraw::u1`] alone that `rx_dbm(tx_dbm, d) + link_shadowing_db(σ)`
+/// is below the sensitivity, skipping the `log10` of the path loss and the
+/// `ln`/`sqrt`/`cos` of the draw.
+///
+/// For `k ∈ {3, 2, 1}` it holds `hi²_k`, the upper bound of the
+/// [`threshold_band_sq`](PathLoss::threshold_band_sq) of `tx_dbm + k·σ`
+/// against the sensitivity, and `U_k = e^{−k²/2}·(1 + `[`THRESHOLD_BAND`]`)`.
+/// A candidate with `d² > hi²_k` and `u1 > U_k` cannot decode:
+///
+/// * the Box–Muller draw is `g = √(−2 ln u1)·cos(2π u2)`, so
+///   `g ≤ √(−2 ln u1)`; with `u1 > e^{−k²/2}(1 + 10⁻⁹)` that is below
+///   `k − 10⁻⁹/k`, far more than the few ulps `ln`, `sqrt` and `cos` can
+///   round by. So the shadowing `σ·min(g, 4)` is below `k·σ`, as
+///   `k ≤ 3 < 4`;
+/// * `d² > hi²_k` puts `d` beyond the band around the distance where a
+///   frame at `tx_dbm + k·σ` arrives at exactly the sensitivity, so
+///   `rx_dbm(tx_dbm + k·σ, d)` is below it by at least the band's margin
+///   (`10·n·log₁₀(1 + 10⁻⁹)`, ~10⁻⁸ dB for path-loss exponent `n = 3`), again
+///   far above the rounding of the sums involved;
+/// * hence `rx_dbm(tx_dbm, d) + σ·min(g, 4) < rx_dbm(tx_dbm + k·σ, d) <
+///   sensitivity`: the exact test fails, and skipping the candidate is
+///   what the exact test's out-of-range branch does.
+///
+/// A candidate the cull keeps goes through the exact test unchanged, so
+/// outcomes are bit-identical with or without it. With σ ≤ 0 it culls
+/// nothing (the unshadowed path has its own log-free test).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ShadowCull {
+    /// `hi²_k` for `k = 3, 2, 1`.
+    hi_r2: [f64; 3],
+    /// `U_k` for `k = 3, 2, 1`.
+    u_min: [f64; 3],
+}
+
+impl ShadowCull {
+    /// The cull for a frame sent at `tx_dbm` under shadowing `sigma_db`,
+    /// decoded at `sensitivity_dbm`.
+    pub fn new(path_loss: PathLoss, tx_dbm: f64, sigma_db: f64, sensitivity_dbm: f64) -> Self {
+        if sigma_db <= 0.0 {
+            return ShadowCull {
+                hi_r2: [f64::INFINITY; 3],
+                u_min: [f64::INFINITY; 3],
+            };
+        }
+        let k = [3.0f64, 2.0, 1.0];
+        ShadowCull {
+            hi_r2: k.map(|k| {
+                path_loss
+                    .threshold_band_sq(tx_dbm + k * sigma_db, sensitivity_dbm)
+                    .1
+            }),
+            u_min: k.map(|k| (-0.5 * k * k).exp() * (1.0 + THRESHOLD_BAND)),
+        }
+    }
+
+    /// Whether a candidate at squared distance `d2` whose link drew `u1`
+    /// certainly fails the decode test (see the type docs for the proof).
+    #[inline]
+    pub fn culls(&self, d2: f64, u1: f64) -> bool {
+        (d2 > self.hi_r2[0] && u1 > self.u_min[0])
+            || (d2 > self.hi_r2[1] && u1 > self.u_min[1])
+            || (d2 > self.hi_r2[2] && u1 > self.u_min[2])
+    }
 }
 
 fn splitmix64(mut z: u64) -> u64 {

@@ -49,15 +49,24 @@
 //!   ([`crate::radio::INTERFERENCE_FLOOR_DB`], shadowing tail included),
 //!   so provably irrelevant terms are skipped by a squared-distance
 //!   compare — the sums are unchanged because skipped terms contribute
-//!   exactly zero. Shadowed links keep the dB-domain test but share one
-//!   shadowing draw per (transmitter, receiver) pair across a frame's
-//!   outcome evaluations.
+//!   exactly zero. Shadowed links keep the dB-domain test, behind an exact
+//!   **pre-cull** ([`crate::radio::ShadowCull`]): a candidate beyond the
+//!   decode distance of `tx + k·σ` whose link hash bounds its Gaussian
+//!   draw below `k` (one uniform, no transcendental) provably cannot
+//!   decode and skips the `log10` and the Box–Muller draw. Interferers
+//!   share one shadowing draw per (transmitter, receiver) pair across a
+//!   frame's outcome evaluations.
 //! * a **spatialised active window**
 //!   ([`crate::events::SpatialActiveWindow`]): in-flight frames are
 //!   bucketed by grid cell, a query gathers only the frames near its
 //!   receivers (O(nearby), not O(on air) per receiver) and replays them
 //!   in transmission order, so interference sums stay bit-identical to
 //!   the oracle's scan of every live frame.
+//! * **neighbour tables** ([`crate::neighbor`]) are per-node
+//!   open-addressed slot arrays keyed by a fixed hash of the `u32` id, so
+//!   writing each delivered beacon into its receiver's table — one write
+//!   per reception, the hottest step outside the query in dense worlds —
+//!   touches one or two cache lines and never hashes with a random state.
 //! * shadowed scenarios (`shadowing_sigma_db > 0`) do not fall back to
 //!   the naive O(n) receiver scan: the per-link shadowing gain is
 //!   truncated at `+4σ` ([`crate::radio::SHADOW_TAIL_SIGMAS`], with an
@@ -74,9 +83,9 @@
 //! suite).
 //! [`Simulator::set_delivery_mode`] selects the oracle for parity tests
 //! and benchmarks. [`Simulator::set_query_profiling`] splits query wall
-//! time into candidate-filter vs receive-outcome phases
-//! ([`QueryProfile`]), the breakdown `exp_scale` records per
-//! `BENCH_scale.json` row.
+//! time into candidate-filter vs receive-outcome phases and times the
+//! neighbour-table writes ([`QueryProfile`]), the breakdown `exp_scale`
+//! records per `BENCH_scale.json` row.
 //!
 //! The simulator is also **reusable**: [`Simulator::reset_world`] re-arms
 //! every pre-allocated structure (event queue, active window, neighbour
@@ -98,9 +107,9 @@ use crate::metrics::{BroadcastMetrics, SimCounters};
 use crate::mobility::{
     AnyMobility, Mobility, MobilityModel, RandomWalk, RandomWaypoint, Stationary,
 };
-use crate::neighbor::{NeighborEntry, NeighborTable};
+use crate::neighbor::{NeighborEntry, NeighborTable, Observation};
 use crate::protocol::{Protocol, ProtocolApi};
-use crate::radio::{dbm_to_mw, RadioConfig, INTERFERENCE_FLOOR_DB};
+use crate::radio::{dbm_to_mw, LinkDraw, RadioConfig, ShadowCull, INTERFERENCE_FLOOR_DB};
 use crate::snapshot::KinematicSnapshot;
 use crate::sweep::{DeliverySweep, SweepStats};
 use crate::world::{GroupPlacement, WorldSpec};
@@ -279,7 +288,9 @@ impl FrameKind {
 /// is enabled ([`Simulator::set_query_profiling`]). The two phases are the
 /// ones the query-side perf work optimises independently: candidate
 /// *filtering* (grid walk + position filter + ordering) and the exact
-/// per-receiver *outcome* tests (propagation, half-duplex, capture).
+/// per-receiver *outcome* tests (propagation, half-duplex, capture). The
+/// profile also times what the simulator does with a delivered beacon
+/// afterwards, the neighbour-table writes ([`observe_s`](Self::observe_s)).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct QueryProfile {
     /// Seconds spent gathering, filtering and ordering candidates.
@@ -292,6 +303,10 @@ pub struct QueryProfile {
     /// at this granularity; the naive oracle's split stays filter/outcome
     /// only.
     pub interference_s: f64,
+    /// Seconds spent writing beacon receptions into the receivers'
+    /// neighbour tables — outside the query, one write per delivered
+    /// beacon.
+    pub observe_s: f64,
 }
 
 /// Simulator state visible to protocols through [`ProtocolApi`].
@@ -382,11 +397,11 @@ struct QueryScratch {
     /// surviving the snapshot filter — the position and distance feed
     /// straight into the outcome test.
     filtered: Vec<(NodeId, Vec2, f64)>,
-    /// One-entry memo of [`decode_radius`](QueryScratch::decode_radius)
-    /// keyed by the transmit power's bit pattern: the radius costs a
-    /// `powf` per call, every delivery query needs it, and in practice
-    /// transmissions cycle through a handful of power classes.
-    decode_radius_memo: (u64, f64),
+    /// One-entry memo of [`power_class`](QueryScratch::power_class)
+    /// keyed by the transmit power's bit pattern: the radius and the cull
+    /// cost four `powf`s between them, every delivery query needs them, and
+    /// in practice transmissions cycle through a handful of power classes.
+    power_memo: Option<(u64, PowerClass)>,
     /// Scratch: candidates that passed the (log-free) decode test, with
     /// their received power (NaN = deferred: computed only if the capture
     /// comparison or a delivery actually needs it).
@@ -412,9 +427,7 @@ impl Default for QueryScratch {
         QueryScratch {
             sweep: DeliverySweep::new(),
             filtered: Vec::new(),
-            // `u64::MAX` is a NaN bit pattern, so a real power never
-            // collides with the initial sentinel.
-            decode_radius_memo: (u64::MAX, 0.0),
+            power_memo: None,
             decodable: Vec::new(),
             frames: Vec::new(),
             shadow_val: Vec::new(),
@@ -438,22 +451,42 @@ impl QueryScratch {
         self.shadow_stamp.clear();
         self.shadow_stamp.resize(n_nodes, 0);
         self.shadow_epoch = 0;
-        self.decode_radius_memo = (u64::MAX, 0.0);
+        self.power_memo = None;
         self.profile = QueryProfile::default();
     }
 
-    /// The finite radius within which `tx` can possibly be decoded:
+    /// The query constants of `tx`'s power (see [`PowerClass`]).
+    fn power_class(&mut self, radio: &RadioConfig, tx: &Transmission) -> PowerClass {
+        let bits = tx.tx_dbm.to_bits();
+        match self.power_memo {
+            Some((memo_bits, class)) if memo_bits == bits => class,
+            _ => {
+                let class = PowerClass {
+                    decode_r: radio.max_decode_range(tx.tx_dbm) * (1.0 + RANGE_EPSILON)
+                        + RANGE_EPSILON,
+                    cull: ShadowCull::new(
+                        radio.path_loss,
+                        tx.tx_dbm,
+                        radio.shadowing_sigma_db,
+                        radio.rx_sensitivity_dbm,
+                    ),
+                };
+                self.power_memo = Some((bits, class));
+                class
+            }
+        }
+    }
+}
+
+/// What a delivery query derives from the frame's transmit power alone.
+#[derive(Debug, Clone, Copy)]
+struct PowerClass {
+    /// The finite radius within which the frame can possibly be decoded:
     /// the bounded-tail decode range (shadowing gain truncated at `+4σ`)
     /// inflated against floating-point rounding at the exact boundary.
-    fn decode_radius(&mut self, radio: &RadioConfig, tx: &Transmission) -> f64 {
-        let bits = tx.tx_dbm.to_bits();
-        if self.decode_radius_memo.0 == bits {
-            return self.decode_radius_memo.1;
-        }
-        let r = radio.max_decode_range(tx.tx_dbm) * (1.0 + RANGE_EPSILON) + RANGE_EPSILON;
-        self.decode_radius_memo = (bits, r);
-        r
-    }
+    decode_r: f64,
+    /// The shadowed decode test's pre-cull (culls nothing unshadowed).
+    cull: ShadowCull,
 }
 
 /// Outcome of the exact per-receiver delivery test.
@@ -514,12 +547,9 @@ impl World {
         if let Err(e) = spec.validate() {
             panic!("{e}");
         }
+        // `validate` caps the node count below `u32::MAX`, which makes
+        // every `node as u32` of an `Event` and a neighbour table lossless.
         let n_nodes = spec.n_nodes();
-        // Makes every `node as u32` of an `Event` lossless.
-        assert!(
-            u32::try_from(n_nodes).is_ok(),
-            "{n_nodes} nodes: events store node ids as u32"
-        );
         let max_tx = spec.max_tx_dbm();
 
         let cell = grid_cell(&spec.radio, spec.field, max_tx);
@@ -912,7 +942,8 @@ impl World {
         // batched into fixed-width chunk kernels by the sweep, which also
         // skips cells its event-horizon cache proves out of decode reach
         // (see `crate::sweep` for the bit-exactness argument).
-        let r = s.decode_radius(radio, tx);
+        let class = s.power_class(radio, tx);
+        let r = class.decode_r;
         let t = tx.end;
         s.sweep.filter_into(
             &self.grid,
@@ -972,8 +1003,14 @@ impl World {
                 if i == tx.sender {
                     continue;
                 }
-                let rx = pl.rx_dbm(tx.tx_dbm, d2.sqrt())
-                    + crate::radio::link_shadowing_db(sigma, seed, tx.sender, i);
+                let draw = LinkDraw::new(seed, tx.sender, i);
+                if class.cull.culls(d2, draw.u1) {
+                    // provably below sensitivity without the `log10` or
+                    // the draw (see `ShadowCull`): the oracle's OutOfRange
+                    // branch
+                    continue;
+                }
+                let rx = pl.rx_dbm(tx.tx_dbm, d2.sqrt()) + draw.shadowing_db(sigma);
                 if rx >= sens {
                     decodable.push((i, p, d2, rx));
                 }
@@ -1199,11 +1236,16 @@ impl ProtocolApi for World {
     }
 
     fn neighbors(&self, node: NodeId) -> Vec<NeighborEntry> {
-        self.tables[node].live(self.queue.now(), self.spec.neighbor_expiry)
+        self.tables[node].live(self.queue.now(), self.spec.neighbor_expiry, &self.node_tx)
     }
 
     fn neighbors_into(&self, node: NodeId, out: &mut Vec<NeighborEntry>) {
-        self.tables[node].live_into(self.queue.now(), self.spec.neighbor_expiry, out);
+        self.tables[node].live_into(
+            self.queue.now(),
+            self.spec.neighbor_expiry,
+            &self.node_tx,
+            out,
+        );
     }
 
     fn default_tx_dbm(&self) -> f64 {
@@ -1253,7 +1295,9 @@ pub struct Simulator<P: Protocol> {
 ///
 /// * The neighbour tables keep only the entries still live at
 ///   `broadcast_time`, the first instant a protocol can read a table,
-///   stored flat (one entries `Vec` plus per-node ends). This is exact:
+///   stored flat as 24-byte [`Observation`]s (one `Vec` plus per-node
+///   ends); restore refills the target's existing tables from them in
+///   place. This is exact:
 ///   the read filter `now − last_seen <= neighbor_expiry` is monotone in
 ///   `now`, so an entry that fails it at the broadcast fails it at every
 ///   later read, and readers only see the filtered, id-sorted output. A
@@ -1278,7 +1322,7 @@ pub struct Checkpoint {
     in_flight: InFlight,
     mobility: Vec<AnyMobility>,
     /// Every node's neighbour entries live at the broadcast, node by node.
-    neighbors: Vec<NeighborEntry>,
+    neighbors: Vec<Observation>,
     /// Node `i`'s entries are `neighbors[neighbor_ends[i - 1]..neighbor_ends[i]]`,
     /// starting at 0 for node 0.
     neighbor_ends: Vec<u32>,
@@ -1379,16 +1423,17 @@ impl<P: Protocol> Simulator<P> {
         self.world.grid.cell_size()
     }
 
-    /// Enables/disables wall-time profiling of the delivery query (off by
-    /// default — the two extra `Instant::now` samples per query are only
+    /// Enables/disables wall-time profiling of the delivery query and of
+    /// the neighbour-table writes (off by default — the extra
+    /// `Instant::now` samples per query and per delivered beacon are only
     /// taken when enabled, so unprofiled runs pay nothing). The setting
     /// survives [`reset_world`](Self::reset_world); the accumulators do not.
     pub fn set_query_profiling(&mut self, on: bool) {
         self.world.profile_on = on;
     }
 
-    /// The accumulated candidate-filter / receive-outcome wall-time split
-    /// since the last reset (all zeros unless
+    /// The accumulated candidate-filter / receive-outcome / table-write
+    /// wall times since the last reset (all zeros unless
     /// [`set_query_profiling`](Self::set_query_profiling) is on).
     pub fn query_profile(&self) -> QueryProfile {
         self.world.scratch.profile
@@ -1603,9 +1648,11 @@ impl<P: Protocol> Simulator<P> {
     /// checkpoint's world under this protocol gives, bit for bit — whatever
     /// world this simulator ran before.
     ///
-    /// The neighbour tables are rebuilt from the checkpoint's live entries,
-    /// each sized to its own entries rather than to the capacity this
-    /// simulator's tables grew to before; the broadcast metrics start
+    /// The neighbour tables are refilled in place from the checkpoint's
+    /// live entries ([`NeighborTable::refill`]), each sized to its own
+    /// entries rather than to the capacity this simulator's tables grew to
+    /// before (a table keeps its allocation where that is large enough);
+    /// the broadcast metrics start
     /// initial and the kinematic snapshot is rebuilt from the mobility
     /// segments (see [`Checkpoint`]). The delivery scratch of the previous
     /// run is re-armed — including every cached sweep event horizon, which
@@ -1643,13 +1690,13 @@ impl<P: Protocol> Simulator<P> {
         w.queue.clone_from(queue);
         w.in_flight.clone_from(in_flight);
         w.mobility.clone_from(mobility);
-        w.tables.clear();
+        w.tables.truncate(*n_nodes);
+        w.tables.resize_with(*n_nodes, NeighborTable::new);
         let mut start = 0;
-        w.tables.extend(neighbor_ends.iter().map(|&end| {
-            let table = NeighborTable::from_entries(&neighbors[start..end as usize]);
+        for (table, &end) in w.tables.iter_mut().zip(neighbor_ends) {
+            table.refill(&neighbors[start..end as usize]);
             start = end as usize;
-            table
-        }));
+        }
         w.rng.clone_from(rng);
         w.live.clone_from(live);
         w.frames.clone_from(frames);
@@ -1704,10 +1751,16 @@ impl<P: Protocol> Simulator<P> {
                 self.world.compute_deliveries(&tx, &mut deliveries);
                 match tx.kind {
                     FrameKind::Beacon => {
-                        let now = self.world.queue.now();
-                        self.world.counters.beacons_received += deliveries.len() as u64;
+                        let w = &mut self.world;
+                        let now = w.queue.now();
+                        let expiry = w.spec.neighbor_expiry;
+                        w.counters.beacons_received += deliveries.len() as u64;
+                        let t0 = w.profile_on.then(Instant::now);
                         for &(r, rx_dbm) in &deliveries {
-                            self.world.tables[r].observe(tx.sender, rx_dbm, tx.tx_dbm, now);
+                            w.tables[r].observe(tx.sender, rx_dbm, now, expiry);
+                        }
+                        if let Some(t0) = t0 {
+                            w.scratch.profile.observe_s += t0.elapsed().as_secs_f64();
                         }
                     }
                     FrameKind::Data => {
@@ -1999,7 +2052,7 @@ mod tests {
                     let now = world.queue.now();
                     if tx.kind == FrameKind::Beacon {
                         for &(r, rx) in &ds {
-                            world.tables[r].observe(tx.sender, rx, tx.tx_dbm, now);
+                            world.tables[r].observe(tx.sender, rx, now, world.spec.neighbor_expiry);
                         }
                     }
                 }
@@ -2236,9 +2289,10 @@ mod tests {
         restored.restore(&edge, |p| *p = Flooding::new(n, (0.0, 0.1)));
         let bt = c.broadcast_time;
         for node in 0..n {
-            let live = sim.world.tables[node].live(bt, c.neighbor_expiry);
+            let tx = &sim.world.node_tx;
+            let live = sim.world.tables[node].live(bt, c.neighbor_expiry, tx);
             assert_eq!(
-                restored.world.tables[node].live(bt, c.neighbor_expiry),
+                restored.world.tables[node].live(bt, c.neighbor_expiry, tx),
                 live
             );
             assert_eq!(restored.world.tables[node].len(), live.len());

@@ -95,6 +95,22 @@ use crate::radio::RadioConfig;
 use crate::sim::{DeliveryMode, NodeId, GRID_BUCKET_SLACK_M};
 use serde::{Deserialize, Serialize};
 
+/// Largest shadowing σ (dB) [`WorldSpec::validate`] accepts. Measured
+/// urban and indoor shadowing stays within 4–12 dB; 20 dB leaves room for
+/// stress worlds while keeping the `+4σ` decode disc (and every squared
+/// distance and threshold the delivery query derives from it) finite.
+pub const MAX_SHADOWING_SIGMA_DB: f64 = 20.0;
+
+/// Smallest transmit power (dBm) [`WorldSpec::validate`] accepts for a
+/// group's power class.
+pub const MIN_TX_POWER_DBM: f64 = -30.0;
+
+/// Largest transmit power (dBm) [`WorldSpec::validate`] accepts for a
+/// group's power class. `[MIN_TX_POWER_DBM, MAX_TX_POWER_DBM]` covers every
+/// Wi-Fi power class (Table II's 16.02 dBm included) and the −10..30 dBm
+/// the scenario-grammar fuzz draws.
+pub const MAX_TX_POWER_DBM: f64 = 40.0;
+
 /// How one group's initial positions are chosen. Every variant draws (or
 /// takes) positions in node order, so a spec is fully determined by the
 /// seed.
@@ -234,6 +250,15 @@ pub enum WorldError {
     BadTimes,
     /// `beacon_interval <= 0`.
     BadBeaconInterval,
+    /// The shadowing σ is negative, non-finite or above
+    /// [`MAX_SHADOWING_SIGMA_DB`].
+    BadShadowing,
+    /// A group's power class (its override, else the radio default) is
+    /// non-finite or outside [`MIN_TX_POWER_DBM`]`..=`[`MAX_TX_POWER_DBM`].
+    BadTxPower(usize),
+    /// More than `u32::MAX` nodes: events and neighbour tables store node
+    /// ids as `u32`, with `u32::MAX` itself marking a free table slot.
+    TooManyNodes,
 }
 
 impl std::fmt::Display for WorldError {
@@ -257,6 +282,16 @@ impl std::fmt::Display for WorldError {
             WorldError::BadSpeedRange(g) => write!(f, "bad speed range in group {g}"),
             WorldError::BadTimes => write!(f, "end_time must be >= broadcast_time"),
             WorldError::BadBeaconInterval => write!(f, "beacon interval must be positive"),
+            WorldError::BadShadowing => write!(
+                f,
+                "shadowing sigma must be finite and within 0..={MAX_SHADOWING_SIGMA_DB} dB"
+            ),
+            WorldError::BadTxPower(g) => write!(
+                f,
+                "transmit power of group {g} must be finite and within \
+                 {MIN_TX_POWER_DBM}..={MAX_TX_POWER_DBM} dBm"
+            ),
+            WorldError::TooManyNodes => write!(f, "more than {} nodes", u32::MAX),
         }
     }
 }
@@ -360,12 +395,26 @@ impl WorldSpec {
     /// Checks every structural invariant the simulator will otherwise
     /// panic on; [`WorldSpecBuilder::build`] calls this for you.
     pub fn validate(&self) -> Result<(), WorldError> {
-        if self.n_nodes() == 0 {
+        let n_nodes = self
+            .groups
+            .iter()
+            .try_fold(0usize, |n, g| n.checked_add(g.n))
+            .filter(|&n| n <= u32::MAX as usize)
+            .ok_or(WorldError::TooManyNodes)?;
+        if n_nodes == 0 {
             return Err(WorldError::NoNodes);
+        }
+        let sigma = self.radio.shadowing_sigma_db;
+        if !(0.0..=MAX_SHADOWING_SIGMA_DB).contains(&sigma) {
+            return Err(WorldError::BadShadowing);
         }
         for (gi, g) in self.groups.iter().enumerate() {
             if g.n == 0 {
                 return Err(WorldError::EmptyGroup(gi));
+            }
+            let power = g.tx_power_dbm.unwrap_or(self.radio.default_tx_dbm);
+            if !(MIN_TX_POWER_DBM..=MAX_TX_POWER_DBM).contains(&power) {
+                return Err(WorldError::BadTxPower(gi));
             }
             let (lo, hi) = g.speed_range;
             let stalls = self.end_time + GRID_BUCKET_SLACK_M / g.max_speed() == self.end_time;
@@ -396,10 +445,10 @@ impl WorldSpec {
                 }
             }
         }
-        if self.source >= self.n_nodes() {
+        if self.source >= n_nodes {
             return Err(WorldError::SourceOutOfRange {
                 source: self.source,
-                n_nodes: self.n_nodes(),
+                n_nodes,
             });
         }
         if self.end_time < self.broadcast_time {
@@ -1009,6 +1058,52 @@ mod tests {
         assert_eq!(
             probe.world_spec(0).validate().unwrap_err(),
             WorldError::BadSpeedRange(1)
+        );
+        // σ = 10³⁰⁰ dB and a 10⁶ dBm group also parse, and ran before
+        // `validate` bounded them.
+        let probe = DenseScenario::parse_spec("3@200@1e300").expect("parses");
+        assert_eq!(
+            probe.world_spec(0).validate().unwrap_err(),
+            WorldError::BadShadowing
+        );
+        let probe = DenseScenario::parse_spec("3@200+2:1e6dbm").expect("parses");
+        assert_eq!(
+            probe.world_spec(0).validate().unwrap_err(),
+            WorldError::BadTxPower(1)
+        );
+        let mut w = WorldSpec::paper(10, 1);
+        for sigma in [-1.0, f64::NAN, f64::INFINITY, MAX_SHADOWING_SIGMA_DB * 1.01] {
+            w.radio.shadowing_sigma_db = sigma;
+            assert_eq!(
+                w.validate().unwrap_err(),
+                WorldError::BadShadowing,
+                "{sigma}"
+            );
+        }
+        w.radio.shadowing_sigma_db = MAX_SHADOWING_SIGMA_DB;
+        assert_eq!(w.validate(), Ok(()));
+        for power in [f64::NAN, MIN_TX_POWER_DBM - 1.0, MAX_TX_POWER_DBM + 1.0] {
+            assert_eq!(
+                b().group(NodeGroup::new(3).tx_power_dbm(power))
+                    .build()
+                    .unwrap_err(),
+                WorldError::BadTxPower(1),
+                "{power}"
+            );
+            let mut w = WorldSpec::paper(10, 1);
+            w.radio.default_tx_dbm = power;
+            assert_eq!(w.validate().unwrap_err(), WorldError::BadTxPower(0));
+        }
+        // Ids must fit below `u32::MAX`, and the count must not overflow.
+        assert_eq!(
+            b().group(NodeGroup::new(u32::MAX as usize))
+                .build()
+                .unwrap_err(),
+            WorldError::TooManyNodes
+        );
+        assert_eq!(
+            b().group(NodeGroup::new(usize::MAX)).build().unwrap_err(),
+            WorldError::TooManyNodes
         );
         assert!(matches!(
             b().group(

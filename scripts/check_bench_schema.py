@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
-"""Validate a BENCH_scale.json artifact against the bench-scale-v7 schema.
+"""Validate a BENCH_scale.json artifact against the bench-scale-v8 schema.
 
 Usage: check_bench_schema.py [PATH] [--rows N]
 
 PATH defaults to BENCH_scale.json in the current directory. --rows asserts
 the exact scenario-row count (CI passes the count its smoke run produces).
 
-The v7 schema is emitted by ScaleArtifact in crates/bench/src/scale.rs and
+The v8 schema is emitted by ScaleArtifact in crates/bench/src/scale.rs and
 documented field-by-field in docs/BENCH_SCHEMA.md (calibration workload
 and ceiling semantics included).
 Beyond key presence, the structural invariants checked here are the ones a
@@ -15,7 +15,8 @@ broken profiler or a half-written emitter would violate:
   * the calibration workload has a positive wall time;
   * every row's `spec` is a non-empty scenario-grammar string whose head
     matches the row's nodes/density columns for homogeneous rows;
-  * filter + outcome query time cannot exceed the mode's end-to-end time;
+  * filter + outcome query time plus the neighbour-table write time
+    cannot exceed the mode's end-to-end time;
   * the interference phase is a sub-interval of the outcome phase;
   * the event horizon cannot cull more cells than the sweep visited, and
     an incremental run that delivered anything must have swept candidates;
@@ -38,6 +39,7 @@ REQUIRED = [
     "incremental_filter_s",
     "incremental_outcome_s",
     "incremental_interference_s",
+    "incremental_observe_s",
     "incremental_bucket_ops",
     "sweep_cells_visited",
     "sweep_cells_culled",
@@ -68,8 +70,8 @@ def main(argv):
     except (OSError, ValueError) as e:
         fail(f"cannot read {path}: {e}")
 
-    if d.get("schema") != "bench-scale-v7":
-        fail(f"schema is {d.get('schema')!r}, want 'bench-scale-v7'")
+    if d.get("schema") != "bench-scale-v8":
+        fail(f"schema is {d.get('schema')!r}, want 'bench-scale-v8'")
     cal = d.get("calibration")
     if not isinstance(cal, dict) or not isinstance(cal.get("seconds"), (int, float)):
         fail("missing calibration object with numeric 'seconds'")
@@ -91,8 +93,15 @@ def main(argv):
             fail(f"row {name}: spec must be a non-empty string")
         if "+" not in spec and not spec.startswith(f"{row['nodes']}@{row['per_km2']}"):
             fail(f"row {name}: spec {spec!r} disagrees with nodes/per_km2 columns")
-        if row["incremental_filter_s"] + row["incremental_outcome_s"] > row["incremental_s"]:
-            fail(f"row {name}: incremental query split exceeds end-to-end time")
+        profiled = (
+            row["incremental_filter_s"]
+            + row["incremental_outcome_s"]
+            + row["incremental_observe_s"]
+        )
+        if profiled > row["incremental_s"]:
+            fail(f"row {name}: query split plus table writes exceed end-to-end time")
+        if row["incremental_observe_s"] < 0:
+            fail(f"row {name}: negative neighbour-table write time")
         if row["incremental_interference_s"] > row["incremental_outcome_s"]:
             fail(f"row {name}: interference phase exceeds the outcome phase")
         for key in (
@@ -119,7 +128,7 @@ def main(argv):
 
     if "batched_eval" not in d:
         fail("missing batched_eval object")
-    print(f"check_bench_schema: OK ({len(scenarios)} rows, schema bench-scale-v7)")
+    print(f"check_bench_schema: OK ({len(scenarios)} rows, schema bench-scale-v8)")
 
 
 if __name__ == "__main__":

@@ -1042,3 +1042,152 @@ proptest! {
         check_settle_parity(&spec, &other, at, |n| Aedb::new(n, params))?;
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn neighbor_tables_match_a_reference_map(
+        ops in prop::collection::vec((0u32..10, 0u32..1000, -100.0f64..-40.0, 0.0f64..1.0), 1..500),
+        id_span in 1u32..300,
+        expiry in 0.2f64..3.0,
+    ) {
+        // The open-addressed table against a plain ordered map that keeps
+        // every reading: whatever slots the table reuses or drops, every
+        // read must return exactly the map's live entries, bit for bit.
+        // Small id spans re-hear ids after they expired, large ones grow
+        // the table past its load factor, and time jumps longer than the
+        // expiry leave it all-stale.
+        use manet::neighbor::{NeighborTable, Observation};
+        use std::collections::BTreeMap;
+
+        let node_tx: Vec<f64> = (0..1000).map(|i| 10.0 + 0.01 * i as f64).collect();
+        let mut table = NeighborTable::new();
+        let mut model: BTreeMap<u32, (f64, f64)> = BTreeMap::new();
+        let mut now = 0.0f64;
+        let mut out = Vec::new();
+        let bits = |v: &[manet::neighbor::NeighborEntry]| -> Vec<(usize, u64, u64, u64)> {
+            v.iter()
+                .map(|e| (e.id, e.rx_dbm.to_bits(), e.tx_dbm.to_bits(), e.last_seen.to_bits()))
+                .collect()
+        };
+        let model_live = |model: &BTreeMap<u32, (f64, f64)>, now: f64| -> Vec<Observation> {
+            model
+                .iter()
+                .filter(|(_, &(_, seen))| now - seen <= expiry)
+                .map(|(&id, &(rx_dbm, last_seen))| Observation { id, rx_dbm, last_seen })
+                .collect()
+        };
+        for (kind, id, rx, x) in ops {
+            let id = id % id_span;
+            match kind {
+                // observe, at the same instant or a little later
+                0..=5 => {
+                    if kind > 0 {
+                        now += 0.3 * x;
+                    }
+                    table.observe(id as usize, rx, now, expiry);
+                    model.insert(id, (rx, now));
+                }
+                // a jump past the expiry: everything stored goes stale
+                6 => now += expiry + 5.0 * x,
+                // refill from the live entries, as a checkpoint restore
+                // does, either read back from the table or from the model
+                7 => {
+                    let mut flat = Vec::new();
+                    if x < 0.5 {
+                        table.extend_live(now, expiry, &mut flat);
+                    } else {
+                        flat = model_live(&model, now);
+                    }
+                    table.refill(&flat);
+                    prop_assert_eq!(table.len(), flat.len());
+                }
+                _ => {}
+            }
+            table.live_into(now, expiry, &node_tx, &mut out);
+            let want: Vec<_> = model_live(&model, now)
+                .into_iter()
+                .map(|o| manet::neighbor::NeighborEntry {
+                    id: o.id as usize,
+                    rx_dbm: o.rx_dbm,
+                    tx_dbm: node_tx[o.id as usize],
+                    last_seen: o.last_seen,
+                })
+                .collect();
+            prop_assert_eq!(bits(&out), bits(&want));
+            prop_assert!(table.len() >= want.len());
+        }
+    }
+
+    #[test]
+    fn shadow_precull_never_culls_a_decodable_link(
+        seed in 0u64..1_000_000_000,
+        first in 0usize..100_000,
+        sigma_below_max in 0.0f64..20.0,
+        power_class in 0usize..2,
+        k_idx in 0usize..3,
+        rng_seed in 0u64..1_000_000,
+    ) {
+        // Every candidate the shadowed pre-cull skips must fail the exact
+        // decode test `rx_dbm + link_shadowing_db >= sensitivity`, at
+        // distances straddling each cull radius by ±1e-9 (relative) and
+        // uniformly over the +4σ decode disc, for σ in (0, 20] dB and both
+        // power classes of the heterogeneous scale preset.
+        use manet::radio::{link_shadowing_db, LinkDraw, RadioConfig, ShadowCull};
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        let sigma = 20.0 - sigma_below_max;
+        let mut radio = RadioConfig::paper();
+        radio.shadowing_sigma_db = sigma;
+        let pl = radio.path_loss;
+        let sens = radio.rx_sensitivity_dbm;
+        let tx = [radio.default_tx_dbm, 20.0][power_class];
+        let cull = ShadowCull::new(pl, tx, sigma, sens);
+        let d_max = radio.max_decode_range(tx);
+        let k = [3.0, 2.0, 1.0][k_idx];
+        let hi = pl.threshold_band_sq(tx + k * sigma, sens).1.sqrt();
+        let mut rng = SmallRng::seed_from_u64(rng_seed);
+        let mut distances = vec![hi * (1.0 - 1e-9), hi, hi * (1.0 + 1e-9)];
+        distances.extend((0..64).map(|_| d_max * rng.gen_range(0.0f64..1.0).sqrt()));
+
+        // Whatever the second uniform draws, `u1` caps the Gaussian at
+        // √(−2 ln u1): a culled (distance, u1) pair must stay below the
+        // sensitivity with that worst case — at the smallest `u1` the
+        // cull accepts for this k, and at uniform ones.
+        let u_k = (-0.5 * k * k).exp() * (1.0 + manet::radio::THRESHOLD_BAND);
+        let mut uniforms = vec![f64::from_bits(u_k.to_bits() + 1)];
+        uniforms.extend((0..16).map(|_| rng.gen_range(0.0f64..1.0)));
+        for &d in &distances {
+            for &u1 in &uniforms {
+                let worst = sigma * (-2.0 * u1.max(1e-300).ln()).sqrt().min(4.0);
+                if cull.culls(d * d, u1) {
+                    prop_assert!(
+                        pl.rx_dbm(tx, d) + worst < sens,
+                        "culled a decodable worst case: d {d} u1 {u1} k {k} sigma {sigma}"
+                    );
+                }
+            }
+        }
+
+        // The links' own draws through the exact decode test.
+        for j in 0..256usize {
+            let (a, b) = (first + j, first + 1 + rng.gen_range(0..100_000usize));
+            let draw = LinkDraw::new(seed, a, b);
+            let shadow = link_shadowing_db(sigma, seed, a, b);
+            prop_assert_eq!(draw.shadowing_db(sigma).to_bits(), shadow.to_bits());
+            let uniform = d_max * rng.gen_range(0.0f64..1.0).sqrt();
+            for d in [distances[0], distances[1], distances[2], uniform] {
+                let d2 = d * d;
+                if cull.culls(d2, draw.u1) {
+                    prop_assert!(
+                        pl.rx_dbm(tx, d2.sqrt()) + shadow < sens,
+                        "culled a decodable link: d {d} u1 {} shadow {shadow}",
+                        draw.u1
+                    );
+                }
+            }
+        }
+    }
+}

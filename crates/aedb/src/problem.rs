@@ -20,10 +20,9 @@ use mopt::solution::Bounds;
 use parking_lot::Mutex;
 use rayon::prelude::*;
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use store::{DiskStorage, Storage};
+use store::Storage;
 
 /// Broadcast-time constraint limit (s): "any solution that takes longer
 /// than 2 seconds is no longer valid".
@@ -94,19 +93,21 @@ pub struct SimStats {
 /// scenario (the inner loop of the paper, which dominates runtime) and
 /// averages the metrics. Each network's protocol-free prefix is
 /// simulated once for the problem's life and restored for every
-/// simulation on it. The batched entry point [`Problem::evaluate_batch`]
-/// fans the whole (candidate × network) product out over a thread pool at
-/// once — the unit of parallelism the optimisers feed a generation at a
-/// time — and a quantized-parameter cache dedupes repeated configurations
-/// across generations.
+/// simulation on it. Every entry point — [`Problem::evaluate_batch`],
+/// [`Problem::evaluate`] and [`evaluate_full`](Self::evaluate_full) —
+/// runs one pipeline that fans the (candidate × network) product out over
+/// a thread pool at once: the unit of parallelism the optimisers feed a
+/// generation at a time, and the network axis of a lone candidate. A
+/// quantized-parameter cache dedupes repeated configurations across
+/// generations.
 pub struct AedbProblem {
     scenario: Scenario,
     /// Each network's protocol-free prefix, taken the first time the
     /// network is simulated (see `simulate_network`).
     prefixes: Vec<OnceLock<Checkpoint>>,
     bounds: Bounds,
-    /// Whether [`Problem::evaluate_batch`] fans its jobs over the thread
-    /// pool (`true` by default). Turned off when a caller shards *whole
+    /// Whether evaluation fans its jobs over the thread pool (`true` by
+    /// default). Turned off when a caller shards *whole
     /// repetitions* across the pool instead (`bench::runner`), so the two
     /// levels of parallelism do not multiply.
     parallel_batches: bool,
@@ -124,9 +125,7 @@ pub struct AedbProblem {
     /// When set, the cache is loaded from this storage slot on
     /// construction and flushed back on drop — repeated experiments start
     /// warm. The slot is any [`Storage`] backend plus the `(namespace,
-    /// key)` the serialized cache lives under; the historical
-    /// [`with_eval_cache_path`](Self::with_eval_cache_path) binds a
-    /// [`DiskStorage`] slot that maps to exactly the given file.
+    /// key)` the serialized cache lives under.
     cache_store: Option<CacheSlot>,
 }
 
@@ -140,13 +139,12 @@ struct CacheSlot {
 }
 
 impl AedbProblem {
-    /// Paper-faithful problem: Table III bounds, 10 fixed networks,
-    /// sequential per-candidate simulation at paper scale (batch
-    /// evaluation and the algorithms parallelise above this). Dense
-    /// campaigns additionally fan the network axis of a *single* candidate
-    /// across the pool — see
-    /// [`evaluate_full`](Self::evaluate_full) — because one dense
-    /// candidate is already seconds of simulation.
+    /// Paper-faithful problem: Table III bounds and the scenario's fixed
+    /// networks. Every evaluation entry point fans its (candidate ×
+    /// network) jobs over the thread pool — a lone candidate's networks
+    /// included — unless
+    /// [`with_parallel_batches(false)`](Self::with_parallel_batches) turns
+    /// the pool off.
     ///
     /// The quantized evaluation cache is **enabled** by default: decision
     /// vectors are snapped to a `2^20`-step lattice per variable, so two
@@ -156,7 +154,16 @@ impl AedbProblem {
     /// approximation for near-identical vectors; callers needing strict
     /// per-vector evaluation (e.g. parity baselines) should opt out via
     /// [`with_eval_cache(false)`](Self::with_eval_cache).
+    ///
+    /// # Panics
+    ///
+    /// If the scenario has no networks: the objectives are averages over
+    /// them.
     pub fn paper(scenario: Scenario) -> Self {
+        assert!(
+            scenario.n_networks > 0,
+            "a tuning scenario needs at least one network"
+        );
         Self {
             prefixes: (0..scenario.n_networks).map(|_| OnceLock::new()).collect(),
             scenario,
@@ -184,59 +191,30 @@ impl AedbProblem {
         self
     }
 
-    /// Enables/disables the thread-pool fan-out inside
-    /// [`Problem::evaluate_batch`] (on by default). `bench::runner` turns
-    /// it off when it shards whole repetitions across the pool, so the
-    /// outer and inner parallelism do not multiply into oversubscription.
-    /// Results are bit-identical either way.
+    /// Enables/disables the thread-pool fan-out of every evaluation entry
+    /// point — [`Problem::evaluate_batch`], [`Problem::evaluate`] and
+    /// [`evaluate_full`](Self::evaluate_full) alike (on by default).
+    /// `bench::runner` turns it off when it shards whole repetitions
+    /// across the pool, so the outer and inner parallelism do not multiply
+    /// into oversubscription. Results are bit-identical either way.
     pub fn with_parallel_batches(mut self, on: bool) -> Self {
         self.parallel_batches = on;
         self
-    }
-
-    /// Backs the quantized evaluation cache with a file: entries found at
-    /// `path` (and matching this problem's [fingerprint](Self::cache_fingerprint))
-    /// are loaded now, and the full cache is flushed back on drop — so
-    /// repeated experiments over the same scenario start warm. Enables the
-    /// cache if it was disabled. Load/flush failures are silent (a cold
-    /// cache is always correct); call
-    /// [`flush_eval_cache`](Self::flush_eval_cache) for an explicit,
-    /// error-reporting flush.
-    ///
-    /// This is the historical single-file entry point, now a thin binding
-    /// of [`with_eval_cache_storage`](Self::with_eval_cache_storage) to a
-    /// [`DiskStorage`] slot that maps to exactly `path` — the on-disk
-    /// location and format are unchanged. Paths whose file name is not a
-    /// storage-safe token (see [`store::validate_component`]) fall back to
-    /// an unpersisted in-memory cache.
-    pub fn with_eval_cache_path(mut self, path: impl Into<PathBuf>) -> Self {
-        let path = path.into();
-        let root = path
-            .parent()
-            .filter(|p| !p.as_os_str().is_empty())
-            .unwrap_or(Path::new("."));
-        let Some(key) = path.file_name().and_then(|n| n.to_str()) else {
-            // No usable file name: keep the cache, skip persistence.
-            if self.cache.is_none() {
-                self.cache = Some(Mutex::new(HashMap::new()));
-            }
-            return self;
-        };
-        // Empty namespace = the root directory itself, so the cache file
-        // lands at `path` verbatim.
-        self.with_eval_cache_storage(Arc::new(DiskStorage::new(root)), "", key)
     }
 
     /// Backs the quantized evaluation cache with an arbitrary [`Storage`]
     /// slot: the serialized cache document lives under
     /// `(namespace, key)` on `storage`. Entries matching this problem's
     /// [fingerprint](Self::cache_fingerprint) are loaded now and the full
-    /// cache is flushed back on drop, exactly like
-    /// [`with_eval_cache_path`](Self::with_eval_cache_path) — that method
-    /// *is* this one specialised to a single-file disk slot. The resident
-    /// simulation service uses this to pool eval caches from every
-    /// campaign in one backend (disk, memory, or whatever else implements
-    /// the trait), so they outlive any one process.
+    /// cache is flushed back on drop, so repeated experiments over the
+    /// same scenario start warm. Enables the cache if it was disabled.
+    /// Load/flush failures are silent (a cold cache is always correct);
+    /// call [`flush_eval_cache`](Self::flush_eval_cache) for an explicit,
+    /// error-reporting flush. On a [`store::DiskStorage`] rooted at `dir`
+    /// with an empty namespace, the document is the file `dir/key`. The
+    /// resident simulation service uses this to pool eval caches from
+    /// every campaign in one backend (disk, memory, or whatever else
+    /// implements the trait), so they outlive any one process.
     pub fn with_eval_cache_storage(
         mut self,
         storage: Arc<dyn Storage>,
@@ -282,8 +260,8 @@ impl AedbProblem {
     }
 
     /// Writes the current cache contents to the configured storage slot
-    /// (no-op without [`with_eval_cache_path`](Self::with_eval_cache_path)
-    /// / [`with_eval_cache_storage`](Self::with_eval_cache_storage)).
+    /// (no-op without
+    /// [`with_eval_cache_storage`](Self::with_eval_cache_storage)).
     /// Format: a header line `aedb-eval-cache v1 <fingerprint>` followed
     /// by one entry per line — the quantized key and the f64 bit patterns
     /// of the objectives and violation in hex, so persisted evaluations
@@ -381,7 +359,6 @@ impl AedbProblem {
     /// wider §III-B domains). The quantization lattice is anchored to the
     /// bounds, so any cached evaluations keyed on the old lattice —
     /// including entries loaded from a
-    /// [`with_eval_cache_path`](Self::with_eval_cache_path) /
     /// [`with_eval_cache_storage`](Self::with_eval_cache_storage) slot
     /// before this call — are dropped and the slot (whose fingerprint
     /// covers the bounds) is re-read under the new fingerprint.
@@ -579,34 +556,50 @@ impl AedbProblem {
         }
     }
 
-    /// Whether a lone candidate's networks should fan out over the thread
-    /// pool: only for **dense campaigns** — there a single candidate is
-    /// hundreds-to-10⁴-node simulations, so leaving nine cores idle per
-    /// candidate dominates end-to-end time. Gated on `parallel_batches` so
-    /// callers that shard whole repetitions across the pool
-    /// (`bench::runner`) keep a single layer of parallelism.
-    fn parallel_single_candidate(&self) -> bool {
-        self.parallel_batches && self.scenario.is_dense() && self.scenario.n_networks > 1
+    /// Full evaluation of one candidate: its observables averaged over
+    /// all networks, uncached. The networks fan over the thread pool
+    /// unless [`with_parallel_batches(false)`](Self::with_parallel_batches)
+    /// is set; the result is bit-identical either way.
+    pub fn evaluate_full(&self, params: AedbParams) -> AedbOutcome {
+        self.outcomes(&[params])[0]
     }
 
-    /// Full evaluation: averages the observables over all networks —
-    /// fanned across the thread pool when
-    /// [`parallel_single_candidate`](Self::parallel_single_candidate)
-    /// applies (the per-network parallelism *inside one candidate* that
-    /// dense 10⁴-node campaigns need).
-    pub fn evaluate_full(&self, params: AedbParams) -> AedbOutcome {
-        let n = self.scenario.n_networks;
-        // Parallel path collects first and folds in index order so the
-        // floating-point sum is bit-identical to the sequential path.
-        if self.parallel_single_candidate() {
-            let outcomes: Vec<AedbOutcome> = (0..n)
-                .into_par_iter()
-                .map(|k| self.simulate_one(params, k))
-                .collect();
-            Self::average(outcomes.into_iter(), n)
-        } else {
-            Self::average((0..n).map(|k| self.simulate_one(params, k)), n)
+    /// Simulates every candidate of `params` on every network and returns
+    /// each candidate's observables averaged in network order.
+    ///
+    /// The work is split **network-major**: each job is one network and a
+    /// contiguous chunk of the candidates, and simulates that network's
+    /// pre-broadcast window once for the whole chunk
+    /// (`simulate_network`). There are `min(candidates, ⌈threads /
+    /// networks⌉)` chunks per network, so the `networks × chunks` jobs
+    /// cover every pool thread — for a lone candidate the jobs **are** its
+    /// network axis. Outcomes are folded in network order whatever the
+    /// split, so each average is bit-identical to a sequential run.
+    fn outcomes(&self, params: &[AedbParams]) -> Vec<AedbOutcome> {
+        if params.is_empty() {
+            return Vec::new();
         }
+        let n_nets = self.scenario.n_networks;
+        let threads = if self.parallel_batches {
+            rayon::current_num_threads()
+        } else {
+            1
+        };
+        let chunks = params.len().min(threads.div_ceil(n_nets));
+        let chunk = |c: usize| c * params.len() / chunks..(c + 1) * params.len() / chunks;
+        let job = |j: usize| self.simulate_network(&params[chunk(j % chunks)], j / chunks);
+        let jobs = n_nets * chunks;
+        let per_job: Vec<Vec<AedbOutcome>> = if self.parallel_batches {
+            (0..jobs).into_par_iter().map(job).collect()
+        } else {
+            (0..jobs).map(job).collect()
+        };
+        // Job `j` covers network `j / chunks`, so each run of `chunks`
+        // jobs concatenates to one network's outcomes in candidate order.
+        let per_net: Vec<Vec<AedbOutcome>> = per_job.chunks(chunks).map(<[_]>::concat).collect();
+        (0..params.len())
+            .map(|ci| Self::average(per_net.iter().map(|net| net[ci]), n_nets))
+            .collect()
     }
 
     fn outcome_to_evaluation(o: AedbOutcome) -> Evaluation {
@@ -636,30 +629,20 @@ impl Problem for AedbProblem {
         3
     }
 
+    /// A batch of one: [`evaluate_batch`](Problem::evaluate_batch) on
+    /// `[x]`, so a lone candidate shares the cache and fans its networks
+    /// over the pool like any batch.
     fn evaluate(&self, x: &[f64]) -> Evaluation {
-        let key = self.quantize(x);
-        if let Some(hit) = self.cached(&key) {
-            return hit;
-        }
-        let params = AedbParams::from_vec(x);
-        let ev = Self::outcome_to_evaluation(self.evaluate_full(params));
-        self.store(key, &ev);
-        ev
+        self.evaluate_batch(&[x.to_vec()])
+            .pop()
+            .expect("one evaluation per vector")
     }
 
     /// Batched evaluation: dedupes candidates through the quantized cache,
-    /// then simulates the remaining candidates **network-major**: each
-    /// job is one network and a contiguous chunk of the fresh candidates,
-    /// and simulates that network's protocol-free prefix once for the
-    /// whole chunk (`simulate_network`). There are `min(fresh, ⌈threads /
-    /// networks⌉)` chunks per network, so the `networks × chunks` jobs
-    /// still cover every pool thread — in the dense-campaign shape of a
-    /// *single* fresh candidate, the jobs **are** the network axis of that
-    /// candidate. Per-network outcomes are folded in network order so each
-    /// result is bit-identical to a per-candidate
-    /// [`evaluate`](Problem::evaluate) call.
+    /// then simulates the remaining candidates in one network-major
+    /// thread-pool scope (`outcomes`), so each result is bit-identical to
+    /// a one-at-a-time [`evaluate`](Problem::evaluate) call.
     fn evaluate_batch(&self, xs: &[Vec<f64>]) -> Vec<Evaluation> {
-        let n_nets = self.scenario.n_networks;
         let mut results: Vec<Option<Evaluation>> = Vec::with_capacity(xs.len());
         // Unique uncached configurations in first-occurrence order.
         let mut fresh: Vec<(CacheKey, AedbParams)> = Vec::new();
@@ -686,40 +669,12 @@ impl Problem for AedbProblem {
                 result_source.push(idx);
             }
         }
-        // One parallel scope over (network × candidate chunk) jobs
-        // (sequential when an outer layer already owns the thread pool).
         let params: Vec<AedbParams> = fresh.iter().map(|&(_, p)| p).collect();
-        let threads = if self.parallel_batches {
-            rayon::current_num_threads()
-        } else {
-            1
-        };
-        let chunks = params.len().min(threads.div_ceil(n_nets.max(1)));
-        let chunk = |c: usize| c * params.len() / chunks..(c + 1) * params.len() / chunks;
-        let job = |j: usize| self.simulate_network(&params[chunk(j % chunks)], j / chunks);
-        let jobs = n_nets * chunks;
-        let per_job: Vec<Vec<AedbOutcome>> = if self.parallel_batches {
-            (0..jobs).into_par_iter().map(job).collect()
-        } else {
-            (0..jobs).map(job).collect()
-        };
-        // Candidate-major again: outcome of (candidate ci, network k) at
-        // `ci * n_nets + k`.
-        let mut outcomes: Vec<Option<AedbOutcome>> = vec![None; params.len() * n_nets];
-        for (j, job_outcomes) in per_job.into_iter().enumerate() {
-            let k = j / chunks;
-            for (ci, o) in chunk(j % chunks).zip(job_outcomes) {
-                outcomes[ci * n_nets + k] = Some(o);
-            }
-        }
         let fresh_evals: Vec<Evaluation> = fresh
             .iter()
-            .enumerate()
-            .map(|(ci, (key, _))| {
-                let per_net = outcomes[ci * n_nets..(ci + 1) * n_nets]
-                    .iter()
-                    .map(|o| o.expect("every (candidate, network) job ran"));
-                let ev = Self::outcome_to_evaluation(Self::average(per_net, n_nets));
+            .zip(self.outcomes(&params))
+            .map(|((key, _), o)| {
+                let ev = Self::outcome_to_evaluation(o);
                 self.store(*key, &ev);
                 ev
             })
@@ -770,10 +725,12 @@ mod tests {
 
     #[test]
     fn parallel_matches_sequential() {
-        // A one-candidate batch fans its networks over the pool; a lone
-        // evaluate runs them in sequence.
+        // A lone candidate fans its networks over the pool; with the pool
+        // off they run in sequence.
         let x = AedbParams::default_config().to_vec();
-        let seq = AedbProblem::paper(Scenario::quick(Density::D100, 4)).evaluate(&x);
+        let seq = AedbProblem::paper(Scenario::quick(Density::D100, 4))
+            .with_parallel_batches(false)
+            .evaluate(&x);
         let par = AedbProblem::paper(Scenario::quick(Density::D100, 4))
             .evaluate_batch(std::slice::from_ref(&x));
         assert_eq!(seq.objectives, par[0].objectives);
@@ -1046,6 +1003,17 @@ mod tests {
         ))
     }
 
+    /// Backs `problem`'s cache with the single file `path`: a
+    /// [`store::DiskStorage`] rooted at its directory, empty namespace.
+    fn with_cache_file(problem: AedbProblem, path: &std::path::Path) -> AedbProblem {
+        let dir = path.parent().expect("temp file has a directory");
+        let name = path
+            .file_name()
+            .and_then(|n| n.to_str())
+            .expect("utf-8 name");
+        problem.with_eval_cache_storage(Arc::new(store::DiskStorage::new(dir)), "", name)
+    }
+
     #[test]
     fn disk_cache_round_trips_bit_exactly() {
         let path = temp_cache_path("roundtrip");
@@ -1053,15 +1021,14 @@ mod tests {
         let x = AedbParams::default_config().to_vec();
         let y = vec![0.0, 0.2, -70.0, 1.0, 50.0];
         let first = {
-            let p =
-                AedbProblem::paper(Scenario::quick(Density::D100, 2)).with_eval_cache_path(&path);
+            let p = with_cache_file(AedbProblem::paper(Scenario::quick(Density::D100, 2)), &path);
             let evs = p.evaluate_batch(&[x.clone(), y.clone()]);
             assert_eq!(p.cache_stats(), (0, 2), "cold cache cannot hit");
             evs
             // drop flushes
         };
         assert!(path.exists(), "drop must flush the cache file");
-        let p = AedbProblem::paper(Scenario::quick(Density::D100, 2)).with_eval_cache_path(&path);
+        let p = with_cache_file(AedbProblem::paper(Scenario::quick(Density::D100, 2)), &path);
         assert_eq!(
             p.evaluate(&x),
             first[0],
@@ -1082,18 +1049,17 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let x = AedbParams::default_config().to_vec();
         {
-            let p =
-                AedbProblem::paper(Scenario::quick(Density::D100, 2)).with_eval_cache_path(&path);
+            let p = with_cache_file(AedbProblem::paper(Scenario::quick(Density::D100, 2)), &path);
             let _ = p.evaluate(&x);
         }
         // Different scenario (more networks) => different mapping: the
         // persisted entries must not leak in.
-        let p = AedbProblem::paper(Scenario::quick(Density::D100, 3)).with_eval_cache_path(&path);
+        let p = with_cache_file(AedbProblem::paper(Scenario::quick(Density::D100, 3)), &path);
         let _ = p.evaluate(&x);
         assert_eq!(p.cache_stats().0, 0, "foreign cache file must be ignored");
         // ... and garbage files must not break construction.
         std::fs::write(&path, "not a cache file\n1 2 3\n").unwrap();
-        let p = AedbProblem::paper(Scenario::quick(Density::D100, 2)).with_eval_cache_path(&path);
+        let p = with_cache_file(AedbProblem::paper(Scenario::quick(Density::D100, 2)), &path);
         let _ = p.evaluate(&x);
         assert_eq!(p.cache_stats().0, 0);
         let _ = std::fs::remove_file(&path);
@@ -1101,22 +1067,20 @@ mod tests {
 
     #[test]
     fn disk_cache_invalidated_when_bounds_change_the_lattice() {
-        // with_bounds after with_eval_cache_path re-anchors the
+        // with_bounds after with_eval_cache_storage re-anchors the
         // quantization lattice: entries persisted (and already loaded)
         // under the old bounds must not be reinterpreted on the new one.
         let path = temp_cache_path("bounds");
         let _ = std::fs::remove_file(&path);
         let x = AedbParams::default_config().to_vec();
         {
-            let p =
-                AedbProblem::paper(Scenario::quick(Density::D100, 2)).with_eval_cache_path(&path);
+            let p = with_cache_file(AedbProblem::paper(Scenario::quick(Density::D100, 2)), &path);
             let _ = p.evaluate(&x);
         }
         let mut pairs = AedbParams::bounds().as_slice().to_vec();
         pairs[0] = (0.0, 10.0);
         let wider = mopt::solution::Bounds::new(pairs);
-        let p = AedbProblem::paper(Scenario::quick(Density::D100, 2))
-            .with_eval_cache_path(&path)
+        let p = with_cache_file(AedbProblem::paper(Scenario::quick(Density::D100, 2)), &path)
             .with_bounds(wider);
         let _ = p.evaluate(&x);
         assert_eq!(
@@ -1171,24 +1135,16 @@ mod tests {
 
     #[test]
     fn dense_single_candidate_fans_networks_bit_identically() {
-        // The per-network parallelism *inside one candidate*: a dense
-        // scenario evaluates a lone candidate across the pool by default,
-        // and the result must be bit-identical to the fully sequential
-        // path (outcomes are folded in network index order either way).
+        // The per-network parallelism *inside one candidate*: a lone dense
+        // candidate fans its networks over the pool by default, and the
+        // result must be bit-identical to the fully sequential path
+        // (outcomes are folded in network index order either way).
         use crate::scenario::DenseScenario;
         let dense = DenseScenario::new(200, 500);
         let x = AedbParams::default_config().to_vec();
         let par = AedbProblem::paper(Scenario::dense(dense.clone(), 3));
-        assert!(
-            par.parallel_single_candidate(),
-            "dense campaigns parallelise single candidates by default"
-        );
         let seq =
             AedbProblem::paper(Scenario::dense(dense.clone(), 3)).with_parallel_batches(false);
-        assert!(
-            !seq.parallel_single_candidate(),
-            "repetition-sharded callers keep one layer of parallelism"
-        );
         let a = par.evaluate(&x);
         let b = seq.evaluate(&x);
         assert_eq!(a.objectives, b.objectives);
@@ -1200,12 +1156,9 @@ mod tests {
     }
 
     #[test]
-    fn paper_scale_single_candidate_stays_sequential() {
-        // Paper-scale problems keep the sequential single-candidate path:
-        // thousands of 25–75-node simulations parallelise better one
-        // layer up.
-        let p = AedbProblem::paper(Scenario::quick(Density::D100, 2));
-        assert!(!p.parallel_single_candidate());
+    #[should_panic(expected = "at least one network")]
+    fn scenario_without_networks_is_refused() {
+        let _ = AedbProblem::paper(Scenario::quick(Density::D100, 0));
     }
 
     #[test]

@@ -120,15 +120,6 @@ impl Scenario {
         }
     }
 
-    /// Whether this scenario is a beyond-paper dense campaign (a
-    /// [`DenseScenario`] override is set). Dense networks are hundreds to
-    /// 10⁴ nodes, so a *single* candidate evaluation is already seconds of
-    /// simulation — the shape where the evaluation pipeline fans the
-    /// network axis of one candidate across the thread pool.
-    pub fn is_dense(&self) -> bool {
-        self.dense.is_some()
-    }
-
     /// Human-readable label (density, or the dense spec when present).
     pub fn label(&self) -> String {
         match &self.dense {

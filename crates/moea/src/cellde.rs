@@ -3,29 +3,17 @@
 //! evolution, with a bounded external archive and archive feedback.
 //!
 //! Each individual lives on a toroidal √N×√N grid and only interacts with
-//! its C9 neighbourhood (the 8 surrounding cells). Per cell and generation:
-//!
-//! 1. pick three distinct neighbours `r1, r2, r3`,
-//! 2. build the trial vector with DE/rand/1/bin (`F = 0.5`, `CR = 0.9`),
-//! 3. if the trial (constrained-)dominates the incumbent, it replaces it;
-//!    if they are incomparable it replaces the *worst neighbour* (most
-//!    dominated cell in the neighbourhood),
-//! 4. offer the trial to the external archive (AGA, as used throughout the
-//!    paper).
-//!
-//! After every generation `feedback` random archive members are re-injected
-//! into random cells — the MOCell feedback loop that gives the algorithm
-//! its strong diversity (the paper's spread results for CellDE).
+//! its C9 neighbourhood (the 8 surrounding cells). A cell's trial vector
+//! is DE/rand/1/bin (`F = 0.5`, `CR = 0.9`) over three distinct
+//! neighbours `r1, r2, r3`; replacement, the external AGA archive and the
+//! archive feedback that gives the algorithm its strong diversity (the
+//! paper's spread results for CellDE) are the synchronous cellular loop
+//! this crate shares with MOCell.
 
-use crate::common::{MoAlgorithm, NoProgress, RunObserver, RunResult};
-use mopt::archive::AgaArchive;
-use mopt::dominance::{constrained_dominance, DominanceOrd};
-use mopt::ops::{de_rand_1_bin, distinct_indices, uniform_init};
+use crate::cellular::Cellular;
+use mopt::algorithm::{MoAlgorithm, NoProgress, RunObserver, RunResult};
+use mopt::ops::{de_rand_1_bin, distinct_indices};
 use mopt::problem::Problem;
-use mopt::solution::Candidate;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use std::time::Instant;
 
 /// CellDE parameters.
 #[derive(Debug, Clone)]
@@ -82,27 +70,6 @@ impl CellDe {
     pub fn new(config: CellDeConfig) -> Self {
         Self { config }
     }
-
-    /// C9 neighbourhood (8 surrounding cells on the torus), excluding the
-    /// cell itself.
-    fn neighborhood(&self, cell: usize) -> Vec<usize> {
-        let side = self.config.grid_side as isize;
-        let (r, c) = ((cell as isize) / side, (cell as isize) % side);
-        let mut out = Vec::with_capacity(8);
-        for dr in -1..=1 {
-            for dc in -1..=1 {
-                if dr == 0 && dc == 0 {
-                    continue;
-                }
-                let rr = (r + dr).rem_euclid(side);
-                let cc = (c + dc).rem_euclid(side);
-                out.push((rr * side + cc) as usize);
-            }
-        }
-        out.sort_unstable();
-        out.dedup(); // tiny grids fold neighbours together
-        out
-    }
 }
 
 impl MoAlgorithm for CellDe {
@@ -120,99 +87,33 @@ impl MoAlgorithm for CellDe {
         seed: u64,
         observer: &dyn RunObserver,
     ) -> RunResult {
-        let start = Instant::now();
         let cfg = &self.config;
-        assert!(cfg.grid_side >= 2, "grid must be at least 2×2");
-        let n = cfg.grid_side * cfg.grid_side;
         let bounds = problem.bounds();
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut evals: u64 = 0;
-        let mut generation: u64 = 0;
-
-        let init_xs: Vec<Vec<f64>> = (0..n).map(|_| uniform_init(bounds, &mut rng)).collect();
-        evals += init_xs.len() as u64;
-        let mut grid: Vec<Candidate> = problem.make_candidates(init_xs);
-        let mut archive = AgaArchive::new(cfg.archive_capacity, 5);
-        for c in &grid {
-            archive.try_insert(c.clone());
-        }
-        observer.on_generation(generation, evals, archive.members());
-
-        while evals < cfg.max_evaluations && !observer.cancelled() {
-            // Synchronous generation: trial vectors are built against the
-            // generation-start grid and the whole generation is evaluated
-            // as ONE batch through the problem's batched pipeline;
-            // replacements then apply in cell order.
-            let trials_this_gen = n.min((cfg.max_evaluations - evals) as usize);
-            let mut trial_xs: Vec<Vec<f64>> = Vec::with_capacity(trials_this_gen);
-            for cell in 0..trials_this_gen {
-                let hood = self.neighborhood(cell);
-                // Three distinct donors from the neighbourhood.
-                let picks = distinct_indices(
-                    hood.len(),
-                    3.min(hood.len() - 1).max(1),
-                    usize::MAX,
-                    &mut rng,
-                );
-                let r1 = &grid[hood[picks[0]]];
-                let r2 = &grid[hood[picks[1 % picks.len()]]];
-                let r3 = &grid[hood[picks[2 % picks.len()]]];
-                trial_xs.push(de_rand_1_bin(
-                    &grid[cell].params,
-                    &r1.params,
-                    &r2.params,
-                    &r3.params,
-                    cfg.de_f,
-                    cfg.de_cr,
-                    bounds,
-                    &mut rng,
-                ));
-            }
-            evals += trial_xs.len() as u64;
-            let trials = problem.make_candidates(trial_xs);
-            for (cell, trial) in trials.into_iter().enumerate() {
-                let hood = self.neighborhood(cell);
-                match constrained_dominance(&trial, &grid[cell]) {
-                    DominanceOrd::Dominates => {
-                        grid[cell] = trial.clone();
-                    }
-                    DominanceOrd::DominatedBy => {}
-                    DominanceOrd::Indifferent => {
-                        // replace the most-dominated neighbour
-                        let worst = hood
-                            .iter()
-                            .copied()
-                            .max_by_key(|&i| {
-                                hood.iter()
-                                    .filter(|&&j| {
-                                        constrained_dominance(&grid[j], &grid[i])
-                                            == DominanceOrd::Dominates
-                                    })
-                                    .count()
-                            })
-                            .unwrap_or(cell);
-                        grid[worst] = trial.clone();
-                    }
-                }
-                archive.try_insert(trial);
-            }
-            // Archive feedback.
-            for _ in 0..cfg.feedback {
-                if let Some(elite) = archive.sample(&mut rng) {
-                    let slot = rng.gen_range(0..n);
-                    grid[slot] = elite.clone();
-                }
-            }
-            generation += 1;
-            observer.on_generation(generation, evals, archive.members());
-        }
-
-        let result = RunResult {
-            front: archive.into_members(),
-            evaluations: evals,
-            elapsed: start.elapsed(),
+        let cellular = Cellular {
+            grid_side: cfg.grid_side,
+            max_evaluations: cfg.max_evaluations,
+            archive_capacity: cfg.archive_capacity,
+            feedback: cfg.feedback,
         };
-        result.sanitize()
+        cellular.run(problem, seed, observer, |grid, cell, hood, rng| {
+            // Three distinct donors from the neighbourhood (two on a 2×2
+            // grid, whose neighbourhood has only three cells).
+            let k = 3.min(hood.len() - 1).max(1);
+            let picks = distinct_indices(hood.len(), k, usize::MAX, rng);
+            let r1 = &grid[hood[picks[0]]];
+            let r2 = &grid[hood[picks[1 % picks.len()]]];
+            let r3 = &grid[hood[picks[2 % picks.len()]]];
+            de_rand_1_bin(
+                &grid[cell].params,
+                &r1.params,
+                &r2.params,
+                &r3.params,
+                cfg.de_f,
+                cfg.de_cr,
+                bounds,
+                rng,
+            )
+        })
     }
 }
 
@@ -221,24 +122,7 @@ mod tests {
     use super::*;
     use mopt::indicators::hypervolume;
     use mopt::problem::test_problems::{ConstrainedSchaffer, Schaffer, Zdt1};
-
-    #[test]
-    fn neighborhood_is_c9_on_torus() {
-        let alg = CellDe::new(CellDeConfig::quick(4, 100));
-        let hood = alg.neighborhood(0); // corner cell wraps
-        assert_eq!(hood.len(), 8);
-        assert!(!hood.contains(&0));
-        // includes the opposite corner via wrap-around
-        assert!(hood.contains(&15) || hood.contains(&5));
-    }
-
-    #[test]
-    fn tiny_grid_neighborhood_dedups() {
-        let alg = CellDe::new(CellDeConfig::quick(2, 100));
-        let hood = alg.neighborhood(0);
-        assert!(hood.len() < 8); // folded duplicates removed
-        assert!(!hood.contains(&0));
-    }
+    use mopt::solution::Candidate;
 
     #[test]
     fn converges_on_schaffer() {

@@ -5,25 +5,17 @@
 //! having the SBX-based ancestor alongside CellDE lets the harness compare
 //! the whole cellular family.
 //!
-//! Structure per cell and generation:
-//!
-//! 1. select two parents from the C9 neighbourhood by binary tournament,
-//! 2. SBX crossover + polynomial mutation produce one offspring,
-//! 3. the offspring replaces the incumbent if it constrained-dominates it;
-//!    if they are incomparable it replaces the worst neighbour,
-//! 4. the offspring is offered to a bounded external archive,
-//! 5. after each generation, `feedback` archive members are re-injected
-//!    into random cells.
+//! A cell's trial vector comes from two parents picked in its C9
+//! neighbourhood by binary tournament, recombined by SBX crossover and
+//! perturbed by polynomial mutation. Replacement, the bounded external
+//! archive and the archive feedback are the synchronous cellular loop
+//! this crate shares with CellDE.
 
-use crate::common::{MoAlgorithm, NoProgress, RunObserver, RunResult};
-use mopt::archive::AgaArchive;
-use mopt::dominance::{constrained_dominance, DominanceOrd};
-use mopt::ops::{binary_tournament, polynomial_mutation, sbx_crossover, uniform_init};
+use crate::cellular::Cellular;
+use mopt::algorithm::{MoAlgorithm, NoProgress, RunObserver, RunResult};
+use mopt::ops::{binary_tournament, polynomial_mutation, sbx_crossover};
 use mopt::problem::Problem;
 use mopt::solution::Candidate;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use std::time::Instant;
 
 /// MOCell parameters.
 #[derive(Debug, Clone)]
@@ -86,26 +78,6 @@ impl MoCell {
     pub fn new(config: MoCellConfig) -> Self {
         Self { config }
     }
-
-    /// C9 neighbourhood on the torus (deduplicated for tiny grids).
-    fn neighborhood(&self, cell: usize) -> Vec<usize> {
-        let side = self.config.grid_side as isize;
-        let (r, c) = ((cell as isize) / side, (cell as isize) % side);
-        let mut out = Vec::with_capacity(8);
-        for dr in -1..=1 {
-            for dc in -1..=1 {
-                if dr == 0 && dc == 0 {
-                    continue;
-                }
-                let rr = (r + dr).rem_euclid(side);
-                let cc = (c + dc).rem_euclid(side);
-                out.push((rr * side + cc) as usize);
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
 }
 
 impl MoAlgorithm for MoCell {
@@ -123,90 +95,30 @@ impl MoAlgorithm for MoCell {
         seed: u64,
         observer: &dyn RunObserver,
     ) -> RunResult {
-        let start = Instant::now();
         let cfg = &self.config;
-        assert!(cfg.grid_side >= 2);
-        let n = cfg.grid_side * cfg.grid_side;
         let bounds = problem.bounds();
         let pm = cfg.mutation_prob.unwrap_or(1.0 / bounds.len() as f64);
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut evals: u64 = 0;
-        let mut generation: u64 = 0;
-
-        let init_xs: Vec<Vec<f64>> = (0..n).map(|_| uniform_init(bounds, &mut rng)).collect();
-        evals += init_xs.len() as u64;
-        let mut grid: Vec<Candidate> = problem.make_candidates(init_xs);
-        let mut archive = AgaArchive::new(cfg.archive_capacity, 5);
-        for c in &grid {
-            archive.try_insert(c.clone());
-        }
-        observer.on_generation(generation, evals, archive.members());
-
-        while evals < cfg.max_evaluations && !observer.cancelled() {
-            // Synchronous generation: variation reads the generation-start
-            // grid and all offspring are evaluated as ONE batch (the
-            // batched pipeline lets expensive problems fan the whole
-            // generation out at once); replacements then apply in cell
-            // order, exactly as a synchronous cellular GA updates.
-            let trials_this_gen = n.min((cfg.max_evaluations - evals) as usize);
-            let mut trial_xs: Vec<Vec<f64>> = Vec::with_capacity(trials_this_gen);
-            for cell in 0..trials_this_gen {
-                let hood = self.neighborhood(cell);
-                let hood_pop: Vec<Candidate> = hood.iter().map(|&i| grid[i].clone()).collect();
-                let p1 = binary_tournament(&hood_pop, &mut rng);
-                let p2 = binary_tournament(&hood_pop, &mut rng);
-                let (mut child, _) = sbx_crossover(
-                    &hood_pop[p1].params,
-                    &hood_pop[p2].params,
-                    cfg.crossover_eta,
-                    cfg.crossover_prob,
-                    bounds,
-                    &mut rng,
-                );
-                polynomial_mutation(&mut child, cfg.mutation_eta, pm, bounds, &mut rng);
-                trial_xs.push(child);
-            }
-            evals += trial_xs.len() as u64;
-            let trials = problem.make_candidates(trial_xs);
-            for (cell, child) in trials.into_iter().enumerate() {
-                let hood = self.neighborhood(cell);
-                match constrained_dominance(&child, &grid[cell]) {
-                    DominanceOrd::Dominates => grid[cell] = child.clone(),
-                    DominanceOrd::DominatedBy => {}
-                    DominanceOrd::Indifferent => {
-                        let worst = hood
-                            .iter()
-                            .copied()
-                            .max_by_key(|&i| {
-                                hood.iter()
-                                    .filter(|&&j| {
-                                        constrained_dominance(&grid[j], &grid[i])
-                                            == DominanceOrd::Dominates
-                                    })
-                                    .count()
-                            })
-                            .unwrap_or(cell);
-                        grid[worst] = child.clone();
-                    }
-                }
-                archive.try_insert(child);
-            }
-            for _ in 0..cfg.feedback {
-                if let Some(elite) = archive.sample(&mut rng) {
-                    let slot = rng.gen_range(0..n);
-                    grid[slot] = elite.clone();
-                }
-            }
-            generation += 1;
-            observer.on_generation(generation, evals, archive.members());
-        }
-
-        RunResult {
-            front: archive.into_members(),
-            evaluations: evals,
-            elapsed: start.elapsed(),
-        }
-        .sanitize()
+        let cellular = Cellular {
+            grid_side: cfg.grid_side,
+            max_evaluations: cfg.max_evaluations,
+            archive_capacity: cfg.archive_capacity,
+            feedback: cfg.feedback,
+        };
+        cellular.run(problem, seed, observer, |grid, _cell, hood, rng| {
+            let hood_pop: Vec<Candidate> = hood.iter().map(|&i| grid[i].clone()).collect();
+            let p1 = binary_tournament(&hood_pop, rng);
+            let p2 = binary_tournament(&hood_pop, rng);
+            let (mut child, _) = sbx_crossover(
+                &hood_pop[p1].params,
+                &hood_pop[p2].params,
+                cfg.crossover_eta,
+                cfg.crossover_prob,
+                bounds,
+                rng,
+            );
+            polynomial_mutation(&mut child, cfg.mutation_eta, pm, bounds, rng);
+            child
+        })
     }
 }
 
@@ -297,13 +209,5 @@ mod tests {
         let r = alg.run(&Schaffer::new(), 1);
         assert!(r.evaluations <= 999);
         assert!(r.evaluations >= 990);
-    }
-
-    #[test]
-    fn neighborhood_shape() {
-        let alg = MoCell::new(MoCellConfig::quick(5, 100));
-        let hood = alg.neighborhood(12); // interior cell of a 5×5 grid
-        assert_eq!(hood.len(), 8);
-        assert!(!hood.contains(&12));
     }
 }

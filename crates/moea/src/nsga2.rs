@@ -8,7 +8,7 @@
 //! crowding distance. Constraints use Deb's feasibility-first dominance
 //! throughout (`mopt::dominance`).
 
-use crate::common::{MoAlgorithm, NoProgress, RunObserver, RunResult};
+use mopt::algorithm::{MoAlgorithm, NoProgress, RunObserver, RunResult};
 use mopt::ops::{polynomial_mutation, sbx_crossover, uniform_init};
 use mopt::problem::Problem;
 use mopt::solution::Candidate;

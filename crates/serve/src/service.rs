@@ -358,10 +358,9 @@ fn validate(spec: &JobSpec) -> Result<(), String> {
             if s.seeds.is_empty() {
                 return Err("simulate job needs at least one seed".into());
             }
-            if s.world.n_nodes() == 0 {
-                return Err("world has no nodes".into());
-            }
-            Ok(())
+            s.world
+                .validate()
+                .map_err(|e| format!("invalid world: {e}"))
         }
         JobSpec::Campaign(c) => {
             if c.budget.reps == 0 {
@@ -370,7 +369,15 @@ fn validate(spec: &JobSpec) -> Result<(), String> {
             if c.budget.evals == 0 {
                 return Err("campaign needs a non-zero evaluation budget".into());
             }
-            Ok(())
+            if c.scenario.n_networks == 0 {
+                return Err("campaign scenario needs at least one network".into());
+            }
+            // Every network compiles from one world shape; only the seed
+            // differs, so checking the first covers them all.
+            c.scenario
+                .world(0)
+                .validate()
+                .map_err(|e| format!("invalid scenario world: {e}"))
         }
     }
 }
@@ -624,7 +631,7 @@ fn run_campaign(
 mod tests {
     use super::*;
     use crate::campaign::{AlgorithmKind, CampaignBudget};
-    use aedb::scenario::{Density, Scenario};
+    use aedb::scenario::{DenseScenario, Density, Scenario};
     use manet::world::{NodeGroup, WorldSpec};
 
     fn tiny_world() -> WorldSpec {
@@ -683,6 +690,55 @@ mod tests {
             Priority::Normal,
         );
         assert!(matches!(handle.wait(), Err(JobError::Rejected(_))));
+        // Inputs that would panic the worker, or average over nothing,
+        // are rejected with a message naming the fault.
+        let mut nan_world = tiny_world();
+        nan_world.radio.shadowing_sigma_db = f64::NAN;
+        let mut nan_dense = DenseScenario::new(200, 50);
+        nan_dense.shadowing_sigma_db = f64::NAN;
+        let campaign = |scenario| {
+            JobSpec::Campaign(CampaignSpec {
+                scenario,
+                algorithm: AlgorithmKind::Nsga2,
+                budget: CampaignBudget::quick(8, 1),
+            })
+        };
+        let faulty = [
+            (
+                JobSpec::Simulate(SimulateSpec {
+                    world: nan_world,
+                    protocol: ProtocolSpec::SourceOnly,
+                    seeds: vec![1],
+                }),
+                "shadowing",
+            ),
+            (campaign(Scenario::dense(nan_dense, 1)), "shadowing"),
+            (campaign(Scenario::quick(Density::D100, 0)), "network"),
+        ];
+        for (spec, fault) in faulty {
+            match service.submit(spec, Priority::High).wait() {
+                Err(JobError::Rejected(why)) => assert!(why.contains(fault), "{why}"),
+                other => panic!("expected rejection naming {fault}, got {other:?}"),
+            }
+        }
+        // ... and the worker keeps serving.
+        let handle = service.submit(
+            JobSpec::Simulate(SimulateSpec {
+                world: tiny_world(),
+                protocol: ProtocolSpec::SourceOnly,
+                seeds: vec![1],
+            }),
+            Priority::Normal,
+        );
+        assert_eq!(
+            handle
+                .wait()
+                .expect("valid job finishes")
+                .output
+                .simulated()
+                .map(<[_]>::len),
+            Some(1)
+        );
         service.drain();
     }
 

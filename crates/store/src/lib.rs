@@ -2,10 +2,10 @@
 //!
 //! The [`Storage`] trait is a minimal byte-oriented key-value interface —
 //! `get` / `put` / `scan` / `delete` over namespaced keys — generalised
-//! out of the AEDB evaluation cache's hard-coded disk file
-//! (`AedbProblem::with_eval_cache_path`) so that everything the resident
-//! simulation service persists (eval caches, campaign archives) can
-//! outlive the process on *any* backend. Two backends ship today:
+//! out of the AEDB evaluation cache's original single disk file (now
+//! `AedbProblem::with_eval_cache_storage` on a [`DiskStorage`] slot) so
+//! that everything the resident simulation service persists (eval caches,
+//! campaign archives) can outlive the process on *any* backend. Two backends ship today:
 //!
 //! * [`DiskStorage`] — one file per key under `root/namespace/key`, with
 //!   atomic replace-on-write (the historical eval-cache behaviour, and

@@ -7,10 +7,9 @@ fn main() {
     bench_harness::experiments::exp_config();
     bench_harness::experiments::exp_sensitivity(&scale);
     let data = bench_harness::experiments::exp_fronts(&scale);
-    bench_harness::experiments::exp_metrics(&scale, Some(&data));
-    bench_harness::experiments::exp_domination(&scale, Some(&data));
-    bench_harness::experiments::exp_timing(&scale, Some(&data));
-    bench_harness::experiments::exp_ablation(&scale);
+    bench_harness::experiments::exp_metrics(&data);
+    bench_harness::experiments::exp_domination(&data);
+    bench_harness::experiments::exp_timing(&data);
     bench_harness::experiments::exp_hybrid(&scale);
     bench_harness::experiments::exp_param_study(&scale);
 }

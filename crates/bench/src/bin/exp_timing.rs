@@ -1,5 +1,7 @@
 //! §VI: execution-time comparison and projected parallel speed-up.
 use bench_harness::scale::ExperimentScale;
+use bench_harness::DensityResults;
 fn main() {
-    bench_harness::experiments::exp_timing(&ExperimentScale::from_args(), None);
+    let scale = ExperimentScale::from_args();
+    bench_harness::experiments::exp_timing(&DensityResults::collect_all(&scale, &scale.densities));
 }

@@ -13,7 +13,7 @@ use fast99::Fast99;
 use mopt::dominance::count_dominated_by;
 use mopt::indicators::hypervolume;
 use mopt::indicators::Normalizer;
-use mopt::stats::{boxplot, compare_samples, Comparison};
+use mopt::stats::{boxplot, compare_samples};
 
 /// Table II + Table III: the experimental configuration, printed from the
 /// code constants so drift between documentation and implementation is
@@ -241,14 +241,12 @@ fn interaction_label(inter: f64) -> &'static str {
 
 /// Figure 6: the AEDB-MLS front vs the Reference front (merged MOEAs), per
 /// density. Prints the 3-D points (energy, coverage, forwardings).
-pub fn exp_fronts(scale: &ExperimentScale) -> Vec<(Density, DensityResults)> {
+pub fn exp_fronts(scale: &ExperimentScale) -> Vec<DensityResults> {
     // All densities in one shard: (density × algorithm × repetition)
     // jobs fan over the pool together.
     let collected = DensityResults::collect_all(scale, &scale.densities);
-    let mut all = Vec::new();
-    for results in collected {
-        let density = results.density;
-        println!("\n== Figure 6: Pareto fronts — {density} ==");
+    for results in &collected {
+        println!("\n== Figure 6: Pareto fronts — {} ==", results.density);
         let mls = merge_fronts(results.of(AlgorithmKind::Mls), 100);
         let reference = merge_candidate_sets(
             &[
@@ -271,28 +269,16 @@ pub fn exp_fronts(scale: &ExperimentScale) -> Vec<(Density, DensityResults)> {
             }
             t.print();
         }
-        all.push((density, results));
     }
-    all
+    collected
 }
 
 /// Table IV + Figure 7: indicator distributions over the independent runs
 /// and pairwise Wilcoxon comparisons.
-pub fn exp_metrics(scale: &ExperimentScale, prefetched: Option<&[(Density, DensityResults)]>) {
-    let owned;
-    let data: &[(Density, DensityResults)] = match prefetched {
-        Some(d) => d,
-        None => {
-            owned = DensityResults::collect_all(scale, &scale.densities)
-                .into_iter()
-                .map(|r| (r.density, r))
-                .collect::<Vec<_>>();
-            &owned
-        }
-    };
+pub fn exp_metrics(data: &[DensityResults]) {
     // metric samples[density][algorithm][metric] -> Vec<f64> over runs
     let mut samples: Vec<Vec<[Vec<f64>; 3]>> = Vec::new();
-    for (density, results) in data {
+    for results in data {
         // Normalisation front: best of all three algorithms (paper §VI).
         let merged: Vec<_> = AlgorithmKind::ALL
             .iter()
@@ -304,7 +290,8 @@ pub fn exp_metrics(scale: &ExperimentScale, prefetched: Option<&[(Density, Densi
         );
         let reference = objectives_of(&combined);
         println!(
-            "\n== Figure 7: indicator distributions — {density} (reference front: {} points) ==",
+            "\n== Figure 7: indicator distributions — {} (reference front: {} points) ==",
+            results.density,
             reference.len()
         );
         let mut per_alg = Vec::new();
@@ -355,7 +342,7 @@ pub fn exp_metrics(scale: &ExperimentScale, prefetched: Option<&[(Density, Densi
     println!("\n== Table IV: pairwise Wilcoxon rank-sum comparisons (95%) ==");
     println!(
         "   cell = row algorithm vs column algorithm; one symbol per density {:?}",
-        data.iter().map(|(d, _)| d.per_km2()).collect::<Vec<_>>()
+        data.iter().map(|r| r.density.per_km2()).collect::<Vec<_>>()
     );
     let metric_names = ["Spread", "Inverted generational distance", "Hypervolume"];
     let smaller_better = [true, true, false];
@@ -384,7 +371,6 @@ pub fn exp_metrics(scale: &ExperimentScale, prefetched: Option<&[(Density, Densi
         }
         t.print();
     }
-    let _ = Comparison::NoDifference; // silence unused when densities empty
 }
 
 fn idx_of(kind: AlgorithmKind) -> usize {
@@ -396,18 +382,7 @@ fn idx_of(kind: AlgorithmKind) -> usize {
 
 /// §VI domination counts: how many Reference points are dominated by some
 /// AEDB-MLS point and vice versa (paper: 13/54, 11/40, 15/17).
-pub fn exp_domination(scale: &ExperimentScale, prefetched: Option<&[(Density, DensityResults)]>) {
-    let owned;
-    let data: &[(Density, DensityResults)] = match prefetched {
-        Some(d) => d,
-        None => {
-            owned = DensityResults::collect_all(scale, &scale.densities)
-                .into_iter()
-                .map(|r| (r.density, r))
-                .collect::<Vec<_>>();
-            &owned
-        }
-    };
+pub fn exp_domination(data: &[DensityResults]) {
     println!("\n== §VI: mutual domination between the AEDB-MLS front and the Reference front ==");
     let mut t = Table::new(vec![
         "density",
@@ -416,7 +391,7 @@ pub fn exp_domination(scale: &ExperimentScale, prefetched: Option<&[(Density, De
         "|MLS front|",
         "|ref front|",
     ]);
-    for (density, results) in data {
+    for results in data {
         let mls = merge_fronts(results.of(AlgorithmKind::Mls), 100);
         let reference = merge_candidate_sets(
             &[
@@ -428,7 +403,7 @@ pub fn exp_domination(scale: &ExperimentScale, prefetched: Option<&[(Density, De
         let ref_dominated = count_dominated_by(&reference, &mls);
         let mls_dominated = count_dominated_by(&mls, &reference);
         t.row(vec![
-            density.to_string(),
+            results.density.to_string(),
             ref_dominated.to_string(),
             mls_dominated.to_string(),
             mls.len().to_string(),
@@ -440,18 +415,7 @@ pub fn exp_domination(scale: &ExperimentScale, prefetched: Option<&[(Density, De
 
 /// §VI runtime analysis: wall-clock per algorithm plus the projected
 /// speed-up on the paper's 8-node × 12-core platform.
-pub fn exp_timing(scale: &ExperimentScale, prefetched: Option<&[(Density, DensityResults)]>) {
-    let owned;
-    let data: &[(Density, DensityResults)] = match prefetched {
-        Some(d) => d,
-        None => {
-            owned = DensityResults::collect_all(scale, &scale.densities)
-                .into_iter()
-                .map(|r| (r.density, r))
-                .collect::<Vec<_>>();
-            &owned
-        }
-    };
+pub fn exp_timing(data: &[DensityResults]) {
     println!("\n== §VI: execution time ==");
     let mut t = Table::new(vec![
         "density",
@@ -462,8 +426,7 @@ pub fn exp_timing(scale: &ExperimentScale, prefetched: Option<&[(Density, Densit
     ]);
     let mut mls_per_eval = Vec::new();
     let mut ea_per_eval = Vec::new();
-    for (density, results) in data {
-        let density = *density;
+    for results in data {
         for &kind in &AlgorithmKind::ALL {
             let runs = results.of(kind);
             let mean_t =
@@ -476,7 +439,7 @@ pub fn exp_timing(scale: &ExperimentScale, prefetched: Option<&[(Density, Densit
                 ea_per_eval.push(per_eval);
             }
             t.row(vec![
-                density.to_string(),
+                results.density.to_string(),
                 kind.name().to_string(),
                 mean_e.to_string(),
                 format!("{:.2} s", mean_t),
@@ -500,102 +463,6 @@ pub fn exp_timing(scale: &ExperimentScale, prefetched: Option<&[(Density, Densit
             projected
         );
     }
-}
-
-/// Ablation study of the AEDB-MLS design choices DESIGN.md calls out:
-/// the paper's configuration vs (a) hill-climbing acceptance instead of
-/// accept-any-feasible, (b) no archive reinitialisation, (c) a crowding
-/// archive instead of AGA, (d) a single all-parameters criterion instead
-/// of the sensitivity-derived groups. All at equal budgets on the
-/// sparsest network, scored with normalised HV / IGD / spread against the
-/// study-wide combined front.
-pub fn exp_ablation(scale: &ExperimentScale) {
-    use aedb_mls::mls::{AcceptanceRule, ArchiveKind};
-    println!("\n== Ablation: AEDB-MLS design choices (density 100) ==");
-    let problem = AedbProblem::paper(Scenario::quick(Density::D100, scale.networks));
-    let per_thread = (scale.mls_evals() / 4).max(10);
-    let base = MlsConfig {
-        criteria: CriteriaChoice::Aedb,
-        ..MlsConfig::quick(2, 2, per_thread)
-    };
-    let variants: Vec<(&str, MlsConfig)> = vec![
-        ("paper (baseline)", base.clone()),
-        (
-            "acceptance: non-dominated",
-            MlsConfig {
-                acceptance: AcceptanceRule::NonDominated,
-                ..base.clone()
-            },
-        ),
-        (
-            "no reinitialisation",
-            MlsConfig {
-                reinit: false,
-                ..base.clone()
-            },
-        ),
-        (
-            "crowding archive",
-            MlsConfig {
-                archive_kind: ArchiveKind::Crowding,
-                ..base.clone()
-            },
-        ),
-        (
-            "criteria: all-params",
-            MlsConfig {
-                criteria: CriteriaChoice::AllParams,
-                ..base.clone()
-            },
-        ),
-    ];
-    // run everything first to build a common reference front
-    let mut results: Vec<(&str, Vec<mopt::algorithm::RunResult>)> = Vec::new();
-    for (name, cfg) in &variants {
-        let mls = Mls::new(cfg.clone());
-        let rr: Vec<mopt::algorithm::RunResult> = (0..scale.reps)
-            .map(|rep| {
-                let r = mls.optimize(&problem, 0xAB1A + 13 * rep as u64);
-                mopt::algorithm::RunResult {
-                    front: r.front,
-                    evaluations: r.evaluations,
-                    elapsed: r.elapsed,
-                }
-            })
-            .collect();
-        results.push((name, rr));
-    }
-    let all: Vec<mopt::algorithm::RunResult> = results
-        .iter()
-        .flat_map(|(_, rr)| rr.iter().cloned())
-        .collect();
-    let reference = objectives_of(&merge_fronts(&all, 300));
-    let mut t = Table::new(vec![
-        "variant",
-        "mean HV",
-        "mean IGD",
-        "mean spread",
-        "mean |front|",
-    ]);
-    for (name, rr) in &results {
-        let ms: Vec<crate::fronts::FrontMetrics> = rr
-            .iter()
-            .map(|r| front_metrics(&r.objectives(), &reference))
-            .collect();
-        let mean = |get: fn(&crate::fronts::FrontMetrics) -> f64| {
-            ms.iter().map(get).sum::<f64>() / ms.len().max(1) as f64
-        };
-        let mean_sz =
-            rr.iter().map(|r| r.front.len()).sum::<usize>() as f64 / rr.len().max(1) as f64;
-        t.row(vec![
-            name.to_string(),
-            f(mean(|m| m.hv), 4),
-            f(mean(|m| m.igd), 4),
-            f(mean(|m| m.spread), 4),
-            f(mean_sz, 1),
-        ]);
-    }
-    t.print();
 }
 
 /// The paper's §VII future work, validated: CellDE alone vs the
@@ -685,14 +552,7 @@ pub fn exp_param_study(scale: &ExperimentScale) {
             };
             let mls = Mls::new(cfg);
             let rr: Vec<mopt::algorithm::RunResult> = (0..scale.reps)
-                .map(|rep| {
-                    let r = mls.optimize(&problem, 0xA1FA + 31 * rep as u64);
-                    mopt::algorithm::RunResult {
-                        front: r.front,
-                        evaluations: r.evaluations,
-                        elapsed: r.elapsed,
-                    }
-                })
+                .map(|rep| mls.optimize(&problem, 0xA1FA + 31 * rep as u64))
                 .collect();
             runs.push((alpha, reset, rr));
         }

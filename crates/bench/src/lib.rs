@@ -11,7 +11,16 @@
 //! | `exp_domination`  | §VI domination counts                                  |
 //! | `exp_timing`      | §VI runtime / speed-up analysis                        |
 //! | `exp_param_study` | §V α / reset-condition configuration study             |
+//! | `exp_hybrid`      | §VII future work: CellDE + AEDB-MLS hybrid             |
 //! | `exp_all`         | everything above in sequence                           |
+//!
+//! Beyond the paper's artifacts, on their own:
+//!
+//! | binary              | experiment                                           |
+//! |---------------------|------------------------------------------------------|
+//! | `exp_network_stats` | connectivity of the fixed evaluation networks        |
+//! | `exp_scale`         | dense-world delivery throughput (`BENCH_scale.json`) |
+//! | `exp_serve`         | campaigns through the resident service               |
 //!
 //! Every binary accepts `--paper` (full protocol: 30 repetitions, 24 000
 //! evaluations, 10 networks, all three densities — hours of CPU) and quick

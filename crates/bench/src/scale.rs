@@ -277,7 +277,11 @@ impl ExperimentScale {
         while let Some(arg) = it.next() {
             match arg.as_str() {
                 "--paper" => scale = Self::paper(),
-                "--reps" => scale.reps = expect_num(&mut it, "--reps") as usize,
+                "--reps" => {
+                    scale.reps = expect_num(&mut it, "--reps") as usize;
+                    // Every printer averages over the repetitions.
+                    assert!(scale.reps >= 1, "--reps needs a value of at least 1");
+                }
                 "--evals" => scale.evals = expect_num(&mut it, "--evals"),
                 "--networks" => scale.networks = expect_num(&mut it, "--networks") as usize,
                 "--fast-samples" => {
@@ -405,6 +409,12 @@ mod tests {
     #[should_panic(expected = "numeric")]
     fn bad_number_panics() {
         let _ = parse(&["--reps", "x"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "--reps needs a value of at least 1")]
+    fn zero_reps_panics() {
+        let _ = parse(&["--reps", "0"]);
     }
 
     #[test]

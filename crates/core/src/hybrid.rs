@@ -6,9 +6,8 @@
 //!
 //! The hybrid runs in two phases: a CellDE exploration phase produces a
 //! first front; the AEDB-MLS engine then refines it, with every walker
-//! starting from one of the CellDE solutions
-//! ([`Mls::optimize_from`](crate::mls::Mls::optimize_from)). The final
-//! front is the non-dominated union of both phases, so refinement can
+//! starting from one of the CellDE solutions (round-robin, without
+//! re-evaluating them). The final front is the non-dominated union of both phases, so refinement can
 //! never lose ground against phase 1. Both phases report to the run's
 //! observer as one continuous generation stream.
 

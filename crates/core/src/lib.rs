@@ -37,4 +37,4 @@ pub mod mls;
 
 pub use criteria::SearchCriteria;
 pub use hybrid::{CellDeMls, CellDeMlsConfig};
-pub use mls::{CriteriaChoice, Mls, MlsConfig, MlsResult};
+pub use mls::{CriteriaChoice, Mls, MlsConfig};

@@ -23,9 +23,8 @@
 //! and seed.
 
 use crate::criteria::SearchCriteria;
-use mopt::algorithm::{NoProgress, RunObserver};
-use mopt::archive::{AgaArchive, CrowdingArchive, EliteArchive};
-use mopt::dominance::{constrained_dominance, DominanceOrd};
+use mopt::algorithm::{MoAlgorithm, NoProgress, RunObserver, RunResult};
+use mopt::archive::AgaArchive;
 use mopt::ops::{blx_alpha_step, uniform_init};
 use mopt::problem::Problem;
 use mopt::solution::{Bounds, Candidate};
@@ -83,34 +82,6 @@ pub struct MlsConfig {
     pub archive_bisections: u32,
     /// Search-criteria selection.
     pub criteria: CriteriaChoice,
-    /// Move-acceptance rule (ablation; the paper uses
-    /// [`AcceptanceRule::AnyFeasible`]).
-    pub acceptance: AcceptanceRule,
-    /// Whether populations are periodically reinitialised from the archive
-    /// (ablation; the paper enables this).
-    pub reinit: bool,
-    /// Elite-archive strategy (ablation; the paper uses AGA).
-    pub archive_kind: ArchiveKind,
-}
-
-/// Acceptance rule of the local-search move (§IV Fig. 3 lines 9–12 accept
-/// *any* feasible move; the hill-climbing variant is an ablation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AcceptanceRule {
-    /// Accept every feasible perturbation (the paper's rule).
-    AnyFeasible,
-    /// Accept a feasible perturbation only when the incumbent does not
-    /// dominate it (greedier; trades exploration for convergence).
-    NonDominated,
-}
-
-/// Which bounded elite archive the run maintains.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ArchiveKind {
-    /// Adaptive Grid Archiving (PAES) — the paper's choice.
-    Aga,
-    /// Crowding-distance truncation (jMetal's CrowdingArchive).
-    Crowding,
 }
 
 impl Default for MlsConfig {
@@ -133,9 +104,6 @@ impl MlsConfig {
             archive_capacity: 100,
             archive_bisections: 5,
             criteria: CriteriaChoice::Aedb,
-            acceptance: AcceptanceRule::AnyFeasible,
-            reinit: true,
-            archive_kind: ArchiveKind::Aga,
         }
     }
 
@@ -150,9 +118,6 @@ impl MlsConfig {
             archive_capacity: 100,
             archive_bisections: 5,
             criteria: CriteriaChoice::AllParams,
-            acceptance: AcceptanceRule::AnyFeasible,
-            reinit: true,
-            archive_kind: ArchiveKind::Aga,
         }
     }
 
@@ -187,25 +152,12 @@ impl Mls {
     /// Every walker's starting point is drawn up front and the `P·T`
     /// starts are evaluated as one batch ([`Problem::evaluate_batch`]),
     /// like every later round.
-    pub fn optimize(&self, problem: &dyn Problem, seed: u64) -> MlsResult {
+    ///
+    /// The front is the raw archive, in archive order;
+    /// [`MoAlgorithm::run`] returns it sanitized.
+    pub fn optimize(&self, problem: &dyn Problem, seed: u64) -> RunResult {
         let starts = self.random_starts(problem, seed);
         self.optimize_impl(problem, seed, &starts, &NoProgress)
-    }
-
-    /// Like [`optimize`](Self::optimize), but walkers start from the given
-    /// solutions (round-robin) instead of random points — the hook the
-    /// paper's future work needs ("include AEDB-MLS in [CellDE] as a local
-    /// search for fine tuning the solutions"). Already-evaluated seeds are
-    /// neither re-simulated nor counted as evaluations; every walker still
-    /// makes `evals_per_thread − 1` moves. When `seeds` is empty every
-    /// walker draws a random start from its own RNG.
-    pub fn optimize_from(
-        &self,
-        problem: &dyn Problem,
-        seed: u64,
-        seeds: &[Candidate],
-    ) -> MlsResult {
-        self.optimize_impl(problem, seed, seeds, &NoProgress)
     }
 
     /// `P·T` unevaluated uniform starting points.
@@ -218,18 +170,20 @@ impl Mls {
     }
 
     /// The lockstep engine behind every entry point. Walker `(p, k)`
-    /// starts from `seeds[(p·T + k) mod len]`; the unevaluated starts are
-    /// evaluated as one batch (round 0), then every round evaluates one
-    /// move per walker as one batch. `observer` sees the archive after
-    /// round 0 and after every round, and cancellation stops the run at a
-    /// round boundary.
+    /// starts from `seeds[(p·T + k) mod len]`, or from a random point of
+    /// its own RNG when `seeds` is empty; the unevaluated starts are
+    /// evaluated as one batch (round 0) and counted, already-evaluated
+    /// ones are not (the CellDE+MLS hybrid seeds its phase-1 front). Then
+    /// every round evaluates one move per walker as one batch. `observer`
+    /// sees the archive after round 0 and after every round, and
+    /// cancellation stops the run at a round boundary.
     pub(crate) fn optimize_impl(
         &self,
         problem: &dyn Problem,
         seed: u64,
         seeds: &[Candidate],
         observer: &dyn RunObserver,
-    ) -> MlsResult {
+    ) -> RunResult {
         let start = Instant::now();
         let cfg = &self.config;
         let bounds = problem.bounds();
@@ -268,18 +222,12 @@ impl Mls {
             }
         }
         let mut evaluations = pending.len() as u64;
-        let mut archive: Box<dyn EliteArchive> = match cfg.archive_kind {
-            ArchiveKind::Aga => Box::new(AgaArchive::new(
-                cfg.archive_capacity,
-                cfg.archive_bisections,
-            )),
-            ArchiveKind::Crowding => Box::new(CrowdingArchive::new(cfg.archive_capacity)),
-        };
+        let mut archive = AgaArchive::new(cfg.archive_capacity, cfg.archive_bisections);
         for s in &current {
-            archive.offer(s.clone());
+            archive.try_insert(s.clone());
         }
         let mut sample_rng = SmallRng::seed_from_u64(seed ^ 0xA5C4_17E5_0C1A_1BEDu64);
-        observer.on_generation(0, evaluations, archive.contents());
+        observer.on_generation(0, evaluations, archive.members());
 
         // Line 5: stopping condition = per-walker evaluation budget (§V);
         // the start was each walker's first evaluation.
@@ -300,56 +248,32 @@ impl Mls {
             let moved = problem.make_candidates(xs);
             evaluations += walkers as u64;
 
-            // Lines 9–12: accept feasible moves (the paper accepts *all* of
-            // them; the NonDominated rule is an ablation) and share them,
-            // in (p, k) order.
+            // Lines 9–12: accept every feasible move and share it, in
+            // (p, k) order.
             for (s, cand) in current.iter_mut().zip(moved) {
-                if !cand.is_feasible() {
-                    continue;
-                }
-                let accept = match cfg.acceptance {
-                    AcceptanceRule::AnyFeasible => true,
-                    AcceptanceRule::NonDominated => {
-                        constrained_dominance(s, &cand) != DominanceOrd::Dominates
-                    }
-                };
-                archive.offer(cand.clone());
-                if accept {
+                if cand.is_feasible() {
+                    archive.try_insert(cand.clone());
                     *s = cand;
                 }
             }
 
             // Lines 13–16: periodic reinitialisation from the archive.
-            if cfg.reinit
-                && round.is_multiple_of(cfg.reset_iterations)
-                && round + 1 < cfg.evals_per_thread
-            {
+            if round.is_multiple_of(cfg.reset_iterations) && round + 1 < cfg.evals_per_thread {
                 for s in current.iter_mut() {
-                    if let Some(elite) = archive.sample_random(&mut sample_rng) {
-                        *s = elite;
+                    if let Some(elite) = archive.sample(&mut sample_rng) {
+                        *s = elite.clone();
                     }
                 }
             }
-            observer.on_generation(round, evaluations, archive.contents());
+            observer.on_generation(round, evaluations, archive.members());
         }
 
-        MlsResult {
-            front: archive.into_contents(),
+        RunResult {
+            front: archive.into_members(),
             evaluations,
             elapsed: start.elapsed(),
         }
     }
-}
-
-/// Result of an AEDB-MLS run (front + bookkeeping).
-#[derive(Debug, Clone)]
-pub struct MlsResult {
-    /// Non-dominated archive contents at termination.
-    pub front: Vec<Candidate>,
-    /// Total evaluations performed.
-    pub evaluations: u64,
-    /// Wall-clock duration.
-    pub elapsed: std::time::Duration,
 }
 
 /// One walker's move — the paper's Fig. 3 lines 6–7: pick a random
@@ -384,19 +308,12 @@ fn propose(
     x
 }
 
-impl crate::mls::MlsResult {
-    /// Objective vectors of the front.
-    pub fn objectives(&self) -> Vec<Vec<f64>> {
-        self.front.iter().map(|c| c.objectives.clone()).collect()
-    }
-}
-
-impl mopt::algorithm::MoAlgorithm for Mls {
+impl MoAlgorithm for Mls {
     fn name(&self) -> &'static str {
         "AEDB-MLS"
     }
 
-    fn run(&self, problem: &dyn Problem, seed: u64) -> mopt::algorithm::RunResult {
+    fn run(&self, problem: &dyn Problem, seed: u64) -> RunResult {
         self.run_observed(problem, seed, &NoProgress)
     }
 
@@ -405,15 +322,10 @@ impl mopt::algorithm::MoAlgorithm for Mls {
         problem: &dyn Problem,
         seed: u64,
         observer: &dyn RunObserver,
-    ) -> mopt::algorithm::RunResult {
+    ) -> RunResult {
         let starts = self.random_starts(problem, seed);
-        let r = self.optimize_impl(problem, seed, &starts, observer);
-        mopt::algorithm::RunResult {
-            front: r.front,
-            evaluations: r.evaluations,
-            elapsed: r.elapsed,
-        }
-        .sanitize()
+        self.optimize_impl(problem, seed, &starts, observer)
+            .sanitize()
     }
 }
 
@@ -514,7 +426,7 @@ mod tests {
             let mls = Mls::new(MlsConfig::quick(pops, walkers, 60));
             let a = mls.optimize(&p, 99);
             let b = mls.optimize(&p, 99);
-            let project = |r: &MlsResult| {
+            let project = |r: &RunResult| {
                 r.front
                     .iter()
                     .map(|c| (c.params.clone(), c.objectives.clone()))
@@ -526,7 +438,6 @@ mod tests {
 
     #[test]
     fn observed_run_matches_plain_run() {
-        use mopt::algorithm::{MoAlgorithm, RunResult};
         use std::sync::Mutex;
         struct Recorder(Mutex<Vec<(u64, u64, usize)>>);
         impl RunObserver for Recorder {
@@ -563,7 +474,6 @@ mod tests {
 
     #[test]
     fn cancellation_stops_at_a_round_boundary() {
-        use mopt::algorithm::MoAlgorithm;
         use std::sync::atomic::{AtomicU64, Ordering};
         /// Cancels once the run has reported round 3.
         struct StopAfter(AtomicU64);
@@ -607,63 +517,6 @@ mod tests {
         let mls = Mls::new(cfg);
         let r = mls.optimize(&Zdt1::new(2), 31);
         assert!(!r.front.is_empty());
-    }
-
-    #[test]
-    fn nondominated_acceptance_still_converges() {
-        let cfg = MlsConfig {
-            acceptance: AcceptanceRule::NonDominated,
-            ..MlsConfig::quick(1, 2, 200)
-        };
-        let mls = Mls::new(cfg);
-        let r = mls.optimize(&Schaffer::new(), 13);
-        assert!(!r.front.is_empty());
-        assert_eq!(r.evaluations, 400);
-        let inside = r
-            .front
-            .iter()
-            .filter(|c| c.params[0] > -1.0 && c.params[0] < 3.0)
-            .count();
-        assert!(
-            inside * 10 >= r.front.len() * 8,
-            "{}/{}",
-            inside,
-            r.front.len()
-        );
-    }
-
-    #[test]
-    fn reinit_disabled_runs_to_budget() {
-        let cfg = MlsConfig {
-            reinit: false,
-            ..MlsConfig::quick(2, 2, 120)
-        };
-        let mls = Mls::new(cfg);
-        let r = mls.optimize(&Zdt1::new(4), 17);
-        assert_eq!(r.evaluations, 2 * 2 * 120);
-        assert!(!r.front.is_empty());
-    }
-
-    #[test]
-    fn crowding_archive_variant_bounded_and_nondominated() {
-        let cfg = MlsConfig {
-            archive_kind: ArchiveKind::Crowding,
-            archive_capacity: 12,
-            ..MlsConfig::quick(1, 2, 200)
-        };
-        let mls = Mls::new(cfg);
-        let r = mls.optimize(&Zdt1::new(4), 19);
-        assert!(r.front.len() <= 12);
-        for i in 0..r.front.len() {
-            for j in 0..r.front.len() {
-                if i != j {
-                    assert_ne!(
-                        constrained_dominance(&r.front[j], &r.front[i]),
-                        DominanceOrd::Dominates
-                    );
-                }
-            }
-        }
     }
 
     #[test]

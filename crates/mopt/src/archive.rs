@@ -30,20 +30,6 @@ pub enum InsertOutcome {
     Crowded,
 }
 
-/// Common interface of bounded elite archives, so algorithms can swap the
-/// archiving strategy (the AGA-vs-crowding ablation in the experiment
-/// harness exercises this).
-pub trait EliteArchive: Send {
-    /// Offers a candidate; returns what happened.
-    fn offer(&mut self, c: Candidate) -> InsertOutcome;
-    /// A uniformly random member.
-    fn sample_random(&mut self, rng: &mut dyn rand::RngCore) -> Option<Candidate>;
-    /// Current contents.
-    fn contents(&self) -> &[Candidate];
-    /// Consumes the archive, returning its members.
-    fn into_contents(self: Box<Self>) -> Vec<Candidate>;
-}
-
 /// A bounded non-dominated archive with adaptive-grid density management.
 ///
 /// # Example
@@ -117,8 +103,9 @@ impl AgaArchive {
         self.members
     }
 
-    /// A uniformly random member, or `None` when empty. Used by AEDB-MLS to
-    /// reinitialise populations from the elite set.
+    /// A uniformly random member, or `None` when empty. AEDB-MLS
+    /// reinitialises its populations and the cellular optimizers feed
+    /// back elites through this draw.
     pub fn sample<R: Rng>(&self, rng: &mut R) -> Option<&Candidate> {
         if self.members.is_empty() {
             None
@@ -333,117 +320,6 @@ impl AgaArchive {
     }
 }
 
-impl EliteArchive for AgaArchive {
-    fn offer(&mut self, c: Candidate) -> InsertOutcome {
-        self.try_insert(c)
-    }
-    fn sample_random(&mut self, rng: &mut dyn rand::RngCore) -> Option<Candidate> {
-        if self.members.is_empty() {
-            None
-        } else {
-            let i = (rng.next_u64() % self.members.len() as u64) as usize;
-            Some(self.members[i].clone())
-        }
-    }
-    fn contents(&self) -> &[Candidate] {
-        self.members()
-    }
-    fn into_contents(self: Box<Self>) -> Vec<Candidate> {
-        self.members
-    }
-}
-
-/// A bounded non-dominated archive truncated by **crowding distance**
-/// (jMetal's `CrowdingArchive`, used by SPEA2/MOCell-family algorithms):
-/// when full, the member with the smallest crowding distance is evicted.
-/// Provided as the ablation alternative to [`AgaArchive`] — it lacks AGA's
-/// per-region occupancy guarantees but is simpler and often denser around
-/// front knees.
-#[derive(Debug, Clone)]
-pub struct CrowdingArchive {
-    capacity: usize,
-    members: Vec<Candidate>,
-}
-
-impl CrowdingArchive {
-    /// Creates an empty archive with the given capacity (≥ 1).
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity >= 1);
-        Self {
-            capacity,
-            members: Vec::with_capacity(capacity + 1),
-        }
-    }
-
-    /// Current number of stored solutions.
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// Whether the archive is empty.
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
-    /// The archived non-dominated solutions.
-    pub fn members(&self) -> &[Candidate] {
-        &self.members
-    }
-
-    /// Offers a candidate under dominance + crowding truncation.
-    pub fn try_insert(&mut self, c: Candidate) -> InsertOutcome {
-        let mut doomed = Vec::new();
-        for (i, m) in self.members.iter().enumerate() {
-            match constrained_dominance(m, &c) {
-                DominanceOrd::Dominates => return InsertOutcome::Dominated,
-                DominanceOrd::DominatedBy => doomed.push(i),
-                DominanceOrd::Indifferent => {
-                    if m.objectives == c.objectives && m.violation == c.violation {
-                        return InsertOutcome::Dominated;
-                    }
-                }
-            }
-        }
-        for &i in doomed.iter().rev() {
-            self.members.swap_remove(i);
-        }
-        self.members.push(c);
-        if self.members.len() > self.capacity {
-            let front: Vec<usize> = (0..self.members.len()).collect();
-            let dist = crate::sorting::crowding_distance(&self.members, &front);
-            let victim = (0..dist.len())
-                .min_by(|&a, &b| dist[a].total_cmp(&dist[b]))
-                .expect("non-empty archive");
-            let evicted = victim == self.members.len() - 1;
-            self.members.swap_remove(victim);
-            if evicted {
-                return InsertOutcome::Crowded;
-            }
-        }
-        InsertOutcome::Added
-    }
-}
-
-impl EliteArchive for CrowdingArchive {
-    fn offer(&mut self, c: Candidate) -> InsertOutcome {
-        self.try_insert(c)
-    }
-    fn sample_random(&mut self, rng: &mut dyn rand::RngCore) -> Option<Candidate> {
-        if self.members.is_empty() {
-            None
-        } else {
-            let i = (rng.next_u64() % self.members.len() as u64) as usize;
-            Some(self.members[i].clone())
-        }
-    }
-    fn contents(&self) -> &[Candidate] {
-        &self.members
-    }
-    fn into_contents(self: Box<Self>) -> Vec<Candidate> {
-        self.members
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -566,58 +442,6 @@ mod tests {
         let out = a.try_insert(cand(&[-1000.0, 1000.0]));
         assert_eq!(out, InsertOutcome::Added);
         assert!(a.len() <= 8);
-    }
-
-    #[test]
-    fn crowding_archive_basics() {
-        let mut a = CrowdingArchive::new(5);
-        assert_eq!(a.try_insert(cand(&[1.0, 1.0])), InsertOutcome::Added);
-        assert_eq!(a.try_insert(cand(&[2.0, 2.0])), InsertOutcome::Dominated);
-        assert_eq!(a.try_insert(cand(&[0.5, 2.0])), InsertOutcome::Added);
-        assert_eq!(a.try_insert(cand(&[0.5, 2.0])), InsertOutcome::Dominated); // duplicate
-        assert_eq!(a.len(), 2);
-    }
-
-    #[test]
-    fn crowding_archive_truncates_least_spread() {
-        let mut a = CrowdingArchive::new(4);
-        for i in 0..20 {
-            let x = i as f64;
-            a.try_insert(cand(&[x, 19.0 - x]));
-        }
-        assert_eq!(a.len(), 4);
-        // extremes have infinite crowding distance — always retained
-        let objs: Vec<f64> = a.members().iter().map(|m| m.objectives[0]).collect();
-        assert!(objs.contains(&0.0), "{objs:?}");
-        assert!(objs.contains(&19.0), "{objs:?}");
-    }
-
-    #[test]
-    fn crowding_archive_newcomer_dominating_sweeps() {
-        let mut a = CrowdingArchive::new(10);
-        a.try_insert(cand(&[2.0, 2.0]));
-        a.try_insert(cand(&[3.0, 1.5]));
-        assert_eq!(a.try_insert(cand(&[1.0, 1.0])), InsertOutcome::Added);
-        assert_eq!(a.len(), 1);
-    }
-
-    #[test]
-    fn elite_archive_trait_dispatch() {
-        let mut rng = SmallRng::seed_from_u64(1);
-        let mut archives: Vec<Box<dyn EliteArchive>> = vec![
-            Box::new(AgaArchive::new(4, 3)),
-            Box::new(CrowdingArchive::new(4)),
-        ];
-        for a in &mut archives {
-            assert!(a.sample_random(&mut rng).is_none());
-            a.offer(cand(&[0.0, 1.0]));
-            a.offer(cand(&[1.0, 0.0]));
-            assert_eq!(a.contents().len(), 2);
-            assert!(a.sample_random(&mut rng).is_some());
-        }
-        for a in archives {
-            assert_eq!(a.into_contents().len(), 2);
-        }
     }
 
     #[test]

@@ -118,9 +118,7 @@ pub mod prelude {
     pub use aedb::scenario::{DenseScenario, Density, Scenario};
     pub use aedb_mls::criteria::SearchCriteria;
     pub use aedb_mls::hybrid::{CellDeMls, CellDeMlsConfig};
-    pub use aedb_mls::mls::{
-        AcceptanceRule, ArchiveKind, CriteriaChoice, Mls, MlsConfig, MlsResult,
-    };
+    pub use aedb_mls::mls::{CriteriaChoice, Mls, MlsConfig};
     pub use fast99::{Fast99, Indices};
     pub use island::{AnytimeArchive, IslandConfig, IslandOptimizer};
     pub use manet::grid::SpatialGrid;

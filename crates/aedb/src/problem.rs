@@ -1166,7 +1166,10 @@ mod tests {
         // The tuning problem posed at beyond-paper scale: a 500-node dense
         // network (shadowed) evaluated through the same pipeline.
         use crate::scenario::DenseScenario;
-        let scenario = Scenario::dense(DenseScenario::new(200, 500).with_shadowing(4.0), 1);
+        let d = DenseScenario::new(200, 500)
+            .with_shadowing(4.0)
+            .expect("valid sigma");
+        let scenario = Scenario::dense(d, 1);
         let p = AedbProblem::paper(scenario);
         let ev = p.evaluate(&AedbParams::default_config().to_vec());
         assert_eq!(ev.objectives.len(), 3);

@@ -184,7 +184,9 @@ mod tests {
 
     #[test]
     fn homogeneous_dense_worlds_differ_from_paper_only_in_field_and_shadowing() {
-        let d = DenseScenario::new(200, 500).with_shadowing(4.0);
+        let d = DenseScenario::new(200, 500)
+            .with_shadowing(4.0)
+            .expect("valid sigma");
         let w = d.world_spec(3);
         let mut paper = WorldSpec::paper(500, d.base_seed + 3);
         assert_ne!(w, paper);
@@ -217,6 +219,7 @@ mod tests {
         assert_eq!(
             DenseScenario::new(200, 1000)
                 .with_shadowing(4.0)
+                .expect("valid sigma")
                 .to_string(),
             "1000 nodes @ 200 dev/km² (σ=4 dB)"
         );
@@ -231,7 +234,9 @@ mod tests {
 
     #[test]
     fn dense_scenario_posed_as_tuning_problem() {
-        let d = DenseScenario::new(200, 500).with_shadowing(4.0);
+        let d = DenseScenario::new(200, 500)
+            .with_shadowing(4.0)
+            .expect("valid sigma");
         let s = Scenario::dense(d.clone(), 4);
         assert_eq!(s.n_networks, 4);
         assert_eq!(s.label(), d.to_string());

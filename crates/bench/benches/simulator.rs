@@ -83,7 +83,9 @@ fn bench_deliveries_grid_vs_naive(c: &mut Criterion) {
         ("", DenseScenario::new(300, 750)),
         (
             "shadowed_",
-            DenseScenario::new(200, 500).with_shadowing(4.0),
+            DenseScenario::new(200, 500)
+                .with_shadowing(4.0)
+                .expect("valid sigma"),
         ),
     ];
     for (prefix, scenario) in scenarios {

@@ -3,7 +3,7 @@
 //! incremental delivery path against the naive O(n²) oracle, plus a
 //! batched AEDB evaluation posed directly on a dense scenario.
 //!
-//! Emits **`BENCH_scale.json`** (schema `bench-scale-v8`, documented and
+//! Emits **`BENCH_scale.json`** (schema `bench-scale-v9`, documented and
 //! rendered in [`bench_harness::scale`] — this binary only fills in
 //! [`ScaleRow`]s) so the perf trajectory stays machine-readable across
 //! PRs: per row, the canonical scenario spec text, wall time per delivery
@@ -11,8 +11,9 @@
 //! which is single-shot), the candidate-filter vs receive-outcome split
 //! of the query (from [`Simulator::query_profile`]) plus the
 //! interference-phase share of the incremental outcome and the
-//! neighbour-table write time, the batched
-//! sweep's work counters ([`Simulator::sweep_stats`]) and the process's
+//! neighbour-table write time, the candidate
+//! filter's work counters ([`Simulator::sweep_stats`]: batched sweep and
+//! reach lists) and the process's
 //! peak RSS high-water mark when the row finished. A fixed **calibration
 //! workload** is timed first, so CI's perf-regression gate
 //! (`scripts/check_bench_regression.py`) can check *absolute* wall-time
@@ -50,8 +51,8 @@ struct ModeRun {
     interference_s: f64,
     /// Neighbour-table write seconds (profiled).
     observe_s: f64,
-    /// Batched-sweep work counters (all zero outside incremental mode,
-    /// which is the only path that sweeps).
+    /// Candidate-filter work counters, sweep and reach lists (all zero
+    /// outside incremental mode, which is the only path that filters).
     sweep: SweepStats,
 }
 

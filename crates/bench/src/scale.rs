@@ -3,9 +3,9 @@
 //! [`DenseScenario`]s (hundreds of nodes) that the simulator's spatial
 //! grid makes tractable.
 //!
-//! # The `bench-scale-v8` artifact schema
+//! # The `bench-scale-v9` artifact schema
 //!
-//! `exp_scale` writes `BENCH_scale.json` with `"schema": "bench-scale-v8"`
+//! `exp_scale` writes `BENCH_scale.json` with `"schema": "bench-scale-v9"`
 //! so the performance trajectory stays machine-readable across PRs (and so
 //! CI can fail on regressions — see `scripts/check_bench_regression.py`).
 //! The prose reference — including how the regression gate consumes the
@@ -32,11 +32,13 @@
 //! | `incremental_bucket_ops` | grid-maintenance bucket membership writes of the incremental run |
 //! | `sweep_cells_visited`, `sweep_cells_culled` | non-empty cells the incremental run's batched sweep reached, and how many the event horizon skipped whole ([`manet::SweepStats`]; culled ≤ visited) |
 //! | `sweep_batched_candidates`, `sweep_scalar_candidates` | candidates evaluated by full-width chunk kernels vs the scalar fallback (mixed-kind chunks + per-query tails) |
+//! | `sweep_list_rebuilds`, `sweep_list_candidates` | shadowed worlds' reach lists rebuilt (one sweep each) and candidates served from them instead of a sweep ([`manet::reach`]; both 0 when σ = 0) |
 //! | `peak_rss_bytes` | process peak RSS high-water mark when the row finished ([`peak_rss_bytes`]) |
 //! | `speedup_naive_over_incremental` | the headline ratio CI's perf gate checks against committed floors — `naive_s / incremental_s`, derived by the emitter, never hand-set (`null` above the naive cap) |
 //!
 //! The trailing `batched_eval` object records one batched AEDB evaluation
-//! posed directly on the first dense scenario. v7 → v8 added
+//! posed directly on the first dense scenario. v8 → v9 added
+//! `sweep_list_rebuilds` and `sweep_list_candidates`; v7 → v8 added
 //! `incremental_observe_s`; v6 → v7 removed the
 //! horizon-rebuild and sharded columns, their speedups and the top-level
 //! `host_parallelism`, along with the delivery paths they measured; v5 →
@@ -70,10 +72,10 @@ pub fn peak_rss_bytes() -> Option<u64> {
 
 /// Schema identifier written by [`ScaleArtifact::to_json`]; bump it here
 /// (and in `scripts/check_bench_schema.py`) when the field list changes.
-pub const SCALE_SCHEMA: &str = "bench-scale-v8";
+pub const SCALE_SCHEMA: &str = "bench-scale-v9";
 
 /// One scenario row of the scale artifact — the measured columns of the
-/// v8 schema (see the module docs for the field table). The speedup
+/// v9 schema (see the module docs for the field table). The speedup
 /// column is *derived* from the wall times at emission, so it cannot
 /// disagree with the ratio it summarises.
 #[derive(Debug, Clone)]
@@ -104,7 +106,8 @@ pub struct ScaleRow {
     pub incremental_observe_s: f64,
     /// Grid bucket membership writes, incremental mode.
     pub incremental_bucket_ops: u64,
-    /// Batched-sweep work counters from the incremental run.
+    /// Candidate-filter work counters (sweep and reach lists) from the
+    /// incremental run.
     pub sweep: SweepStats,
     /// Process peak RSS when the row finished.
     pub peak_rss_bytes: Option<u64>,
@@ -151,7 +154,7 @@ fn json_opt(v: Option<f64>) -> String {
 }
 
 impl ScaleArtifact {
-    /// Renders the artifact as the v8 JSON document.
+    /// Renders the artifact as the v9 JSON document.
     pub fn to_json(&self) -> String {
         let mut rows = String::new();
         for (i, r) in self.rows.iter().enumerate() {
@@ -169,6 +172,7 @@ impl ScaleArtifact {
                  \"incremental_bucket_ops\": {},\n     \
                  \"sweep_cells_visited\": {}, \"sweep_cells_culled\": {},\n     \
                  \"sweep_batched_candidates\": {}, \"sweep_scalar_candidates\": {},\n     \
+                 \"sweep_list_rebuilds\": {}, \"sweep_list_candidates\": {},\n     \
                  \"peak_rss_bytes\": {},\n     \
                  \"speedup_naive_over_incremental\": {}}}",
                 r.spec,
@@ -188,6 +192,8 @@ impl ScaleArtifact {
                 r.sweep.cells_culled,
                 r.sweep.batched_candidates,
                 r.sweep.scalar_candidates,
+                r.sweep.list_rebuilds,
+                r.sweep.list_candidates,
                 r.peak_rss_bytes.map_or("null".into(), |b| b.to_string()),
                 json_opt(r.naive_s.map(|n| n / r.incremental_s)),
             );
@@ -213,6 +219,13 @@ impl ScaleArtifact {
         std::fs::write(path, self.to_json())
     }
 }
+
+/// The smallest `--evals` the quick campaign configurations
+/// (`serve::campaign::algorithm_for`) honour. Below it each algorithm
+/// spends a clamped budget of its own: AEDB-MLS runs at least 4 walkers ×
+/// 10 moves, CellDE evaluates its 25-cell initial grid and NSGA-II its
+/// population of at least 8 (at `--evals 0`: 40, 25 and 8 evaluations).
+pub const MIN_EVALS: u64 = 40;
 
 /// Scale knobs of an experiment run.
 #[derive(Debug, Clone)]
@@ -282,7 +295,15 @@ impl ExperimentScale {
                     // Every printer averages over the repetitions.
                     assert!(scale.reps >= 1, "--reps needs a value of at least 1");
                 }
-                "--evals" => scale.evals = expect_num(&mut it, "--evals"),
+                "--evals" => {
+                    scale.evals = expect_num(&mut it, "--evals");
+                    // Below it the equal-budget tables would compare
+                    // unequal budgets (see `MIN_EVALS`).
+                    assert!(
+                        scale.evals >= MIN_EVALS,
+                        "--evals needs a value of at least {MIN_EVALS}"
+                    );
+                }
                 "--networks" => scale.networks = expect_num(&mut it, "--networks") as usize,
                 "--fast-samples" => {
                     scale.fast_samples = expect_num(&mut it, "--fast-samples") as usize
@@ -418,6 +439,17 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "--evals needs a value of at least 40")]
+    fn evals_below_the_smallest_equal_budget_panic() {
+        let _ = parse(&["--evals", "39"]);
+    }
+
+    #[test]
+    fn evals_at_the_smallest_equal_budget_parse() {
+        assert_eq!(parse(&["--evals", "40"]).evals, MIN_EVALS);
+    }
+
+    #[test]
     fn dense_scenarios_hold_density_while_scaling() {
         let d = DenseScenario::new(200, 500);
         let field = d.field();
@@ -517,13 +549,15 @@ mod tests {
     fn bounded_tail_grid_matches_naive_on_shadowed_dense() {
         // Shadowed scenarios no longer fall back to the naive scan: the
         // bounded-tail grid query must agree with it bit for bit at
-        // 200 dev/km². Shortened window: the debug build is slow. That the
-        // grid is also ≥ 2× faster is gated in release, where timing is
+        // 200 dev/km². Shortened window: the debug build is slow. How much
+        // faster the grid is gets gated in release, where timing is
         // stable: the `1000@200@4` `speedup_naive_over_incremental` floor
         // in `scripts/perf_floors.json`.
         use manet::protocol::Flooding;
         use manet::sim::{DeliveryMode, Simulator};
-        let d = DenseScenario::new(200, 1000).with_shadowing(4.0);
+        let d = DenseScenario::new(200, 1000)
+            .with_shadowing(4.0)
+            .expect("valid sigma");
         let mut cfg = d.world_spec(0);
         cfg.broadcast_time = 8.0;
         cfg.end_time = 10.0;

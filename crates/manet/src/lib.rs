@@ -23,6 +23,8 @@
 //! * [`sweep`] — the batched candidate filter: fixed-width lane sweeps
 //!   over the snapshot (SIMD-friendly, bit-identical to the scalar
 //!   filter) plus per-cell event-horizon culling,
+//! * [`reach`] — per-sender reach lists that let shadowed delivery
+//!   queries skip the `+4σ` disc sweep,
 //! * [`sim`] — the simulator proper: beaconing, half-duplex radios,
 //!   collision/capture modelling, timers and metric collection,
 //! * [`world`] — the declarative scenario API: a validated
@@ -47,6 +49,7 @@ pub mod mobility;
 pub mod neighbor;
 pub mod protocol;
 pub mod radio;
+pub mod reach;
 pub mod sim;
 pub mod snapshot;
 pub mod sweep;

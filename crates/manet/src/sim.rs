@@ -73,6 +73,19 @@
 //!   asserted error budget), which gives every transmission the finite
 //!   decode range [`crate::radio::RadioConfig::max_decode_range`] the grid
 //!   needs.
+//! * **reach lists** ([`crate::reach`]) keep shadowed queries from
+//!   sweeping that `+4σ` disc on every frame. Link gains are fixed, so
+//!   the nodes that can decode a sender change only as fast as nodes
+//!   move. Each sender keeps the nodes that would decode its class-power
+//!   frames from [`REACH_SKIN_M`] closer, with their cached link draws,
+//!   rebuilt by one sweep of the disc grown by that skin. The list serves
+//!   the sender's frames at or below its power class until sender and
+//!   receiver could have closed the skin at the world's top speed
+//!   (`2·v_max·Δt`), and a query evaluates only its members, in ascending
+//!   id order, through the same arithmetic as the sweep path. A node left
+//!   off is farther than its reach plus the skin, and field reflection is
+//!   1-Lipschitz, so it is still beyond its reach: the lists drop no
+//!   decodable receiver. Frames above the class power sweep as before.
 //!
 //! [`DeliveryMode::Naive`] is the oracle all of this is checked against:
 //! every node is a candidate, and each one goes through one exact receive
@@ -110,6 +123,7 @@ use crate::mobility::{
 use crate::neighbor::{NeighborEntry, NeighborTable, Observation};
 use crate::protocol::{Protocol, ProtocolApi};
 use crate::radio::{dbm_to_mw, LinkDraw, RadioConfig, ShadowCull, INTERFERENCE_FLOOR_DB};
+use crate::reach::{ReachLists, REACH_SKIN_M};
 use crate::snapshot::KinematicSnapshot;
 use crate::sweep::{DeliverySweep, SweepStats};
 use crate::world::{GroupPlacement, WorldSpec};
@@ -383,16 +397,21 @@ struct World {
 }
 
 /// The mutable state of the snapshot delivery pipeline: the batched
-/// candidate sweep, the query scratch buffers, the per-receiver shadowing
-/// cache and the accumulated [`QueryProfile`]. Every field is either a
-/// pure cache of a deterministic function (shadow draws, the
-/// decode-radius memo) or query-local scratch.
+/// candidate sweep, the shadowed worlds' reach lists, the query scratch
+/// buffers, the per-receiver shadowing cache and the accumulated
+/// [`QueryProfile`]. Every field is either a pure cache of a
+/// deterministic function (reach lists, shadow draws, the decode-radius
+/// memo) or query-local scratch.
 #[derive(Debug)]
 struct QueryScratch {
     /// The batched candidate filter (fixed-width lane sweeps over the
     /// snapshot plus the per-cell event-horizon cache) driving the
     /// incremental delivery query — see [`crate::sweep`].
     sweep: DeliverySweep,
+    /// Per-sender reach lists of shadowed worlds (see [`crate::reach`]):
+    /// the receivers that could decode a sender's frames at or below its
+    /// power class until nodes have moved [`REACH_SKIN_M`] closer.
+    reach: ReachLists,
     /// Scratch: `(id, exact position, squared distance)` of candidates
     /// surviving the snapshot filter — the position and distance feed
     /// straight into the outcome test.
@@ -426,6 +445,7 @@ impl Default for QueryScratch {
     fn default() -> Self {
         QueryScratch {
             sweep: DeliverySweep::new(),
+            reach: ReachLists::new(),
             filtered: Vec::new(),
             power_memo: None,
             decodable: Vec::new(),
@@ -439,10 +459,12 @@ impl Default for QueryScratch {
 }
 
 impl QueryScratch {
-    /// Re-arms the scratch for a world of `n_cells` grid cells and
-    /// `n_nodes` nodes, keeping allocations.
-    fn reset(&mut self, n_cells: usize, n_nodes: usize) {
+    /// Re-arms the scratch for `spec` on a grid of `n_cells` cells over
+    /// `n_nodes` nodes, keeping allocations (but dropping every reach
+    /// list).
+    fn reset(&mut self, spec: &WorldSpec, n_cells: usize, n_nodes: usize) {
         self.sweep.reset(n_cells, n_nodes);
+        self.reach.reset(spec, n_nodes);
         self.filtered.clear();
         self.decodable.clear();
         self.frames.clear();
@@ -455,18 +477,19 @@ impl QueryScratch {
         self.profile = QueryProfile::default();
     }
 
-    /// The query constants of `tx`'s power (see [`PowerClass`]).
-    fn power_class(&mut self, radio: &RadioConfig, tx: &Transmission) -> PowerClass {
-        let bits = tx.tx_dbm.to_bits();
+    /// The query constants of a frame sent at `tx_dbm` (see
+    /// [`PowerClass`]).
+    fn power_class(&mut self, radio: &RadioConfig, tx_dbm: f64) -> PowerClass {
+        let bits = tx_dbm.to_bits();
         match self.power_memo {
             Some((memo_bits, class)) if memo_bits == bits => class,
             _ => {
                 let class = PowerClass {
-                    decode_r: radio.max_decode_range(tx.tx_dbm) * (1.0 + RANGE_EPSILON)
+                    decode_r: radio.max_decode_range(tx_dbm) * (1.0 + RANGE_EPSILON)
                         + RANGE_EPSILON,
                     cull: ShadowCull::new(
                         radio.path_loss,
-                        tx.tx_dbm,
+                        tx_dbm,
                         radio.shadowing_sigma_db,
                         radio.rx_sensitivity_dbm,
                     ),
@@ -676,11 +699,12 @@ impl World {
     }
 
     /// Re-arms the delivery pipeline's [`QueryScratch`] for the current
-    /// grid and node count. This drops every cached sweep event horizon
-    /// along with the accumulated [`QueryProfile`] and [`SweepStats`].
+    /// world, grid and node count. This drops every cached sweep event
+    /// horizon and reach list along with the accumulated [`QueryProfile`]
+    /// and [`SweepStats`].
     fn reset_query_scratch(&mut self) {
         self.scratch
-            .reset(self.grid.geometry().n_cells(), self.n_nodes);
+            .reset(&self.spec, self.grid.geometry().n_cells(), self.n_nodes);
     }
 
     /// Schedules `node`'s next grid refresh at the earliest time it could
@@ -908,7 +932,9 @@ impl World {
     ///    no `log10`; the received power of a decodable candidate is
     ///    deferred until a delivery (or capture comparison) actually needs
     ///    it. Shadowed, the dB-domain test runs as before with the
-    ///    per-link draw.
+    ///    per-link draw; a frame at or below its sender's power class
+    ///    takes its candidates, and their link draws, from the sender's
+    ///    reach list ([`crate::reach`]) instead of the disc sweep.
     /// 2. **interference**: live frames near this query are gathered
     ///    *once* from the [`SpatialActiveWindow`] (O(nearby), not
     ///    O(on air)) and replayed per decodable receiver in transmission
@@ -936,29 +962,55 @@ impl World {
         let profile_on = t_start.is_some();
         let mut filtered = std::mem::take(&mut s.filtered);
         filtered.clear();
-        // Buckets are exact up to the refresh slack; stored positions may
-        // be older than the bucket, so walk whole cells (inflated by the
-        // slack) and filter on *current* exact positions from the records —
-        // batched into fixed-width chunk kernels by the sweep, which also
-        // skips cells its event-horizon cache proves out of decode reach
-        // (see `crate::sweep` for the bit-exactness argument).
-        let class = s.power_class(radio, tx);
+        let class = s.power_class(radio, tx.tx_dbm);
         let r = class.decode_r;
         let t = tx.end;
-        s.sweep.filter_into(
-            &self.grid,
-            &self.snapshot,
-            tx.pos,
-            t,
-            r,
-            GRID_BUCKET_SLACK_M,
-            &mut filtered,
-        );
+        // Shadowed frames at or below the sender's power class are
+        // resolved against its reach list, rebuilt here once it has
+        // expired (see `crate::reach` for the exactness argument); every
+        // other frame sweeps its whole decode disc.
+        let class_dbm = self.node_tx[tx.sender];
+        let listed = s.reach.enabled() && tx.tx_dbm <= class_dbm;
+        // Buckets are exact up to the refresh slack; stored positions may
+        // be older than the bucket, so the sweep walks whole cells
+        // (inflated by the slack) and filters on *current* exact positions
+        // from the records — batched into fixed-width chunk kernels, and
+        // skipping cells its event-horizon cache proves out of reach (see
+        // `crate::sweep` for the bit-exactness argument).
+        if !listed {
+            s.sweep.filter_into(
+                &self.grid,
+                &self.snapshot,
+                tx.pos,
+                t,
+                r,
+                GRID_BUCKET_SLACK_M,
+                &mut filtered,
+            );
+        } else {
+            if !s.reach.is_live(tx.sender, t) {
+                let reach = s.power_class(radio, class_dbm);
+                s.sweep.filter_into(
+                    &self.grid,
+                    &self.snapshot,
+                    tx.pos,
+                    t,
+                    reach.decode_r + REACH_SKIN_M,
+                    GRID_BUCKET_SLACK_M,
+                    &mut filtered,
+                );
+                s.reach
+                    .rebuild(tx.sender, tx.start, class_dbm, &reach.cull, &filtered);
+                filtered.clear();
+            }
+            s.reach
+                .positions_into(tx.sender, &self.snapshot, tx.pos, t, &mut filtered);
+        }
         // Ascending node order: delivery order feeds protocol callbacks
         // (and their RNG draws), so every mode must match the naive scan.
-        // The sweep evaluates its gathered ids in sorted order, so the
-        // survivors arrive exactly as the historical post-filter sort
-        // left them.
+        // The sweep evaluates its gathered ids in sorted order, and reach
+        // lists keep that order, so the survivors arrive exactly as the
+        // historical post-filter sort left them.
         debug_assert!(filtered.windows(2).all(|w| w[0].0 < w[1].0));
         let t_mid = profile_on.then(Instant::now);
 
@@ -996,6 +1048,20 @@ impl World {
                     if rx >= sens {
                         decodable.push((i, p, d2, rx));
                     }
+                }
+            }
+        } else if listed {
+            // The same cull and received-power arithmetic as below, with
+            // the link draws the list cached (the sender is never listed).
+            let members = s.reach.members(tx.sender);
+            debug_assert_eq!(members.len(), filtered.len());
+            for (&(i, p, d2), m) in filtered.iter().zip(members) {
+                if class.cull.culls(d2, m.u1) {
+                    continue;
+                }
+                let rx = pl.rx_dbm(tx.tx_dbm, d2.sqrt()) + m.shadowing_db;
+                if rx >= sens {
+                    decodable.push((i, p, d2, rx));
                 }
             }
         } else {
@@ -1408,13 +1474,18 @@ impl<P: Protocol> Simulator<P> {
         self.world.refresh_events
     }
 
-    /// Work counters of the batched candidate sweep since the last reset:
-    /// cells visited/culled and candidates evaluated by chunk kernels vs
-    /// the scalar fallback (all zero outside
-    /// [`DeliveryMode::Incremental`], which is the only path that
-    /// sweeps). Exported per row of the scale artifact.
+    /// Work counters of the candidate filter since the last reset: cells
+    /// visited/culled, candidates evaluated by chunk kernels vs the scalar
+    /// fallback, and reach lists rebuilt vs candidates served from them
+    /// (all zero outside [`DeliveryMode::Incremental`], which is the only
+    /// path that filters). Exported per row of the scale artifact.
     pub fn sweep_stats(&self) -> SweepStats {
-        self.world.scratch.sweep.stats()
+        let reach = &self.world.scratch.reach;
+        SweepStats {
+            list_rebuilds: reach.rebuilds(),
+            list_candidates: reach.candidates(),
+            ..self.world.scratch.sweep.stats()
+        }
     }
 
     /// Cell edge (m) of the spatial delivery grid — exposed so tests can
@@ -1906,6 +1977,34 @@ mod tests {
             assert_eq!(inc.broadcast, naive.broadcast, "sigma {sigma}");
             assert_eq!(inc.counters, naive.counters, "sigma {sigma}");
         }
+    }
+
+    #[test]
+    fn reach_lists_serve_only_shadowed_worlds() {
+        // Unshadowed decode tests are log-free `d²` compares, so those
+        // worlds never build a reach list; a shadowed world rebuilds each
+        // sender's list as it expires and serves most queries from it.
+        let run = |sigma: f64| {
+            let mut c = WorldSpec::paper(40, 3);
+            c.radio.shadowing_sigma_db = sigma;
+            let mut sim = Simulator::from_world(&c, Flooding::new(40, (0.0, 0.1)));
+            let report = sim.run_to_end();
+            (report, sim.sweep_stats())
+        };
+        let (_, plain) = run(0.0);
+        assert_eq!((plain.list_rebuilds, plain.list_candidates), (0, 0));
+        assert!(plain.batched_candidates + plain.scalar_candidates > 0);
+        let (report, shadowed) = run(4.0);
+        // 40 s at 2 m/s walkers: a list lives just under 10 s, so every
+        // sender rebuilds about four times and serves ~40 frames from
+        // its lists.
+        assert!(
+            shadowed.list_rebuilds >= 4 * 40 && shadowed.list_rebuilds <= 6 * 40,
+            "{shadowed:?}"
+        );
+        let served = report.counters.beacons_sent + report.counters.data_sent;
+        assert!(shadowed.list_rebuilds * 5 < served, "{shadowed:?}");
+        assert!(shadowed.list_candidates > 0, "{shadowed:?}");
     }
 
     #[test]

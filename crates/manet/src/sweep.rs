@@ -130,9 +130,10 @@ pub const SWEEP_WIDTH: usize = 8;
 /// still culls everything worth culling.
 const CULL_MARGIN_M: f64 = 1e-6;
 
-/// Work counters of the batched candidate sweep, accumulated across
-/// queries and zeroed on reset — the measurable shape of the filter
-/// (exported per scale row in the `bench-scale-v5` artifact).
+/// Work counters of the delivery query's candidate filter — the batched
+/// sweep plus the shadowed worlds' reach lists — accumulated across
+/// queries and zeroed on reset: the measurable shape of the filter
+/// (exported per scale row of the `BENCH_scale.json` artifact).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SweepStats {
     /// Non-empty grid cells the disc walks reached (including culled).
@@ -145,6 +146,12 @@ pub struct SweepStats {
     /// Candidates evaluated on the scalar path (mixed-kind chunks and the
     /// sub-width tail of each query's id list).
     pub scalar_candidates: u64,
+    /// Reach lists rebuilt by shadowed queries ([`crate::reach`]); each
+    /// rebuild is one sweep. Zero in unshadowed worlds.
+    pub list_rebuilds: u64,
+    /// Candidates evaluated from reach lists instead of a sweep. Zero in
+    /// unshadowed worlds.
+    pub list_candidates: u64,
 }
 
 /// A cached per-cell event horizon: every member's exact position at time

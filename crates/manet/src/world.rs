@@ -666,10 +666,17 @@ impl DenseScenario {
     }
 
     /// The same scenario with log-normal shadowing of `sigma_db` enabled.
-    pub fn with_shadowing(mut self, sigma_db: f64) -> Self {
-        assert!(sigma_db >= 0.0 && sigma_db.is_finite());
+    ///
+    /// # Errors
+    /// [`WorldError::BadShadowing`] unless `sigma_db` lies in
+    /// `0..=`[`MAX_SHADOWING_SIGMA_DB`] — the bound
+    /// [`WorldSpec::validate`] holds every compiled world to.
+    pub fn with_shadowing(mut self, sigma_db: f64) -> Result<Self, WorldError> {
+        if !(0.0..=MAX_SHADOWING_SIGMA_DB).contains(&sigma_db) {
+            return Err(WorldError::BadShadowing);
+        }
         self.shadowing_sigma_db = sigma_db;
-        self
+        Ok(self)
     }
 
     /// Appends a heterogeneous group, growing the total population (and
@@ -746,13 +753,7 @@ impl DenseScenario {
         }
         let sigma: f64 = match parts.get(2) {
             None => 0.0,
-            Some(s) => {
-                let v: f64 = s.trim().parse().map_err(|_| err("bad shadowing sigma"))?;
-                if !(v >= 0.0 && v.is_finite()) {
-                    return Err(err("bad shadowing sigma"));
-                }
-                v
-            }
+            Some(s) => s.trim().parse().map_err(|_| err("bad shadowing sigma"))?,
         };
         let mut groups = vec![parse_group_modifiers(
             NodeGroup::new(head_n),
@@ -773,10 +774,9 @@ impl DenseScenario {
             groups.push(parse_group_modifiers(NodeGroup::new(n), fields, &err)?);
         }
         let n_nodes: usize = groups.iter().map(|g| g.n).sum();
-        let mut d = DenseScenario::new(per_km2, n_nodes);
-        if sigma > 0.0 {
-            d = d.with_shadowing(sigma);
-        }
+        let mut d = DenseScenario::new(per_km2, n_nodes)
+            .with_shadowing(sigma)
+            .map_err(|_| err("bad shadowing sigma"))?;
         // Canonical homogeneous form: a single all-default group is the
         // implicit head, so `parse(format(s)) == s` holds for specs built
         // with `DenseScenario::new`.
@@ -1059,13 +1059,10 @@ mod tests {
             probe.world_spec(0).validate().unwrap_err(),
             WorldError::BadSpeedRange(1)
         );
-        // σ = 10³⁰⁰ dB and a 10⁶ dBm group also parse, and ran before
-        // `validate` bounded them.
-        let probe = DenseScenario::parse_spec("3@200@1e300").expect("parses");
-        assert_eq!(
-            probe.world_spec(0).validate().unwrap_err(),
-            WorldError::BadShadowing
-        );
+        // σ = 10³⁰⁰ dB and a 10⁶ dBm group ran before `validate` bounded
+        // them; σ is now refused by the grammar itself.
+        let e = DenseScenario::parse_spec("3@200@1e300").unwrap_err();
+        assert_eq!(e.detail, "bad shadowing sigma");
         let probe = DenseScenario::parse_spec("3@200+2:1e6dbm").expect("parses");
         assert_eq!(
             probe.world_spec(0).validate().unwrap_err(),
@@ -1209,8 +1206,46 @@ mod tests {
         let d = DenseScenario::parse_spec("2000@200").expect("valid");
         assert_eq!(d, DenseScenario::new(200, 2000));
         let d = DenseScenario::parse_spec(" 1000@200@4 ").expect("valid");
-        assert_eq!(d, DenseScenario::new(200, 1000).with_shadowing(4.0));
+        assert_eq!(
+            d,
+            DenseScenario::new(200, 1000)
+                .with_shadowing(4.0)
+                .expect("valid sigma")
+        );
         assert!(d.groups.is_empty());
+    }
+
+    #[test]
+    fn shadowing_outside_the_validated_range_is_a_typed_error() {
+        // The builder holds σ to the bound `validate` enforces, so an
+        // out-of-range σ is refused here instead of panicking later in
+        // `Simulator::from_world`.
+        for sigma in [
+            -1.0,
+            f64::NAN,
+            f64::INFINITY,
+            25.0,
+            MAX_SHADOWING_SIGMA_DB * 1.01,
+        ] {
+            assert_eq!(
+                DenseScenario::new(200, 100).with_shadowing(sigma),
+                Err(WorldError::BadShadowing),
+                "sigma {sigma}"
+            );
+        }
+        for sigma in [0.0, 4.0, MAX_SHADOWING_SIGMA_DB] {
+            let d = DenseScenario::new(200, 100)
+                .with_shadowing(sigma)
+                .expect("in range");
+            d.world_spec(0)
+                .validate()
+                .expect("compiles to a valid world");
+        }
+        let e = DenseScenario::parse_spec("100@200@25").unwrap_err();
+        assert_eq!(e.detail, "bad shadowing sigma");
+        for bad in ["100@200@-1", "100@200@inf", "100@200@NaN", "100@200@x"] {
+            assert!(DenseScenario::parse_spec(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]
@@ -1293,6 +1328,7 @@ mod tests {
         // constructed scenarios round-trip too
         let d = DenseScenario::new(250, 800)
             .with_shadowing(2.5)
+            .expect("valid sigma")
             .with_group(NodeGroup::new(40).mobility(MobilityModel::Stationary));
         assert_eq!(
             DenseScenario::parse_spec(&d.spec_string()).expect("valid"),

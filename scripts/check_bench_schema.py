@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
-"""Validate a BENCH_scale.json artifact against the bench-scale-v8 schema.
+"""Validate a BENCH_scale.json artifact against the bench-scale-v9 schema.
 
 Usage: check_bench_schema.py [PATH] [--rows N]
 
 PATH defaults to BENCH_scale.json in the current directory. --rows asserts
 the exact scenario-row count (CI passes the count its smoke run produces).
 
-The v8 schema is emitted by ScaleArtifact in crates/bench/src/scale.rs and
+The v9 schema is emitted by ScaleArtifact in crates/bench/src/scale.rs and
 documented field-by-field in docs/BENCH_SCHEMA.md (calibration workload
 and ceiling semantics included).
 Beyond key presence, the structural invariants checked here are the ones a
@@ -20,6 +20,8 @@ broken profiler or a half-written emitter would violate:
   * the interference phase is a sub-interval of the outcome phase;
   * the event horizon cannot cull more cells than the sweep visited, and
     an incremental run that delivered anything must have swept candidates;
+  * reach lists exist only in shadowed worlds, and a list-served candidate
+    needs a rebuilt list;
   * the recorded speedup column must equal the wall-time ratio it
     summarises.
 """
@@ -45,6 +47,8 @@ REQUIRED = [
     "sweep_cells_culled",
     "sweep_batched_candidates",
     "sweep_scalar_candidates",
+    "sweep_list_rebuilds",
+    "sweep_list_candidates",
     "peak_rss_bytes",
     "speedup_naive_over_incremental",
 ]
@@ -70,8 +74,8 @@ def main(argv):
     except (OSError, ValueError) as e:
         fail(f"cannot read {path}: {e}")
 
-    if d.get("schema") != "bench-scale-v8":
-        fail(f"schema is {d.get('schema')!r}, want 'bench-scale-v8'")
+    if d.get("schema") != "bench-scale-v9":
+        fail(f"schema is {d.get('schema')!r}, want 'bench-scale-v9'")
     cal = d.get("calibration")
     if not isinstance(cal, dict) or not isinstance(cal.get("seconds"), (int, float)):
         fail("missing calibration object with numeric 'seconds'")
@@ -109,12 +113,19 @@ def main(argv):
             "sweep_cells_culled",
             "sweep_batched_candidates",
             "sweep_scalar_candidates",
+            "sweep_list_rebuilds",
+            "sweep_list_candidates",
         ):
             v = row[key]
             if not isinstance(v, int) or v < 0:
                 fail(f"row {name}: {key} must be a non-negative integer, got {v!r}")
         if row["sweep_cells_culled"] > row["sweep_cells_visited"]:
             fail(f"row {name}: event horizon culled more cells than the sweep visited")
+        listed = row["sweep_list_rebuilds"] + row["sweep_list_candidates"]
+        if row["shadowing_sigma_db"] == 0 and listed:
+            fail(f"row {name}: reach-list counters are non-zero in an unshadowed world")
+        if row["sweep_list_candidates"] and not row["sweep_list_rebuilds"]:
+            fail(f"row {name}: candidates served from reach lists never rebuilt")
         swept = row["sweep_batched_candidates"] + row["sweep_scalar_candidates"]
         if row["coverage"] > 1 and swept == 0:
             fail(f"row {name}: incremental run delivered but swept no candidates")
@@ -128,7 +139,7 @@ def main(argv):
 
     if "batched_eval" not in d:
         fail("missing batched_eval object")
-    print(f"check_bench_schema: OK ({len(scenarios)} rows, schema bench-scale-v8)")
+    print(f"check_bench_schema: OK ({len(scenarios)} rows, schema bench-scale-v9)")
 
 
 if __name__ == "__main__":

@@ -565,10 +565,9 @@ proptest! {
         use manet::mobility::MobilityModel;
         use manet::world::NodeGroup;
         let sigma = [0.0, 2.5, 4.0, 6.25][sigma_idx];
-        let mut d = DenseScenario::new(per_km2, head_n);
-        if sigma > 0.0 {
-            d = d.with_shadowing(sigma);
-        }
+        let mut d = DenseScenario::new(per_km2, head_n)
+            .with_shadowing(sigma)
+            .expect("sigma within the validated range");
         for i in 0..tail_count {
             let (n, mob_idx, p_idx) = (tail_ns[i], tail_mobs[i], tail_ps[i]);
             let mut g = NodeGroup::new(n).mobility(match mob_idx {
@@ -1189,5 +1188,136 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// Flooding whose data frames go out `boost_db` above the sender's power
+/// class. In a shadowed world such a frame cannot be served from the
+/// sender's reach list (built for the class power) and must sweep its
+/// whole decode disc.
+struct LoudFlooding {
+    seen: Vec<bool>,
+    boost_db: f64,
+}
+
+impl Protocol for LoudFlooding {
+    fn on_start(&mut self, node: usize, api: &mut dyn ProtocolApi) {
+        self.seen[node] = true;
+        self.on_timer(node, 0, api);
+    }
+
+    fn on_receive(&mut self, node: usize, _from: usize, _rx_dbm: f64, api: &mut dyn ProtocolApi) {
+        if !std::mem::replace(&mut self.seen[node], true) {
+            let delay = 0.1 * api.rand();
+            api.set_timer(node, delay, 0);
+        }
+    }
+
+    fn on_timer(&mut self, node: usize, _tag: u64, api: &mut dyn ProtocolApi) {
+        let p = api.node_tx_dbm(node) + self.boost_db;
+        api.transmit(node, p);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    #[test]
+    fn shadowed_reach_lists_agree_with_the_oracle_across_rebuilds(
+        seed in 0u64..10_000,
+        sigma_draw in 0.1f64..20.0,
+        sigma_at_cap in 0usize..4,
+        n_walk in 6usize..16,
+        n_rwp in 2usize..8,
+        n_still in 2usize..8,
+        v_max in 4.0f64..12.0,
+        low_power in 0.0f64..12.0,
+        field_side in 250.0f64..650.0,
+        boost_db in 0.5f64..8.0,
+        at in 2.0f64..7.9,
+    ) {
+        // Shadowed worlds whose nodes move fast enough that every sender's
+        // reach list expires and is rebuilt several times over the run
+        // (a list lives 40 m / (2 · v_max) ≤ 5 s of a 12 s horizon):
+        // walking, waypoint and still groups in two power classes, under
+        // flooding at the class power, AEDB (whose data frames go out at
+        // or below it) and a flooding that transmits above it. Every run
+        // must equal the naive oracle bit for bit, and a checkpoint taken
+        // while the lists are live must restore to the straight run.
+        use manet::mobility::MobilityModel;
+        use manet::world::MAX_SHADOWING_SIGMA_DB;
+        let sigma = if sigma_at_cap == 0 { MAX_SHADOWING_SIGMA_DB } else { sigma_draw };
+        let mut radio = manet::RadioConfig::paper();
+        radio.shadowing_sigma_db = sigma;
+        let spec = WorldSpec::builder()
+            .area(field_side, field_side)
+            .radio(radio)
+            .seed(seed)
+            .group(
+                NodeGroup::new(n_walk)
+                    .mobility(MobilityModel::RandomWalk { change_interval: 3.0 })
+                    .speed_range(0.0, v_max),
+            )
+            .group(
+                NodeGroup::new(n_rwp)
+                    .mobility(MobilityModel::RandomWaypoint { pause: 0.5 })
+                    .speed_range(1.0, v_max)
+                    .tx_power_dbm(low_power),
+            )
+            .group(
+                NodeGroup::new(n_still)
+                    .mobility(MobilityModel::Stationary)
+                    .tx_power_dbm(low_power),
+            )
+            .broadcast_window(8.0, 12.0)
+            .build()
+            .expect("valid spec");
+        let n = spec.n_nodes();
+        let params = AedbParams::default_config();
+        let flooding = || Flooding::new(n, (0.0, 0.1));
+        let loud = || LoudFlooding { seen: vec![false; n], boost_db };
+
+        fn both_modes<P: Protocol>(
+            spec: &WorldSpec,
+            make: impl Fn() -> P,
+        ) -> (SimReport, SimReport, manet::SweepStats) {
+            let mut inc = Simulator::from_world(spec, make());
+            let inc_report = inc.run_to_end();
+            let mut naive = Simulator::from_world(spec, make());
+            naive.set_delivery_mode(DeliveryMode::Naive);
+            (inc_report, naive.run_to_end(), inc.sweep_stats())
+        }
+        let (inc, naive, stats) = both_modes(&spec, flooding);
+        prop_assert_eq!(&inc.broadcast, &naive.broadcast);
+        prop_assert_eq!(&inc.counters, &naive.counters);
+        prop_assert!(
+            stats.list_rebuilds > n as u64,
+            "{} rebuilds for {} senders",
+            stats.list_rebuilds,
+            n
+        );
+        prop_assert!(stats.list_candidates > 0);
+        let (inc, naive, _) = both_modes(&spec, || Aedb::new(n, params));
+        prop_assert_eq!(&inc.broadcast, &naive.broadcast);
+        prop_assert_eq!(&inc.counters, &naive.counters);
+        let straight_aedb = inc;
+        let (inc, naive, _) = both_modes(&spec, loud);
+        prop_assert_eq!(&inc.broadcast, &naive.broadcast);
+        prop_assert_eq!(&inc.counters, &naive.counters);
+
+        // A checkpoint with live lists, restored into a pooled simulator
+        // whose own live lists describe another network, gives the
+        // straight report.
+        let mut donor = Simulator::from_world(&spec, flooding());
+        donor.run_until(at);
+        prop_assert!(donor.sweep_stats().list_rebuilds > 0);
+        let checkpoint = donor.checkpoint();
+        let other = WorldSpec { seed: seed + 1, ..spec.clone() };
+        let mut pooled = Simulator::from_world(&other, Aedb::new(n, params));
+        pooled.run_until(at);
+        pooled.restore(&checkpoint, |p| p.reset(n, params));
+        let restored = pooled.run_to_end();
+        prop_assert_eq!(&restored.broadcast, &straight_aedb.broadcast);
+        prop_assert_eq!(&restored.counters, &straight_aedb.counters);
     }
 }

@@ -355,25 +355,6 @@ impl AedbProblem {
         entries
     }
 
-    /// Replaces the search-space bounds (the sensitivity analysis uses the
-    /// wider §III-B domains). The quantization lattice is anchored to the
-    /// bounds, so any cached evaluations keyed on the old lattice —
-    /// including entries loaded from a
-    /// [`with_eval_cache_storage`](Self::with_eval_cache_storage) slot
-    /// before this call — are dropped and the slot (whose fingerprint
-    /// covers the bounds) is re-read under the new fingerprint.
-    pub fn with_bounds(mut self, bounds: Bounds) -> Self {
-        assert_eq!(bounds.len(), N_PARAMS);
-        self.bounds = bounds;
-        if let Some(cache) = &self.cache {
-            cache.lock().clear();
-        }
-        if let Some(slot) = self.cache_store.take() {
-            self = self.with_eval_cache_storage(slot.storage, slot.namespace, slot.key);
-        }
-        self
-    }
-
     /// The scenario being optimised.
     pub fn scenario(&self) -> &Scenario {
         &self.scenario
@@ -1062,32 +1043,6 @@ mod tests {
         let p = with_cache_file(AedbProblem::paper(Scenario::quick(Density::D100, 2)), &path);
         let _ = p.evaluate(&x);
         assert_eq!(p.cache_stats().0, 0);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn disk_cache_invalidated_when_bounds_change_the_lattice() {
-        // with_bounds after with_eval_cache_storage re-anchors the
-        // quantization lattice: entries persisted (and already loaded)
-        // under the old bounds must not be reinterpreted on the new one.
-        let path = temp_cache_path("bounds");
-        let _ = std::fs::remove_file(&path);
-        let x = AedbParams::default_config().to_vec();
-        {
-            let p = with_cache_file(AedbProblem::paper(Scenario::quick(Density::D100, 2)), &path);
-            let _ = p.evaluate(&x);
-        }
-        let mut pairs = AedbParams::bounds().as_slice().to_vec();
-        pairs[0] = (0.0, 10.0);
-        let wider = mopt::solution::Bounds::new(pairs);
-        let p = with_cache_file(AedbProblem::paper(Scenario::quick(Density::D100, 2)), &path)
-            .with_bounds(wider);
-        let _ = p.evaluate(&x);
-        assert_eq!(
-            p.cache_stats().0,
-            0,
-            "entries keyed on the old lattice must not survive with_bounds"
-        );
         let _ = std::fs::remove_file(&path);
     }
 

@@ -5,7 +5,7 @@
 use aedb_mls::mls::{Mls, MlsConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fast99::Fast99;
-use mopt::archive::AgaArchive;
+use mopt::archive::{AgaArchive, ARCHIVE_BISECTIONS};
 use mopt::indicators::{generalized_spread, hypervolume, inverted_generational_distance};
 use mopt::ops::{blx_alpha_step, de_rand_1_bin, polynomial_mutation, sbx_crossover};
 use mopt::problem::test_problems::Zdt1;
@@ -32,7 +32,7 @@ fn bench_archive(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::from_parameter(cap), &cap, |b, &cap| {
             let points = synthetic_front(1000, 7);
             b.iter(|| {
-                let mut a = AgaArchive::new(cap, 5);
+                let mut a = AgaArchive::new(cap, ARCHIVE_BISECTIONS);
                 for p in &points {
                     a.try_insert(Candidate::evaluated(vec![], p.clone(), 0.0));
                 }
@@ -81,12 +81,12 @@ fn bench_operators(c: &mut Criterion) {
         })
     });
     g.bench_function("sbx_crossover", |b| {
-        b.iter(|| black_box(sbx_crossover(&p1, &p2, 20.0, 0.9, &bounds, &mut rng)))
+        b.iter(|| black_box(sbx_crossover(&p1, &p2, &bounds, &mut rng)))
     });
     g.bench_function("polynomial_mutation", |b| {
         b.iter(|| {
             let mut x = p1.clone();
-            polynomial_mutation(&mut x, 20.0, 0.2, &bounds, &mut rng);
+            polynomial_mutation(&mut x, &bounds, &mut rng);
             black_box(x)
         })
     });

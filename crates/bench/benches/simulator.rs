@@ -93,15 +93,15 @@ fn bench_deliveries_grid_vs_naive(c: &mut Criterion) {
             let path = if naive { "naive" } else { "grid" };
             let id = BenchmarkId::new(format!("{prefix}{path}"), scenario.per_km2);
             g.bench_with_input(id, &naive, |b, &naive| {
-                let mut world = scenario.world_spec(0);
-                world.delivery_mode = if naive {
-                    DeliveryMode::Naive
-                } else {
-                    DeliveryMode::Incremental
-                };
+                let world = scenario.world_spec(0);
                 let n = world.n_nodes();
                 let mut sim =
                     Simulator::from_world(&world, Aedb::new(n, AedbParams::default_config()));
+                sim.set_delivery_mode(if naive {
+                    DeliveryMode::Naive
+                } else {
+                    DeliveryMode::Incremental
+                });
                 b.iter(|| {
                     sim.reset_world_with(&world, |p| p.reset(n, AedbParams::default_config()));
                     sim.run_to_end().broadcast.coverage()

@@ -22,11 +22,15 @@
 //!
 //! Flags: `--dense 500@200,2000@200@4,10000@400` selects scenarios in the
 //! shared grammar (`nodes@density[@sigma]`, plus heterogeneous
-//! `+n[:still|:walkI|:rwpP][:POWERdbm]` groups), `--paper` runs all
-//! presets including the 10⁴/10⁵-node, shadowed and heterogeneous ones.
+//! `+n[:still|:walkI|:rwpP][:POWERdbm]` groups), `--paper` runs the ten
+//! rows of the committed artifact ([`paper_scale_scenarios`]): every
+//! preset, including the 10⁴/10⁵-node, shadowed and heterogeneous ones,
+//! plus `2000@200`.
 use aedb::params::AedbParams;
 use aedb::scenario::DenseScenario;
-use bench_harness::scale::{peak_rss_bytes, BatchedEval, ExperimentScale, ScaleArtifact, ScaleRow};
+use bench_harness::scale::{
+    paper_scale_scenarios, peak_rss_bytes, BatchedEval, ExperimentScale, ScaleArtifact, ScaleRow,
+};
 use bench_harness::tables::{f, Table};
 use manet::protocol::Flooding;
 use manet::sim::{DeliveryMode, Simulator};
@@ -136,11 +140,7 @@ fn calibration_seconds() -> f64 {
 fn main() {
     let mut scale = ExperimentScale::from_args();
     if scale.paper {
-        let mut dense = DenseScenario::PRESETS.to_vec();
-        dense.extend(DenseScenario::SHADOWED_PRESETS);
-        dense.push(DenseScenario::hetero_preset());
-        dense.extend(DenseScenario::XL_PRESETS);
-        scale.dense = dense;
+        scale.dense = paper_scale_scenarios();
     }
     let calibration_s = calibration_seconds();
     println!("calibration workload (500@200 full protocol, min of 3): {calibration_s:.3} s");

@@ -84,8 +84,9 @@ pub fn exp_sensitivity(scale: &ExperimentScale) {
             "   ({} samples/parameter × 5 parameters × {} networks per evaluation)",
             scale.fast_samples, scale.networks
         );
-        let problem = AedbProblem::paper(Scenario::quick(density, scale.networks))
-            .with_bounds(AedbParams::sensitivity_bounds());
+        // `evaluate_full` reads neither the problem's bounds nor its cache:
+        // the design is mapped onto the §III-B domains here.
+        let problem = AedbProblem::paper(Scenario::quick(density, scale.networks));
         let bounds = AedbParams::sensitivity_bounds();
         let fast = Fast99::new(5, scale.fast_samples);
 

@@ -7,7 +7,7 @@
 //!   approximation of the true front built from *all three* algorithms.
 
 use mopt::algorithm::RunResult;
-use mopt::archive::AgaArchive;
+use mopt::archive::{AgaArchive, ARCHIVE_BISECTIONS};
 use mopt::indicators::{
     generalized_spread, hypervolume, inverted_generational_distance, Normalizer,
 };
@@ -16,7 +16,7 @@ use mopt::solution::Candidate;
 /// Merges many runs' fronts through an AGA archive (capacity as the paper's
 /// elite archives: 100), returning the combined non-dominated set.
 pub fn merge_fronts(runs: &[RunResult], capacity: usize) -> Vec<Candidate> {
-    let mut archive = AgaArchive::new(capacity.max(1), 5);
+    let mut archive = AgaArchive::new(capacity.max(1), ARCHIVE_BISECTIONS);
     for r in runs {
         for c in &r.front {
             archive.try_insert(c.clone());
@@ -28,7 +28,7 @@ pub fn merge_fronts(runs: &[RunResult], capacity: usize) -> Vec<Candidate> {
 /// Merges plain candidate sets (used to build the all-algorithms
 /// normalisation front).
 pub fn merge_candidate_sets(sets: &[&[Candidate]], capacity: usize) -> Vec<Candidate> {
-    let mut archive = AgaArchive::new(capacity.max(1), 5);
+    let mut archive = AgaArchive::new(capacity.max(1), ARCHIVE_BISECTIONS);
     for set in sets {
         for c in *set {
             archive.try_insert(c.clone());

@@ -360,6 +360,19 @@ impl ExperimentScale {
     }
 }
 
+/// The scenarios `exp_scale --paper` runs, in the row order of the
+/// committed `BENCH_scale.json`: the scale-up presets, the shadowed
+/// presets, the heterogeneous preset, `2000@200` (the row CI's perf gate
+/// reads for the unshadowed 2000-node world) and the 10⁴/10⁵-node presets.
+pub fn paper_scale_scenarios() -> Vec<DenseScenario> {
+    let mut dense = DenseScenario::PRESETS.to_vec();
+    dense.extend(DenseScenario::SHADOWED_PRESETS);
+    dense.push(DenseScenario::hetero_preset());
+    dense.push(DenseScenario::parse_spec("2000@200").expect("preset spec is valid"));
+    dense.extend(DenseScenario::XL_PRESETS);
+    dense
+}
+
 fn expect_num<I: Iterator<Item = String>>(it: &mut I, flag: &str) -> u64 {
     it.next()
         .and_then(|v| v.parse().ok())
@@ -462,6 +475,29 @@ mod tests {
         // fixed networks: seeds deterministic and distinct
         assert_eq!(d.world_spec(3).seed, d.world_spec(3).seed);
         assert_ne!(d.world_spec(0).seed, d.world_spec(1).seed);
+    }
+
+    #[test]
+    fn paper_scale_scenarios_are_the_artifact_rows() {
+        let specs: Vec<String> = paper_scale_scenarios()
+            .iter()
+            .map(DenseScenario::spec_string)
+            .collect();
+        assert_eq!(
+            specs,
+            [
+                "500@200",
+                "750@300",
+                "1000@400",
+                "1000@200@4",
+                "2000@200@4",
+                "1000@200+500:still:20dbm",
+                "2000@200",
+                "5000@300",
+                "10000@400",
+                "100000@400",
+            ]
+        );
     }
 
     #[test]

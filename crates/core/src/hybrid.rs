@@ -13,7 +13,7 @@
 
 use crate::mls::{Mls, MlsConfig};
 use moea::cellde::{CellDe, CellDeConfig};
-use mopt::algorithm::{MoAlgorithm, NoProgress, RunObserver, RunResult};
+use mopt::algorithm::{MoAlgorithm, RunObserver, RunResult};
 use mopt::dominance::non_dominated;
 use mopt::problem::Problem;
 use mopt::solution::Candidate;
@@ -62,10 +62,6 @@ impl CellDeMls {
 impl MoAlgorithm for CellDeMls {
     fn name(&self) -> &'static str {
         "CellDE+MLS"
-    }
-
-    fn run(&self, problem: &dyn Problem, seed: u64) -> RunResult {
-        self.run_observed(problem, seed, &NoProgress)
     }
 
     fn run_observed(

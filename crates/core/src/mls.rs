@@ -24,7 +24,7 @@
 
 use crate::criteria::SearchCriteria;
 use mopt::algorithm::{MoAlgorithm, NoProgress, RunObserver, RunResult};
-use mopt::archive::AgaArchive;
+use mopt::archive::{AgaArchive, ARCHIVE_BISECTIONS};
 use mopt::ops::{blx_alpha_step, uniform_init};
 use mopt::problem::Problem;
 use mopt::solution::{Bounds, Candidate};
@@ -76,10 +76,9 @@ pub struct MlsConfig {
     pub reset_iterations: u64,
     /// BLX-α perturbation magnitude (paper's tuned value: 0.2).
     pub alpha: f64,
-    /// External archive capacity.
+    /// External archive capacity (its grid has
+    /// [`ARCHIVE_BISECTIONS`] bisections per objective).
     pub archive_capacity: usize,
-    /// AGA grid bisections per objective.
-    pub archive_bisections: u32,
     /// Search-criteria selection.
     pub criteria: CriteriaChoice,
 }
@@ -102,7 +101,6 @@ impl MlsConfig {
             reset_iterations: 50,
             alpha: 0.2,
             archive_capacity: 100,
-            archive_bisections: 5,
             criteria: CriteriaChoice::Aedb,
         }
     }
@@ -116,7 +114,6 @@ impl MlsConfig {
             reset_iterations: 25,
             alpha: 0.2,
             archive_capacity: 100,
-            archive_bisections: 5,
             criteria: CriteriaChoice::AllParams,
         }
     }
@@ -170,13 +167,13 @@ impl Mls {
     }
 
     /// The lockstep engine behind every entry point. Walker `(p, k)`
-    /// starts from `seeds[(p·T + k) mod len]`, or from a random point of
-    /// its own RNG when `seeds` is empty; the unevaluated starts are
-    /// evaluated as one batch (round 0) and counted, already-evaluated
-    /// ones are not (the CellDE+MLS hybrid seeds its phase-1 front). Then
-    /// every round evaluates one move per walker as one batch. `observer`
-    /// sees the archive after round 0 and after every round, and
-    /// cancellation stops the run at a round boundary.
+    /// starts from `seeds[(p·T + k) mod len]` (`seeds` must not be
+    /// empty); the unevaluated starts are evaluated as one batch (round
+    /// 0) and counted, already-evaluated ones are not (the CellDE+MLS
+    /// hybrid seeds its phase-1 front). Then every round evaluates one
+    /// move per walker as one batch. `observer` sees the archive after
+    /// round 0 and after every round, and cancellation stops the run at a
+    /// round boundary.
     pub(crate) fn optimize_impl(
         &self,
         problem: &dyn Problem,
@@ -201,13 +198,9 @@ impl Mls {
 
         // Lines 1–3: initialise (randomly, or from a provided seed solution
         // when running as a refinement stage), evaluate, archive.
-        let mut current: Vec<Candidate> = rngs
-            .iter_mut()
-            .enumerate()
-            .map(|(i, rng)| match seeds.get(i % seeds.len().max(1)) {
-                Some(c) => c.clone(),
-                None => Candidate::new(uniform_init(bounds, rng)),
-            })
+        assert!(!seeds.is_empty(), "AEDB-MLS needs at least one start");
+        let mut current: Vec<Candidate> = (0..walkers)
+            .map(|i| seeds[i % seeds.len()].clone())
             .collect();
         let pending: Vec<usize> = (0..walkers)
             .filter(|&i| !current[i].is_evaluated())
@@ -222,7 +215,7 @@ impl Mls {
             }
         }
         let mut evaluations = pending.len() as u64;
-        let mut archive = AgaArchive::new(cfg.archive_capacity, cfg.archive_bisections);
+        let mut archive = AgaArchive::new(cfg.archive_capacity, ARCHIVE_BISECTIONS);
         for s in &current {
             archive.try_insert(s.clone());
         }
@@ -311,10 +304,6 @@ fn propose(
 impl MoAlgorithm for Mls {
     fn name(&self) -> &'static str {
         "AEDB-MLS"
-    }
-
-    fn run(&self, problem: &dyn Problem, seed: u64) -> RunResult {
-        self.run_observed(problem, seed, &NoProgress)
     }
 
     fn run_observed(

@@ -9,25 +9,15 @@ pub struct IslandConfig {
     pub population: usize,
     /// Capacity of each island's bounded elite archive.
     pub archive_capacity: usize,
-    /// Adaptive-grid bisections of each island archive (PAES default: 5).
-    pub archive_bisections: u32,
     /// Evaluations each island performs per epoch (the synchronisation
     /// granularity; smaller = finer anytime stream, more merge overhead).
     pub epoch_evals: u64,
-    /// Migrate every this many epochs (`0` disables migration).
+    /// Migrate every this many epochs (`0` disables migration); each
+    /// migration sends [`MIGRATION_COUNT`](crate::migration::MIGRATION_COUNT)
+    /// elites to the ring neighbour.
     pub migration_every: u64,
-    /// Elites sent to the ring neighbour at each migration.
-    pub migration_count: usize,
     /// Total evaluation budget across all islands.
     pub max_evaluations: u64,
-    /// SBX crossover probability.
-    pub crossover_prob: f64,
-    /// SBX distribution index.
-    pub crossover_eta: f64,
-    /// Polynomial-mutation probability per variable; `None` = `1/n`.
-    pub mutation_prob: Option<f64>,
-    /// Polynomial-mutation distribution index.
-    pub mutation_eta: f64,
 }
 
 impl Default for IslandConfig {
@@ -36,15 +26,9 @@ impl Default for IslandConfig {
             islands: 4,
             population: 20,
             archive_capacity: 50,
-            archive_bisections: 5,
             epoch_evals: 40,
             migration_every: 2,
-            migration_count: 2,
             max_evaluations: 25_000,
-            crossover_prob: 0.9,
-            crossover_eta: 20.0,
-            mutation_prob: None,
-            mutation_eta: 20.0,
         }
     }
 }

@@ -1,7 +1,7 @@
 //! One island: a steady-state population plus its bounded elite archive.
 
 use crate::config::IslandConfig;
-use mopt::archive::AgaArchive;
+use mopt::archive::{AgaArchive, ARCHIVE_BISECTIONS};
 use mopt::dominance::{constrained_dominance, DominanceOrd};
 use mopt::ops::{binary_tournament, polynomial_mutation, sbx_crossover, uniform_init};
 use mopt::problem::Problem;
@@ -38,7 +38,7 @@ impl Island {
         Self {
             index,
             population: Vec::with_capacity(cfg.population),
-            archive: AgaArchive::new(cfg.archive_capacity.max(1), cfg.archive_bisections),
+            archive: AgaArchive::new(cfg.archive_capacity.max(1), ARCHIVE_BISECTIONS),
             rng: SmallRng::seed_from_u64(Self::seed_for(run_seed, index)),
         }
     }
@@ -60,19 +60,16 @@ impl Island {
     /// The first half of one steady-state step: selects two parents by
     /// binary tournament and returns one SBX + polynomial-mutation
     /// offspring, still to be evaluated. The population must not be empty.
-    pub fn propose(&mut self, bounds: &Bounds, cfg: &IslandConfig) -> Vec<f64> {
-        let pm = cfg.mutation_prob.unwrap_or(1.0 / bounds.len() as f64);
+    pub fn propose(&mut self, bounds: &Bounds) -> Vec<f64> {
         let p1 = binary_tournament(&self.population, &mut self.rng);
         let p2 = binary_tournament(&self.population, &mut self.rng);
         let (mut child, _twin) = sbx_crossover(
             &self.population[p1].params,
             &self.population[p2].params,
-            cfg.crossover_eta,
-            cfg.crossover_prob,
             bounds,
             &mut self.rng,
         );
-        polynomial_mutation(&mut child, cfg.mutation_eta, pm, bounds, &mut self.rng);
+        polynomial_mutation(&mut child, bounds, &mut self.rng);
         child
     }
 
@@ -137,7 +134,7 @@ mod tests {
         let mut isl = Island::new(0, 5, &cfg);
         isl.init(&problem, cfg.population);
         for _ in 0..50 {
-            let child = isl.propose(problem.bounds(), &cfg);
+            let child = isl.propose(problem.bounds());
             assert!(problem.bounds().contains(&child), "{child:?}");
             isl.accept(problem.make_candidate(child));
         }
@@ -151,7 +148,7 @@ mod tests {
         let mut isl = Island::new(0, 9, &cfg);
         isl.init(&problem, cfg.population);
         for _ in 0..100 {
-            let child = isl.propose(problem.bounds(), &cfg);
+            let child = isl.propose(problem.bounds());
             isl.accept(problem.make_candidate(child));
         }
         assert!(!isl.archive.is_empty());

@@ -1,4 +1,4 @@
-//! Asynchronous island-model multi-objective optimizer with a live,
+//! Lockstep island-model multi-objective optimizer with a live,
 //! deterministic **anytime archive**.
 //!
 //! The paper's MOEAs (NSGA-II, MOCell, CellDE) are synchronous: the whole
@@ -31,7 +31,7 @@
 //! * **Migration** happens only at epoch boundaries (every
 //!   [`IslandConfig::migration_every`] epochs), serially in island-index
 //!   order, from pre-migration archive snapshots: island `i` receives the
-//!   first [`IslandConfig::migration_count`] members of island
+//!   first [`MIGRATION_COUNT`](migration::MIGRATION_COUNT) members of island
 //!   `(i−1) mod N`'s archive — a ring.
 //! * The **global merge** into the [`AnytimeArchive`] also runs serially
 //!   in island-index order at each epoch boundary. The anytime archive is

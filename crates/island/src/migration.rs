@@ -3,6 +3,9 @@
 use crate::island::Island;
 use mopt::solution::Candidate;
 
+/// Elites each island sends to its ring neighbour at a migration.
+pub const MIGRATION_COUNT: usize = 2;
+
 /// Migrates `count` elites along the ring: island `i` receives the first
 /// `count` archive members of island `(i−1) mod N`, taken from
 /// **pre-migration snapshots** so the result is independent of the order

@@ -3,12 +3,12 @@
 use crate::anytime::AnytimeArchive;
 use crate::config::IslandConfig;
 use crate::island::Island;
-use crate::migration::migrate_ring;
-use mopt::algorithm::{MoAlgorithm, NoProgress, RunObserver, RunResult};
+use crate::migration::{migrate_ring, MIGRATION_COUNT};
+use mopt::algorithm::{MoAlgorithm, RunObserver, RunResult};
 use mopt::problem::Problem;
 use std::time::Instant;
 
-/// The asynchronous island-model optimizer. See the [crate docs](crate)
+/// The lockstep island-model optimizer. See the [crate docs](crate)
 /// for the epoch/migration/deterministic-merge contract.
 #[derive(Debug, Clone, Default)]
 pub struct IslandOptimizer {
@@ -30,18 +30,13 @@ impl IslandOptimizer {
 /// touches only its own state during the epoch, so its RNG draws come in
 /// the same order as if it ran its steps alone: the results are those of
 /// advancing the islands one after another.
-fn advance_islands(
-    islands: &mut [Island],
-    quotas: &[u64],
-    problem: &dyn Problem,
-    cfg: &IslandConfig,
-) {
+fn advance_islands(islands: &mut [Island], quotas: &[u64], problem: &dyn Problem) {
     let steps = quotas.iter().copied().max().unwrap_or(0);
     for step in 0..steps {
         let active: Vec<usize> = (0..islands.len()).filter(|&i| quotas[i] > step).collect();
         let children = active
             .iter()
-            .map(|&i| islands[i].propose(problem.bounds(), cfg))
+            .map(|&i| islands[i].propose(problem.bounds()))
             .collect();
         for (&i, child) in active.iter().zip(problem.make_candidates(children)) {
             islands[i].accept(child);
@@ -52,10 +47,6 @@ fn advance_islands(
 impl MoAlgorithm for IslandOptimizer {
     fn name(&self) -> &'static str {
         "Island"
-    }
-
-    fn run(&self, problem: &dyn Problem, seed: u64) -> RunResult {
-        self.run_observed(problem, seed, &NoProgress)
     }
 
     /// The observer is called once per epoch with `(epoch, evaluations,
@@ -109,11 +100,11 @@ impl MoAlgorithm for IslandOptimizer {
             if spent == 0 {
                 break; // every island is empty: the budget can't be spent
             }
-            advance_islands(&mut islands, &quotas, problem, cfg);
+            advance_islands(&mut islands, &quotas, problem);
             evals += spent;
             epoch += 1;
             if cfg.migration_every > 0 && epoch.is_multiple_of(cfg.migration_every) {
-                migrate_ring(&mut islands, cfg.migration_count);
+                migrate_ring(&mut islands, MIGRATION_COUNT);
             }
             for isl in &islands {
                 global.merge(isl.archive.members());
@@ -177,11 +168,11 @@ mod tests {
         }
         let quotas = [7, 0, 4];
         let before = p.evaluations();
-        advance_islands(&mut lockstep, &quotas, &p, &cfg);
+        advance_islands(&mut lockstep, &quotas, &p);
         assert_eq!(p.evaluations() - before, 11, "exactly the quotas");
         for (isl, &q) in alone.iter_mut().zip(&quotas) {
             for _ in 0..q {
-                let child = isl.propose(p.bounds(), &cfg);
+                let child = isl.propose(p.bounds());
                 isl.accept(p.make_candidate(child));
             }
         }

@@ -277,13 +277,6 @@ impl SpatialGrid {
         });
     }
 
-    /// Whether `cell` currently buckets no nodes — lets the batched sweep
-    /// skip empty cells before touching any bound or bucket state.
-    #[inline]
-    pub fn cell_is_empty(&self, cell: usize) -> bool {
-        self.buckets[cell].is_empty()
-    }
-
     /// The member ids bucketed in `cell`, contiguous, in unspecified
     /// order — the same order [`for_each_in_cells`](Self::for_each_in_cells)
     /// walks the cell, so a caller enumerating cells via

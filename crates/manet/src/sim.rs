@@ -1402,7 +1402,6 @@ pub struct Checkpoint {
     max_gate_r: f64,
     hd_reach: f64,
     capture_ratio_mw: f64,
-    mode: DeliveryMode,
 }
 
 impl Checkpoint {
@@ -1424,19 +1423,16 @@ impl<P: Protocol> Simulator<P> {
     /// message when the spec is invalid; call
     /// [`WorldSpec::validate`] first to handle errors gracefully.
     pub fn from_world(spec: &WorldSpec, protocol: P) -> Self {
-        let mut sim = Self {
+        Self {
             world: World::empty(spec.clone()),
             protocol,
-        };
-        sim.world.mode = spec.delivery_mode;
-        sim
+        }
     }
 
-    /// Re-arms the simulator for a [`WorldSpec`], replacing the protocol
-    /// and applying the spec's [`DeliveryMode`].
+    /// Re-arms the simulator for a [`WorldSpec`], replacing the protocol.
+    /// The delivery mode and the profiling switch stay this simulator's.
     pub fn reset_world(&mut self, spec: &WorldSpec, protocol: P) {
         self.world.reset(spec.clone());
-        self.world.mode = spec.delivery_mode;
         self.protocol = protocol;
     }
 
@@ -1444,15 +1440,18 @@ impl<P: Protocol> Simulator<P> {
     /// protocol in place through `rearm`.
     pub fn reset_world_with<F: FnOnce(&mut P)>(&mut self, spec: &WorldSpec, rearm: F) {
         self.world.reset(spec.clone());
-        self.world.mode = spec.delivery_mode;
         rearm(&mut self.protocol);
     }
 
     /// Selects the delivery-resolution path (default:
-    /// [`DeliveryMode::Incremental`]). Both modes are bit-identical
-    /// (asserted by the determinism test suite) and keep the grid and the
-    /// live-frame windows maintained, so the mode can change mid-run; the
-    /// naive oracle exists for parity checks and as a benchmark baseline.
+    /// [`DeliveryMode::Incremental`]), the only switch there is: the mode
+    /// is a setting of the simulator, kept across
+    /// [`reset_world`](Self::reset_world),
+    /// [`reset_world_with`](Self::reset_world_with) and
+    /// [`restore`](Self::restore). Both modes are bit-identical (asserted
+    /// by the determinism test suite) and keep the grid and the live-frame
+    /// windows maintained, so the mode can change mid-run; the naive
+    /// oracle exists for parity checks and as a benchmark baseline.
     pub fn set_delivery_mode(&mut self, mode: DeliveryMode) {
         self.world.mode = mode;
     }
@@ -1652,14 +1651,15 @@ impl<P: Protocol> Simulator<P> {
             refresh_gen,
             refresh_events,
             // Delivery scratch, caches and settings of the simulator, not
-            // state of the run: restore re-arms the target's own.
+            // state of the run: restore re-arms the target's own scratch
+            // and keeps its settings.
             scratch: _,
             delivery_scratch: _,
+            mode: _,
+            profile_on: _,
             max_gate_r,
             hd_reach,
             capture_ratio_mw,
-            mode,
-            profile_on: _,
         } = &self.world;
         assert!(
             !*broadcast_started,
@@ -1708,7 +1708,6 @@ impl<P: Protocol> Simulator<P> {
             max_gate_r: *max_gate_r,
             hd_reach: *hd_reach,
             capture_ratio_mw: *capture_ratio_mw,
-            mode: *mode,
         }
     }
 
@@ -1727,9 +1726,9 @@ impl<P: Protocol> Simulator<P> {
     /// initial and the kinematic snapshot is rebuilt from the mobility
     /// segments (see [`Checkpoint`]). The delivery scratch of the previous
     /// run is re-armed — including every cached sweep event horizon, which
-    /// described the previous world's cells. The delivery mode is the
-    /// checkpoint's; the profiling switch stays this simulator's, and the
-    /// profiling and sweep accumulators restart from zero.
+    /// described the previous world's cells. The delivery mode and the
+    /// profiling switch stay this simulator's, and the profiling and sweep
+    /// accumulators restart from zero.
     pub fn restore<F: FnOnce(&mut P)>(&mut self, checkpoint: &Checkpoint, rearm: F) {
         let Checkpoint {
             spec,
@@ -1751,7 +1750,6 @@ impl<P: Protocol> Simulator<P> {
             max_gate_r,
             hd_reach,
             capture_ratio_mw,
-            mode,
         } = checkpoint;
         let w = &mut self.world;
         w.spec.clone_from(spec);
@@ -1783,7 +1781,6 @@ impl<P: Protocol> Simulator<P> {
         w.max_gate_r = *max_gate_r;
         w.hd_reach = *hd_reach;
         w.capture_ratio_mw = *capture_ratio_mw;
-        w.mode = *mode;
         w.delivery_scratch.clear();
         w.reset_query_scratch();
         rearm(&mut self.protocol);
@@ -2287,6 +2284,41 @@ mod tests {
         let toggled = sim.run_to_end();
         assert_eq!(baseline.broadcast, toggled.broadcast);
         assert_eq!(baseline.counters, toggled.counters);
+    }
+
+    #[test]
+    fn delivery_mode_survives_reset_and_restore() {
+        // The mode is a setting of the simulator, not of the world: it
+        // stays through re-arming for a world and through restoring a
+        // checkpoint taken in the other mode, and the restored run uses it
+        // (only the incremental path sweeps grid cells).
+        let spec = WorldSpec::paper(40, 4);
+        let n = spec.n_nodes();
+        let flooding = || Flooding::new(n, (0.0, 0.1));
+        let straight = Simulator::from_world(&spec, flooding()).run();
+        for (mode, other) in [
+            (DeliveryMode::Naive, DeliveryMode::Incremental),
+            (DeliveryMode::Incremental, DeliveryMode::Naive),
+        ] {
+            let mut donor = Simulator::from_world(&spec, flooding());
+            donor.set_delivery_mode(other);
+            donor.run_until(20.0);
+            let checkpoint = donor.checkpoint();
+
+            let mut sim = Simulator::from_world(&spec, flooding());
+            sim.set_delivery_mode(mode);
+            sim.reset_world(&spec, flooding());
+            assert_eq!(sim.delivery_mode(), mode);
+            sim.reset_world_with(&spec, |p| *p = flooding());
+            assert_eq!(sim.delivery_mode(), mode);
+            sim.restore(&checkpoint, |p| *p = flooding());
+            assert_eq!(sim.delivery_mode(), mode);
+            let report = sim.run_to_end();
+            assert_eq!(report.broadcast, straight.broadcast);
+            assert_eq!(report.counters, straight.counters);
+            let swept = sim.sweep_stats().cells_visited > 0;
+            assert_eq!(swept, mode == DeliveryMode::Incremental, "{mode:?}");
+        }
     }
 
     #[test]

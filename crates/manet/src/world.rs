@@ -43,9 +43,9 @@
 //! quantity — the log-free decode/floor threshold bands and the
 //! interference gating radius are precomputed from each frame's own
 //! `tx_dbm`, so a low-power group simply produces frames with smaller
-//! decode discs. All three [`DeliveryMode`]s therefore stay bit-identical
-//! on heterogeneous worlds, exactly as on homogeneous ones (pinned by the
-//! property suite).
+//! decode discs. Both [`DeliveryMode`](crate::sim::DeliveryMode)s
+//! therefore stay bit-identical on heterogeneous worlds, exactly as on
+//! homogeneous ones (pinned by the property suite).
 //!
 //! ## The scenario text grammar
 //!
@@ -92,7 +92,7 @@
 use crate::geometry::{Field, Vec2};
 use crate::mobility::MobilityModel;
 use crate::radio::RadioConfig;
-use crate::sim::{DeliveryMode, NodeId, GRID_BUCKET_SLACK_M};
+use crate::sim::{NodeId, GRID_BUCKET_SLACK_M};
 use serde::{Deserialize, Serialize};
 
 /// Largest shadowing σ (dB) [`WorldSpec::validate`] accepts. Measured
@@ -329,10 +329,6 @@ pub struct WorldSpec {
     /// RNG seed — fixing it fixes the network: placement, mobility and
     /// beacon phases all derive from it.
     pub seed: u64,
-    /// The delivery-resolution path
-    /// [`Simulator::from_world`](crate::sim::Simulator::from_world)
-    /// selects.
-    pub delivery_mode: DeliveryMode,
 }
 
 impl WorldSpec {
@@ -350,7 +346,6 @@ impl WorldSpec {
                 end_time: 40.0,
                 source: 0,
                 seed: 0,
-                delivery_mode: DeliveryMode::default(),
             },
         }
     }
@@ -521,13 +516,6 @@ impl WorldSpecBuilder {
     /// Sets the RNG seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.spec.seed = seed;
-        self
-    }
-
-    /// Sets the delivery-resolution path
-    /// ([`DeliveryMode::Incremental`] unless overridden).
-    pub fn delivery_mode(mut self, mode: DeliveryMode) -> Self {
-        self.spec.delivery_mode = mode;
         self
     }
 
@@ -1193,7 +1181,6 @@ mod tests {
         assert_eq!((w.broadcast_time, w.end_time), (30.0, 40.0));
         assert_eq!(w.source, 0);
         assert_eq!(w.seed, 5);
-        assert_eq!(w.delivery_mode, DeliveryMode::Incremental);
         // Explicit placements go on the one group.
         let mut e = w;
         e.groups[0].placement =

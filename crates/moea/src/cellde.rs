@@ -4,16 +4,21 @@
 //!
 //! Each individual lives on a toroidal √N×√N grid and only interacts with
 //! its C9 neighbourhood (the 8 surrounding cells). A cell's trial vector
-//! is DE/rand/1/bin (`F = 0.5`, `CR = 0.9`) over three distinct
+//! is DE/rand/1/bin ([`DE_F`] = 0.5, [`DE_CR`] = 0.9) over three distinct
 //! neighbours `r1, r2, r3`; replacement, the external AGA archive and the
 //! archive feedback that gives the algorithm its strong diversity (the
 //! paper's spread results for CellDE) are the synchronous cellular loop
 //! this crate shares with MOCell.
 
 use crate::cellular::Cellular;
-use mopt::algorithm::{MoAlgorithm, NoProgress, RunObserver, RunResult};
+use mopt::algorithm::{MoAlgorithm, RunObserver, RunResult};
 use mopt::ops::{de_rand_1_bin, distinct_indices};
 use mopt::problem::Problem;
+
+/// DE differential weight `F` of the paper's CellDE baseline.
+pub const DE_F: f64 = 0.5;
+/// DE crossover rate `CR` of the paper's CellDE baseline.
+pub const DE_CR: f64 = 0.9;
 
 /// CellDE parameters.
 #[derive(Debug, Clone)]
@@ -22,10 +27,6 @@ pub struct CellDeConfig {
     pub grid_side: usize,
     /// Evaluation budget (paper baseline: 25 000).
     pub max_evaluations: u64,
-    /// DE differential weight `F`.
-    pub de_f: f64,
-    /// DE crossover rate `CR`.
-    pub de_cr: f64,
     /// External archive capacity.
     pub archive_capacity: usize,
     /// Archive members re-injected into the grid per generation.
@@ -37,8 +38,6 @@ impl Default for CellDeConfig {
         Self {
             grid_side: 10,
             max_evaluations: 25_000,
-            de_f: 0.5,
-            de_cr: 0.9,
             archive_capacity: 100,
             feedback: 20,
         }
@@ -53,7 +52,6 @@ impl CellDeConfig {
             max_evaluations,
             archive_capacity: (grid_side * grid_side).max(20),
             feedback: (grid_side * grid_side / 5).max(2),
-            ..Self::default()
         }
     }
 }
@@ -75,10 +73,6 @@ impl CellDe {
 impl MoAlgorithm for CellDe {
     fn name(&self) -> &'static str {
         "CellDE"
-    }
-
-    fn run(&self, problem: &dyn Problem, seed: u64) -> RunResult {
-        self.run_observed(problem, seed, &NoProgress)
     }
 
     fn run_observed(
@@ -108,8 +102,8 @@ impl MoAlgorithm for CellDe {
                 &r1.params,
                 &r2.params,
                 &r3.params,
-                cfg.de_f,
-                cfg.de_cr,
+                DE_F,
+                DE_CR,
                 bounds,
                 rng,
             )

@@ -17,7 +17,7 @@
 //!    cells — the MOCell feedback loop behind the family's strong spread.
 
 use mopt::algorithm::{RunObserver, RunResult};
-use mopt::archive::AgaArchive;
+use mopt::archive::{AgaArchive, ARCHIVE_BISECTIONS};
 use mopt::dominance::{constrained_dominance, DominanceOrd};
 use mopt::ops::uniform_init;
 use mopt::problem::Problem;
@@ -84,7 +84,7 @@ impl Cellular {
             .collect();
         evals += init_xs.len() as u64;
         let mut grid: Vec<Candidate> = problem.make_candidates(init_xs);
-        let mut archive = AgaArchive::new(self.archive_capacity, 5);
+        let mut archive = AgaArchive::new(self.archive_capacity, ARCHIVE_BISECTIONS);
         for c in &grid {
             archive.try_insert(c.clone());
         }

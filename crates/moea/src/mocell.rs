@@ -7,12 +7,13 @@
 //!
 //! A cell's trial vector comes from two parents picked in its C9
 //! neighbourhood by binary tournament, recombined by SBX crossover and
-//! perturbed by polynomial mutation. Replacement, the bounded external
-//! archive and the archive feedback are the synchronous cellular loop
-//! this crate shares with CellDE.
+//! perturbed by polynomial mutation, at the fixed settings of
+//! [`mopt::ops`]. Replacement, the bounded external archive and the
+//! archive feedback are the synchronous cellular loop this crate shares
+//! with CellDE.
 
 use crate::cellular::Cellular;
-use mopt::algorithm::{MoAlgorithm, NoProgress, RunObserver, RunResult};
+use mopt::algorithm::{MoAlgorithm, RunObserver, RunResult};
 use mopt::ops::{binary_tournament, polynomial_mutation, sbx_crossover};
 use mopt::problem::Problem;
 use mopt::solution::Candidate;
@@ -24,14 +25,6 @@ pub struct MoCellConfig {
     pub grid_side: usize,
     /// Evaluation budget.
     pub max_evaluations: u64,
-    /// SBX crossover probability.
-    pub crossover_prob: f64,
-    /// SBX distribution index.
-    pub crossover_eta: f64,
-    /// Polynomial-mutation probability per variable; `None` = `1/n`.
-    pub mutation_prob: Option<f64>,
-    /// Polynomial-mutation distribution index.
-    pub mutation_eta: f64,
     /// External archive capacity.
     pub archive_capacity: usize,
     /// Archive members re-injected per generation.
@@ -43,10 +36,6 @@ impl Default for MoCellConfig {
         Self {
             grid_side: 10,
             max_evaluations: 25_000,
-            crossover_prob: 0.9,
-            crossover_eta: 20.0,
-            mutation_prob: None,
-            mutation_eta: 20.0,
             archive_capacity: 100,
             feedback: 20,
         }
@@ -61,7 +50,6 @@ impl MoCellConfig {
             max_evaluations,
             archive_capacity: (grid_side * grid_side).max(20),
             feedback: (grid_side * grid_side / 5).max(2),
-            ..Self::default()
         }
     }
 }
@@ -85,10 +73,6 @@ impl MoAlgorithm for MoCell {
         "MOCell"
     }
 
-    fn run(&self, problem: &dyn Problem, seed: u64) -> RunResult {
-        self.run_observed(problem, seed, &NoProgress)
-    }
-
     fn run_observed(
         &self,
         problem: &dyn Problem,
@@ -97,7 +81,6 @@ impl MoAlgorithm for MoCell {
     ) -> RunResult {
         let cfg = &self.config;
         let bounds = problem.bounds();
-        let pm = cfg.mutation_prob.unwrap_or(1.0 / bounds.len() as f64);
         let cellular = Cellular {
             grid_side: cfg.grid_side,
             max_evaluations: cfg.max_evaluations,
@@ -108,15 +91,9 @@ impl MoAlgorithm for MoCell {
             let hood_pop: Vec<Candidate> = hood.iter().map(|&i| grid[i].clone()).collect();
             let p1 = binary_tournament(&hood_pop, rng);
             let p2 = binary_tournament(&hood_pop, rng);
-            let (mut child, _) = sbx_crossover(
-                &hood_pop[p1].params,
-                &hood_pop[p2].params,
-                cfg.crossover_eta,
-                cfg.crossover_prob,
-                bounds,
-                rng,
-            );
-            polynomial_mutation(&mut child, cfg.mutation_eta, pm, bounds, rng);
+            let (mut child, _) =
+                sbx_crossover(&hood_pop[p1].params, &hood_pop[p2].params, bounds, rng);
+            polynomial_mutation(&mut child, bounds, rng);
             child
         })
     }

@@ -3,12 +3,12 @@
 //!
 //! Standard real-coded configuration, as used for the AEDB problem in Ruiz
 //! et al. 2012: population 100, binary tournament on (rank, crowding), SBX
-//! crossover (`pc = 0.9`, `η = 20`), polynomial mutation (`pm = 1/n`,
-//! `η = 20`), μ+λ environmental selection by non-dominated rank and
-//! crowding distance. Constraints use Deb's feasibility-first dominance
-//! throughout (`mopt::dominance`).
+//! crossover (`pc = 0.9`, `η = 20`) and polynomial mutation (`pm = 1/n`,
+//! `η = 20`) at the fixed settings of [`mopt::ops`], μ+λ environmental
+//! selection by non-dominated rank and crowding distance. Constraints use
+//! Deb's feasibility-first dominance throughout (`mopt::dominance`).
 
-use mopt::algorithm::{MoAlgorithm, NoProgress, RunObserver, RunResult};
+use mopt::algorithm::{MoAlgorithm, RunObserver, RunResult};
 use mopt::ops::{polynomial_mutation, sbx_crossover, uniform_init};
 use mopt::problem::Problem;
 use mopt::solution::Candidate;
@@ -24,14 +24,6 @@ pub struct Nsga2Config {
     pub population: usize,
     /// Evaluation budget (paper baseline: 25 000).
     pub max_evaluations: u64,
-    /// SBX crossover probability.
-    pub crossover_prob: f64,
-    /// SBX distribution index.
-    pub crossover_eta: f64,
-    /// Polynomial-mutation probability per variable; `None` = `1/n`.
-    pub mutation_prob: Option<f64>,
-    /// Polynomial-mutation distribution index.
-    pub mutation_eta: f64,
 }
 
 impl Default for Nsga2Config {
@@ -39,21 +31,17 @@ impl Default for Nsga2Config {
         Self {
             population: 100,
             max_evaluations: 25_000,
-            crossover_prob: 0.9,
-            crossover_eta: 20.0,
-            mutation_prob: None,
-            mutation_eta: 20.0,
         }
     }
 }
 
 impl Nsga2Config {
-    /// A reduced-budget configuration for tests/quick experiments.
+    /// A configuration with the given population and budget (tests and
+    /// quick experiments run far below the paper's).
     pub fn quick(population: usize, max_evaluations: u64) -> Self {
         Self {
             population,
             max_evaluations,
-            ..Self::default()
         }
     }
 }
@@ -102,10 +90,6 @@ impl MoAlgorithm for Nsga2 {
         "NSGAII"
     }
 
-    fn run(&self, problem: &dyn Problem, seed: u64) -> RunResult {
-        self.run_observed(problem, seed, &NoProgress)
-    }
-
     fn run_observed(
         &self,
         problem: &dyn Problem,
@@ -115,8 +99,6 @@ impl MoAlgorithm for Nsga2 {
         let start = Instant::now();
         let cfg = &self.config;
         let bounds = problem.bounds();
-        let nvar = bounds.len();
-        let pm = cfg.mutation_prob.unwrap_or(1.0 / nvar as f64);
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut evals: u64 = 0;
         let mut generation: u64 = 0;
@@ -152,16 +134,10 @@ impl MoAlgorithm for Nsga2 {
             while child_xs.len() < cfg.population && child_xs.len() < remaining {
                 let p1 = crowded_tournament(&rank, &crowd, &mut rng);
                 let p2 = crowded_tournament(&rank, &crowd, &mut rng);
-                let (mut c1, mut c2) = sbx_crossover(
-                    &pop[p1].params,
-                    &pop[p2].params,
-                    cfg.crossover_eta,
-                    cfg.crossover_prob,
-                    bounds,
-                    &mut rng,
-                );
-                polynomial_mutation(&mut c1, cfg.mutation_eta, pm, bounds, &mut rng);
-                polynomial_mutation(&mut c2, cfg.mutation_eta, pm, bounds, &mut rng);
+                let (mut c1, mut c2) =
+                    sbx_crossover(&pop[p1].params, &pop[p2].params, bounds, &mut rng);
+                polynomial_mutation(&mut c1, bounds, &mut rng);
+                polynomial_mutation(&mut c2, bounds, &mut rng);
                 for child in [c1, c2] {
                     if child_xs.len() < cfg.population && child_xs.len() < remaining {
                         child_xs.push(child);

@@ -63,10 +63,9 @@ impl RunResult {
 ///
 /// Every optimiser in the workspace reports through this hook: the
 /// generational MOEAs per generation, AEDB-MLS per lockstep round and the
-/// island model per epoch. An algorithm with no generation structure can
-/// keep the default [`MoAlgorithm::run_observed`], which runs to
-/// completion and reports nothing — cancellation for it happens at the
-/// caller's coarser boundaries (e.g. between campaign repetitions).
+/// island model per epoch. [`MoAlgorithm::run_observed`] is the one
+/// method an algorithm implements; [`MoAlgorithm::run`] is it under
+/// [`NoProgress`].
 pub trait RunObserver: Sync {
     /// Called after every evaluated generation with the generation index
     /// (0 = the evaluated initial population), the evaluations consumed
@@ -99,22 +98,20 @@ pub trait MoAlgorithm {
     /// Short display name ("NSGAII", "CellDE", "AEDB-MLS").
     fn name(&self) -> &'static str;
 
-    /// Runs the algorithm once with the given seed.
-    fn run(&self, problem: &dyn Problem, seed: u64) -> RunResult;
-
     /// Runs the algorithm once, reporting per-generation progress to
     /// `observer` and honouring its cancellation flag. The observed run
-    /// is bit-identical to [`run`](Self::run); the default implementation
-    /// ignores the observer entirely (correct for algorithms with no
-    /// generation structure to report — see [`RunObserver`]).
+    /// is bit-identical to [`run`](Self::run).
     fn run_observed(
         &self,
         problem: &dyn Problem,
         seed: u64,
         observer: &dyn RunObserver,
-    ) -> RunResult {
-        let _ = observer;
-        self.run(problem, seed)
+    ) -> RunResult;
+
+    /// Runs the algorithm once with the given seed: `run_observed`
+    /// through [`NoProgress`].
+    fn run(&self, problem: &dyn Problem, seed: u64) -> RunResult {
+        self.run_observed(problem, seed, &NoProgress)
     }
 }
 

@@ -17,6 +17,10 @@ use crate::solution::Candidate;
 use rand::Rng;
 use std::collections::HashMap;
 
+/// Grid bisections per objective of every archive the optimisers keep
+/// (the PAES/jMetal default of §IV-A: `2^5` divisions per axis).
+pub const ARCHIVE_BISECTIONS: u32 = 5;
+
 /// Outcome of offering a candidate to the archive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InsertOutcome {
@@ -34,10 +38,10 @@ pub enum InsertOutcome {
 ///
 /// # Example
 /// ```
-/// use mopt::archive::{AgaArchive, InsertOutcome};
+/// use mopt::archive::{AgaArchive, InsertOutcome, ARCHIVE_BISECTIONS};
 /// use mopt::solution::Candidate;
 ///
-/// let mut archive = AgaArchive::new(100, 5);
+/// let mut archive = AgaArchive::new(100, ARCHIVE_BISECTIONS);
 /// let c = Candidate::evaluated(vec![0.3], vec![1.0, 2.0], 0.0);
 /// assert_eq!(archive.try_insert(c), InsertOutcome::Added);
 /// // dominated solutions are rejected
@@ -63,7 +67,7 @@ impl AgaArchive {
     ///
     /// * `capacity` — maximum number of stored solutions (must be ≥ 1).
     /// * `bisections` — grid granularity; each axis has `2^bisections`
-    ///   divisions (PAES/jMetal default: 5).
+    ///   divisions (the optimisers use [`ARCHIVE_BISECTIONS`]).
     pub fn new(capacity: usize, bisections: u32) -> Self {
         assert!(capacity >= 1, "archive capacity must be >= 1");
         assert!((1..=10).contains(&bisections), "bisections out of range");

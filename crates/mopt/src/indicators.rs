@@ -1,6 +1,6 @@
 //! Quality indicators for Pareto front approximations: hypervolume,
-//! generational distance (GD), inverted generational distance (IGD),
-//! spread Δ and the additive-ε indicator, plus the front normalisation the
+//! generational distance (GD), inverted generational distance (IGD) and
+//! generalised spread Δ*, plus the front normalisation the
 //! paper applies before computing them ("all fronts were normalised
 //! because these indicators are not free from arbitrary scaling").
 //!
@@ -99,63 +99,6 @@ pub fn generational_distance(front: &[Vec<f64>], reference: &[Vec<f64>]) -> f64 
 /// `0` when every reference point is matched exactly.
 pub fn inverted_generational_distance(front: &[Vec<f64>], reference: &[Vec<f64>]) -> f64 {
     generational_distance(reference, front)
-}
-
-/// Additive ε-indicator (Zitzler 2003): the smallest ε such that every
-/// reference point is weakly dominated by some front point shifted by ε.
-pub fn additive_epsilon(front: &[Vec<f64>], reference: &[Vec<f64>]) -> f64 {
-    if front.is_empty() || reference.is_empty() {
-        return f64::INFINITY;
-    }
-    reference
-        .iter()
-        .map(|r| {
-            front
-                .iter()
-                .map(|a| {
-                    a.iter()
-                        .zip(r)
-                        .map(|(ai, ri)| ai - ri)
-                        .fold(f64::NEG_INFINITY, f64::max)
-                })
-                .fold(f64::INFINITY, f64::min)
-        })
-        .fold(f64::NEG_INFINITY, f64::max)
-}
-
-/// Spread Δ (Deb's diversity metric, Eq. 4 of the paper) for bi-objective
-/// fronts: uses consecutive distances along the front plus the distances
-/// `df`, `dl` to the extreme points of the reference front. `0` = ideal.
-pub fn spread_2d(front: &[Vec<f64>], reference: &[Vec<f64>]) -> f64 {
-    assert!(
-        front.iter().all(|p| p.len() == 2),
-        "spread_2d needs 2-objective fronts"
-    );
-    if front.is_empty() || reference.is_empty() {
-        return f64::INFINITY;
-    }
-    let mut pts = front.to_vec();
-    pts.sort_by(|a, b| a[0].total_cmp(&b[0]).then(a[1].total_cmp(&b[1])));
-    // Extreme points of the reference front: the ends of the curve when
-    // walked by increasing f0 (min-f0 end pairs with the leftmost obtained
-    // point, max-f0 / min-f1 end with the rightmost).
-    let ext_left = reference
-        .iter()
-        .min_by(|a, b| a[0].total_cmp(&b[0]))
-        .unwrap();
-    let ext_right = reference
-        .iter()
-        .max_by(|a, b| a[0].total_cmp(&b[0]))
-        .unwrap();
-    let df = euclid(&pts[0], ext_left);
-    let dl = euclid(pts.last().unwrap(), ext_right);
-    if pts.len() == 1 {
-        return 1.0;
-    }
-    let dists: Vec<f64> = pts.windows(2).map(|w| euclid(&w[0], &w[1])).collect();
-    let dbar = dists.iter().sum::<f64>() / dists.len() as f64;
-    let dev: f64 = dists.iter().map(|d| (d - dbar).abs()).sum();
-    (df + dl + dev) / (df + dl + dists.len() as f64 * dbar)
 }
 
 /// Generalised spread Δ* (Zhou et al. 2006, as in jMetal's
@@ -355,95 +298,10 @@ mod tests {
     }
 
     #[test]
-    fn epsilon_indicator_basics() {
-        let reference = vec![vec![0.0, 1.0], vec![1.0, 0.0]];
-        // identical front: eps = 0
-        assert_eq!(additive_epsilon(&reference, &reference), 0.0);
-        // front shifted by +0.25 everywhere: eps = 0.25
-        let shifted: Vec<Vec<f64>> = reference
-            .iter()
-            .map(|p| p.iter().map(|v| v + 0.25).collect())
-            .collect();
-        assert!((additive_epsilon(&shifted, &reference) - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn hv_2d_rectangles() {
-        // single point: rectangle to the reference point
-        let hv = hypervolume(&[vec![0.25, 0.25]], &[1.0, 1.0]);
-        assert!((hv - 0.5625).abs() < 1e-12);
-        // two staircase points
-        let hv = hypervolume(&[vec![0.0, 0.5], vec![0.5, 0.0]], &[1.0, 1.0]);
-        assert!((hv - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn hv_ignores_points_outside_reference() {
-        let hv = hypervolume(&[vec![2.0, 2.0]], &[1.0, 1.0]);
-        assert_eq!(hv, 0.0);
-        let hv = hypervolume(&[vec![0.5, 0.5], vec![5.0, -5.0]], &[1.0, 1.0]);
-        assert!((hv - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn hv_3d_single_box() {
-        let hv = hypervolume(&[vec![0.0, 0.0, 0.0]], &[1.0, 2.0, 3.0]);
-        assert!((hv - 6.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn hv_3d_two_disjointish_boxes() {
-        // box A: (0,0,0)->(1,1,1) vol 1; box B: (0.5,0.5,0.5)->ref, inside union
-        let r = [1.0, 1.0, 1.0];
-        let hv = hypervolume(&[vec![0.0, 0.5, 0.0], vec![0.5, 0.0, 0.5]], &r);
-        // A = 1*0.5*1 = 0.5 ; B = 0.5*1*0.5 = 0.25 ; overlap = 0.5*0.5*0.5=0.125
-        assert!((hv - 0.625).abs() < 1e-12, "hv = {hv}");
-    }
-
-    #[test]
-    fn hv_3d_matches_2d_extrusion() {
-        // Extruding a 2-D staircase along f2=0 with ref f2=1 must equal 2-D HV.
-        let front2 = vec![vec![0.0, 0.5], vec![0.5, 0.0]];
-        let hv2 = hypervolume(&front2, &[1.0, 1.0]);
-        let front3: Vec<Vec<f64>> = front2.iter().map(|p| vec![p[0], p[1], 0.0]).collect();
-        let hv3 = hypervolume(&front3, &[1.0, 1.0, 1.0]);
-        assert!((hv3 - hv2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn hv_monotone_in_front_quality() {
-        let r = [1.0, 1.0, 1.0];
-        let worse = hypervolume(&[vec![0.5, 0.5, 0.5]], &r);
-        let better = hypervolume(&[vec![0.25, 0.25, 0.25]], &r);
-        assert!(better > worse);
-        // adding a point never reduces hv
-        let more = hypervolume(&[vec![0.5, 0.5, 0.5], vec![0.1, 0.9, 0.9]], &r);
-        assert!(more >= worse - 1e-12);
-    }
-
-    #[test]
     fn hv_qmc_close_to_exact_for_4d_box() {
         // one point at origin, ref at (1,1,1,1): exact HV = 1
         let hv = hypervolume(&[vec![0.0; 4]], &[1.0; 4]);
         assert!((hv - 1.0).abs() < 0.02, "qmc hv = {hv}");
-    }
-
-    #[test]
-    fn spread_2d_uniform_is_small() {
-        let reference: Vec<Vec<f64>> = (0..=10)
-            .map(|i| vec![i as f64 / 10.0, 1.0 - i as f64 / 10.0])
-            .collect();
-        let uniform = reference.clone();
-        let clumped = vec![
-            vec![0.0, 1.0],
-            vec![0.05, 0.95],
-            vec![0.1, 0.9],
-            vec![1.0, 0.0],
-        ];
-        let s_u = spread_2d(&uniform, &reference);
-        let s_c = spread_2d(&clumped, &reference);
-        assert!(s_u < s_c, "uniform {s_u} should beat clumped {s_c}");
-        assert!(s_u < 1e-9);
     }
 
     #[test]
@@ -467,14 +325,6 @@ mod tests {
     }
 
     #[test]
-    fn epsilon_negative_when_front_dominates_reference() {
-        // A front strictly better than the reference yields ε < 0.
-        let reference = vec![vec![0.5, 0.5]];
-        let front = vec![vec![0.25, 0.25]];
-        assert!((additive_epsilon(&front, &reference) - -0.25).abs() < 1e-12);
-    }
-
-    #[test]
     fn hv_duplicate_points_counted_once() {
         let hv1 = hypervolume(&[vec![0.5, 0.5]], &[1.0, 1.0]);
         let hv2 = hypervolume(&[vec![0.5, 0.5], vec![0.5, 0.5]], &[1.0, 1.0]);
@@ -490,7 +340,6 @@ mod tests {
     #[test]
     fn spread_single_point_front_is_one() {
         let reference = vec![vec![0.0, 1.0], vec![1.0, 0.0]];
-        assert_eq!(spread_2d(&[vec![0.5, 0.5]], &reference), 1.0);
         assert_eq!(generalized_spread(&[vec![0.5, 0.5]], &reference), 1.0);
     }
 
@@ -518,7 +367,6 @@ mod tests {
         let reference = vec![vec![0.0, 1.0]];
         assert!(generational_distance(&[], &reference).is_infinite());
         assert!(inverted_generational_distance(&[], &reference).is_infinite());
-        assert!(additive_epsilon(&[], &reference).is_infinite());
         assert_eq!(hypervolume(&[], &[1.0, 1.0]), 0.0);
     }
 }

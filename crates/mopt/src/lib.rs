@@ -13,8 +13,8 @@
 //!   (the NSGA-II machinery),
 //! * [`archive`] — the Adaptive Grid Archiving (AGA) bounded elite archive
 //!   from PAES, used by the paper as the external archive,
-//! * [`indicators`] — hypervolume, (inverted) generational distance,
-//!   spread Δ and additive-ε quality indicators plus front normalisation,
+//! * [`indicators`] — hypervolume, (inverted) generational distance and
+//!   generalised spread Δ* quality indicators plus front normalisation,
 //! * [`ops`] — variation operators: BLX-α (Eq. 2 of the paper), SBX,
 //!   polynomial mutation, DE/rand/1/bin and selection helpers,
 //! * [`stats`] — Wilcoxon rank-sum test (the paper's Table IV) and

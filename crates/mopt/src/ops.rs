@@ -3,15 +3,24 @@
 //! * [`blx_alpha_step`] — the paper's local-search move (Eq. 2), a
 //!   BLX-α-style perturbation of one parameter of solution `s` scaled by
 //!   its distance to a reference solution `t`,
-//! * [`sbx_crossover`] / [`polynomial_mutation`] — the NSGA-II operators,
+//! * [`sbx_crossover`] / [`polynomial_mutation`] — the GA operators of
+//!   NSGA-II, MOCell and the island model, at the one setting the paper's
+//!   comparison uses ([`SBX_PROB`], [`SBX_ETA`], [`PM_ETA`]),
 //! * [`de_rand_1_bin`] — the differential-evolution variation CellDE uses,
-//! * [`blx_alpha_crossover`] — the classic interval-schemata BLX-α
-//!   (Eshelman & Schaffer 1992) kept for completeness/ablations,
 //! * selection helpers (binary tournament, random distinct picks).
 
 use crate::dominance::{constrained_dominance, DominanceOrd};
 use crate::solution::{Bounds, Candidate};
 use rand::Rng;
+
+/// SBX crossover probability of the paper's GA baselines (Ruiz et al.
+/// 2012).
+pub const SBX_PROB: f64 = 0.9;
+/// SBX distribution index.
+pub const SBX_ETA: f64 = 20.0;
+/// Polynomial-mutation distribution index; each variable mutates with
+/// probability `1/n`.
+pub const PM_ETA: f64 = 20.0;
 
 /// Uniformly random point within bounds.
 pub fn uniform_init<R: Rng>(bounds: &Bounds, rng: &mut R) -> Vec<f64> {
@@ -41,52 +50,21 @@ pub fn blx_alpha_step<R: Rng>(sp: f64, tp: f64, alpha: f64, rng: &mut R) -> f64 
     sp + phi * (3.0 * rho - 2.0)
 }
 
-/// Classic BLX-α blend crossover: each child coordinate is uniform in
-/// `[min − αI, max + αI]` where `I = |p1_i − p2_i|`. Result is clamped to
-/// bounds.
-pub fn blx_alpha_crossover<R: Rng>(
-    p1: &[f64],
-    p2: &[f64],
-    alpha: f64,
-    bounds: &Bounds,
-    rng: &mut R,
-) -> Vec<f64> {
-    debug_assert_eq!(p1.len(), p2.len());
-    let mut child: Vec<f64> = p1
-        .iter()
-        .zip(p2)
-        .map(|(&a, &b)| {
-            let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-            let i = hi - lo;
-            let l = lo - alpha * i;
-            let u = hi + alpha * i;
-            if u > l {
-                rng.gen_range(l..u)
-            } else {
-                l
-            }
-        })
-        .collect();
-    bounds.clamp(&mut child);
-    child
-}
-
 /// Simulated binary crossover (Deb & Agrawal 1995). Returns two children;
-/// with probability `1 − pc` the parents are returned unchanged. `eta` is
-/// the distribution index (paper baselines use 20).
+/// with probability `1 − SBX_PROB` the parents are returned unchanged.
+/// The distribution index is [`SBX_ETA`].
 #[allow(clippy::needless_range_loop)]
 pub fn sbx_crossover<R: Rng>(
     p1: &[f64],
     p2: &[f64],
-    eta: f64,
-    pc: f64,
     bounds: &Bounds,
     rng: &mut R,
 ) -> (Vec<f64>, Vec<f64>) {
     debug_assert_eq!(p1.len(), p2.len());
+    let eta = SBX_ETA;
     let mut c1 = p1.to_vec();
     let mut c2 = p2.to_vec();
-    if rng.gen::<f64>() <= pc {
+    if rng.gen::<f64>() <= SBX_PROB {
         for i in 0..p1.len() {
             if rng.gen::<f64>() > 0.5 {
                 continue; // each variable crossed with prob 0.5 (jMetal convention)
@@ -128,10 +106,11 @@ pub fn sbx_crossover<R: Rng>(
     (c1, c2)
 }
 
-/// Polynomial mutation (Deb). Each variable mutates with probability `pm`
-/// (paper baselines: `1/n`); `eta` is the distribution index (20).
+/// Polynomial mutation (Deb). Each of the `n` variables mutates with
+/// probability `1/n`; the distribution index is [`PM_ETA`].
 #[allow(clippy::needless_range_loop)]
-pub fn polynomial_mutation<R: Rng>(x: &mut [f64], eta: f64, pm: f64, bounds: &Bounds, rng: &mut R) {
+pub fn polynomial_mutation<R: Rng>(x: &mut [f64], bounds: &Bounds, rng: &mut R) {
+    let (eta, pm) = (PM_ETA, 1.0 / x.len() as f64);
     for i in 0..x.len() {
         if rng.gen::<f64>() > pm {
             continue;
@@ -266,16 +245,6 @@ mod tests {
     }
 
     #[test]
-    fn blx_crossover_within_extended_interval() {
-        let b = Bounds::new(vec![(-100.0, 100.0)]);
-        let mut r = rng();
-        for _ in 0..1000 {
-            let c = blx_alpha_crossover(&[0.0], &[10.0], 0.5, &b, &mut r);
-            assert!(c[0] >= -5.0 - 1e-9 && c[0] <= 15.0 + 1e-9, "{}", c[0]);
-        }
-    }
-
-    #[test]
     fn sbx_children_in_bounds_and_vary() {
         let b = Bounds::new(vec![(0.0, 1.0); 4]);
         let p1 = vec![0.1, 0.2, 0.3, 0.4];
@@ -283,7 +252,7 @@ mod tests {
         let mut r = rng();
         let mut saw_change = false;
         for _ in 0..50 {
-            let (c1, c2) = sbx_crossover(&p1, &p2, 20.0, 0.9, &b, &mut r);
+            let (c1, c2) = sbx_crossover(&p1, &p2, &b, &mut r);
             assert!(b.contains(&c1) && b.contains(&c2));
             if c1 != p1 || c2 != p2 {
                 saw_change = true;
@@ -297,7 +266,7 @@ mod tests {
         let b = Bounds::new(vec![(0.0, 1.0); 2]);
         let p = vec![0.5, 0.5];
         let mut r = rng();
-        let (c1, c2) = sbx_crossover(&p, &p, 20.0, 1.0, &b, &mut r);
+        let (c1, c2) = sbx_crossover(&p, &p, &b, &mut r);
         assert_eq!(c1, p);
         assert_eq!(c2, p);
     }
@@ -308,19 +277,9 @@ mod tests {
         let mut r = rng();
         for _ in 0..200 {
             let mut x = vec![0.01, 0.5, 0.99, 0.0, 1.0];
-            polynomial_mutation(&mut x, 20.0, 1.0, &b, &mut r);
+            polynomial_mutation(&mut x, &b, &mut r);
             assert!(b.contains(&x), "{x:?}");
         }
-    }
-
-    #[test]
-    fn polynomial_mutation_pm_zero_is_identity() {
-        let b = Bounds::new(vec![(0.0, 1.0); 3]);
-        let mut r = rng();
-        let mut x = vec![0.3, 0.6, 0.9];
-        let orig = x.clone();
-        polynomial_mutation(&mut x, 20.0, 0.0, &b, &mut r);
-        assert_eq!(x, orig);
     }
 
     #[test]

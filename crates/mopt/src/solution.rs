@@ -53,19 +53,6 @@ impl Candidate {
     pub fn n_objectives(&self) -> usize {
         self.objectives.len()
     }
-
-    /// Euclidean distance between the objective vectors of two candidates.
-    ///
-    /// Panics in debug builds if the dimensions differ.
-    pub fn objective_distance(&self, other: &Self) -> f64 {
-        debug_assert_eq!(self.objectives.len(), other.objectives.len());
-        self.objectives
-            .iter()
-            .zip(&other.objectives)
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum::<f64>()
-            .sqrt()
-    }
 }
 
 /// A set of lower/upper bounds, one pair per decision variable.
@@ -135,21 +122,6 @@ impl Bounds {
             .map(|(t, &(lo, hi))| lo + t.clamp(0.0, 1.0) * (hi - lo))
             .collect()
     }
-
-    /// Maps a point in the bounds to the unit hypercube (degenerate axes map to 0).
-    pub fn to_unit(&self, x: &[f64]) -> Vec<f64> {
-        debug_assert_eq!(x.len(), self.bounds.len());
-        x.iter()
-            .zip(&self.bounds)
-            .map(|(v, &(lo, hi))| {
-                if hi > lo {
-                    ((v - lo) / (hi - lo)).clamp(0.0, 1.0)
-                } else {
-                    0.0
-                }
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -165,14 +137,6 @@ mod tests {
         assert!(c.is_evaluated());
         assert!(!c.is_feasible());
         assert_eq!(c.n_objectives(), 2);
-    }
-
-    #[test]
-    fn objective_distance_is_euclidean() {
-        let a = Candidate::evaluated(vec![], vec![0.0, 0.0], 0.0);
-        let b = Candidate::evaluated(vec![], vec![3.0, 4.0], 0.0);
-        assert!((a.objective_distance(&b) - 5.0).abs() < 1e-12);
-        assert_eq!(a.objective_distance(&a), 0.0);
     }
 
     #[test]
@@ -194,27 +158,18 @@ mod tests {
     }
 
     #[test]
-    fn unit_round_trip() {
+    fn from_unit_maps_the_unit_cube_onto_the_bounds() {
         let b = Bounds::new(vec![(0.0, 10.0), (-1.0, 1.0)]);
-        let x = vec![2.5, 0.5];
-        let u = b.to_unit(&x);
-        assert!((u[0] - 0.25).abs() < 1e-12);
-        assert!((u[1] - 0.75).abs() < 1e-12);
-        let x2 = b.from_unit(&u);
-        for (a, c) in x.iter().zip(&x2) {
-            assert!((a - c).abs() < 1e-12);
-        }
+        let x = b.from_unit(&[0.25, 0.75]);
+        assert!((x[0] - 2.5).abs() < 1e-12);
+        assert!((x[1] - 0.5).abs() < 1e-12);
+        // Outside the unit cube clamps to the bounds.
+        assert_eq!(b.from_unit(&[-1.0, 2.0]), vec![0.0, 1.0]);
     }
 
     #[test]
     #[should_panic(expected = "inverted")]
     fn inverted_bounds_panic() {
         let _ = Bounds::new(vec![(1.0, 0.0)]);
-    }
-
-    #[test]
-    fn degenerate_axis_to_unit() {
-        let b = Bounds::new(vec![(2.0, 2.0)]);
-        assert_eq!(b.to_unit(&[2.0]), vec![0.0]);
     }
 }

@@ -56,20 +56,6 @@ pub fn boxplot(sample: &[f64]) -> Option<Boxplot> {
     })
 }
 
-/// Sample mean and (unbiased) standard deviation.
-pub fn mean_std(sample: &[f64]) -> (f64, f64) {
-    if sample.is_empty() {
-        return (f64::NAN, f64::NAN);
-    }
-    let n = sample.len() as f64;
-    let mean = sample.iter().sum::<f64>() / n;
-    if sample.len() < 2 {
-        return (mean, 0.0);
-    }
-    let var = sample.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (n - 1.0);
-    (mean, var.sqrt())
-}
-
 /// Result of a two-sided Wilcoxon rank-sum (Mann–Whitney U) test.
 #[derive(Debug, Clone, Copy)]
 pub struct RankSum {
@@ -242,13 +228,6 @@ mod tests {
         assert_eq!(percentile(&s, 0.0), 1.0);
         assert_eq!(percentile(&s, 1.0), 4.0);
         assert!((percentile(&s, 0.5) - 2.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mean_std_known() {
-        let (m, s) = mean_std(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
-        assert!((m - 5.0).abs() < 1e-12);
-        assert!((s - (32.0f64 / 7.0).sqrt()).abs() < 1e-12);
     }
 
     #[test]

@@ -109,11 +109,7 @@ pub fn algorithm_for(budget: &CampaignBudget, kind: AlgorithmKind) -> Box<dyn Mo
             } else {
                 (budget.evals / 10).clamp(8, 40) as usize
             };
-            Box::new(Nsga2::new(Nsga2Config {
-                population,
-                max_evaluations: budget.evals,
-                ..Nsga2Config::default()
-            }))
+            Box::new(Nsga2::new(Nsga2Config::quick(population, budget.evals)))
         }
         AlgorithmKind::CellDe => {
             let side = if budget.paper { 10 } else { 5 };

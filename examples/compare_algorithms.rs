@@ -17,11 +17,7 @@ fn main() {
             max_evaluations: evals,
             ..Default::default()
         })),
-        Box::new(Nsga2::new(Nsga2Config {
-            population: 20,
-            max_evaluations: evals,
-            ..Default::default()
-        })),
+        Box::new(Nsga2::new(Nsga2Config::quick(20, evals))),
         // the paper gives MLS 2.4× the evaluations — it is still far faster
         // wall-clock in the parallel setting
         Box::new(Mls::new(MlsConfig {

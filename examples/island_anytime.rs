@@ -1,4 +1,4 @@
-//! The asynchronous island optimizer streaming its anytime front through
+//! The lockstep island optimizer streaming its anytime front through
 //! the resident service.
 //!
 //! Walks the island campaign lifecycle in one process:

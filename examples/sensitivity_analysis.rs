@@ -12,8 +12,9 @@ fn main() {
     let networks = 3;
     let samples = 65; // paper-scale analyses use 1000+
 
-    let problem = AedbProblem::paper(Scenario::quick(density, networks))
-        .with_bounds(AedbParams::sensitivity_bounds());
+    // The FAST99 design is mapped onto the wider §III-B domains here;
+    // `evaluate_full` simulates whatever parameters it is given.
+    let problem = AedbProblem::paper(Scenario::quick(density, networks));
     let bounds = AedbParams::sensitivity_bounds();
     let fast = Fast99::new(5, samples);
 

@@ -23,7 +23,7 @@
 //!   point,
 //! * [`moea`] — the NSGA-II, MOCell and CellDE baselines, feeding whole
 //!   generations to the problem at once,
-//! * [`island`] — the asynchronous island-model optimizer: steady-state
+//! * [`island`] — the lockstep island-model optimizer: steady-state
 //!   islands with bounded elite archives, ring migration and a
 //!   deterministic epoch-merged anytime archive whose front improves
 //!   monotonically and can be streamed mid-run,

@@ -27,7 +27,6 @@ fn nsga2_runs_are_reproducible_on_aedb() {
     let alg = Nsga2::new(Nsga2Config {
         population: 8,
         max_evaluations: 48,
-        ..Default::default()
     });
     let a = alg.run(&problem, 77);
     let b = alg.run(&problem, 77);
@@ -129,7 +128,6 @@ fn golden_fronts_pin_every_optimizer() {
         Box::new(Nsga2::new(Nsga2Config {
             population: 8,
             max_evaluations: 40,
-            ..Default::default()
         })),
         Box::new(MoCell::new(MoCellConfig::quick(3, 40))),
         Box::new(CellDe::new(CellDeConfig {

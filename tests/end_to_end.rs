@@ -52,7 +52,6 @@ fn three_algorithms_produce_comparable_fronts() {
         Box::new(Nsga2::new(Nsga2Config {
             population: 16,
             max_evaluations: evals,
-            ..Default::default()
         })),
         Box::new(Mls::new(MlsConfig {
             criteria: CriteriaChoice::Aedb,
@@ -124,7 +123,6 @@ fn evaluation_counting_through_pipeline() {
     let nsga = Nsga2::new(Nsga2Config {
         population: 8,
         max_evaluations: 64,
-        ..Default::default()
     });
     let r = nsga.run(&problem, 5);
     assert_eq!(r.evaluations, 64);
@@ -142,7 +140,6 @@ fn wilcoxon_on_real_indicator_samples() {
                 let alg = Nsga2::new(Nsga2Config {
                     population: 8,
                     max_evaluations: evals,
-                    ..Default::default()
                 });
                 let r = alg.run(&problem, seed0 + k);
                 r.front.len() as f64

@@ -533,11 +533,10 @@ proptest! {
                 // Shortened protocol: enough beaconing to build neighbour
                 // tables, then the broadcast.
                 .broadcast_window(3.0, 6.0)
-                .delivery_mode(mode)
                 .build()
                 .expect("valid spec");
             let n = spec.n_nodes();
-            Simulator::from_world(&spec, Flooding::new(n, (0.0, 0.1))).run()
+            sim_in(&spec, Flooding::new(n, (0.0, 0.1)), mode).run()
         };
         let inc = run(DeliveryMode::Incremental);
         let naive = run(DeliveryMode::Naive);
@@ -827,9 +826,7 @@ proptest! {
         let other_power = [10.0, 5.0, 16.02][power_idx];
         let build = |seed: u64, side: f64, n_walk: usize, shadowed: bool| {
             let mut radio = manet::RadioConfig::paper();
-            if !shadowed {
-                radio.shadowing_sigma_db = 0.0;
-            }
+            radio.shadowing_sigma_db = if shadowed { 4.0 } else { 0.0 };
             WorldSpec::builder()
                 .area(side, side)
                 .radio(radio)
@@ -843,7 +840,6 @@ proptest! {
                         .tx_power_dbm(other_power),
                 )
                 .broadcast_window(6.0, 9.0)
-                .delivery_mode(mode)
                 .build()
                 .expect("valid spec")
         };
@@ -857,10 +853,10 @@ proptest! {
             neighbors_threshold: neighbors,
         };
         let flooding = || Flooding::new(n, (0.0, jitter));
-        let straight_flooding = Simulator::from_world(&spec, flooding()).run();
-        let straight_aedb = Simulator::from_world(&spec, Aedb::new(n, params)).run();
+        let straight_flooding = sim_in(&spec, flooding(), mode).run();
+        let straight_aedb = sim_in(&spec, Aedb::new(n, params), mode).run();
 
-        let mut donor = Simulator::from_world(&spec, flooding());
+        let mut donor = sim_in(&spec, flooding(), mode);
         let limit = spec.broadcast_time.next_down();
         donor.run_until(at * limit);
         let checkpoint = donor.checkpoint();
@@ -871,7 +867,7 @@ proptest! {
 
         // A second checkpoint with a beacon on the air: its end event and
         // frame must round-trip through the checkpoint.
-        let mut probe = Simulator::from_world(&spec, flooding());
+        let mut probe = sim_in(&spec, flooding(), mode);
         let mut t = at * (limit - 1.0);
         probe.run_until(t);
         while probe.on_air() == 0 && t < limit {
@@ -883,7 +879,7 @@ proptest! {
 
         // A third pinned exactly at the edge, with the neighbour tables
         // full.
-        let mut edger = Simulator::from_world(&spec, flooding());
+        let mut edger = sim_in(&spec, flooding(), mode);
         edger.run_until(limit);
         let edge = edger.checkpoint();
 
@@ -892,7 +888,7 @@ proptest! {
         // (larger, other seed and shadowing) world in between, which it
         // leaves in mid-run.
         let big = build(seed + 1, field_side + 300.0, n_walk + 20, shadowed_i == 0);
-        let mut dirty = Simulator::from_world(&big, Aedb::new(big.n_nodes(), params));
+        let mut dirty = sim_in(&big, Aedb::new(big.n_nodes(), params), mode);
         for _ in 0..2 {
             for (cp, frames) in [
                 (&checkpoint, None),
@@ -921,17 +917,27 @@ proptest! {
     }
 }
 
-/// The settle-parity checks of one world under one protocol: `make(n)`
-/// builds a fresh protocol for `n` nodes, `other` is a different world a
-/// pooled simulator ran (and stopped in mid-run) before.
+/// A simulator of `spec` under `protocol` that resolves deliveries on
+/// `mode`, a setting it keeps through resets and restores.
+fn sim_in<P: Protocol>(spec: &WorldSpec, protocol: P, mode: DeliveryMode) -> Simulator<P> {
+    let mut sim = Simulator::from_world(spec, protocol);
+    sim.set_delivery_mode(mode);
+    sim
+}
+
+/// The settle-parity checks of one world under one protocol on one
+/// delivery path: `make(n)` builds a fresh protocol for `n` nodes,
+/// `other` is a different world a pooled simulator ran (and stopped in
+/// mid-run) before.
 fn check_settle_parity<P: Protocol>(
     spec: &WorldSpec,
     other: &WorldSpec,
     at: f64,
+    mode: DeliveryMode,
     make: impl Fn(usize) -> P,
 ) -> Result<(), String> {
     let n = spec.n_nodes();
-    let fresh = |spec: &WorldSpec| Simulator::from_world(spec, make(spec.n_nodes()));
+    let fresh = |spec: &WorldSpec| sim_in(spec, make(spec.n_nodes()), mode);
     let full = fresh(spec).run_to_end();
 
     // Straight: the early stop sees the full run's metrics, and running on
@@ -1008,9 +1014,7 @@ proptest! {
         let other_power = [10.0, 5.0, 16.02][power_idx];
         let build = |seed: u64, side: f64, n_walk: usize, shadowed: bool| {
             let mut radio = manet::RadioConfig::paper();
-            if !shadowed {
-                radio.shadowing_sigma_db = 0.0;
-            }
+            radio.shadowing_sigma_db = if shadowed { 4.0 } else { 0.0 };
             WorldSpec::builder()
                 .area(side, side)
                 .radio(radio)
@@ -1024,7 +1028,6 @@ proptest! {
                         .tx_power_dbm(other_power),
                 )
                 .broadcast_window(6.0, 6.0 + tail)
-                .delivery_mode(mode)
                 .build()
                 .expect("valid spec")
         };
@@ -1037,8 +1040,8 @@ proptest! {
             margin_threshold: margin,
             neighbors_threshold: neighbors,
         };
-        check_settle_parity(&spec, &other, at, |n| Flooding::new(n, (0.0, jitter)))?;
-        check_settle_parity(&spec, &other, at, |n| Aedb::new(n, params))?;
+        check_settle_parity(&spec, &other, at, mode, |n| Flooding::new(n, (0.0, jitter)))?;
+        check_settle_parity(&spec, &other, at, mode, |n| Aedb::new(n, params))?;
     }
 }
 

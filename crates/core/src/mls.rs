@@ -368,7 +368,7 @@ mod tests {
         let hv_mls = hypervolume(&r.objectives(), &[1.1, 1.1]);
 
         let mut rng = SmallRng::seed_from_u64(3);
-        let mut archive = AgaArchive::new(100, 5);
+        let mut archive = AgaArchive::new(100, ARCHIVE_BISECTIONS);
         for _ in 0..budget {
             let c = problem.make_candidate(uniform_init(problem.bounds(), &mut rng));
             archive.try_insert(c);

@@ -298,6 +298,60 @@ mod tests {
     }
 
     #[test]
+    fn hv_2d_rectangles() {
+        // single point: rectangle to the reference point
+        let hv = hypervolume(&[vec![0.25, 0.25]], &[1.0, 1.0]);
+        assert!((hv - 0.5625).abs() < 1e-12);
+        // two staircase points
+        let hv = hypervolume(&[vec![0.0, 0.5], vec![0.5, 0.0]], &[1.0, 1.0]);
+        assert!((hv - 0.75).abs() < 1e-12);
+    }
+
+    #[test]
+    fn hv_ignores_points_outside_reference() {
+        let hv = hypervolume(&[vec![2.0, 2.0]], &[1.0, 1.0]);
+        assert_eq!(hv, 0.0);
+        let hv = hypervolume(&[vec![0.5, 0.5], vec![5.0, -5.0]], &[1.0, 1.0]);
+        assert!((hv - 0.25).abs() < 1e-12);
+    }
+
+    #[test]
+    fn hv_3d_single_box() {
+        let hv = hypervolume(&[vec![0.0, 0.0, 0.0]], &[1.0, 2.0, 3.0]);
+        assert!((hv - 6.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn hv_3d_two_disjointish_boxes() {
+        // box A: (0,0,0)->(1,1,1) vol 1; box B: (0.5,0.5,0.5)->ref, inside union
+        let r = [1.0, 1.0, 1.0];
+        let hv = hypervolume(&[vec![0.0, 0.5, 0.0], vec![0.5, 0.0, 0.5]], &r);
+        // A = 1*0.5*1 = 0.5 ; B = 0.5*1*0.5 = 0.25 ; overlap = 0.5*0.5*0.5=0.125
+        assert!((hv - 0.625).abs() < 1e-12, "hv = {hv}");
+    }
+
+    #[test]
+    fn hv_3d_matches_2d_extrusion() {
+        // Extruding a 2-D staircase along f2=0 with ref f2=1 must equal 2-D HV.
+        let front2 = vec![vec![0.0, 0.5], vec![0.5, 0.0]];
+        let hv2 = hypervolume(&front2, &[1.0, 1.0]);
+        let front3: Vec<Vec<f64>> = front2.iter().map(|p| vec![p[0], p[1], 0.0]).collect();
+        let hv3 = hypervolume(&front3, &[1.0, 1.0, 1.0]);
+        assert!((hv3 - hv2).abs() < 1e-12);
+    }
+
+    #[test]
+    fn hv_monotone_in_front_quality() {
+        let r = [1.0, 1.0, 1.0];
+        let worse = hypervolume(&[vec![0.5, 0.5, 0.5]], &r);
+        let better = hypervolume(&[vec![0.25, 0.25, 0.25]], &r);
+        assert!(better > worse);
+        // adding a point never reduces hv
+        let more = hypervolume(&[vec![0.5, 0.5, 0.5], vec![0.1, 0.9, 0.9]], &r);
+        assert!(more >= worse - 1e-12);
+    }
+
+    #[test]
     fn hv_qmc_close_to_exact_for_4d_box() {
         // one point at origin, ref at (1,1,1,1): exact HV = 1
         let hv = hypervolume(&[vec![0.0; 4]], &[1.0; 4]);

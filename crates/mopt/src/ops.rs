@@ -266,16 +266,21 @@ mod tests {
         let b = Bounds::new(vec![(0.0, 1.0); 2]);
         let p = vec![0.5, 0.5];
         let mut r = rng();
-        let (c1, c2) = sbx_crossover(&p, &p, &b, &mut r);
-        assert_eq!(c1, p);
-        assert_eq!(c2, p);
+        // 50 calls: the crossover branch (taken with SBX_PROB) certainly runs.
+        for _ in 0..50 {
+            let (c1, c2) = sbx_crossover(&p, &p, &b, &mut r);
+            assert_eq!(c1, p);
+            assert_eq!(c2, p);
+        }
     }
 
     #[test]
     fn polynomial_mutation_respects_bounds() {
         let b = Bounds::new(vec![(0.0, 1.0); 5]);
         let mut r = rng();
-        for _ in 0..200 {
+        // Each variable mutates at 1/5, so 1000 rounds mutate about as many
+        // values (boundary ones included) as 200 rounds at probability 1.
+        for _ in 0..1000 {
             let mut x = vec![0.01, 0.5, 0.99, 0.0, 1.0];
             polynomial_mutation(&mut x, &b, &mut r);
             assert!(b.contains(&x), "{x:?}");

@@ -5,6 +5,7 @@
 //! cargo run --release --example compare_algorithms
 //! ```
 
+use aedb_repro::mopt::archive::ARCHIVE_BISECTIONS;
 use aedb_repro::prelude::*;
 
 fn main() {
@@ -29,7 +30,7 @@ fn main() {
     // Run everything, then build the combined reference front for fair,
     // normalised indicators (the paper's protocol).
     let runs: Vec<RunResult> = algorithms.iter().map(|a| a.run(&problem, 7)).collect();
-    let mut combined = AgaArchive::new(300, 5);
+    let mut combined = AgaArchive::new(300, ARCHIVE_BISECTIONS);
     for r in &runs {
         for c in &r.front {
             combined.try_insert(c.clone());

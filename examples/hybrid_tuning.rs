@@ -6,6 +6,7 @@
 //! cargo run --release --example hybrid_tuning
 //! ```
 
+use aedb_repro::mopt::archive::ARCHIVE_BISECTIONS;
 use aedb_repro::prelude::*;
 
 fn main() {
@@ -34,7 +35,7 @@ fn main() {
         .collect();
 
     // Combined reference for normalised indicators.
-    let mut combined = AgaArchive::new(300, 5);
+    let mut combined = AgaArchive::new(300, ARCHIVE_BISECTIONS);
     for r in &runs {
         for c in &r.front {
             combined.try_insert(c.clone());

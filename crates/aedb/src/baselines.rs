@@ -10,7 +10,7 @@ use manet::sim::NodeId;
 
 /// Probabilistic broadcasting: re-broadcast the first copy with probability
 /// `p` after a random jitter (Ni et al. 1999; optimised by Abdou et al.
-/// 2011, cited as [1] in the paper).
+/// 2011, cited as \[1\] in the paper).
 #[derive(Debug, Clone)]
 pub struct Probabilistic {
     seen: Vec<bool>,

@@ -37,14 +37,6 @@ const CACHE_STEPS: f64 = (1u64 << 20) as f64;
 /// Quantized decision vector — the evaluation-cache key.
 type CacheKey = [u64; N_PARAMS];
 
-/// A global pool of reusable simulators: the batched pipeline runs
-/// thousands of simulations per generation through the same handful of
-/// pre-allocated event queues / tables / scratch buffers. The pool is
-/// process-wide (not thread-local) so reuse survives across batches even
-/// when the thread pool recreates its workers; it never holds more
-/// simulators than the peak number of concurrent simulations.
-static SIM_POOL: Mutex<Vec<Simulator<Aedb>>> = Mutex::new(Vec::new());
-
 /// The four raw observables of one configuration, averaged over the
 /// scenario's networks (the sensitivity analysis needs all four).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -100,11 +92,19 @@ pub struct SimStats {
 /// generation at a time, and the network axis of a lone candidate. A
 /// quantized-parameter cache dedupes repeated configurations across
 /// generations.
+///
+/// The problem owns the simulators its jobs run on: the batched pipeline
+/// runs thousands of simulations per generation through the same handful
+/// of pre-allocated event queues, tables and scratch buffers, and they are
+/// freed with the problem, so a finished campaign keeps none alive.
 pub struct AedbProblem {
     scenario: Scenario,
     /// Each network's protocol-free prefix, taken the first time the
     /// network is simulated (see `simulate_network`).
     prefixes: Vec<OnceLock<Checkpoint>>,
+    /// Idle simulators, reused across batches; never more than the peak
+    /// number of concurrent simulations.
+    sims: Mutex<Vec<Simulator<Aedb>>>,
     bounds: Bounds,
     /// Whether evaluation fans its jobs over the thread pool (`true` by
     /// default). Turned off when a caller shards *whole
@@ -166,6 +166,7 @@ impl AedbProblem {
         );
         Self {
             prefixes: (0..scenario.n_networks).map(|_| OnceLock::new()).collect(),
+            sims: Mutex::new(Vec::new()),
             scenario,
             bounds: AedbParams::bounds(),
             parallel_batches: true,
@@ -442,18 +443,19 @@ impl AedbProblem {
     /// that edge (neighbour tables included) and restores every candidate
     /// from there. Each candidate's tail ends when its broadcast settles
     /// ([`Simulator::run_broadcast`]), not at `end_time`. The simulator
-    /// comes from the process-wide pool; the restore re-arms it whatever
-    /// world it ran before.
+    /// is one of the problem's own idle ones, or a new one when all are
+    /// busy; the restore re-arms it whatever network it ran before.
     ///
     /// The memory cost is one prefix per network and live problem
     /// (≈ 8/14/20 KiB for the paper's D100/D200/D300 worlds, and
     /// proportionally more for dense scenarios), plus one edge per running
     /// job, which also holds the live neighbour entries and is dropped
-    /// when the job ends.
+    /// when the job ends, plus one simulator per concurrent job, kept idle
+    /// until the problem is dropped.
     fn simulate_network(&self, params: &[AedbParams], k: usize) -> Vec<AedbOutcome> {
-        // Bind the checkout first: `SIM_POOL.lock().pop().unwrap_or_else(…)`
-        // would hold the pool lock while a new simulator is built.
-        let pooled = SIM_POOL.lock().pop();
+        // Bind the checkout first: `self.sims.lock().pop().unwrap_or_else(…)`
+        // would hold the lock while a new simulator is built.
+        let pooled = self.sims.lock().pop();
         let mut sim = pooled.unwrap_or_else(|| {
             let world = self.scenario.world(k);
             Simulator::from_world(&world, Aedb::new(world.n_nodes(), params[0]))
@@ -477,7 +479,7 @@ impl AedbProblem {
                 self.run(&mut sim)
             })
             .collect();
-        SIM_POOL.lock().push(sim);
+        self.sims.lock().push(sim);
         self.restores
             .fetch_add(params.len() as u64, Ordering::Relaxed);
         outcomes

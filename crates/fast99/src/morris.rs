@@ -1,6 +1,6 @@
 //! Morris elementary-effects screening (Morris 1991, as presented in
 //! Saltelli et al., *Sensitivity Analysis in Practice* — the paper's
-//! reference [15]).
+//! reference \[15\]).
 //!
 //! A cheap qualitative cross-check of the FAST99 results: `r` random
 //! trajectories through a `p`-level grid on `[0,1]^k`, each perturbing one

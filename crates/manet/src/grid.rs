@@ -14,9 +14,10 @@
 //!
 //! # Event-driven maintenance
 //!
-//! [`rebuild`] places all `n` nodes once, at the start of a run. From then
-//! on each cell is a compact array of member ids (push to insert,
-//! swap-remove to delete) so [`update_node`] moves one node between cells
+//! [`rebuild`](SpatialGrid::rebuild) places all `n` nodes once, at the
+//! start of a run. From then on each cell is a compact array of member
+//! ids (push to insert, swap-remove to delete) so
+//! [`update_node`](SpatialGrid::update_node) moves one node between cells
 //! in O(1). The simulator drives these updates from per-node
 //! *cell-crossing events*: a node at distance `d` from its cell boundary
 //! moving at speed `s` cannot change cell before `d / s`, so a refresh

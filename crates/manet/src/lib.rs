@@ -14,7 +14,7 @@
 //! * [`events`] — a binary-heap event scheduler with stable ordering,
 //! * [`neighbor`] — beacon-maintained one-hop neighbour tables carrying
 //!   received signal strength,
-//! * [`protocol`] — the [`Protocol`](protocol::Protocol) trait broadcast
+//! * [`protocol`] — the [`Protocol`] trait broadcast
 //!   algorithms implement (AEDB lives in the `aedb` crate; a flooding
 //!   baseline ships here),
 //! * [`snapshot`] — flat structure-of-arrays kinematic snapshots of every
@@ -28,7 +28,7 @@
 //! * [`sim`] — the simulator proper: beaconing, half-duplex radios,
 //!   collision/capture modelling, timers and metric collection,
 //! * [`world`] — the declarative scenario API: a validated
-//!   [`WorldSpec`](world::WorldSpec) of heterogeneous node groups (per-group
+//!   [`WorldSpec`] of heterogeneous node groups (per-group
 //!   mobility, placement and transmit-power class) that compiles into the
 //!   simulator through [`Simulator::from_world`](sim::Simulator::from_world),
 //!   plus the shared scenario text grammar,

@@ -8,7 +8,7 @@
 //! `t = 30 s` and the simulation ends at `t = 40 s`.
 //!
 //! Scenarios are described declaratively by a
-//! [`WorldSpec`](crate::world::WorldSpec) — possibly **heterogeneous**:
+//! [`WorldSpec`] — possibly **heterogeneous**:
 //! several node groups with their own mobility model, placement, speed
 //! range and transmit-power class — and compile into the engine through
 //! [`Simulator::from_world`]. The paper's homogeneous setup is
@@ -21,7 +21,7 @@
 //! networks). The mechanisms that keep it fast:
 //!
 //! * a [`SpatialGrid`] over the field (cell = half the maximum radio
-//!   range, see [`GRID_CELL_DIVISOR`]) limits each query to the cells
+//!   range, see `GRID_CELL_DIVISOR`) limits each query to the cells
 //!   overlapping the transmission's range disc. The grid stays exact
 //!   through **event-driven cell transitions**: every node schedules a
 //!   refresh at the earliest time it could cross its current cell
@@ -298,7 +298,7 @@ impl FrameKind {
 }
 
 /// Wall-time split of the delivery query, accumulated per
-/// [`compute_deliveries`](World::compute_deliveries) call when profiling
+/// `World::compute_deliveries` call when profiling
 /// is enabled ([`Simulator::set_query_profiling`]). The two phases are the
 /// ones the query-side perf work optimises independently: candidate
 /// *filtering* (grid walk + position filter + ordering) and the exact

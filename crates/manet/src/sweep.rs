@@ -23,7 +23,7 @@
 //!    the historical visit order, in fixed-width chunks of [`SWEEP_WIDTH`]
 //!    ids. A chunk whose ids share one [`SegmentKind`] runs a
 //!    branch-free straight-line kernel over the nodes'
-//!    [`PackedSegment`](crate::snapshot::PackedSegment) records (one
+//!    [`PackedSegment`] records (one
 //!    cache line per candidate);
 //!    mixed-kind chunks and the tail fall back to the scalar
 //!    [`KinematicSnapshot::position`] path. Each candidate within the
@@ -79,7 +79,7 @@
 //! mobility segment re-anchors; members *leaving* only shrink the true
 //! extent, so departures need no invalidation. Culling can never drop a
 //! survivor: a skipped cell provably contains no position within the
-//! decode radius, and a conservative [`CULL_MARGIN_M`] absorbs the few
+//! decode radius, and a conservative `CULL_MARGIN_M` absorbs the few
 //! ulps of rounding in the bound arithmetic.
 
 use crate::geometry::Vec2;

@@ -1,6 +1,6 @@
 //! Shared optimiser interface: every algorithm in this reproduction
 //! (NSGA-II, CellDE, AEDB-MLS) runs a seeded search against a
-//! [`Problem`](crate::Problem) and returns a Pareto front approximation
+//! [`Problem`] and returns a Pareto front approximation
 //! plus bookkeeping, so the experiment harness can treat them uniformly —
 //! the paper's §VI compares exactly these three under one protocol.
 
@@ -72,7 +72,7 @@ pub trait RunObserver: Sync {
     /// so far and the algorithm's current solution pool — the population
     /// or archive the final front will be drawn from, *not* yet filtered
     /// to non-dominated solutions (observers that want a front snapshot
-    /// apply [`non_dominated`](crate::dominance::non_dominated)
+    /// apply [`non_dominated`]
     /// themselves, keeping the common no-observer path free of that
     /// cost).
     fn on_generation(&self, generation: u64, evaluations: u64, pool: &[Candidate]) {

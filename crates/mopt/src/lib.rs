@@ -5,7 +5,7 @@
 //!
 //! * [`solution`] — real-coded candidate solutions with objectives (held in
 //!   minimisation form) and a constraint-violation scalar,
-//! * [`problem`] — the [`Problem`](problem::Problem) trait every tunable
+//! * [`problem`] — the [`Problem`] trait every tunable
 //!   system (here: the AEDB protocol) implements,
 //! * [`dominance`] — Pareto dominance with Deb's feasibility-first
 //!   constraint handling,

@@ -208,7 +208,9 @@ pub enum JobEvent {
         front: Vec<Vec<f64>>,
     },
     /// Coarse progress: `completed` of `total` work rows done (campaign
-    /// repetitions, or seeds of a simulate job).
+    /// repetitions, or seeds of a simulate job). A simulate job's seeds
+    /// run concurrently, so `completed` counts finished seeds, not the
+    /// position of the seed that just finished.
     Progress {
         /// The job.
         job: JobId,

@@ -11,13 +11,20 @@
 //! ```
 //!
 //! Every job emits exactly one terminal event; [`JobHandle::wait`] blocks
-//! until it arrives. Cancellation is cooperative: a flag checked between
-//! simulate seeds, between campaign repetitions and — through the
-//! [`RunObserver`] hooks — at MOEA generation boundaries, so a cancelled
-//! campaign stops within one generation without poisoning the service.
+//! until it arrives. Cancellation is cooperative: a flag checked before
+//! each simulate seed starts, between campaign repetitions and — through
+//! the [`RunObserver`] hooks — at MOEA generation boundaries, so a
+//! cancelled campaign stops within one generation without poisoning the
+//! service.
+//!
+//! Jobs run one at a time, but a Simulate job runs its seeds concurrently,
+//! one thread per core, each seed on a simulator of its own. Its
+//! summaries still come back in seed order, bit-identical to running the
+//! seeds one after another, and its `Progress` events count completed
+//! seeds: `completed` runs `1..=total` in order, whichever seed finished.
 //!
 //! Campaigns running the island optimizer
-//! ([`AlgorithmKind::Island`](crate::campaign::AlgorithmKind::Island))
+//! ([`AlgorithmKind::Island`])
 //! stream [`JobEvent::AnytimeFront`] epochs instead of `Generation`
 //! snapshots: each carries the global anytime archive — the best-so-far
 //! front, hypervolume non-decreasing over epochs — so a client that
@@ -28,7 +35,7 @@
 //! ## Determinism and the campaign archive
 //!
 //! A campaign is a pure function of its [`CampaignSpec`] (seeds are
-//! implied by [`rep_seed`](crate::campaign::rep_seed)). The service
+//! implied by [`rep_seed`]). The service
 //! exploits that twice:
 //!
 //! * results are archived under the spec's fingerprint (namespace
@@ -40,7 +47,7 @@
 //!   *fresh* campaign on a warm scenario skips simulations.
 //!
 //! With [`DiskStorage`] both survive the process; with
-//! [`MemoryStorage`](store::MemoryStorage) they live as long as the
+//! [`MemoryStorage`] they live as long as the
 //! service (the two backends behave identically otherwise, pinned by the
 //! service test-suite).
 
@@ -59,7 +66,7 @@ use mopt::dominance::non_dominated;
 use mopt::solution::Candidate;
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use store::{DiskStorage, MemoryStorage, Storage};
@@ -450,46 +457,67 @@ fn run_simulate(
     }
 }
 
+/// Runs the job's seeds on every core: `available_parallelism` scoped
+/// threads, the worker among them, pull seed indices from a shared counter.
+/// Each seed builds its own simulator and drops it after its run, so no
+/// seed inherits the tables an earlier one grew. Summaries come back in
+/// seed order, bit-identical to running the seeds one after another.
+/// Cancellation is checked before each seed starts; `Progress` counts
+/// completions, numbered and sent under one lock so `completed` runs
+/// `1..=total` in order.
 fn simulate_seeds<P: Protocol>(
     job: JobId,
     spec: &SimulateSpec,
     ctl: &JobCtl,
     events: &EventSender,
-    make_protocol: impl Fn(usize) -> P,
+    make_protocol: impl Fn(usize) -> P + Sync,
 ) -> Result<Vec<SimSummary>, JobError> {
     let total = spec.seeds.len();
     let n = spec.world.n_nodes();
-    let mut out = Vec::with_capacity(total);
-    let mut sim: Option<Simulator<P>> = None;
-    for (i, &seed) in spec.seeds.iter().enumerate() {
-        if ctl.is_cancelled() {
-            return Err(JobError::Cancelled);
+    let next = AtomicUsize::new(0);
+    let completed = Mutex::new(0);
+    let run = || -> Result<Vec<(usize, SimSummary)>, JobError> {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(&seed) = spec.seeds.get(i) else {
+                return Ok(done);
+            };
+            if ctl.is_cancelled() {
+                return Err(JobError::Cancelled);
+            }
+            let mut world = spec.world.clone();
+            world.seed = seed;
+            let report = Simulator::from_world(&world, make_protocol(n)).run_to_end();
+            done.push((i, summarize(seed, &report)));
+            let mut completed = completed.lock().expect("progress counter poisoned");
+            *completed += 1;
+            events.send(JobEvent::Progress {
+                job,
+                completed: *completed,
+                total,
+            });
         }
-        let mut world = spec.world.clone();
-        world.seed = seed;
-        // First seed builds the simulator; later seeds reuse its
-        // pre-allocated structures through the reset path.
-        let report = match sim.as_mut() {
-            None => {
-                let mut s = Simulator::from_world(&world, make_protocol(n));
-                let report = s.run_to_end();
-                sim = Some(s);
-                report
-            }
-            Some(s) => {
-                let fresh = make_protocol(n);
-                s.reset_world_with(&world, |p| *p = fresh);
-                s.run_to_end()
-            }
-        };
-        out.push(summarize(seed, &report));
-        events.send(JobEvent::Progress {
-            job,
-            completed: i + 1,
-            total,
-        });
+    };
+    let threads = std::thread::available_parallelism()
+        .map_or(1, usize::from)
+        .min(total);
+    let parts = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(run)).collect();
+        let mut parts = vec![run()];
+        parts.extend(
+            helpers
+                .into_iter()
+                .map(|h| h.join().expect("simulate thread panicked")),
+        );
+        parts
+    });
+    let mut out = Vec::with_capacity(total);
+    for part in parts {
+        out.extend(part?);
     }
-    Ok(out)
+    out.sort_unstable_by_key(|&(i, _)| i);
+    Ok(out.into_iter().map(|(_, summary)| summary).collect())
 }
 
 fn summarize(seed: u64, report: &SimReport) -> SimSummary {
@@ -664,6 +692,76 @@ mod tests {
             assert_eq!(s.n_nodes, 6);
         }
         service.drain();
+    }
+
+    /// `SourceOnly`, except that the instance holding `gate` blocks at the
+    /// broadcast start until the gate is released.
+    struct Held {
+        gate: Option<mpsc::Receiver<()>>,
+    }
+
+    impl Protocol for Held {
+        fn on_start(&mut self, node: usize, api: &mut dyn manet::protocol::ProtocolApi) {
+            if let Some(gate) = self.gate.take() {
+                gate.recv().expect("the test releases the gate");
+            }
+            SourceOnly.on_start(node, api);
+        }
+        fn on_receive(
+            &mut self,
+            node: usize,
+            from: usize,
+            rx_dbm: f64,
+            api: &mut dyn manet::protocol::ProtocolApi,
+        ) {
+            SourceOnly.on_receive(node, from, rx_dbm, api);
+        }
+        fn on_timer(&mut self, node: usize, tag: u64, api: &mut dyn manet::protocol::ProtocolApi) {
+            SourceOnly.on_timer(node, tag, api);
+        }
+    }
+
+    #[test]
+    fn simulate_seeds_finishing_out_of_order_keep_seed_order() {
+        // Holding one seed while the others finish needs a second thread.
+        if std::thread::available_parallelism().map_or(1, usize::from) < 2 {
+            return;
+        }
+        let spec = SimulateSpec {
+            world: tiny_world(),
+            protocol: ProtocolSpec::SourceOnly,
+            seeds: (1..=6).collect(),
+        };
+        let total = spec.seeds.len();
+        // The first protocol built, for seed 1 or 2, holds its seed until
+        // every other seed has finished.
+        let (release, gate) = mpsc::channel();
+        let gate = Mutex::new(Some(gate));
+        let make = |_| Held {
+            gate: gate.lock().expect("gate poisoned").take(),
+        };
+        let (tx, rx) = mpsc::channel();
+        let events = EventSender(Mutex::new(tx));
+        let ctl = JobCtl::new();
+        let progress = |rx: &mpsc::Receiver<JobEvent>| match rx.recv() {
+            Ok(JobEvent::Progress {
+                completed, total, ..
+            }) => (completed, total),
+            other => panic!("expected progress, got {other:?}"),
+        };
+        let (summaries, seen) = std::thread::scope(|scope| {
+            let job = scope.spawn(|| simulate_seeds(JobId(1), &spec, &ctl, &events, make));
+            let mut seen: Vec<_> = (1..total).map(|_| progress(&rx)).collect();
+            release.send(()).expect("the held seed is waiting");
+            seen.push(progress(&rx));
+            (job.join().expect("simulate thread panicked"), seen)
+        });
+        assert_eq!(seen, (1..=total).map(|c| (c, total)).collect::<Vec<_>>());
+        let summaries = summaries.expect("not cancelled");
+        assert_eq!(
+            summaries.iter().map(|s| s.seed).collect::<Vec<_>>(),
+            spec.seeds
+        );
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! protocol → tuning problem → optimisers → archive → indicators — on
 //! laptop-sized budgets.
 
+use aedb_repro::mopt::archive::ARCHIVE_BISECTIONS;
 use aedb_repro::prelude::*;
 
 fn quick_problem() -> AedbProblem {
@@ -61,7 +62,7 @@ fn three_algorithms_produce_comparable_fronts() {
     let runs: Vec<RunResult> = algorithms.iter().map(|a| a.run(&problem, 3)).collect();
 
     // combined reference front (paper's normalisation protocol)
-    let mut combined = AgaArchive::new(200, 5);
+    let mut combined = AgaArchive::new(200, ARCHIVE_BISECTIONS);
     for r in &runs {
         assert!(!r.front.is_empty());
         for c in &r.front {
@@ -101,7 +102,7 @@ fn merged_front_dominates_no_worse_than_parts() {
     let r1 = mls.optimize(&problem, 10);
     let r2 = mls.optimize(&problem, 11);
 
-    let mut merged = AgaArchive::new(100, 5);
+    let mut merged = AgaArchive::new(100, ARCHIVE_BISECTIONS);
     for c in r1.front.iter().chain(&r2.front) {
         merged.try_insert(c.clone());
     }

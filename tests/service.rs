@@ -1,11 +1,13 @@
 //! Integration tests of the resident service (`serve::SimService`):
 //! lifecycle event ordering, bit-identity with the bench-harness
-//! experiment path, archive replay across a service restart, cooperative
-//! cancellation (AEDB-MLS rounds included), and memory/disk backend
-//! parity.
+//! experiment path and of multi-seed Simulate jobs with direct runs,
+//! archive replay across a service restart, cooperative cancellation
+//! (AEDB-MLS rounds and running Simulate jobs included), and memory/disk
+//! backend parity.
 
 use aedb_repro::prelude::*;
 use bench_harness::{run_algorithm, ExperimentScale};
+use serve::job::SimSummary;
 use serve::JobError;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -314,6 +316,156 @@ fn cancel_is_true_while_registered_and_false_after_the_terminal_event() {
             "no job to cancel after its terminal event"
         );
     }
+    service.drain();
+}
+
+/// The headline numbers of a direct run of `world` under `seed`, as a
+/// Simulate job reports them.
+fn direct_summary<P: Protocol>(world: &WorldSpec, seed: u64, protocol: P) -> SimSummary {
+    let mut world = world.clone();
+    world.seed = seed;
+    let report = Simulator::from_world(&world, protocol).run_to_end();
+    SimSummary {
+        seed,
+        n_nodes: report.n_nodes,
+        coverage: report.broadcast.coverage(),
+        broadcast_time: report.broadcast.broadcast_time(),
+        forwardings: report.broadcast.forwardings,
+        energy_dbm_sum: report.broadcast.energy_dbm_sum,
+        beacons_sent: report.counters.beacons_sent,
+        data_sent: report.counters.data_sent,
+        collision_losses: report.counters.collision_losses,
+    }
+}
+
+#[test]
+fn multi_seed_simulate_jobs_match_direct_runs() {
+    let service = SimService::in_memory();
+    let world = Scenario::paper(Density::D100).world(0);
+    let n = world.n_nodes();
+    let params = AedbParams::default_config();
+    let jitter = (0.0, 0.1);
+    // More seeds than cores, so every thread runs several and finishes
+    // them out of seed order.
+    let seeds: Vec<u64> = (11..18).collect();
+    let cases: [(ProtocolSpec, Vec<SimSummary>); 3] = [
+        (
+            ProtocolSpec::Flooding { jitter },
+            seeds
+                .iter()
+                .map(|&s| direct_summary(&world, s, Flooding::new(n, jitter)))
+                .collect(),
+        ),
+        (
+            ProtocolSpec::SourceOnly,
+            seeds
+                .iter()
+                .map(|&s| direct_summary(&world, s, SourceOnly))
+                .collect(),
+        ),
+        (
+            ProtocolSpec::Aedb(params),
+            seeds
+                .iter()
+                .map(|&s| direct_summary(&world, s, Aedb::new(n, params)))
+                .collect(),
+        ),
+    ];
+    for (protocol, direct) in cases {
+        let handle = service.submit(
+            JobSpec::Simulate(SimulateSpec {
+                world: world.clone(),
+                protocol: protocol.clone(),
+                seeds: seeds.clone(),
+            }),
+            Priority::Normal,
+        );
+        let mut progress = Vec::new();
+        let terminal = loop {
+            match handle.next_event() {
+                Some(JobEvent::Progress {
+                    completed, total, ..
+                }) => progress.push((completed, total)),
+                Some(ev) if ev.is_terminal() => break ev,
+                Some(_) => {}
+                None => panic!("service dropped the job"),
+            }
+        };
+        let total = seeds.len();
+        assert_eq!(
+            progress,
+            (1..=total).map(|c| (c, total)).collect::<Vec<_>>(),
+            "{protocol:?}: progress counts completions in order"
+        );
+        match terminal {
+            JobEvent::Finished {
+                replayed: false,
+                output,
+                ..
+            } => assert_eq!(
+                output.simulated().expect("simulate output"),
+                &direct[..],
+                "{protocol:?}: summaries match direct runs, in seed order"
+            ),
+            other => panic!("{protocol:?}: job ended with {other:?}"),
+        }
+    }
+    service.drain();
+}
+
+#[test]
+fn cancelling_a_running_simulate_job_fails_it_once() {
+    let service = SimService::in_memory();
+    let world = Scenario::paper(Density::D100).world(0);
+    // Far more seeds than finish before the cancel lands.
+    let total = 10_000;
+    let handle = service.submit(
+        JobSpec::Simulate(SimulateSpec {
+            world: world.clone(),
+            protocol: ProtocolSpec::SourceOnly,
+            seeds: (0..total).collect(),
+        }),
+        Priority::Normal,
+    );
+    // Cancel at the first completed seed (proof the job is mid-run), then
+    // drain: seeds already running still report their progress.
+    let mut cancelled = false;
+    let mut last = 0;
+    loop {
+        match handle.next_event() {
+            Some(JobEvent::Progress { completed, .. }) => {
+                assert_eq!(completed, last + 1, "progress counts completions");
+                last = completed;
+                if !cancelled {
+                    assert!(service.cancel(handle.id()));
+                    cancelled = true;
+                }
+            }
+            Some(JobEvent::Failed { error, .. }) => {
+                assert_eq!(error, JobError::Cancelled);
+                break;
+            }
+            Some(JobEvent::Finished { .. }) => panic!("cancelled simulate job finished"),
+            Some(_) => {}
+            None => panic!("service dropped the job"),
+        }
+    }
+    assert!(cancelled, "the job completed a seed before finishing");
+    assert!(last < total as usize, "the cancel stopped the job early");
+    // The terminal event was the stream's last: nothing follows it once
+    // the worker lets go of the job.
+    assert!(handle.next_event().is_none(), "one terminal event only");
+    // The worker is free and runs the next job to completion.
+    let next = service.submit(
+        JobSpec::Simulate(SimulateSpec {
+            world,
+            protocol: ProtocolSpec::SourceOnly,
+            seeds: vec![1, 2, 3],
+        }),
+        Priority::Normal,
+    );
+    let result = next.wait().expect("the next job finishes");
+    assert_eq!(result.output.simulated().map(<[_]>::len), Some(3));
     service.drain();
 }
 

@@ -52,14 +52,14 @@ pub struct AedbOutcome {
 }
 
 /// How many simulations an [`AedbProblem`] ran, how many protocol-free
-/// prefixes and broadcast edges it simulated to start them from, and how
-/// many stopped once their broadcast settled instead of at `end_time`
+/// prefixes it simulated to start them from, and how many stopped once
+/// their broadcast settled instead of at `end_time`
 /// ([`AedbProblem::sim_stats`]). Cache hits simulate nothing, so
 /// `simulations` counts `networks` per fresh evaluation.
 ///
 /// Over a problem's whole life the counters cross-check:
-/// `checkpoints ≤ networks`, `restores == simulations`,
-/// `edges ≤ simulations` and `settled ≤ simulations`.
+/// `checkpoints ≤ networks`, `restores == simulations` and
+/// `settled ≤ simulations`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimStats {
     /// Simulations run.
@@ -70,11 +70,8 @@ pub struct SimStats {
     /// Simulations that resumed from a network's checkpoint — every one,
     /// since no simulation runs from `t = 0`.
     pub restores: u64,
-    /// Broadcast-edge checkpoints taken: one per job of two or more
-    /// candidates, which all restore it (see `simulate_network`).
-    pub edges: u64,
     /// Simulations that stopped when their broadcast settled
-    /// ([`Simulator::run_broadcast`]); the others ran to `end_time` with a
+    /// ([`Simulator::settle`]); the others ran to `end_time` with a
     /// protocol timer or data frame still pending.
     pub settled: u64,
 }
@@ -120,7 +117,6 @@ pub struct AedbProblem {
     simulations: AtomicU64,
     checkpoints: AtomicU64,
     restores: AtomicU64,
-    edges: AtomicU64,
     settled: AtomicU64,
     /// When set, the cache is loaded from this storage slot on
     /// construction and flushed back on drop — repeated experiments start
@@ -176,7 +172,6 @@ impl AedbProblem {
             simulations: AtomicU64::new(0),
             checkpoints: AtomicU64::new(0),
             restores: AtomicU64::new(0),
-            edges: AtomicU64::new(0),
             settled: AtomicU64::new(0),
             cache_store: None,
         }
@@ -369,8 +364,8 @@ impl AedbProblem {
         )
     }
 
-    /// Simulations run so far, prefixes checkpointed, restores, broadcast
-    /// edges and simulations that stopped at settlement. On `N` networks,
+    /// Simulations run so far, prefixes checkpointed, restores and
+    /// simulations that stopped at settlement. On `N` networks,
     /// `m` fresh evaluations cost `m·N` simulations and `m·N` restores,
     /// while `checkpoints` stays at most `N` for the problem's whole life
     /// (see [`SimStats`]).
@@ -379,7 +374,6 @@ impl AedbProblem {
             simulations: self.simulations.load(Ordering::Relaxed),
             checkpoints: self.checkpoints.load(Ordering::Relaxed),
             restores: self.restores.load(Ordering::Relaxed),
-            edges: self.edges.load(Ordering::Relaxed),
             settled: self.settled.load(Ordering::Relaxed),
         }
     }
@@ -420,8 +414,8 @@ impl AedbProblem {
     /// Simulates `params` on network `k` and returns its raw observables,
     /// bit-identical to a straight run of the network under `params`: it
     /// restores the network's protocol-free prefix, kept for the
-    /// problem's life, and stops once the broadcast has settled
-    /// ([`Simulator::run_broadcast`]). Networks compile through the
+    /// problem's life, and settles the broadcast
+    /// ([`Simulator::settle`]). Networks compile through the
     /// declarative [`Scenario::world`] path, so heterogeneous dense
     /// scenarios (mixed mobility / power classes) pose the tuning problem
     /// exactly like homogeneous ones.
@@ -437,21 +431,19 @@ impl AedbProblem {
     /// (clamped at 0) that the first simulation of the network on this
     /// problem takes and that stays alive for the problem's life; it
     /// holds no neighbour entries, since no beacon received by then is
-    /// still live at the broadcast. A lone candidate runs straight from it. Two or more
-    /// share the window up to the broadcast too: the job restores the
-    /// prefix once, runs it to `broadcast_time.next_down()`, checkpoints
-    /// that edge (neighbour tables included) and restores every candidate
-    /// from there. Each candidate's tail ends when its broadcast settles
-    /// ([`Simulator::run_broadcast`]), not at `end_time`. The simulator
-    /// is one of the problem's own idle ones, or a new one when all are
-    /// busy; the restore re-arms it whatever network it ran before.
+    /// still live at the broadcast. Every candidate restores it and runs
+    /// [`Simulator::settle`], which resolves a beacon's receivers only
+    /// when the protocol reads a table (a few dozen reads per broadcast,
+    /// against thousands of receptions) and stops once the broadcast has
+    /// settled, not at `end_time`. The simulator is one of the problem's
+    /// own idle ones, or a new one when all are busy; the restore re-arms
+    /// it whatever network it ran before.
     ///
     /// The memory cost is one prefix per network and live problem
     /// (≈ 8/14/20 KiB for the paper's D100/D200/D300 worlds, and
-    /// proportionally more for dense scenarios), plus one edge per running
-    /// job, which also holds the live neighbour entries and is dropped
-    /// when the job ends, plus one simulator per concurrent job, kept idle
-    /// until the problem is dropped.
+    /// proportionally more for dense scenarios), plus one simulator per
+    /// concurrent job, kept idle until the problem is dropped, whose
+    /// deferred-beacon logs hold one read window of beacons and frames.
     fn simulate_network(&self, params: &[AedbParams], k: usize) -> Vec<AedbOutcome> {
         // Bind the checkout first: `self.sims.lock().pop().unwrap_or_else(…)`
         // would hold the lock while a new simulator is built.
@@ -462,20 +454,10 @@ impl AedbProblem {
         });
         let prefix = self.prefixes[k].get_or_init(|| self.take_prefix(&mut sim, k));
         let n = prefix.world().n_nodes();
-        let edge;
-        let start = if params.len() > 1 {
-            sim.restore(prefix, |_| {});
-            sim.run_until(prefix.world().broadcast_time.next_down());
-            self.edges.fetch_add(1, Ordering::Relaxed);
-            edge = sim.checkpoint();
-            &edge
-        } else {
-            prefix
-        };
         let outcomes = params
             .iter()
             .map(|&p| {
-                sim.restore(start, |proto| proto.reset(n, p));
+                sim.restore(prefix, |proto| proto.reset(n, p));
                 self.run(&mut sim)
             })
             .collect();
@@ -496,10 +478,10 @@ impl AedbProblem {
         sim.checkpoint()
     }
 
-    /// Runs `sim` until its broadcast settles (or `end_time`), counts the
+    /// Settles `sim`'s broadcast (or runs it to `end_time`), counts the
     /// simulation in [`SimStats`] and returns its observables.
     fn run(&self, sim: &mut Simulator<Aedb>) -> AedbOutcome {
-        let outcome = Self::outcome(sim.run_broadcast());
+        let outcome = Self::outcome(sim.settle());
         self.simulations.fetch_add(1, Ordering::Relaxed);
         if sim.stopped_before_end() {
             self.settled.fetch_add(1, Ordering::Relaxed);
@@ -551,8 +533,8 @@ impl AedbProblem {
     /// each candidate's observables averaged in network order.
     ///
     /// The work is split **network-major**: each job is one network and a
-    /// contiguous chunk of the candidates, and simulates that network's
-    /// pre-broadcast window once for the whole chunk
+    /// contiguous chunk of the candidates, simulated one after another on
+    /// one pooled simulator from the network's prefix
     /// (`simulate_network`). There are `min(candidates, ⌈threads /
     /// networks⌉)` chunks per network, so the `networks × chunks` jobs
     /// cover every pool thread — for a lone candidate the jobs **are** its
@@ -819,9 +801,8 @@ mod tests {
     fn sim_stats_count_shared_prefixes() {
         // m = 3 unique fresh vectors (plus a duplicate) on N = 2 networks,
         // sequentially: the first simulation on each network checkpoints
-        // its prefix, each network's job of three takes one broadcast
-        // edge, and every simulation restores. All six broadcasts settle
-        // well before the 40 s end.
+        // its prefix, and every simulation restores. All six broadcasts
+        // settle well before the 40 s end.
         let p = AedbProblem::paper(Scenario::quick(Density::D100, 2)).with_parallel_batches(false);
         let x = AedbParams::default_config().to_vec();
         let y = vec![0.0, 0.2, -70.0, 1.0, 50.0];
@@ -831,7 +812,6 @@ mod tests {
             simulations: 6,
             checkpoints: 2,
             restores: 6,
-            edges: 2,
             settled: 6,
         };
         assert_eq!(p.sim_stats(), want);
@@ -839,8 +819,7 @@ mod tests {
         assert_eq!(hits + misses, 4, "one lookup per vector");
         // A second batch and lone candidates through evaluate and
         // evaluate_batch restore the same checkpoints: N simulations and
-        // N restores each, and no new checkpoint. Only the batch of two
-        // takes edges, one per network. The batch's four
+        // N restores each, and no new checkpoint. The batch's four
         // broadcasts settle; multi-second forwarding delays leave two of
         // the four lone ones with protocol work pending at 40 s, so those
         // run to the end.
@@ -857,7 +836,6 @@ mod tests {
         );
         assert_eq!(stats.simulations, want.simulations + 8);
         assert_eq!(stats.restores, stats.simulations);
-        assert_eq!(stats.edges, want.edges + 2);
         assert_eq!(stats.settled, want.settled + 4 + 2);
         // Cache hits simulate nothing.
         p.evaluate_batch(&[x]);
@@ -865,11 +843,10 @@ mod tests {
     }
 
     #[test]
-    fn sim_stats_count_one_edge_per_multi_candidate_job() {
+    fn multi_candidate_jobs_match_one_at_a_time_evaluation() {
         // k = 3 candidates on N = 3 networks, one chunk per network: each
-        // network's job runs to the broadcast edge once, and all three
-        // candidates restore from there, bit-identical to evaluating them
-        // one at a time. A lone evaluate runs straight from the prefixes.
+        // network's job settles the three candidates one after another on
+        // one simulator, bit-identical to evaluating them one at a time.
         let p = AedbProblem::paper(Scenario::quick(Density::D100, 3))
             .with_eval_cache(false)
             .with_parallel_batches(false);
@@ -880,7 +857,6 @@ mod tests {
         ];
         let batch = p.evaluate_batch(&xs);
         let stats = p.sim_stats();
-        assert_eq!(stats.edges, 3, "one edge per network");
         assert_eq!(stats.checkpoints, 3);
         assert_eq!(stats.simulations, 9);
         assert_eq!(stats.restores, stats.simulations);
@@ -888,7 +864,6 @@ mod tests {
             assert_eq!(*ev, p.evaluate(x));
         }
         let lone = p.sim_stats();
-        assert_eq!(lone.edges, stats.edges, "lone evaluations take no edge");
         assert_eq!(lone.simulations, 18);
         assert_eq!(lone.restores, lone.simulations);
     }

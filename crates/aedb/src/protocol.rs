@@ -243,7 +243,7 @@ mod tests {
         fn transmit(&mut self, node: NodeId, tx_dbm: f64) {
             self.transmissions.push((node, tx_dbm));
         }
-        fn neighbors(&self, _node: NodeId) -> Vec<NeighborEntry> {
+        fn neighbors(&mut self, _node: NodeId) -> Vec<NeighborEntry> {
             self.neighbors.clone()
         }
         fn default_tx_dbm(&self) -> f64 {

@@ -31,14 +31,19 @@ pub trait ProtocolApi {
     /// age-filtered), sorted by node id. Allocates per call; protocol hot
     /// paths should prefer [`neighbors_into`](Self::neighbors_into) with a
     /// reused scratch buffer.
-    fn neighbors(&self, node: NodeId) -> Vec<NeighborEntry>;
+    ///
+    /// A read takes `&mut self`: under
+    /// [`Simulator::settle`](crate::sim::Simulator::settle) the simulator
+    /// resolves the reader's beacon receptions only when its table is
+    /// read.
+    fn neighbors(&mut self, node: NodeId) -> Vec<NeighborEntry>;
 
     /// Fills `out` with the live one-hop neighbour table of `node` (same
     /// contents and id-sorted order as [`neighbors`](Self::neighbors)),
     /// clearing it first and reusing its capacity. The simulator overrides
     /// this to run allocation-free; the default delegates to `neighbors`
     /// so scripted test harnesses need not implement both.
-    fn neighbors_into(&self, node: NodeId, out: &mut Vec<NeighborEntry>) {
+    fn neighbors_into(&mut self, node: NodeId, out: &mut Vec<NeighborEntry>) {
         out.clear();
         out.extend(self.neighbors(node));
     }

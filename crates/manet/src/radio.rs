@@ -381,6 +381,17 @@ impl ShadowCull {
         }
     }
 
+    /// The squared distance beyond which a link that drew `u1` certainly
+    /// fails the decode test, `None` when `u1` is too small to bound it
+    /// below the `+4σ` range: the smallest `hi²_k` whose `U_k` it exceeds,
+    /// so `culls(d2, u1)` holds exactly when `d2` is beyond it.
+    pub fn decode_bound_sq(&self, u1: f64) -> Option<f64> {
+        (0..3)
+            .rev()
+            .find(|&k| u1 > self.u_min[k])
+            .map(|k| self.hi_r2[k])
+    }
+
     /// Whether a candidate at squared distance `d2` whose link drew `u1`
     /// certainly fails the decode test (see the type docs for the proof).
     #[inline]

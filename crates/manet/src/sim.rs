@@ -112,6 +112,17 @@
 //! [`Simulator::run_broadcast`] stops a run as soon as the broadcast has
 //! settled — no protocol timer and no data frame left in flight — since
 //! the broadcast metrics cannot change after that.
+//!
+//! [`Simulator::settle`] is the terminal form of `run_broadcast` that the
+//! tuning problem evaluates with: the metrics see beacons only through the
+//! neighbour tables a protocol reads, a few dozen reads per broadcast
+//! against thousands of beacon receptions, so from its entry a beacon's
+//! end only prunes the air and is logged, and a table read resolves the
+//! reader's logged beacons with the oracle's receive test against the air
+//! and positions their eager queries saw. The metrics are bit-identical;
+//! the beacon counters and unread tables are not, so a settled simulator
+//! is spent until a restore or reset re-arms it. `run_broadcast` stays
+//! eager and continuable, the oracle `settle` is tested against.
 
 use crate::events::{EventQueue, SpatialActiveWindow};
 use crate::geometry::{Field, Vec2};
@@ -129,6 +140,7 @@ use crate::sweep::{DeliverySweep, SweepStats};
 use crate::world::{GroupPlacement, WorldSpec};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::collections::VecDeque;
 use std::time::Instant;
 
 /// Node identifier: an index in `0..n_nodes`.
@@ -394,6 +406,10 @@ struct World {
     mode: DeliveryMode,
     /// Whether delivery queries sample wall time into the profile.
     profile_on: bool,
+    /// Beacon receptions deferred by [`Simulator::settle`] until a
+    /// protocol reads a table; boxed, since runs that never settle only
+    /// test its flag.
+    deferred: Box<Deferred>,
 }
 
 /// The mutable state of the snapshot delivery pipeline: the batched
@@ -512,6 +528,186 @@ struct PowerClass {
     cull: ShadowCull,
 }
 
+/// Slack (m) of the lazy resolution's distance pre-filter, on top of the
+/// decode range and the reader's worst-case drift since the beacon: the
+/// drift bound is exact up to floating-point rounding, which a metre
+/// covers many times over (the same margin `hd_reach` adds).
+const DRIFT_SLACK_M: f64 = 1.0;
+
+/// The beacon receptions [`Simulator::settle`] defers until a protocol
+/// reads the receiver's table.
+///
+/// From `settle`'s entry, a beacon's `TxEnd` only prunes the air and logs
+/// the beacon here. A read of node `r`'s table first resolves, for `r`
+/// alone, the logged beacons it has not resolved yet and that the read
+/// filter could still return, oldest first, each with the oracle's exact
+/// receive test ([`receive_outcome`]) against what the eager query saw:
+///
+/// * **the air**: the logged frames that overlap the beacon and end after
+///   the prune floor in force at its query (the running maximum of every
+///   query start since entry), in insertion order — exactly the frames of
+///   `World::live` that overlap it when its `TxEnd` ran;
+/// * **the receiver**: its position at the beacon's end under the mobility
+///   version current at the beacon's dispatch, which the
+///   `MobilityChange`s since entry keep as replaced versions tagged with
+///   their dispatch ordinal.
+///
+/// The table then sees the same observations, at the same times and in
+/// the same order per sender, as the eager path writes; the ones it
+/// skips either were not decoded or are older than the read expiry, so
+/// no later read could return them. Everything is dropped once no read can need it, so the logs hold
+/// about one read window of beacons and frames, however long the tail.
+#[derive(Debug, Default)]
+struct Deferred {
+    /// Whether beacons are deferred: from `settle`'s entry until a reset
+    /// or restore re-arms the simulator.
+    on: bool,
+    /// Ordinal of the last beacon `TxEnd` or `MobilityChange` dispatched
+    /// since entry: orders mobility replacements against beacons.
+    ordinal: u64,
+    /// The running prune floor since entry: the latest start any delivery
+    /// query pruned the air at. Frames live at entry end after every
+    /// earlier floor, so `start` setting it to −∞ is exact.
+    floor: f64,
+    /// Every frame live at entry or started since, in start order;
+    /// `frames[i]` has sequence number `frames_base + i`.
+    frames: VecDeque<Transmission>,
+    frames_base: u64,
+    /// The beacons ended since entry, in dispatch order; `beacons[i]` has
+    /// sequence number `beacons_base + i`.
+    beacons: VecDeque<DeferredBeacon>,
+    beacons_base: u64,
+    /// Per node: the sequence number of the first beacon not yet resolved
+    /// into its table.
+    cursor: Vec<u64>,
+    /// Per node: the sequence numbers of its logged beacons, oldest first.
+    /// A read visits only the senders near the reader.
+    by_sender: Vec<VecDeque<u64>>,
+    /// How much farther apart than its decode range a sender and a reader
+    /// can be now, if the reader decoded one of the sender's beacons that
+    /// a read can still return (derived in `Simulator::settle`).
+    sender_drift: f64,
+    /// The largest decode range of any beacon, the `+4σ` tail included.
+    max_decode_r: f64,
+    /// Scratch: the beacons one read resolves, by sequence number, with
+    /// their link's decode range and `u1` draw.
+    pending: Vec<(u64, f64, f64)>,
+    /// Per node: the mobility versions replaced since entry that a logged
+    /// beacon may still need, oldest first, each tagged with the ordinal
+    /// of the `MobilityChange` that replaced it.
+    replaced: Vec<Vec<(u64, AnyMobility)>>,
+}
+
+/// A beacon logged by [`Deferred`].
+#[derive(Debug, Clone, Copy)]
+struct DeferredBeacon {
+    /// Sequence number of its frame in [`Deferred::frames`].
+    frame: u64,
+    /// The prune floor of its query, its own start included.
+    floor: f64,
+    /// Its dispatch ordinal.
+    ordinal: u64,
+}
+
+impl Deferred {
+    /// Starts deferring over `n_nodes` nodes with `live` on the air (see
+    /// the fields for `sender_drift` and `max_decode_r`).
+    fn start(
+        &mut self,
+        n_nodes: usize,
+        live: &[Transmission],
+        sender_drift: f64,
+        max_decode_r: f64,
+    ) {
+        self.release();
+        self.on = true;
+        self.sender_drift = sender_drift;
+        self.max_decode_r = max_decode_r;
+        self.ordinal = 0;
+        self.floor = f64::NEG_INFINITY;
+        self.frames.extend(live.iter().copied());
+        self.frames_base = 0;
+        self.beacons_base = 0;
+        self.cursor.resize(n_nodes, 0);
+        self.by_sender.resize_with(n_nodes, VecDeque::new);
+        self.replaced.resize_with(n_nodes, Vec::new);
+    }
+
+    /// Frees the logs once `settle` has returned: nothing can read a
+    /// table of a spent simulator, and an idle pooled simulator should
+    /// not hold a read window.
+    fn release(&mut self) {
+        self.frames = VecDeque::new();
+        self.beacons = VecDeque::new();
+        self.cursor = Vec::new();
+        self.by_sender = Vec::new();
+        self.pending = Vec::new();
+        self.replaced = Vec::new();
+    }
+
+    /// The logged frame with sequence number `seq`.
+    fn frame(&self, seq: u64) -> &Transmission {
+        &self.frames[(seq - self.frames_base) as usize]
+    }
+
+    /// Logs the beacon `tx` whose `TxEnd` runs now, at `now`, after its
+    /// query's prune, and drops what no read at `now` or later can need.
+    fn log_beacon(&mut self, tx: &Transmission, now: f64, expiry: f64) {
+        self.ordinal += 1;
+        // The frame was logged when it started (or was on the air at
+        // entry); starts are sorted, and a node starts one beacon at a time.
+        let from = self.frames.partition_point(|o| o.start < tx.start);
+        let offset = self
+            .frames
+            .range(from..)
+            .position(|o| o.sender == tx.sender && o.kind == FrameKind::Beacon)
+            .expect("a beacon ending while deferred was logged when it started");
+        self.by_sender[tx.sender].push_back(self.beacons_base + self.beacons.len() as u64);
+        self.beacons.push_back(DeferredBeacon {
+            frame: self.frames_base + (from + offset) as u64,
+            floor: self.floor,
+            ordinal: self.ordinal,
+        });
+        // Reads filter on `now − end <= expiry` and happen at `now` or
+        // later: an older beacon can never be returned again.
+        while let Some(b) = self.beacons.front() {
+            let &Transmission { end, sender, .. } = self.frame(b.frame);
+            if now - end <= expiry {
+                break;
+            }
+            self.by_sender[sender].pop_front();
+            self.beacons.pop_front();
+            self.beacons_base += 1;
+        }
+        // Every retained or future beacon has a floor at least the oldest
+        // retained one's and reads only frames ending after its floor. A
+        // retained beacon's own frame ends after its floor, so it stays.
+        let floor = self.beacons.front().map_or(self.floor, |b| b.floor);
+        while self.frames.front().is_some_and(|o| o.end < floor) {
+            self.frames.pop_front();
+            self.frames_base += 1;
+        }
+    }
+
+    /// Keeps `old`, the mobility version of `node` that the
+    /// `MobilityChange` dispatched now replaces, for the logged beacons
+    /// that ended under it.
+    #[cold]
+    #[inline(never)]
+    fn replace(&mut self, node: NodeId, old: &AnyMobility) {
+        self.ordinal += 1;
+        let versions = &mut self.replaced[node];
+        // A version replaced before the oldest logged beacon's dispatch is
+        // no beacon's; and with no beacon logged, neither is this one.
+        let Some(oldest) = self.beacons.front() else {
+            versions.clear();
+            return;
+        };
+        versions.retain(|&(tag, _)| tag > oldest.ordinal);
+        versions.push((self.ordinal, old.clone()));
+    }
+}
+
 /// Outcome of the exact per-receiver delivery test.
 enum Reception {
     OutOfRange,
@@ -557,6 +753,7 @@ impl World {
             capture_ratio_mw: 0.0,
             mode: DeliveryMode::default(),
             profile_on: false,
+            deferred: Box::default(),
         };
         let spec = world.spec.clone();
         world.reset(spec);
@@ -593,8 +790,14 @@ impl World {
         self.queue.clear();
         self.in_flight.clear();
         self.rng = SmallRng::seed_from_u64(spec.seed);
+        self.deferred.on = false;
+        // Per-node vectors are sized to the node count, not to the next
+        // power of two pushes would grow them to; a reused simulator keeps
+        // whatever capacity it already has.
         self.mobility.clear();
+        self.mobility.reserve_exact(n_nodes);
         self.node_tx.clear();
+        self.node_tx.reserve_exact(n_nodes);
         let mut node = 0usize;
         for group in &spec.groups {
             let tx = group.tx_power_dbm.unwrap_or(spec.radio.default_tx_dbm);
@@ -682,6 +885,7 @@ impl World {
             .rebuild(self.spec.field, mobility.iter().map(|m| m.segment()));
         self.reset_query_scratch();
         self.refresh_gen.clear();
+        self.refresh_gen.reserve_exact(n);
         self.refresh_gen.resize(n, 0);
         for node in 0..n {
             self.schedule_grid_refresh(node);
@@ -695,6 +899,7 @@ impl World {
         for t in &mut self.tables {
             t.clear();
         }
+        self.tables.reserve_exact(n_nodes - self.tables.len());
         self.tables.resize_with(n_nodes, NeighborTable::new);
     }
 
@@ -821,53 +1026,136 @@ impl World {
         self.max_gate_r = self.max_gate_r.max(gate);
         self.live.push(tx);
         self.frames.insert(kind.lane(), tx.end, tx.pos, tx);
+        if self.deferred.on {
+            self.deferred.frames.push_back(tx);
+        }
         let slot = self.in_flight.insert(tx);
         self.queue.schedule(tx.end, Event::TxEnd(slot));
     }
 
-    /// The naive oracle's exact delivery test for receiver `r` under
-    /// propagation, half-duplex and capture rules, scanning every live
-    /// frame. [`compute_deliveries_snapshot`](World::compute_deliveries_snapshot)
-    /// reproduces its arithmetic bit for bit.
-    fn receive_outcome(&self, tx: &Transmission, r: NodeId) -> Reception {
-        let pl = self.spec.radio.path_loss;
-        let sens = self.spec.radio.rx_sensitivity_dbm;
-        let capture_ratio = dbm_to_mw(self.spec.radio.capture_db);
-        let sigma = self.spec.radio.shadowing_sigma_db;
+    /// Resolves the beacons deferred since [`Simulator::settle`]'s entry
+    /// into `reader`'s table before a read (see [`Deferred`]): those it
+    /// has not resolved yet that the read filter could still return,
+    /// oldest first.
+    ///
+    /// Conservative distance checks come first. A receiver that decoded a
+    /// beacon sat within the link's decode range of the beacon's position
+    /// at its end: the power class's range, or under shadowing the
+    /// narrower one the link's draw allows ([`ShadowCull::decode_bound_sq`]).
+    /// Since then it has moved at most `max_speed` per second, and so has
+    /// the sender. So the grid sweep gathers only the senders near the
+    /// reader now, and a beacon whose position is farther from the reader
+    /// than that range plus the reader's drift is skipped. Then the exact
+    /// position, the log-free decode band (unshadowed) or the shadow
+    /// pre-cull, and the oracle's receive test. Skipped beacons are never
+    /// revisited: they could not have been decoded.
+    fn resolve_deferred(&mut self, reader: NodeId) {
+        let d = &mut self.deferred;
+        let end = d.beacons_base + d.beacons.len() as u64;
+        let first = d.cursor[reader].max(d.beacons_base);
+        d.cursor[reader] = end;
+        if first == end {
+            return;
+        }
+        let now = self.queue.now();
+        let expiry = self.spec.neighbor_expiry;
+        let radio = &self.spec.radio;
         let seed = self.spec.seed;
-        // Receiver position sampled at frame end (= now): frames last
-        // milliseconds while nodes move at ≤ 2 m/s, so start-vs-end
-        // sampling differs by millimetres — but `now` is always ahead
-        // of any mobility-segment origin, keeping queries monotone.
-        let rpos = self.position(r, tx.end);
-        let rx_dbm = pl.rx_dbm(tx.tx_dbm, tx.pos.distance(rpos))
-            + crate::radio::link_shadowing_db(sigma, seed, tx.sender, r);
-        if rx_dbm < sens {
-            return Reception::OutOfRange;
+        let sigma = radio.shadowing_sigma_db;
+        let max_duration = radio.beacon_duration.max(radio.data_duration);
+        let here = self.mobility[reader].position(now);
+        // The beacons of the senders near the reader, in log order. A
+        // sender farther than its link's decode range plus `sender_drift`
+        // now cannot have reached it (see `Simulator::settle`). Under
+        // shadowing the link's draw bounds its gain (`ShadowCull`), so the
+        // range is usually the link's own rather than the `+4σ` one.
+        let mut near = std::mem::take(&mut self.scratch.filtered);
+        near.clear();
+        self.scratch.sweep.filter_into(
+            &self.grid,
+            &self.snapshot,
+            here,
+            now,
+            d.max_decode_r + d.sender_drift,
+            GRID_BUCKET_SLACK_M,
+            &mut near,
+        );
+        d.pending.clear();
+        for &(sender, _, d2) in &near {
+            if sender == reader {
+                continue;
+            }
+            let class = self.scratch.power_class(radio, self.node_tx[sender]);
+            let u1 = if sigma > 0.0 {
+                LinkDraw::new(seed, sender, reader).u1
+            } else {
+                0.0
+            };
+            let link_r = class
+                .cull
+                .decode_bound_sq(u1)
+                .map_or(class.decode_r, f64::sqrt);
+            let reach = link_r + d.sender_drift;
+            if d2 > reach * reach {
+                continue;
+            }
+            let mine = d.by_sender[sender].iter().rev();
+            let mine = mine.take_while(|&&seq| seq >= first);
+            d.pending.extend(mine.map(|&seq| (seq, link_r, u1)));
         }
-        // Half duplex: a node that transmitted during the frame loses it.
-        let mut interference_mw = 0.0;
-        for o in &self.live {
-            if o.start >= tx.end || o.end <= tx.start {
-                continue; // no overlap
+        self.scratch.filtered = near;
+        d.pending.sort_unstable_by_key(|&(seq, _, _)| seq);
+        let d = &self.deferred;
+        for &(seq, link_r, u1) in &d.pending {
+            let b = &d.beacons[(seq - d.beacons_base) as usize];
+            let tx = d.frame(b.frame);
+            if now - tx.end > expiry {
+                continue;
             }
-            if o.sender == tx.sender && o.start == tx.start && o.end == tx.end {
-                continue; // the frame itself (copy in the log)
+            let reach = link_r + self.max_speed * (now - tx.end) + DRIFT_SLACK_M;
+            if tx.pos.distance_sq(here) > reach * reach {
+                continue;
             }
-            if o.sender == r {
-                return Reception::HalfDuplex;
+            // The version current at the beacon's dispatch: the oldest one
+            // replaced after it, or the current one.
+            let mobility = d.replaced[reader]
+                .iter()
+                .find(|&&(tag, _)| tag > b.ordinal)
+                .map_or(&self.mobility[reader], |(_, m)| m);
+            let rpos = mobility.position(tx.end);
+            let d2 = tx.pos.distance_sq(rpos);
+            let culled = if sigma <= 0.0 {
+                d2 > tx.decode_hi_r2
+            } else {
+                self.scratch
+                    .power_class(radio, tx.tx_dbm)
+                    .cull
+                    .culls(d2, u1)
+            };
+            if culled {
+                continue;
             }
-            let o_rx = pl.rx_dbm(o.tx_dbm, o.pos.distance(rpos))
-                + crate::radio::link_shadowing_db(sigma, seed, o.sender, r);
-            if o_rx >= sens - INTERFERENCE_FLOOR_DB {
-                // Only energy near the sensitivity floor matters.
-                interference_mw += dbm_to_mw(o_rx);
+            // The frames of the beacon's query that can overlap it: no
+            // frame starting `max_duration` or more before it reaches its
+            // start, none starting at or after its end overlaps it. A frame
+            // beyond its gating radius adds nothing to the oracle's sum
+            // (it is below the interference floor), so only the reader's
+            // own frames, which decide half duplex, pass from out there.
+            let from = d
+                .frames
+                .partition_point(|o| o.start + max_duration <= tx.start);
+            let air = d
+                .frames
+                .range(from..)
+                .take_while(|o| o.start < tx.end)
+                .filter(|o| o.end > b.floor)
+                .filter(|o| o.sender == reader || o.pos.distance_sq(rpos) <= o.gate_r2);
+            if let Reception::Delivered(rx_dbm) =
+                receive_outcome(radio, seed, tx, reader, rpos, air)
+            {
+                self.tables[reader].observe(tx.sender, rx_dbm, tx.end, expiry);
             }
         }
-        if interference_mw > 0.0 && dbm_to_mw(rx_dbm) < capture_ratio * interference_mw {
-            return Reception::Collided;
-        }
-        Reception::Delivered(rx_dbm)
     }
 
     fn record_loss(&mut self, tx: &Transmission, outcome: &Reception) {
@@ -901,18 +1189,36 @@ impl World {
         }
     }
 
+    /// A beacon's `TxEnd` under [`Simulator::settle`]: later queries must
+    /// see the air its query would have left, and its receivers wait for
+    /// a read (see [`Deferred`]). Kept out of line: runs that never settle
+    /// never call it.
+    #[cold]
+    #[inline(never)]
+    fn defer_beacon(&mut self, tx: &Transmission) {
+        self.prune_air(tx.start);
+        let now = self.queue.now();
+        self.deferred.log_beacon(tx, now, self.spec.neighbor_expiry);
+    }
+
+    /// Drops the transmissions that ended at or before `start`, the start
+    /// of the frame being queried: they can no longer overlap it — nor any
+    /// future frame, since simulation time is monotone. Both views of the
+    /// air are pruned at the same threshold, and the deferred beacons'
+    /// prune floor follows it.
+    fn prune_air(&mut self, start: f64) {
+        self.live.retain(|o| o.end > start);
+        self.frames.prune(start);
+        self.deferred.floor = self.deferred.floor.max(start);
+    }
+
     /// Successful receivers of `tx` under propagation, half-duplex and
     /// capture rules, appended to `out` as `(node, rx_dbm)` in ascending
     /// node order. Both [`DeliveryMode`]s run the same exact per-receiver
     /// arithmetic, so they produce identical results.
     fn compute_deliveries(&mut self, tx: &Transmission, out: &mut Vec<(NodeId, f64)>) {
         let t_start = self.profile_on.then(Instant::now);
-        // Transmissions that ended at or before this frame's start can no
-        // longer overlap it — nor any future frame, since simulation time
-        // is monotone. Both views of the air are pruned at the same
-        // threshold.
-        self.live.retain(|o| o.end > tx.start);
-        self.frames.prune(tx.start);
+        self.prune_air(tx.start);
         match self.mode {
             DeliveryMode::Incremental => self.compute_deliveries_snapshot(tx, out, t_start),
             DeliveryMode::Naive => self.compute_deliveries_naive(tx, out, t_start),
@@ -1171,7 +1477,13 @@ impl World {
     ) {
         let t_mid = self.profile_on.then(Instant::now);
         for r in (0..self.n_nodes).filter(|&r| r != tx.sender) {
-            let outcome = self.receive_outcome(tx, r);
+            // Receiver position sampled at frame end (= now): frames last
+            // milliseconds while nodes move at ≤ 2 m/s, so start-vs-end
+            // sampling differs by millimetres — but `now` is always ahead
+            // of any mobility-segment origin, keeping queries monotone.
+            let rpos = self.position(r, tx.end);
+            let outcome =
+                receive_outcome(&self.spec.radio, self.spec.seed, tx, r, rpos, &self.live);
             self.record_loss(tx, &outcome);
             if let Reception::Delivered(rx_dbm) = outcome {
                 out.push((r, rx_dbm));
@@ -1193,6 +1505,56 @@ impl World {
 /// on `exp_scale`, 2 is the knee: 3 shaves little more off the filter but
 /// grows the cell walk and the refresh stream.
 const GRID_CELL_DIVISOR: f64 = 2.0;
+
+/// The oracle's exact delivery test of `tx` at receiver `r`, at `rpos` at
+/// the frame's end, under propagation, half-duplex and capture rules
+/// against the frames on the `air` in transmission order (the frame
+/// itself may be among them). The naive oracle passes every live frame,
+/// the deferred beacon resolution the logged frames of the beacon's query
+/// ([`Deferred`]);
+/// [`compute_deliveries_snapshot`](World::compute_deliveries_snapshot)
+/// reproduces its arithmetic bit for bit.
+fn receive_outcome<'a>(
+    radio: &RadioConfig,
+    seed: u64,
+    tx: &Transmission,
+    r: NodeId,
+    rpos: Vec2,
+    air: impl IntoIterator<Item = &'a Transmission>,
+) -> Reception {
+    let pl = radio.path_loss;
+    let sens = radio.rx_sensitivity_dbm;
+    let capture_ratio = dbm_to_mw(radio.capture_db);
+    let sigma = radio.shadowing_sigma_db;
+    let rx_dbm = pl.rx_dbm(tx.tx_dbm, tx.pos.distance(rpos))
+        + crate::radio::link_shadowing_db(sigma, seed, tx.sender, r);
+    if rx_dbm < sens {
+        return Reception::OutOfRange;
+    }
+    // Half duplex: a node that transmitted during the frame loses it.
+    let mut interference_mw = 0.0;
+    for o in air {
+        if o.start >= tx.end || o.end <= tx.start {
+            continue; // no overlap
+        }
+        if o.sender == tx.sender && o.start == tx.start && o.end == tx.end {
+            continue; // the frame itself (copy in the log)
+        }
+        if o.sender == r {
+            return Reception::HalfDuplex;
+        }
+        let o_rx = pl.rx_dbm(o.tx_dbm, o.pos.distance(rpos))
+            + crate::radio::link_shadowing_db(sigma, seed, o.sender, r);
+        if o_rx >= sens - INTERFERENCE_FLOOR_DB {
+            // Only energy near the sensitivity floor matters.
+            interference_mw += dbm_to_mw(o_rx);
+        }
+    }
+    if interference_mw > 0.0 && dbm_to_mw(rx_dbm) < capture_ratio * interference_mw {
+        return Reception::Collided;
+    }
+    Reception::Delivered(rx_dbm)
+}
 
 /// The shared interference/half-duplex frame loop of the fused delivery
 /// query: replays the gathered `frames` (already sorted into global
@@ -1301,11 +1663,16 @@ impl ProtocolApi for World {
         self.start_transmission(node, tx_dbm, FrameKind::Data);
     }
 
-    fn neighbors(&self, node: NodeId) -> Vec<NeighborEntry> {
-        self.tables[node].live(self.queue.now(), self.spec.neighbor_expiry, &self.node_tx)
+    fn neighbors(&mut self, node: NodeId) -> Vec<NeighborEntry> {
+        let mut out = Vec::new();
+        self.neighbors_into(node, &mut out);
+        out
     }
 
-    fn neighbors_into(&self, node: NodeId, out: &mut Vec<NeighborEntry>) {
+    fn neighbors_into(&mut self, node: NodeId, out: &mut Vec<NeighborEntry>) {
+        if self.deferred.on {
+            self.resolve_deferred(node);
+        }
         self.tables[node].live_into(
             self.queue.now(),
             self.spec.neighbor_expiry,
@@ -1525,6 +1892,7 @@ impl<P: Protocol> Simulator<P> {
     /// Runs to `end_time` and returns the report, keeping the simulator
     /// alive for a subsequent [`reset_world`](Self::reset_world).
     pub fn run_to_end(&mut self) -> SimReport {
+        self.check_armed("run_to_end");
         self.run_until(self.world.spec.end_time);
         SimReport {
             broadcast: self.world.metrics.clone(),
@@ -1535,7 +1903,12 @@ impl<P: Protocol> Simulator<P> {
 
     /// Processes events up to (and including) time `t`, leaving the
     /// simulator inspectable — used for topology snapshots and debugging.
+    ///
+    /// # Panics
+    /// Panics on a simulator spent by [`settle`](Self::settle), like every
+    /// method that runs events.
     pub fn run_until(&mut self, t: f64) {
+        self.check_armed("run_until");
         self.run_events(t, |_| false);
     }
 
@@ -1561,9 +1934,66 @@ impl<P: Protocol> Simulator<P> {
     /// [`stopped_before_end`](Self::stopped_before_end) tells whether the
     /// run stopped at settlement or ran to `end_time` with protocol work
     /// still pending.
+    ///
+    /// Every beacon is resolved as it ends, so the run can go on. When
+    /// nothing will, [`settle`](Self::settle) gives the same metrics for
+    /// less.
     pub fn run_broadcast(&mut self) -> &BroadcastMetrics {
+        self.check_armed("run_broadcast");
         self.run_events(self.world.spec.end_time, World::settled);
         &self.world.metrics
+    }
+
+    /// Runs to the same stop as [`run_broadcast`](Self::run_broadcast) and
+    /// returns the same [`BroadcastMetrics`], bit for bit, resolving a
+    /// beacon's receivers only when a protocol reads the receiver's
+    /// neighbour table. This is the terminal form: the simulator is
+    /// **spent** afterwards, until [`restore`](Self::restore),
+    /// [`reset_world`](Self::reset_world) or
+    /// [`reset_world_with`](Self::reset_world_with) re-arms it.
+    ///
+    /// The broadcast metrics see beacons only through the tables a
+    /// protocol reads, a few per forwarding decision, while every beacon
+    /// reaches dozens of receivers. So from here on a beacon's end only
+    /// prunes the air, as its query would, and is logged; a table read
+    /// first resolves, for the reader alone, the logged beacons it could
+    /// still return, with the oracle's receive test against the air and
+    /// the receiver position that beacon's eager query saw (see
+    /// [`ProtocolApi::neighbors`]). The logs keep one read window of
+    /// beacons and frames (`neighbor_expiry`), however long the run.
+    ///
+    /// Beacon reception and loss counters and the tables nobody read are
+    /// incomplete afterwards, which is why the simulator refuses to run on
+    /// or to [`checkpoint`](Self::checkpoint). Read-only accessors such as
+    /// [`now`](Self::now) and
+    /// [`stopped_before_end`](Self::stopped_before_end) still answer.
+    ///
+    /// # Panics
+    /// Panics on a spent simulator.
+    pub fn settle(&mut self) -> &BroadcastMetrics {
+        self.check_armed("settle");
+        let w = &mut self.world;
+        // A reader decoded a beacon within the link's decode range of its
+        // sender's position at its start; both have moved at most
+        // `max_speed` per second since, for at most the read expiry plus
+        // the beacon.
+        let radio = &w.spec.radio;
+        let drift = 2.0 * w.max_speed * (w.spec.neighbor_expiry + radio.beacon_duration);
+        let max_decode_r = w.scratch.power_class(radio, w.spec.max_tx_dbm()).decode_r;
+        w.deferred
+            .start(w.n_nodes, &w.live, drift + DRIFT_SLACK_M, max_decode_r);
+        self.run_events(self.world.spec.end_time, World::settled);
+        self.world.deferred.release();
+        &self.world.metrics
+    }
+
+    /// Panics when [`settle`](Self::settle) spent this simulator and no
+    /// reset or restore has re-armed it since.
+    fn check_armed(&self, what: &str) {
+        assert!(
+            !self.world.deferred.on,
+            "{what} on a simulator spent by settle(): restore a checkpoint or reset the world first"
+        );
     }
 
     /// Whether events due at or before `end_time` are still queued: after
@@ -1621,8 +2051,10 @@ impl<P: Protocol> Simulator<P> {
     /// before `broadcast_time − neighbor_expiry` carries (next to) none.
     ///
     /// # Panics
-    /// Panics if the broadcast has started.
+    /// Panics if the broadcast has started, or on a simulator spent by
+    /// [`settle`](Self::settle).
     pub fn checkpoint(&self) -> Checkpoint {
+        self.check_armed("checkpoint");
         // Exhaustive on purpose: a new `World` field fails to compile here
         // until someone decides whether a checkpoint must carry it.
         let World {
@@ -1657,6 +2089,8 @@ impl<P: Protocol> Simulator<P> {
             delivery_scratch: _,
             mode: _,
             profile_on: _,
+            // Off (checked above): nothing is deferred before `settle`.
+            deferred: _,
             max_gate_r,
             hd_reach,
             capture_ratio_mw,
@@ -1783,6 +2217,7 @@ impl<P: Protocol> Simulator<P> {
         w.capture_ratio_mw = *capture_ratio_mw;
         w.delivery_scratch.clear();
         w.reset_query_scratch();
+        w.deferred.on = false;
         rearm(&mut self.protocol);
     }
 
@@ -1802,6 +2237,11 @@ impl<P: Protocol> Simulator<P> {
             }
             Event::MobilityChange(id) => {
                 let node = id as NodeId;
+                if self.world.deferred.on {
+                    self.world
+                        .deferred
+                        .replace(node, &self.world.mobility[node]);
+                }
                 self.world.mobility[node].advance(&mut self.world.rng);
                 let next = self.world.mobility[node].next_change();
                 if next.is_finite() {
@@ -1814,6 +2254,10 @@ impl<P: Protocol> Simulator<P> {
             }
             Event::TxEnd(slot) => {
                 let tx = self.world.in_flight.take(slot);
+                if tx.kind == FrameKind::Beacon && self.world.deferred.on {
+                    self.world.defer_beacon(&tx);
+                    return;
+                }
                 let mut deliveries = std::mem::take(&mut self.world.delivery_scratch);
                 deliveries.clear();
                 self.world.compute_deliveries(&tx, &mut deliveries);
@@ -2384,6 +2828,66 @@ mod tests {
         let mut sim = Simulator::from_world(&c, SourceOnly);
         sim.run_broadcast();
         assert!(sim.stopped_before_end() && sim.now() < 30.1);
+    }
+
+    /// A flooding variant that reads the forwarder's neighbour table
+    /// before every transmission, so settled runs resolve deferred
+    /// beacons, and lowers its power by 0.01 dB per live neighbour, so a
+    /// wrong table changes the energy metric.
+    struct ReadingFlood(Flooding);
+
+    impl Protocol for ReadingFlood {
+        fn on_start(&mut self, node: NodeId, api: &mut dyn ProtocolApi) {
+            let _ = api.neighbors(node);
+            self.0.on_start(node, api);
+        }
+        fn on_receive(&mut self, node: NodeId, from: NodeId, rx: f64, api: &mut dyn ProtocolApi) {
+            self.0.on_receive(node, from, rx, api);
+        }
+        fn on_timer(&mut self, node: NodeId, _tag: u64, api: &mut dyn ProtocolApi) {
+            let table = api.neighbors(node);
+            let tx = api.node_tx_dbm(node) - table.len() as f64 * 0.01;
+            api.transmit(node, tx);
+        }
+    }
+
+    #[test]
+    fn settle_matches_run_broadcast_and_spends_the_simulator() {
+        let c = WorldSpec::paper(60, 4);
+        let n = c.n_nodes();
+        let flood = || ReadingFlood(Flooding::new(n, (0.01, 0.3)));
+        let straight = Simulator::from_world(&c, flood()).run();
+        let mut sim = Simulator::from_world(&c, flood());
+        sim.run_until(c.broadcast_time - c.neighbor_expiry);
+        let prefix = sim.checkpoint();
+        assert_eq!(*sim.settle(), straight.broadcast);
+        assert!(sim.stopped_before_end());
+        // Restored, the spent simulator reproduces a straight run, and
+        // settles again.
+        sim.restore(&prefix, |p| *p = flood());
+        let again = sim.run_to_end();
+        assert_eq!(again.broadcast, straight.broadcast);
+        assert_eq!(again.counters, straight.counters);
+        sim.reset_world_with(&c, |p| *p = flood());
+        assert_eq!(*sim.settle(), straight.broadcast);
+    }
+
+    #[test]
+    #[should_panic(expected = "run_until on a simulator spent by settle()")]
+    fn a_settled_simulator_refuses_to_run_on() {
+        let c = WorldSpec::paper(20, 3);
+        let mut sim = Simulator::from_world(&c, Flooding::new(20, (0.0, 0.1)));
+        sim.settle();
+        sim.run_until(c.end_time);
+    }
+
+    #[test]
+    #[should_panic(expected = "checkpoint on a simulator spent by settle()")]
+    fn a_settled_simulator_refuses_to_checkpoint() {
+        let c = WorldSpec::paper(20, 3);
+        let mut sim = Simulator::from_world(&c, Flooding::new(20, (0.0, 0.1)));
+        sim.settle();
+        let _ = sim.checkpoint();
     }
 
     #[test]

@@ -154,11 +154,17 @@ impl ProtocolApi for RecordingApi<'_> {
         });
         self.inner.transmit(node, tx_dbm);
     }
-    fn neighbors(&self, node: NodeId) -> Vec<crate::neighbor::NeighborEntry> {
+    fn neighbors(&mut self, node: NodeId) -> Vec<crate::neighbor::NeighborEntry> {
         self.inner.neighbors(node)
+    }
+    fn neighbors_into(&mut self, node: NodeId, out: &mut Vec<crate::neighbor::NeighborEntry>) {
+        self.inner.neighbors_into(node, out);
     }
     fn default_tx_dbm(&self) -> f64 {
         self.inner.default_tx_dbm()
+    }
+    fn node_tx_dbm(&self, node: NodeId) -> f64 {
+        self.inner.node_tx_dbm(node)
     }
     fn rx_sensitivity_dbm(&self) -> f64 {
         self.inner.rx_sensitivity_dbm()
@@ -284,6 +290,33 @@ mod tests {
         // the chain forces node 2 to hear from node 1, not 0
         let parent_of_2 = tree.iter().find(|(_, c)| *c == 2).map(|(p, _)| *p);
         assert_eq!(parent_of_2, Some(1));
+    }
+
+    #[test]
+    fn tracing_forwards_power_classes() {
+        // A heterogeneous world: the tracer must hand the wrapped protocol
+        // each node's own power class, so a traced run reports exactly
+        // what an untraced one does.
+        use crate::world::NodeGroup;
+        let spec = WorldSpec::builder()
+            .area(300.0, 300.0)
+            .seed(5)
+            .group(NodeGroup::new(20))
+            .group(NodeGroup::new(10).tx_power_dbm(8.0))
+            .build()
+            .expect("valid spec");
+        let flooding = || Flooding::new(30, (0.0, 0.1));
+        let plain = Simulator::from_world(&spec, flooding()).run();
+        let log = TraceLog::new();
+        let traced = Simulator::from_world(&spec, Traced::new(flooding(), log.clone())).run();
+        assert_eq!(traced.broadcast, plain.broadcast);
+        let quiet: Vec<f64> = log
+            .transmissions()
+            .into_iter()
+            .filter(|&(node, _, _)| node >= 20)
+            .map(|(_, tx_dbm, _)| tx_dbm)
+            .collect();
+        assert!(!quiet.is_empty() && quiet.iter().all(|&tx_dbm| tx_dbm == 8.0));
     }
 
     #[test]

@@ -156,9 +156,8 @@ fn golden_fronts_pin_every_optimizer() {
 fn mls_evaluates_each_round_as_one_checkpointed_batch() {
     // P·T walkers, E evaluations each, N networks, cache off, one thread:
     // the starts and every round are one batch of P·T fresh candidates.
-    // Each network's prefix is simulated once for the problem's life;
-    // every batch runs each network to its broadcast edge once, and every
-    // simulation restores.
+    // Each network's prefix is simulated once for the problem's life, and
+    // every simulation restores it.
     let (pops, walkers, evals) = (2u64, 2u64, 5u64);
     let problem = AedbProblem::paper(Scenario::quick(Density::D100, 2))
         .with_eval_cache(false)
@@ -178,7 +177,6 @@ fn mls_evaluates_each_round_as_one_checkpointed_batch() {
             simulations: pt * evals * n,
             checkpoints: n,
             restores: pt * evals * n,
-            edges: evals * n,
             settled: 35,
         }
     );

@@ -1045,6 +1045,190 @@ proptest! {
     }
 }
 
+/// The lazy-settle checks of one world under one protocol on one delivery
+/// path: `settle` must return `run_broadcast`'s metrics bit for bit and
+/// stop at the same point, from a fresh simulator, from one in mid
+/// broadcast, and from checkpoints restored into a pooled simulator that
+/// `settle` spent on `other`.
+fn check_lazy_settle<P: Protocol>(
+    spec: &WorldSpec,
+    other: &WorldSpec,
+    at: f64,
+    mode: DeliveryMode,
+    make: impl Fn(usize) -> P,
+) -> Result<(), String> {
+    let n = spec.n_nodes();
+    let fresh = |spec: &WorldSpec| sim_in(spec, make(spec.n_nodes()), mode);
+    let mut oracle = fresh(spec);
+    let want = oracle.run_broadcast().clone();
+    let stopped = oracle.stopped_before_end();
+
+    let mut sim = fresh(spec);
+    prop_assert_eq!(sim.settle(), &want);
+    prop_assert_eq!(sim.stopped_before_end(), stopped);
+
+    // Mid-broadcast, with the source's data frame on the air at entry.
+    let mut sim = fresh(spec);
+    sim.run_until(spec.broadcast_time + 0.5 * spec.radio.data_duration);
+    prop_assert_eq!(sim.settle(), &want);
+
+    // Somewhere in the prefix, the tuning problem's prefix at
+    // `broadcast − expiry`, and the edge with the neighbour tables full.
+    let prefix = (spec.broadcast_time - spec.neighbor_expiry).max(0.0);
+    let mut donor = fresh(spec);
+    let mut pooled = fresh(other);
+    pooled.settle();
+    for t in [at * prefix, prefix, spec.broadcast_time.next_down()] {
+        donor.run_until(t);
+        let checkpoint = donor.checkpoint();
+        for _ in 0..2 {
+            pooled.restore(&checkpoint, |p| *p = make(n));
+            prop_assert_eq!(pooled.settle(), &want);
+            prop_assert_eq!(pooled.stopped_before_end(), stopped);
+        }
+    }
+    Ok(())
+}
+
+/// Jittered flooding that reads the sender's neighbour table before every
+/// transmission and lowers its power by a digest of the entries, so the
+/// energy metric fingerprints every table the protocol reads.
+struct DigestFlooding {
+    seen: Vec<bool>,
+    jitter: f64,
+}
+
+impl DigestFlooding {
+    fn transmit(node: usize, api: &mut dyn ProtocolApi) {
+        let digest = api.neighbors(node).iter().fold(0u64, |h, e| {
+            let entry = e.id as u64 ^ e.rx_dbm.to_bits() ^ e.last_seen.to_bits().rotate_left(17);
+            (h ^ entry).wrapping_mul(0x100_0000_01b3)
+        });
+        let tx = api.node_tx_dbm(node) - (digest % 1000) as f64 * 1e-3;
+        api.transmit(node, tx);
+    }
+}
+
+impl Protocol for DigestFlooding {
+    fn on_start(&mut self, node: usize, api: &mut dyn ProtocolApi) {
+        self.seen[node] = true;
+        Self::transmit(node, api);
+    }
+
+    fn on_receive(&mut self, node: usize, _from: usize, _rx_dbm: f64, api: &mut dyn ProtocolApi) {
+        if !self.seen[node] {
+            self.seen[node] = true;
+            let delay = api.rand() * self.jitter;
+            api.set_timer(node, delay, 0);
+        }
+    }
+
+    fn on_timer(&mut self, node: usize, _tag: u64, api: &mut dyn ProtocolApi) {
+        Self::transmit(node, api);
+    }
+}
+
+/// A world of `walkers` plus `other` nodes on a `side`-metre square,
+/// broadcasting over `[6, 6 + tail]` s.
+fn mixed_world(
+    seed: u64,
+    side: f64,
+    walkers: NodeGroup,
+    other: NodeGroup,
+    radio: manet::RadioConfig,
+    tail: f64,
+) -> WorldSpec {
+    WorldSpec::builder()
+        .area(side, side)
+        .radio(radio)
+        .seed(seed)
+        .group(walkers)
+        .group(other)
+        .broadcast_window(6.0, 6.0 + tail)
+        .build()
+        .expect("valid spec")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn settle_matches_run_broadcast_bit_for_bit(
+        seed in 0u64..10_000,
+        n_walk in 8usize..40,
+        walk_speed in 1.0f64..15.0,
+        n_other in 2usize..10,
+        other_kind in 0usize..2,
+        power_idx in 0usize..3,
+        shadowed_i in 0usize..2,
+        long_beacons_i in 0usize..2,
+        mode_i in 0usize..2,
+        field_side in 200.0f64..600.0,
+        tail in 0.5f64..4.0,
+        at in 0.0f64..1.0,
+        jitter in 0.01f64..2.0,
+        min_delay in 0.0f64..1.0,
+        delay_span in 0.05f64..4.0,
+        border in -95.0f64..-70.0,
+        margin in 0.0f64..3.0,
+        neighbors in 0.0f64..50.0,
+    ) {
+        // Lazy beacon resolution is exact: whatever the world (shadowed,
+        // heterogeneous power and mobility), the delivery path, the
+        // protocol and the start (fresh, a restored prefix or edge), the
+        // broadcast metrics equal the eager oracle's. Walkers re-draw
+        // every 2 s at up to 15 m/s, so mobility versions change under
+        // logged beacons and readers drift far from where a beacon found
+        // them. Beacons outlasting data frames let a data query prune the
+        // air above a later beacon's start, which its resolution must
+        // reproduce. Flooding reads no table; AEDB reads one per forwarder
+        // and uses a few entries; the digest flooding fingerprints every
+        // entry of every table it reads.
+        use manet::mobility::MobilityModel;
+        let mode = [DeliveryMode::Incremental, DeliveryMode::Naive][mode_i];
+        let other_mobility = [
+            MobilityModel::Stationary,
+            MobilityModel::RandomWaypoint { pause: 1.0 },
+        ][other_kind];
+        let other_power = [10.0, 5.0, 16.02][power_idx];
+        let group = |n_walk: usize| {
+            NodeGroup::new(n_walk)
+                .mobility(MobilityModel::RandomWalk { change_interval: 2.0 })
+                .speed_range(0.0, walk_speed)
+        };
+        let other = NodeGroup::new(n_other)
+            .mobility(other_mobility)
+            .tx_power_dbm(other_power);
+        let radio = |shadowed: bool| {
+            let mut radio = manet::RadioConfig::paper();
+            radio.shadowing_sigma_db = if shadowed { 4.0 } else { 0.0 };
+            if long_beacons_i == 1 {
+                radio.beacon_duration = 0.01;
+                radio.data_duration = 0.003;
+            }
+            radio
+        };
+        let shadowed = shadowed_i == 1;
+        let spec = mixed_world(seed, field_side, group(n_walk), other.clone(), radio(shadowed), tail);
+        let other = mixed_world(
+            seed + 1, field_side + 300.0, group(n_walk + 20), other, radio(!shadowed), tail,
+        );
+        let params = AedbParams {
+            min_delay,
+            max_delay: min_delay + delay_span,
+            border_threshold: border,
+            margin_threshold: margin,
+            neighbors_threshold: neighbors,
+        };
+        check_lazy_settle(&spec, &other, at, mode, |n| Flooding::new(n, (0.0, jitter)))?;
+        check_lazy_settle(&spec, &other, at, mode, |n| Aedb::new(n, params))?;
+        check_lazy_settle(&spec, &other, at, mode, |n| DigestFlooding {
+            seen: vec![false; n],
+            jitter,
+        })?;
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -1164,6 +1348,11 @@ proptest! {
         for &d in &distances {
             for &u1 in &uniforms {
                 let worst = sigma * (-2.0 * u1.max(1e-300).ln()).sqrt().min(4.0);
+                // The link's decode bound is exactly where the cull starts.
+                prop_assert_eq!(
+                    cull.culls(d * d, u1),
+                    cull.decode_bound_sq(u1).is_some_and(|bound| d * d > bound)
+                );
                 if cull.culls(d * d, u1) {
                     prop_assert!(
                         pl.rx_dbm(tx, d) + worst < sens,

@@ -51,9 +51,9 @@ pub struct AedbOutcome {
     pub broadcast_time: f64,
 }
 
-/// How many simulations an [`AedbProblem`] ran, how many protocol-free
-/// prefixes it simulated to start them from, and how many stopped once
-/// their broadcast settled instead of at `end_time`
+/// How many simulations an [`AedbProblem`] ran, how many broadcast edges
+/// it simulated to start them from, and how many stopped once their
+/// broadcast settled instead of at `end_time`
 /// ([`AedbProblem::sim_stats`]). Cache hits simulate nothing, so
 /// `simulations` counts `networks` per fresh evaluation.
 ///
@@ -64,11 +64,11 @@ pub struct AedbOutcome {
 pub struct SimStats {
     /// Simulations run.
     pub simulations: u64,
-    /// Prefix checkpoints taken: one the first time each network is
-    /// simulated, kept for the problem's life.
+    /// Broadcast-edge checkpoints taken: one the first time each network
+    /// is simulated, kept for the problem's life.
     pub checkpoints: u64,
-    /// Simulations that resumed from a network's checkpoint — every one,
-    /// since no simulation runs from `t = 0`.
+    /// Simulations that resumed from a network's edge — every one, since
+    /// no simulation runs from `t = 0`.
     pub restores: u64,
     /// Simulations that stopped when their broadcast settled
     /// ([`Simulator::settle`]); the others ran to `end_time` with a
@@ -80,10 +80,11 @@ pub struct SimStats {
 ///
 /// Evaluation simulates the candidate on every fixed network of the
 /// scenario (the inner loop of the paper, which dominates runtime) and
-/// averages the metrics. Each network's protocol-free prefix is
-/// simulated once for the problem's life and restored for every
-/// simulation on it. Every entry point — [`Problem::evaluate_batch`],
-/// [`Problem::evaluate`] and [`evaluate_full`](Self::evaluate_full) —
+/// averages the metrics. Each network is simulated up to its broadcast
+/// once for the problem's life, and every simulation on it restores that
+/// edge and settles only its own broadcast. Every entry point —
+/// [`Problem::evaluate_batch`], [`Problem::evaluate`] and
+/// [`evaluate_full`](Self::evaluate_full) —
 /// runs one pipeline that fans the (candidate × network) product out over
 /// a thread pool at once: the unit of parallelism the optimisers feed a
 /// generation at a time, and the network axis of a lone candidate. A
@@ -96,9 +97,9 @@ pub struct SimStats {
 /// freed with the problem, so a finished campaign keeps none alive.
 pub struct AedbProblem {
     scenario: Scenario,
-    /// Each network's protocol-free prefix, taken the first time the
-    /// network is simulated (see `simulate_network`).
-    prefixes: Vec<OnceLock<Checkpoint>>,
+    /// Each network's broadcast edge, taken the first time the network is
+    /// simulated (see `simulate_network`).
+    edges: Vec<OnceLock<Checkpoint>>,
     /// Idle simulators, reused across batches; never more than the peak
     /// number of concurrent simulations.
     sims: Mutex<Vec<Simulator<Aedb>>>,
@@ -161,7 +162,7 @@ impl AedbProblem {
             "a tuning scenario needs at least one network"
         );
         Self {
-            prefixes: (0..scenario.n_networks).map(|_| OnceLock::new()).collect(),
+            edges: (0..scenario.n_networks).map(|_| OnceLock::new()).collect(),
             sims: Mutex::new(Vec::new()),
             scenario,
             bounds: AedbParams::bounds(),
@@ -364,7 +365,7 @@ impl AedbProblem {
         )
     }
 
-    /// Simulations run so far, prefixes checkpointed, restores and
+    /// Simulations run so far, edges checkpointed, restores and
     /// simulations that stopped at settlement. On `N` networks,
     /// `m` fresh evaluations cost `m·N` simulations and `m·N` restores,
     /// while `checkpoints` stays at most `N` for the problem's whole life
@@ -413,8 +414,8 @@ impl AedbProblem {
 
     /// Simulates `params` on network `k` and returns its raw observables,
     /// bit-identical to a straight run of the network under `params`: it
-    /// restores the network's protocol-free prefix, kept for the
-    /// problem's life, and settles the broadcast
+    /// restores the network's broadcast edge, kept for the problem's life,
+    /// and settles the broadcast
     /// ([`Simulator::settle`]). Networks compile through the
     /// declarative [`Scenario::world`] path, so heterogeneous dense
     /// scenarios (mixed mobility / power classes) pose the tuning problem
@@ -426,24 +427,26 @@ impl AedbProblem {
     /// Simulates every candidate of `params` on network `k`, in order,
     /// each with bit-identical results to a straight run from `t = 0`.
     ///
-    /// No simulation starts at `t = 0`. The network's protocol-free
-    /// prefix is a [`Checkpoint`] at `broadcast_time − neighbor_expiry`
-    /// (clamped at 0) that the first simulation of the network on this
-    /// problem takes and that stays alive for the problem's life; it
-    /// holds no neighbour entries, since no beacon received by then is
-    /// still live at the broadcast. Every candidate restores it and runs
-    /// [`Simulator::settle`], which resolves a beacon's receivers only
-    /// when the protocol reads a table (a few dozen reads per broadcast,
-    /// against thousands of receptions) and stops once the broadcast has
-    /// settled, not at `end_time`. The simulator is one of the problem's
-    /// own idle ones, or a new one when all are busy; the restore re-arms
-    /// it whatever network it ran before.
+    /// No simulation starts at `t = 0`. The first simulation of the network
+    /// on this problem runs it once up to the instant before its broadcast,
+    /// deferring beacon receptions all the way ([`Simulator::defer_beacons`]):
+    /// nothing reads a table before the broadcast, so the beacons a read
+    /// could still return wait in the deferred log, and the [`Checkpoint`]
+    /// taken at that edge carries the log in compact form and stays alive
+    /// for the problem's life. Every candidate restores the edge and runs
+    /// [`Simulator::settle`], which resolves a beacon's receivers only when
+    /// the protocol reads a table (a few dozen reads per broadcast, against
+    /// thousands of receptions) and stops once the broadcast has settled,
+    /// not at `end_time`. The simulator is one of the problem's own idle
+    /// ones, or a new one when all are busy; the restore re-arms it
+    /// whatever network it ran before.
     ///
-    /// The memory cost is one prefix per network and live problem
-    /// (≈ 8/14/20 KiB for the paper's D100/D200/D300 worlds, and
+    /// The memory cost is one edge per network and live problem
+    /// (≈ 5.2/9.4/13.6 KiB for the paper's D100/D200/D300 worlds, and
     /// proportionally more for dense scenarios), plus one simulator per
     /// concurrent job, kept idle until the problem is dropped, whose
-    /// deferred-beacon logs hold one read window of beacons and frames.
+    /// deferred-beacon logs hold one read window of beacons and frames
+    /// while it settles.
     fn simulate_network(&self, params: &[AedbParams], k: usize) -> Vec<AedbOutcome> {
         // Bind the checkout first: `self.sims.lock().pop().unwrap_or_else(…)`
         // would hold the lock while a new simulator is built.
@@ -452,12 +455,12 @@ impl AedbProblem {
             let world = self.scenario.world(k);
             Simulator::from_world(&world, Aedb::new(world.n_nodes(), params[0]))
         });
-        let prefix = self.prefixes[k].get_or_init(|| self.take_prefix(&mut sim, k));
-        let n = prefix.world().n_nodes();
+        let edge = self.edges[k].get_or_init(|| self.take_edge(&mut sim, k));
+        let n = edge.world().n_nodes();
         let outcomes = params
             .iter()
             .map(|&p| {
-                sim.restore(prefix, |proto| proto.reset(n, p));
+                sim.restore(edge, |proto| proto.reset(n, p));
                 self.run(&mut sim)
             })
             .collect();
@@ -467,13 +470,15 @@ impl AedbProblem {
         outcomes
     }
 
-    /// Simulates network `k`'s protocol-free prefix on `sim` and
-    /// checkpoints it. The engine calls no protocol before the broadcast,
-    /// so `sim`'s protocol is left as it is: every restore re-arms it.
-    fn take_prefix(&self, sim: &mut Simulator<Aedb>, k: usize) -> Checkpoint {
+    /// Simulates network `k` on `sim` up to its broadcast edge, deferring
+    /// beacons from `t = 0`, and checkpoints it there. The engine calls no
+    /// protocol before the broadcast, so `sim`'s protocol is left as it
+    /// is: every restore re-arms it.
+    fn take_edge(&self, sim: &mut Simulator<Aedb>, k: usize) -> Checkpoint {
         let world = self.scenario.world(k);
         sim.reset_world_with(&world, |_| {});
-        sim.run_until((world.broadcast_time - world.neighbor_expiry).max(0.0));
+        sim.defer_beacons();
+        sim.run_until(world.broadcast_time.next_down());
         self.checkpoints.fetch_add(1, Ordering::Relaxed);
         sim.checkpoint()
     }
@@ -534,7 +539,7 @@ impl AedbProblem {
     ///
     /// The work is split **network-major**: each job is one network and a
     /// contiguous chunk of the candidates, simulated one after another on
-    /// one pooled simulator from the network's prefix
+    /// one pooled simulator from the network's edge
     /// (`simulate_network`). There are `min(candidates, ⌈threads /
     /// networks⌉)` chunks per network, so the `networks × chunks` jobs
     /// cover every pool thread — for a lone candidate the jobs **are** its
@@ -801,7 +806,7 @@ mod tests {
     fn sim_stats_count_shared_prefixes() {
         // m = 3 unique fresh vectors (plus a duplicate) on N = 2 networks,
         // sequentially: the first simulation on each network checkpoints
-        // its prefix, and every simulation restores. All six broadcasts
+        // its broadcast edge, and every simulation restores. All six broadcasts
         // settle well before the 40 s end.
         let p = AedbProblem::paper(Scenario::quick(Density::D100, 2)).with_parallel_batches(false);
         let x = AedbParams::default_config().to_vec();

@@ -17,7 +17,7 @@
 //! paper's hybrid model (MPI between populations, threads within one)
 //! becomes one batch per round: the problem's evaluation pool is the
 //! parallelism, and on `AedbProblem` the round's `P·T` candidates all
-//! restore each network's one simulated protocol-free prefix. Every
+//! restore each network's one simulated broadcast edge. Every
 //! random draw comes from a per-walker RNG or the archive's RNG, consumed
 //! in `(p, k)` order, so a run is a pure function of its configuration
 //! and seed.

@@ -113,6 +113,35 @@ impl<E> EventQueue<E> {
         self.heap.peek().map(|e| e.time)
     }
 
+    /// The pending events in pop order, with their times.
+    pub(crate) fn in_order(&self) -> Vec<(f64, &E)> {
+        let mut entries: Vec<&Entry<E>> = self.heap.iter().collect();
+        // `Ord` is reversed for the max-heap: the greatest entry pops first.
+        entries.sort_unstable_by(|a, b| b.cmp(a));
+        entries.into_iter().map(|e| (e.time, &e.payload)).collect()
+    }
+
+    /// Replaces the pending events with `events`, given in pop order (as
+    /// [`in_order`](Self::in_order) lists them), and sets the clock to
+    /// `now`. The events are renumbered in that order, so equal times pop
+    /// as they did and every event scheduled later ranks after them: the
+    /// queue pops exactly like the one the list was taken from.
+    pub(crate) fn refill_in_order(&mut self, now: f64, events: impl IntoIterator<Item = (f64, E)>) {
+        self.heap.clear();
+        self.seq = 0;
+        self.now = now;
+        for (time, payload) in events {
+            debug_assert!(time >= now, "an event before the clock");
+            // In pop order every push is the heap's least entry: no sift.
+            self.heap.push(Entry {
+                time,
+                seq: self.seq,
+                payload,
+            });
+            self.seq += 1;
+        }
+    }
+
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -368,6 +397,29 @@ mod tests {
         for i in 0..10 {
             assert_eq!(q.pop(), Some((5.0, i)));
         }
+    }
+
+    #[test]
+    fn a_queue_refilled_in_order_pops_like_the_original() {
+        // Ties at 2.0 across the heap, then events scheduled after the
+        // copy at an existing time: they must pop after the copied ones.
+        let mut q = EventQueue::new();
+        for (t, v) in [(2.0, 0), (1.0, 1), (2.0, 2), (3.0, 3), (2.0, 4), (1.5, 5)] {
+            q.schedule(t, v);
+        }
+        q.pop();
+        let listed: Vec<(f64, i32)> = q.in_order().into_iter().map(|(t, &v)| (t, v)).collect();
+        let mut copy = EventQueue::new();
+        copy.schedule(9.0, -1);
+        copy.refill_in_order(q.now(), listed);
+        assert_eq!(copy.now(), q.now());
+        for queue in [&mut q, &mut copy] {
+            queue.schedule(2.0, 6);
+        }
+        while let Some(want) = q.pop() {
+            assert_eq!(copy.pop(), Some(want));
+        }
+        assert_eq!(copy.pop(), None);
     }
 
     #[test]

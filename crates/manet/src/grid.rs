@@ -333,6 +333,63 @@ impl SpatialGrid {
     pub fn n_nodes(&self) -> usize {
         self.cell_idx.len()
     }
+
+    /// The grid in the compact form [`unpack`](Self::unpack) takes back:
+    /// every bucket's members, in order, one array for all cells.
+    pub(crate) fn pack(&self) -> PackedGrid {
+        let mut ends = Vec::with_capacity(self.buckets.len());
+        let mut members = Vec::with_capacity(self.cell_idx.len());
+        for bucket in &self.buckets {
+            members.extend_from_slice(bucket);
+            ends.push(u32::try_from(members.len()).expect("node ids fit u32"));
+        }
+        PackedGrid {
+            geom: self.geom,
+            ends,
+            members,
+            stats: self.stats,
+        }
+    }
+
+    /// Makes this grid the one `packed` was taken from: the same cells,
+    /// members in the same bucket order, and counters. Reuses the bucket
+    /// allocations where the geometry matches.
+    pub(crate) fn unpack(&mut self, packed: &PackedGrid) {
+        if self.geom != packed.geom {
+            self.geom = packed.geom;
+            self.buckets.clear();
+            self.buckets.resize_with(self.geom.n_cells(), Vec::new);
+        }
+        self.stats = packed.stats;
+        let n = packed.members.len();
+        self.slot.clear();
+        self.slot.resize(n, u32::MAX);
+        self.cell_idx.clear();
+        self.cell_idx.resize(n, NONE);
+        let mut start = 0;
+        for (c, (bucket, &end)) in self.buckets.iter_mut().zip(&packed.ends).enumerate() {
+            let members = &packed.members[start..end as usize];
+            bucket.clear();
+            bucket.extend_from_slice(members);
+            for (s, &i) in members.iter().enumerate() {
+                self.slot[i as usize] = s as u32;
+                self.cell_idx[i as usize] = c;
+            }
+            start = end as usize;
+        }
+    }
+}
+
+/// A [`SpatialGrid`] packed by [`SpatialGrid::pack`]: cell `c`'s members
+/// are `members[ends[c - 1]..ends[c]]` (from 0 for cell 0), in bucket
+/// order. About 4 bytes per node and per cell, against a bucket header
+/// and allocation per cell plus two per-node indices.
+#[derive(Debug, Clone)]
+pub(crate) struct PackedGrid {
+    geom: CellGeometry,
+    ends: Vec<u32>,
+    members: Vec<u32>,
+    stats: GridStats,
 }
 
 #[cfg(test)]
@@ -393,6 +450,36 @@ mod tests {
                 brute_force(&pts, center, r),
                 "query ({cx},{cy}) r={r}"
             );
+        }
+    }
+
+    #[test]
+    fn unpacking_a_packed_grid_reproduces_it() {
+        // Moves perturb the bucket orders; a grid of another field unpacks
+        // the packed copy into the same buckets, cells and counters, and
+        // moves on from there exactly like the original.
+        let field = Field::new(500.0, 500.0);
+        let mut grid = SpatialGrid::new(field, 140.0);
+        let pts = pseudo_points(200, 500.0);
+        grid.rebuild(pts.len(), |i| pts[i]);
+        let moved = pseudo_points(60, 500.0);
+        for (i, &p) in moved.iter().enumerate() {
+            grid.update_node(3 * i, p);
+        }
+        let mut copy = SpatialGrid::new(Field::new(90.0, 90.0), 30.0);
+        copy.rebuild(4, |_| Vec2::new(1.0, 1.0));
+        copy.unpack(&grid.pack());
+        for (i, &p) in pts.iter().enumerate().take(50) {
+            assert_eq!(grid.update_node(i, p), copy.update_node(i, p));
+        }
+        assert_eq!(copy.geometry(), grid.geometry());
+        assert_eq!(copy.stats(), grid.stats());
+        assert_eq!(copy.n_nodes(), grid.n_nodes());
+        for cell in 0..grid.geometry().n_cells() {
+            assert_eq!(copy.bucket(cell), grid.bucket(cell));
+        }
+        for i in 0..grid.n_nodes() {
+            assert_eq!(copy.node_cell(i), grid.node_cell(i));
         }
     }
 

@@ -344,6 +344,43 @@ pub enum AnyMobility {
     Still(Stationary),
 }
 
+impl AnyMobility {
+    /// An instance of `model`, drawing speeds from `speed_range` in
+    /// `field`, resumed on `segment`, which one of its own
+    /// [`segment`](Mobility::segment)s returned: the state a model keeps
+    /// beyond its group's settings is exactly its current segment, so a
+    /// simulator can store a node's mobility as the segment alone.
+    pub fn resume(
+        model: MobilityModel,
+        field: Field,
+        speed_range: (f64, f64),
+        segment: &KinematicSegment,
+    ) -> Self {
+        match model {
+            MobilityModel::RandomWalk { change_interval } => AnyMobility::Walk(RandomWalk {
+                field,
+                speed_range,
+                change_interval,
+                origin: segment.origin,
+                t0: segment.t0,
+                velocity: segment.velocity,
+            }),
+            MobilityModel::RandomWaypoint { pause } => AnyMobility::Waypoint(RandomWaypoint {
+                field,
+                speed_range,
+                pause,
+                origin: segment.origin,
+                dest: segment.dest,
+                t0: segment.t0,
+                arrival: segment.arrival,
+            }),
+            MobilityModel::Stationary => AnyMobility::Still(Stationary {
+                pos: segment.origin,
+            }),
+        }
+    }
+}
+
 impl Mobility for AnyMobility {
     fn position(&self, t: f64) -> Vec2 {
         match self {
@@ -463,6 +500,49 @@ mod tests {
             &mut rng,
         );
         assert_eq!(w.position(15.0), Vec2::new(5.0, 5.0));
+    }
+
+    #[test]
+    fn resumed_models_continue_like_the_originals() {
+        // Resumed on its segment, each model moves, re-draws and reports
+        // exactly like the original, through several changes.
+        let models = [
+            (
+                MobilityModel::RandomWalk {
+                    change_interval: 1.5,
+                },
+                (0.0, 2.0),
+            ),
+            (MobilityModel::RandomWaypoint { pause: 0.5 }, (0.5, 3.0)),
+            (MobilityModel::Stationary, (0.0, 0.0)),
+        ];
+        for (model, speeds) in models {
+            let mut rng = SmallRng::seed_from_u64(8);
+            let start = Vec2::new(40.0, 60.0);
+            let mut original = match model {
+                MobilityModel::RandomWalk { change_interval } => AnyMobility::Walk(
+                    RandomWalk::new(field(), start, speeds, change_interval, 0.0, &mut rng),
+                ),
+                MobilityModel::RandomWaypoint { pause } => AnyMobility::Waypoint(
+                    RandomWaypoint::new(field(), start, speeds, pause, 0.0, &mut rng),
+                ),
+                MobilityModel::Stationary => AnyMobility::Still(Stationary { pos: start }),
+            };
+            original.advance(&mut rng);
+            let mut resumed = AnyMobility::resume(model, field(), speeds, &original.segment());
+            let mut twin = rng.clone();
+            for _ in 0..4 {
+                let t = original.next_change().min(100.0);
+                assert_eq!(format!("{resumed:?}"), format!("{original:?}"));
+                assert_eq!(
+                    resumed.position(t * 0.999).x.to_bits(),
+                    original.position(t * 0.999).x.to_bits()
+                );
+                assert_eq!(resumed.speed(t), original.speed(t));
+                original.advance(&mut rng);
+                resumed.advance(&mut twin);
+            }
+        }
     }
 
     #[test]

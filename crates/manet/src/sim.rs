@@ -106,9 +106,9 @@
 //! without per-run heap churn — batched evaluation runs thousands of
 //! simulations per optimizer generation. [`Simulator::checkpoint`] and
 //! [`Simulator::restore`] go one step further: the state before the
-//! broadcast does not depend on the protocol, so a batch simulates that
-//! prefix of each network once and restores it for every further
-//! candidate (see [`Checkpoint`]). At the other end,
+//! broadcast does not depend on the protocol, so the tuning problem
+//! simulates each network up to its broadcast once and restores that edge
+//! for every candidate (see [`Checkpoint`]). At the other end,
 //! [`Simulator::run_broadcast`] stops a run as soon as the broadcast has
 //! settled — no protocol timer and no data frame left in flight — since
 //! the broadcast metrics cannot change after that.
@@ -123,13 +123,17 @@
 //! the beacon counters and unread tables are not, so a settled simulator
 //! is spent until a restore or reset re-arms it. `run_broadcast` stays
 //! eager and continuable, the oracle `settle` is tested against.
+//! [`Simulator::defer_beacons`] is `settle`'s first half: a simulator
+//! deferring from before the broadcast still runs and checkpoints up to
+//! the broadcast start, and the checkpoint carries the log, so every
+//! candidate's restore starts deferring at the broadcast edge.
 
 use crate::events::{EventQueue, SpatialActiveWindow};
 use crate::geometry::{Field, Vec2};
-use crate::grid::{CellGeometry, GridStats, SpatialGrid};
+use crate::grid::{CellGeometry, GridStats, PackedGrid, SpatialGrid};
 use crate::metrics::{BroadcastMetrics, SimCounters};
 use crate::mobility::{
-    AnyMobility, Mobility, MobilityModel, RandomWalk, RandomWaypoint, Stationary,
+    AnyMobility, KinematicSegment, Mobility, MobilityModel, RandomWalk, RandomWaypoint, Stationary,
 };
 use crate::neighbor::{NeighborEntry, NeighborTable, Observation};
 use crate::protocol::{Protocol, ProtocolApi};
@@ -137,7 +141,7 @@ use crate::radio::{dbm_to_mw, LinkDraw, RadioConfig, ShadowCull, INTERFERENCE_FL
 use crate::reach::{ReachLists, REACH_SKIN_M};
 use crate::snapshot::KinematicSnapshot;
 use crate::sweep::{DeliverySweep, SweepStats};
-use crate::world::{GroupPlacement, WorldSpec};
+use crate::world::{GroupPlacement, NodeGroup, WorldSpec};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
@@ -309,6 +313,82 @@ impl FrameKind {
     }
 }
 
+/// What a [`Transmission`] derives from its transmit power alone: the
+/// ε-inflated interference gating radius and the log-free decode and
+/// floor bands. Three `powf`s plus the bands' `d = 0` checks, so the world
+/// keeps one per power class ([`World::classes`]): every beacon goes out at
+/// its sender's class power.
+#[derive(Debug, Clone, Copy)]
+struct FrameConsts {
+    gate: f64,
+    decode_lo_r2: f64,
+    decode_hi_r2: f64,
+    floor_hi_r2: f64,
+}
+
+impl FrameConsts {
+    fn new(radio: &RadioConfig, tx_dbm: f64) -> Self {
+        // Amortise the interference gate over every query this frame will
+        // ever appear in: one `range_for` here instead of a `log10` per
+        // (candidate × active frame) in the delivery loop.
+        let gate = radio.interference_floor_range(tx_dbm) * (1.0 + RANGE_EPSILON) + RANGE_EPSILON;
+        // Log-free decode/floor bands (exact-threshold distances with the
+        // dB-domain comparison reproduced at precompute time): they buy
+        // away a `log10` per candidate×frame pair in the unshadowed receive
+        // tests.
+        let (decode_lo_r2, decode_hi_r2) = radio
+            .path_loss
+            .threshold_band_sq(tx_dbm, radio.rx_sensitivity_dbm);
+        let (_, floor_hi_r2) = radio
+            .path_loss
+            .threshold_band_sq(tx_dbm, radio.rx_sensitivity_dbm - INTERFERENCE_FLOOR_DB);
+        FrameConsts {
+            gate,
+            decode_lo_r2,
+            decode_hi_r2,
+            floor_hi_r2,
+        }
+    }
+
+    /// The constants of a frame sent at `tx_dbm`: its power class's entry
+    /// in `classes` ([`World::classes`]), or computed afresh for any other
+    /// power (the same function of the same input either way).
+    fn lookup(classes: &[(u64, FrameConsts)], radio: &RadioConfig, tx_dbm: f64) -> Self {
+        let bits = tx_dbm.to_bits();
+        match classes.iter().find(|&&(b, _)| b == bits) {
+            Some(&(_, c)) => c,
+            None => FrameConsts::new(radio, tx_dbm),
+        }
+    }
+}
+
+impl Transmission {
+    /// The frame `sender` starts at `start` from `pos`, at `tx_dbm` with
+    /// that power's constants `c`.
+    fn new(
+        sender: NodeId,
+        pos: Vec2,
+        tx_dbm: f64,
+        start: f64,
+        duration: f64,
+        kind: FrameKind,
+        c: FrameConsts,
+    ) -> Self {
+        Transmission {
+            sender,
+            pos,
+            tx_dbm,
+            start,
+            end: start + duration,
+            kind,
+            gate_r2: c.gate * c.gate,
+            decode_lo_r2: c.decode_lo_r2,
+            decode_hi_r2: c.decode_hi_r2,
+            floor_hi_r2: c.floor_hi_r2,
+        }
+    }
+}
+
 /// Wall-time split of the delivery query, accumulated per
 /// `World::compute_deliveries` call when profiling
 /// is enabled ([`Simulator::set_query_profiling`]). The two phases are the
@@ -402,6 +482,9 @@ struct World {
     /// `dbm_to_mw(capture_db)`, hoisted out of the per-candidate outcome
     /// test (bit-identical: same input, same `powf`).
     capture_ratio_mw: f64,
+    /// The [`FrameConsts`] of every power class in `node_tx`, keyed by the
+    /// power's bit pattern: a few entries even in heterogeneous worlds.
+    classes: Vec<(u64, FrameConsts)>,
     /// Which delivery path resolves receivers (see [`DeliveryMode`]).
     mode: DeliveryMode,
     /// Whether delivery queries sample wall time into the profile.
@@ -534,14 +617,15 @@ struct PowerClass {
 /// covers many times over (the same margin `hd_reach` adds).
 const DRIFT_SLACK_M: f64 = 1.0;
 
-/// The beacon receptions [`Simulator::settle`] defers until a protocol
-/// reads the receiver's table.
+/// The beacon receptions deferred from [`Simulator::defer_beacons`] (which
+/// [`Simulator::settle`] calls on entry) until a protocol reads the
+/// receiver's table.
 ///
-/// From `settle`'s entry, a beacon's `TxEnd` only prunes the air and logs
-/// the beacon here. A read of node `r`'s table first resolves, for `r`
-/// alone, the logged beacons it has not resolved yet and that the read
-/// filter could still return, oldest first, each with the oracle's exact
-/// receive test ([`receive_outcome`]) against what the eager query saw:
+/// From entry, a beacon's `TxEnd` only prunes the air and logs the beacon
+/// here. A read of node `r`'s table first resolves, for `r` alone, the
+/// logged beacons it has not resolved yet and that the read filter could
+/// still return, oldest first, each with the oracle's exact receive test
+/// ([`receive_outcome`]) against what the eager query saw:
 ///
 /// * **the air**: the logged frames that overlap the beacon and end after
 ///   the prune floor in force at its query (the running maximum of every
@@ -549,22 +633,24 @@ const DRIFT_SLACK_M: f64 = 1.0;
 ///   `World::live` that overlap it when its `TxEnd` ran;
 /// * **the receiver**: its position at the beacon's end under the mobility
 ///   version current at the beacon's dispatch, which the
-///   `MobilityChange`s since entry keep as replaced versions tagged with
-///   their dispatch ordinal.
+///   `MobilityChange`s since entry keep as replaced versions, each tagged
+///   with the number of beacons logged before it was replaced.
 ///
 /// The table then sees the same observations, at the same times and in
 /// the same order per sender, as the eager path writes; the ones it
 /// skips either were not decoded or are older than the read expiry, so
-/// no later read could return them. Everything is dropped once no read can need it, so the logs hold
-/// about one read window of beacons and frames, however long the tail.
+/// no later read could return them. Everything is dropped once no read
+/// can need it, so the logs hold about one read window of beacons and
+/// frames, however long the run. A checkpoint taken while deferring
+/// carries the log in compact form ([`DeferredLog`]).
 #[derive(Debug, Default)]
 struct Deferred {
-    /// Whether beacons are deferred: from `settle`'s entry until a reset
-    /// or restore re-arms the simulator.
+    /// Whether beacons are deferred: from `defer_beacons` until `settle`
+    /// returns or a reset or restore re-arms the simulator.
     on: bool,
-    /// Ordinal of the last beacon `TxEnd` or `MobilityChange` dispatched
-    /// since entry: orders mobility replacements against beacons.
-    ordinal: u64,
+    /// Whether `settle` has returned: the simulator is spent until a reset
+    /// or restore re-arms it.
+    spent: bool,
     /// The running prune floor since entry: the latest start any delivery
     /// query pruned the air at. Frames live at entry end after every
     /// earlier floor, so `start` setting it to −∞ is exact.
@@ -580,12 +666,13 @@ struct Deferred {
     /// Per node: the sequence number of the first beacon not yet resolved
     /// into its table.
     cursor: Vec<u64>,
-    /// Per node: the sequence numbers of its logged beacons, oldest first.
-    /// A read visits only the senders near the reader.
-    by_sender: Vec<VecDeque<u64>>,
+    /// Per node: the sequence number of its latest logged beacon, or
+    /// [`NO_BEACON`]; each beacon links to its sender's previous one, so a
+    /// read visits only the beacons of the senders near the reader.
+    last: Vec<u64>,
     /// How much farther apart than its decode range a sender and a reader
     /// can be now, if the reader decoded one of the sender's beacons that
-    /// a read can still return (derived in `Simulator::settle`).
+    /// a read can still return (see `World::deferral_bounds`).
     sender_drift: f64,
     /// The largest decode range of any beacon, the `+4σ` tail included.
     max_decode_r: f64,
@@ -593,10 +680,15 @@ struct Deferred {
     /// their link's decode range and `u1` draw.
     pending: Vec<(u64, f64, f64)>,
     /// Per node: the mobility versions replaced since entry that a logged
-    /// beacon may still need, oldest first, each tagged with the ordinal
-    /// of the `MobilityChange` that replaced it.
+    /// beacon may still need, oldest first, each tagged with the sequence
+    /// number the next beacon logged after the replacement gets. Beacon
+    /// `s` ended under the oldest version tagged above `s`, or under the
+    /// current one.
     replaced: Vec<Vec<(u64, AnyMobility)>>,
 }
+
+/// The `last`/`prev` link of a node without a logged beacon.
+const NO_BEACON: u64 = u64::MAX;
 
 /// A beacon logged by [`Deferred`].
 #[derive(Debug, Clone, Copy)]
@@ -605,8 +697,49 @@ struct DeferredBeacon {
     frame: u64,
     /// The prune floor of its query, its own start included.
     floor: f64,
-    /// Its dispatch ordinal.
-    ordinal: u64,
+    /// Sequence number of its sender's previous logged beacon, or
+    /// [`NO_BEACON`]. A link below `beacons_base` points at a dropped
+    /// beacon and is never followed.
+    prev: u64,
+}
+
+/// A checkpoint's copy of the [`Deferred`] log, taken before the
+/// broadcast. Every frame in it is then a beacon at its sender's power
+/// class that started at its sender's position, and every beacon ended in
+/// log order, so it keeps only what restore cannot derive:
+///
+/// * each frame's sender and start; its position is its sender's
+///   current segment evaluated at the start
+///   ([`KinematicSnapshot::position`]) whenever that reproduces it bit for
+///   bit, which it does unless the sender's segment changed since, and is
+///   kept otherwise; the rest of the [`Transmission`] follows from the
+///   power;
+/// * the logged beacons as a range of frames;
+/// * the oldest beacon's prune floor: a later one's is the running
+///   maximum of it and the later beacons' starts, since nothing but a
+///   beacon's end prunes the air before the broadcast;
+/// * the replaced mobility versions a logged beacon may still need.
+///
+/// The per-node links and cursors are rebuilt.
+#[derive(Debug, Clone)]
+struct DeferredLog {
+    floor: f64,
+    /// The prune floor of the oldest logged beacon.
+    first_floor: f64,
+    senders: Vec<u32>,
+    starts: Vec<f64>,
+    /// `(index, position)` of each frame whose position its sender's
+    /// current segment does not reproduce, in log order.
+    moved: Vec<(u32, Vec2)>,
+    frames_base: u64,
+    /// The logged beacons are the frames `first_beacon..first_beacon +
+    /// n_beacons`, oldest first.
+    first_beacon: u32,
+    n_beacons: u32,
+    beacons_base: u64,
+    /// `(node, tag, version)` of the replaced mobility versions a logged
+    /// beacon may still need.
+    replaced: Vec<(u32, u64, AnyMobility)>,
 }
 
 impl Deferred {
@@ -621,16 +754,26 @@ impl Deferred {
     ) {
         self.release();
         self.on = true;
+        self.spent = false;
         self.sender_drift = sender_drift;
         self.max_decode_r = max_decode_r;
-        self.ordinal = 0;
         self.floor = f64::NEG_INFINITY;
         self.frames.extend(live.iter().copied());
         self.frames_base = 0;
         self.beacons_base = 0;
         self.cursor.resize(n_nodes, 0);
-        self.by_sender.resize_with(n_nodes, VecDeque::new);
+        self.last.resize(n_nodes, NO_BEACON);
         self.replaced.resize_with(n_nodes, Vec::new);
+    }
+
+    /// Stops deferring, for a reset or the restore of a checkpoint taken
+    /// eagerly.
+    fn stop(&mut self) {
+        if self.on {
+            self.release();
+        }
+        self.on = false;
+        self.spent = false;
     }
 
     /// Frees the logs once `settle` has returned: nothing can read a
@@ -640,7 +783,7 @@ impl Deferred {
         self.frames = VecDeque::new();
         self.beacons = VecDeque::new();
         self.cursor = Vec::new();
-        self.by_sender = Vec::new();
+        self.last = Vec::new();
         self.pending = Vec::new();
         self.replaced = Vec::new();
     }
@@ -653,7 +796,6 @@ impl Deferred {
     /// Logs the beacon `tx` whose `TxEnd` runs now, at `now`, after its
     /// query's prune, and drops what no read at `now` or later can need.
     fn log_beacon(&mut self, tx: &Transmission, now: f64, expiry: f64) {
-        self.ordinal += 1;
         // The frame was logged when it started (or was on the air at
         // entry); starts are sorted, and a node starts one beacon at a time.
         let from = self.frames.partition_point(|o| o.start < tx.start);
@@ -662,20 +804,18 @@ impl Deferred {
             .range(from..)
             .position(|o| o.sender == tx.sender && o.kind == FrameKind::Beacon)
             .expect("a beacon ending while deferred was logged when it started");
-        self.by_sender[tx.sender].push_back(self.beacons_base + self.beacons.len() as u64);
+        let seq = self.beacons_base + self.beacons.len() as u64;
         self.beacons.push_back(DeferredBeacon {
             frame: self.frames_base + (from + offset) as u64,
             floor: self.floor,
-            ordinal: self.ordinal,
+            prev: std::mem::replace(&mut self.last[tx.sender], seq),
         });
         // Reads filter on `now − end <= expiry` and happen at `now` or
         // later: an older beacon can never be returned again.
         while let Some(b) = self.beacons.front() {
-            let &Transmission { end, sender, .. } = self.frame(b.frame);
-            if now - end <= expiry {
+            if now - self.frame(b.frame).end <= expiry {
                 break;
             }
-            self.by_sender[sender].pop_front();
             self.beacons.pop_front();
             self.beacons_base += 1;
         }
@@ -695,16 +835,146 @@ impl Deferred {
     #[cold]
     #[inline(never)]
     fn replace(&mut self, node: NodeId, old: &AnyMobility) {
-        self.ordinal += 1;
         let versions = &mut self.replaced[node];
         // A version replaced before the oldest logged beacon's dispatch is
         // no beacon's; and with no beacon logged, neither is this one.
-        let Some(oldest) = self.beacons.front() else {
+        if self.beacons.is_empty() {
             versions.clear();
             return;
+        }
+        let oldest = self.beacons_base;
+        versions.retain(|&(tag, _)| tag > oldest);
+        versions.push((oldest + self.beacons.len() as u64, old.clone()));
+    }
+
+    /// The log in a checkpoint's compact form (see [`DeferredLog`]):
+    /// taken before the broadcast, when every logged frame is a beacon at
+    /// its sender's class power (`node_tx`) lasting `beacon_duration` and
+    /// no protocol has read a table. `snapshot` holds the current segments.
+    fn compact(
+        &self,
+        node_tx: &[f64],
+        beacon_duration: f64,
+        snapshot: &KinematicSnapshot,
+    ) -> DeferredLog {
+        debug_assert!(self.frames.iter().all(|o| o.kind == FrameKind::Beacon
+            && o.tx_dbm.to_bits() == node_tx[o.sender].to_bits()
+            && o.end == o.start + beacon_duration));
+        debug_assert!(self.cursor.iter().all(|&c| c == 0), "no table was read");
+        let index = |seq: u64| u32::try_from(seq - self.frames_base).expect("frames fit u32");
+        let first_beacon = self.beacons.front().map_or(0, |b| index(b.frame));
+        debug_assert!(
+            (first_beacon..)
+                .zip(&self.beacons)
+                .all(|(i, b)| index(b.frame) == i),
+            "beacons end in log order"
+        );
+        let same =
+            |a: Vec2, b: Vec2| a.x.to_bits() == b.x.to_bits() && a.y.to_bits() == b.y.to_bits();
+        let moved = (0..)
+            .zip(&self.frames)
+            .filter(|(_, o)| !same(snapshot.position(o.sender, o.start), o.pos))
+            .map(|(i, o)| (i, o.pos));
+        let oldest = self.beacons_base;
+        let replaced = self
+            .replaced
+            .iter()
+            .enumerate()
+            .flat_map(|(node, versions)| {
+                // Only a version tagged above the oldest logged beacon can be
+                // a logged beacon's (with none logged, no tag is above it).
+                versions
+                    .iter()
+                    .filter(move |&&(tag, _)| tag > oldest)
+                    .map(move |(tag, m)| (node as u32, *tag, m.clone()))
+            });
+        let log = DeferredLog {
+            floor: self.floor,
+            first_floor: self.beacons.front().map_or(self.floor, |b| b.floor),
+            senders: self.frames.iter().map(|o| o.sender as u32).collect(),
+            starts: self.frames.iter().map(|o| o.start).collect(),
+            moved: moved.collect(),
+            frames_base: self.frames_base,
+            first_beacon,
+            n_beacons: u32::try_from(self.beacons.len()).expect("beacons fit u32"),
+            beacons_base: self.beacons_base,
+            replaced: replaced.collect(),
         };
-        versions.retain(|&(tag, _)| tag > oldest.ordinal);
-        versions.push((self.ordinal, old.clone()));
+        debug_assert!(
+            log.floors().zip(&self.beacons).all(|(f, b)| f == b.floor),
+            "the prune floors follow from the log order"
+        );
+        log
+    }
+
+    /// Re-arms deferral from a checkpoint's `log` (see
+    /// [`compact`](Self::compact)), whose frames `frames` rebuilds in log
+    /// order.
+    fn restore(
+        &mut self,
+        log: &DeferredLog,
+        n_nodes: usize,
+        (sender_drift, max_decode_r): (f64, f64),
+        frames: impl Iterator<Item = Transmission>,
+    ) {
+        self.start(n_nodes, &[], sender_drift, max_decode_r);
+        self.floor = log.floor;
+        self.frames_base = log.frames_base;
+        self.beacons_base = log.beacons_base;
+        // The logs stay about one read window long, as many entries
+        // dropped as logged, plus the broadcast's data frames: a quarter
+        // more room keeps them from doubling their capacity mid-run.
+        let headroom = |len: usize| len + len / 4 + 8;
+        self.frames.reserve_exact(headroom(log.senders.len()));
+        self.beacons.reserve_exact(headroom(log.n_beacons as usize));
+        self.frames.extend(frames);
+        let first = log.first_beacon as usize;
+        let seqs = log.beacons_base..;
+        for ((seq, i), floor) in seqs.zip(first..).zip(log.floors()) {
+            let sender = log.senders[i] as usize;
+            self.beacons.push_back(DeferredBeacon {
+                frame: log.frames_base + i as u64,
+                floor,
+                prev: std::mem::replace(&mut self.last[sender], seq),
+            });
+        }
+        for (node, tag, m) in &log.replaced {
+            self.replaced[*node as usize].push((*tag, m.clone()));
+        }
+    }
+}
+
+impl DeferredLog {
+    /// The prune floor of every logged beacon, oldest first.
+    fn floors(&self) -> impl Iterator<Item = f64> + '_ {
+        let first = self.first_beacon as usize;
+        let starts = &self.starts[first..first + self.n_beacons as usize];
+        let mut floor = self.first_floor;
+        starts.iter().enumerate().map(move |(k, &start)| {
+            if k > 0 {
+                floor = floor.max(start);
+            }
+            floor
+        })
+    }
+
+    /// Every logged frame's sender, start and position, in log order, with
+    /// `snapshot` holding the segments current when the log was taken.
+    fn frames<'a>(
+        &'a self,
+        snapshot: &'a KinematicSnapshot,
+    ) -> impl Iterator<Item = (NodeId, f64, Vec2)> + 'a {
+        let mut moved = self.moved.iter().peekable();
+        (0..)
+            .zip(self.senders.iter().zip(&self.starts))
+            .map(move |(i, (&sender, &start))| {
+                let sender = sender as NodeId;
+                let pos = match moved.next_if(|&&(j, _)| j == i) {
+                    Some(&(_, pos)) => pos,
+                    None => snapshot.position(sender, start),
+                };
+                (sender, start, pos)
+            })
     }
 }
 
@@ -751,6 +1021,7 @@ impl World {
             max_gate_r: 0.0,
             hd_reach: 0.0,
             capture_ratio_mw: 0.0,
+            classes: Vec::new(),
             mode: DeliveryMode::default(),
             profile_on: false,
             deferred: Box::default(),
@@ -790,7 +1061,7 @@ impl World {
         self.queue.clear();
         self.in_flight.clear();
         self.rng = SmallRng::seed_from_u64(spec.seed);
-        self.deferred.on = false;
+        self.deferred.stop();
         // Per-node vectors are sized to the node count, not to the next
         // power of two pushes would grow them to; a reused simulator keeps
         // whatever capacity it already has.
@@ -818,7 +1089,7 @@ impl World {
                         AnyMobility::Walk(RandomWalk::new(
                             spec.field,
                             start,
-                            group.speed_range,
+                            model_speeds(group),
                             change_interval,
                             0.0,
                             &mut self.rng,
@@ -828,7 +1099,7 @@ impl World {
                         AnyMobility::Waypoint(RandomWaypoint::new(
                             spec.field,
                             start,
-                            (group.speed_range.0.max(0.1), group.speed_range.1.max(0.2)),
+                            model_speeds(group),
                             pause,
                             0.0,
                             &mut self.rng,
@@ -872,6 +1143,7 @@ impl World {
         self.n_nodes = n_nodes;
         self.spec = spec;
         self.hd_reach = self.max_speed * 2.0 * max_duration + 1.0;
+        self.memo_power_classes();
 
         // Initial placement of the spatial index and of the kinematic
         // snapshot, then one cell-crossing refresh per node. Grid
@@ -982,39 +1254,27 @@ impl World {
         self.broadcast_started && self.protocol_pending == 0
     }
 
+    /// Fills [`classes`](World::classes) from the power classes in
+    /// `node_tx`.
+    fn memo_power_classes(&mut self) {
+        self.classes.clear();
+        for &tx in &self.node_tx {
+            if !self.classes.iter().any(|&(b, _)| b == tx.to_bits()) {
+                let c = FrameConsts::new(&self.spec.radio, tx);
+                self.classes.push((tx.to_bits(), c));
+            }
+        }
+    }
+
     fn start_transmission(&mut self, node: NodeId, tx_dbm: f64, kind: FrameKind) {
         let now = self.queue.now();
         let duration = match kind {
             FrameKind::Beacon => self.spec.radio.beacon_duration,
             FrameKind::Data => self.spec.radio.data_duration,
         };
-        // Amortise the interference gate over every query this frame will
-        // ever appear in: one `range_for` here instead of a `log10` per
-        // (candidate × active frame) in the delivery loop.
-        let radio = &self.spec.radio;
-        let gate = radio.interference_floor_range(tx_dbm) * (1.0 + RANGE_EPSILON) + RANGE_EPSILON;
-        // Log-free decode/floor bands (exact-threshold distances with the
-        // dB-domain comparison reproduced at precompute time): three
-        // `powf`s here buy away a `log10` per candidate×frame pair in the
-        // unshadowed receive tests below.
-        let (decode_lo_r2, decode_hi_r2) = radio
-            .path_loss
-            .threshold_band_sq(tx_dbm, radio.rx_sensitivity_dbm);
-        let (_, floor_hi_r2) = radio
-            .path_loss
-            .threshold_band_sq(tx_dbm, radio.rx_sensitivity_dbm - INTERFERENCE_FLOOR_DB);
-        let tx = Transmission {
-            sender: node,
-            pos: self.snapshot.position(node, now),
-            tx_dbm,
-            start: now,
-            end: now + duration,
-            kind,
-            gate_r2: gate * gate,
-            decode_lo_r2,
-            decode_hi_r2,
-            floor_hi_r2,
-        };
+        let c = FrameConsts::lookup(&self.classes, &self.spec.radio, tx_dbm);
+        let pos = self.snapshot.position(node, now);
+        let tx = Transmission::new(node, pos, tx_dbm, now, duration, kind, c);
         match kind {
             FrameKind::Beacon => self.counters.beacons_sent += 1,
             FrameKind::Data => {
@@ -1023,7 +1283,7 @@ impl World {
                 self.metrics.record_transmission(node, tx_dbm);
             }
         }
-        self.max_gate_r = self.max_gate_r.max(gate);
+        self.max_gate_r = self.max_gate_r.max(c.gate);
         self.live.push(tx);
         self.frames.insert(kind.lane(), tx.end, tx.pos, tx);
         if self.deferred.on {
@@ -1099,9 +1359,11 @@ impl World {
             if d2 > reach * reach {
                 continue;
             }
-            let mine = d.by_sender[sender].iter().rev();
-            let mine = mine.take_while(|&&seq| seq >= first);
-            d.pending.extend(mine.map(|&seq| (seq, link_r, u1)));
+            let mut seq = d.last[sender];
+            while seq != NO_BEACON && seq >= first {
+                d.pending.push((seq, link_r, u1));
+                seq = d.beacons[(seq - d.beacons_base) as usize].prev;
+            }
         }
         self.scratch.filtered = near;
         d.pending.sort_unstable_by_key(|&(seq, _, _)| seq);
@@ -1120,7 +1382,7 @@ impl World {
             // replaced after it, or the current one.
             let mobility = d.replaced[reader]
                 .iter()
-                .find(|&&(tag, _)| tag > b.ordinal)
+                .find(|&&(tag, _)| tag > seq)
                 .map_or(&self.mobility[reader], |(_, m)| m);
             let rpos = mobility.position(tx.end);
             let d2 = tx.pos.distance_sq(rpos);
@@ -1151,7 +1413,7 @@ impl World {
                 .filter(|o| o.end > b.floor)
                 .filter(|o| o.sender == reader || o.pos.distance_sq(rpos) <= o.gate_r2);
             if let Reception::Delivered(rx_dbm) =
-                receive_outcome(radio, seed, tx, reader, rpos, air)
+                receive_outcome(radio, seed, self.capture_ratio_mw, tx, reader, rpos, air)
             {
                 self.tables[reader].observe(tx.sender, rx_dbm, tx.end, expiry);
             }
@@ -1189,16 +1451,31 @@ impl World {
         }
     }
 
-    /// A beacon's `TxEnd` under [`Simulator::settle`]: later queries must
-    /// see the air its query would have left, and its receivers wait for
-    /// a read (see [`Deferred`]). Kept out of line: runs that never settle
-    /// never call it.
+    /// A beacon's `TxEnd` while deferring ([`Simulator::defer_beacons`]):
+    /// later queries must see the air its query would have left, and its
+    /// receivers wait for a read (see [`Deferred`]). Kept out of line: runs
+    /// that never defer never call it.
     #[cold]
     #[inline(never)]
     fn defer_beacon(&mut self, tx: &Transmission) {
         self.prune_air(tx.start);
         let now = self.queue.now();
         self.deferred.log_beacon(tx, now, self.spec.neighbor_expiry);
+    }
+
+    /// The `(sender_drift, max_decode_r)` of a [`Deferred`] log in this
+    /// world. A reader decoded a beacon within the link's decode range of
+    /// its sender's position at its start; both have moved at most
+    /// `max_speed` per second since, for at most the read expiry plus the
+    /// beacon.
+    fn deferral_bounds(&mut self) -> (f64, f64) {
+        let radio = &self.spec.radio;
+        let drift = 2.0 * self.max_speed * (self.spec.neighbor_expiry + radio.beacon_duration);
+        let max_decode_r = self
+            .scratch
+            .power_class(radio, self.spec.max_tx_dbm())
+            .decode_r;
+        (drift + DRIFT_SLACK_M, max_decode_r)
     }
 
     /// Drops the transmissions that ended at or before `start`, the start
@@ -1482,8 +1759,15 @@ impl World {
             // sampling differs by millimetres — but `now` is always ahead
             // of any mobility-segment origin, keeping queries monotone.
             let rpos = self.position(r, tx.end);
-            let outcome =
-                receive_outcome(&self.spec.radio, self.spec.seed, tx, r, rpos, &self.live);
+            let outcome = receive_outcome(
+                &self.spec.radio,
+                self.spec.seed,
+                self.capture_ratio_mw,
+                tx,
+                r,
+                rpos,
+                &self.live,
+            );
             self.record_loss(tx, &outcome);
             if let Reception::Delivered(rx_dbm) = outcome {
                 out.push((r, rx_dbm));
@@ -1494,6 +1778,31 @@ impl World {
             self.scratch.profile.outcome_s += mid.elapsed().as_secs_f64();
         }
     }
+}
+
+/// The speed range `group`'s mobility model draws from: a waypoint leg
+/// needs a positive speed.
+fn model_speeds(group: &NodeGroup) -> (f64, f64) {
+    match group.mobility {
+        MobilityModel::RandomWaypoint { .. } => {
+            (group.speed_range.0.max(0.1), group.speed_range.1.max(0.2))
+        }
+        MobilityModel::RandomWalk { .. } | MobilityModel::Stationary => group.speed_range,
+    }
+}
+
+/// Whether every node's model in `mobility` is its group's model in
+/// `spec` resumed on the node's segment ([`AnyMobility::resume`]), to the
+/// bit.
+fn resumes_exactly(spec: &WorldSpec, mobility: &[AnyMobility]) -> bool {
+    let mut nodes = mobility.iter();
+    spec.groups.iter().all(|g| {
+        nodes.by_ref().take(g.n).all(|m| {
+            let resumed =
+                AnyMobility::resume(g.mobility, spec.field, model_speeds(g), &m.segment());
+            format!("{resumed:?}") == format!("{m:?}")
+        })
+    })
 }
 
 /// Cell-size divisor of the spatial grid: cell edge = maximum radio range
@@ -1513,10 +1822,12 @@ const GRID_CELL_DIVISOR: f64 = 2.0;
 /// the deferred beacon resolution the logged frames of the beacon's query
 /// ([`Deferred`]);
 /// [`compute_deliveries_snapshot`](World::compute_deliveries_snapshot)
-/// reproduces its arithmetic bit for bit.
+/// reproduces its arithmetic bit for bit. `capture_ratio` is
+/// `dbm_to_mw(radio.capture_db)` ([`World::capture_ratio_mw`]).
 fn receive_outcome<'a>(
     radio: &RadioConfig,
     seed: u64,
+    capture_ratio: f64,
     tx: &Transmission,
     r: NodeId,
     rpos: Vec2,
@@ -1524,7 +1835,6 @@ fn receive_outcome<'a>(
 ) -> Reception {
     let pl = radio.path_loss;
     let sens = radio.rx_sensitivity_dbm;
-    let capture_ratio = dbm_to_mw(radio.capture_db);
     let sigma = radio.shadowing_sigma_db;
     let rx_dbm = pl.rx_dbm(tx.tx_dbm, tx.pos.distance(rpos))
         + crate::radio::link_shadowing_db(sigma, seed, tx.sender, r);
@@ -1717,14 +2027,14 @@ pub struct Simulator<P: Protocol> {
 /// placement, mobility, beacons, grid maintenance and neighbour-table
 /// updates are all protocol-free, so every candidate configuration
 /// simulated on one network shares the same state up to that point. The
-/// tuning problem keeps one tableless checkpoint per network for its whole
-/// life, at `broadcast_time − neighbor_expiry`; a batch runs each network
-/// from there to the instant before the broadcast once and checkpoints
-/// that edge, and each candidate's tail then runs from the restored edge
-/// only until its broadcast settles ([`Simulator::run_broadcast`]).
+/// tuning problem keeps one checkpoint per network for its whole life, at
+/// the broadcast edge (the instant before the broadcast), taken while
+/// deferring beacons ([`Simulator::defer_beacons`]): every candidate
+/// restores it and [settles](Simulator::settle) only its broadcast.
 ///
 /// A checkpoint holds only what restore cannot derive, so that one per
-/// network can stay alive (≈ 20 KiB for a 75-node paper world):
+/// network can stay alive (≈ 5.2/9.4/13.6 KiB at the edge of a
+/// 25/50/75-node paper world):
 ///
 /// * The neighbour tables keep only the entries still live at
 ///   `broadcast_time`, the first instant a protocol can read a table,
@@ -1736,7 +2046,14 @@ pub struct Simulator<P: Protocol> {
 ///   later read, and readers only see the filtered, id-sorted output. A
 ///   checkpoint taken before `broadcast_time − neighbor_expiry` therefore
 ///   holds no entries, and one taken exactly there only beacons received
-///   at that very instant.
+///   at that very instant. While deferring, the beacons a read could still
+///   return wait in the deferred log instead, which a checkpoint keeps in
+///   compact form (about 12 bytes per beacon, see `DeferredLog`); restore
+///   defers from it.
+/// * The event queue as a packed list in pop order, renumbered on
+///   restore; the grid's buckets as one array; each node's mobility as its
+///   segment, which with its group's model is all of its state
+///   ([`AnyMobility::resume`]).
 /// * The kinematic snapshot: it always mirrors the mobility segments
 ///   (kept so by every re-anchor), so restore rebuilds it from them.
 /// * The broadcast metrics: nothing records into them before the
@@ -1751,9 +2068,11 @@ pub struct Checkpoint {
     n_nodes: usize,
     node_tx: Vec<f64>,
     max_speed: f64,
-    queue: EventQueue<Event>,
+    queue: QueuedEvents,
     in_flight: InFlight,
-    mobility: Vec<AnyMobility>,
+    /// Every node's mobility segment: with its group's model, all of its
+    /// mobility state ([`AnyMobility::resume`]).
+    segments: Vec<KinematicSegment>,
     /// Every node's neighbour entries live at the broadcast, node by node.
     neighbors: Vec<Observation>,
     /// Node `i`'s entries are `neighbors[neighbor_ends[i - 1]..neighbor_ends[i]]`,
@@ -1763,12 +2082,93 @@ pub struct Checkpoint {
     live: Vec<Transmission>,
     frames: SpatialActiveWindow<Transmission>,
     counters: SimCounters,
-    grid: SpatialGrid,
+    grid: PackedGrid,
     refresh_gen: Vec<u32>,
     refresh_events: u64,
     max_gate_r: f64,
     hd_reach: f64,
     capture_ratio_mw: f64,
+    classes: Vec<(u64, FrameConsts)>,
+    /// The beacons deferred since [`Simulator::defer_beacons`], when the
+    /// checkpoint was taken while deferring.
+    deferred: Option<DeferredLog>,
+}
+
+/// A checkpoint's event queue, packed: the events in pop order, each a
+/// time, a kind and a node or slot id, plus the generation of every grid
+/// refresh. A protocol timer cannot be queued before the broadcast, so
+/// every event a checkpoint holds fits, in about 14 bytes instead of a
+/// 32-byte queue entry. Restore renumbers them in that order
+/// ([`EventQueue::refill_in_order`]), which keeps every tie as it was.
+#[derive(Debug, Clone)]
+struct QueuedEvents {
+    now: f64,
+    times: Vec<f64>,
+    kinds: Vec<QueuedKind>,
+    ids: Vec<u32>,
+    /// The generation of each grid refresh, in order.
+    gens: Vec<u32>,
+}
+
+/// The [`Event`] variant of a [`QueuedEvents`] entry.
+#[derive(Debug, Clone, Copy)]
+enum QueuedKind {
+    Beacon,
+    MobilityChange,
+    TxEnd,
+    StartBroadcast,
+    GridRefresh,
+}
+
+impl QueuedEvents {
+    fn pack(queue: &EventQueue<Event>) -> Self {
+        let events = queue.in_order();
+        let mut packed = QueuedEvents {
+            now: queue.now(),
+            times: Vec::with_capacity(events.len()),
+            kinds: Vec::with_capacity(events.len()),
+            ids: Vec::with_capacity(events.len()),
+            gens: Vec::new(),
+        };
+        for (time, &ev) in events {
+            let (kind, id) = match ev {
+                Event::Beacon(node) => (QueuedKind::Beacon, node),
+                Event::MobilityChange(node) => (QueuedKind::MobilityChange, node),
+                Event::TxEnd(slot) => (QueuedKind::TxEnd, slot),
+                Event::StartBroadcast(node) => (QueuedKind::StartBroadcast, node),
+                Event::GridRefresh { node, gen } => {
+                    packed.gens.push(gen);
+                    (QueuedKind::GridRefresh, node)
+                }
+                Event::Timer { .. } => unreachable!("no protocol timer before the broadcast"),
+            };
+            packed.times.push(time);
+            packed.kinds.push(kind);
+            packed.ids.push(id);
+        }
+        packed.gens.shrink_to_fit();
+        packed
+    }
+
+    /// Replaces `queue`'s events and clock with these.
+    fn unpack_into(&self, queue: &mut EventQueue<Event>) {
+        let mut gens = self.gens.iter();
+        let events = self
+            .kinds
+            .iter()
+            .zip(&self.ids)
+            .map(|(kind, &id)| match kind {
+                QueuedKind::Beacon => Event::Beacon(id),
+                QueuedKind::MobilityChange => Event::MobilityChange(id),
+                QueuedKind::TxEnd => Event::TxEnd(id),
+                QueuedKind::StartBroadcast => Event::StartBroadcast(id),
+                QueuedKind::GridRefresh => Event::GridRefresh {
+                    node: id,
+                    gen: *gens.next().expect("one generation per grid refresh"),
+                },
+            });
+        queue.refill_in_order(self.now, self.times.iter().copied().zip(events));
+    }
 }
 
 impl Checkpoint {
@@ -1891,8 +2291,12 @@ impl<P: Protocol> Simulator<P> {
 
     /// Runs to `end_time` and returns the report, keeping the simulator
     /// alive for a subsequent [`reset_world`](Self::reset_world).
+    ///
+    /// # Panics
+    /// Panics on a simulator deferring beacons or spent by
+    /// [`settle`](Self::settle): its counters are incomplete.
     pub fn run_to_end(&mut self) -> SimReport {
-        self.check_armed("run_to_end");
+        self.check_eager("run_to_end");
         self.run_until(self.world.spec.end_time);
         SimReport {
             broadcast: self.world.metrics.clone(),
@@ -1902,7 +2306,9 @@ impl<P: Protocol> Simulator<P> {
     }
 
     /// Processes events up to (and including) time `t`, leaving the
-    /// simulator inspectable — used for topology snapshots and debugging.
+    /// simulator inspectable — used for topology snapshots and debugging,
+    /// and to run a simulator deferring beacons
+    /// ([`defer_beacons`](Self::defer_beacons)) up to a checkpoint.
     ///
     /// # Panics
     /// Panics on a simulator spent by [`settle`](Self::settle), like every
@@ -1938,29 +2344,60 @@ impl<P: Protocol> Simulator<P> {
     /// Every beacon is resolved as it ends, so the run can go on. When
     /// nothing will, [`settle`](Self::settle) gives the same metrics for
     /// less.
+    ///
+    /// # Panics
+    /// Panics on a simulator deferring beacons or spent by `settle`.
     pub fn run_broadcast(&mut self) -> &BroadcastMetrics {
-        self.check_armed("run_broadcast");
+        self.check_eager("run_broadcast");
         self.run_events(self.world.spec.end_time, World::settled);
         &self.world.metrics
+    }
+
+    /// Starts deferring beacon receptions now, the first half of
+    /// [`settle`](Self::settle): from here on a beacon's end only prunes
+    /// the air, as its query would, and is logged, and a protocol's table
+    /// read first resolves, for the reader alone, the logged beacons it
+    /// could still return (see [`ProtocolApi::neighbors`]). A no-op on a
+    /// simulator already deferring.
+    ///
+    /// Nothing reads a table before the broadcast, so a simulator deferring
+    /// from before it can run on with [`run_until`](Self::run_until) and be
+    /// [checkpointed](Self::checkpoint) up to the broadcast start: the
+    /// checkpoint carries the log, and its restores defer from it. That is
+    /// how a tuning problem starts every candidate at the broadcast edge.
+    /// Beacon reception and loss counters and the unread tables are
+    /// incomplete while deferring, so [`run_to_end`](Self::run_to_end) and
+    /// [`run_broadcast`](Self::run_broadcast) refuse until a restore or
+    /// reset re-arms the simulator.
+    ///
+    /// # Panics
+    /// Panics on a simulator spent by `settle`.
+    pub fn defer_beacons(&mut self) {
+        self.check_armed("defer_beacons");
+        let w = &mut self.world;
+        if !w.deferred.on {
+            let bounds = w.deferral_bounds();
+            w.deferred.start(w.n_nodes, &w.live, bounds.0, bounds.1);
+        }
     }
 
     /// Runs to the same stop as [`run_broadcast`](Self::run_broadcast) and
     /// returns the same [`BroadcastMetrics`], bit for bit, resolving a
     /// beacon's receivers only when a protocol reads the receiver's
-    /// neighbour table. This is the terminal form: the simulator is
-    /// **spent** afterwards, until [`restore`](Self::restore),
-    /// [`reset_world`](Self::reset_world) or
+    /// neighbour table: [`defer_beacons`](Self::defer_beacons), unless the
+    /// simulator already defers (restored from a checkpoint taken while
+    /// deferring, say), then the run to settlement. This is the terminal
+    /// form: the simulator is **spent** once it returns, until
+    /// [`restore`](Self::restore), [`reset_world`](Self::reset_world) or
     /// [`reset_world_with`](Self::reset_world_with) re-arms it.
     ///
     /// The broadcast metrics see beacons only through the tables a
     /// protocol reads, a few per forwarding decision, while every beacon
-    /// reaches dozens of receivers. So from here on a beacon's end only
-    /// prunes the air, as its query would, and is logged; a table read
-    /// first resolves, for the reader alone, the logged beacons it could
-    /// still return, with the oracle's receive test against the air and
-    /// the receiver position that beacon's eager query saw (see
-    /// [`ProtocolApi::neighbors`]). The logs keep one read window of
-    /// beacons and frames (`neighbor_expiry`), however long the run.
+    /// reaches dozens of receivers, so a read resolves only what it could
+    /// return, with the oracle's receive test against the air and the
+    /// receiver position that beacon's eager query saw. The logs keep one
+    /// read window of beacons and frames (`neighbor_expiry`), however long
+    /// the run.
     ///
     /// Beacon reception and loss counters and the tables nobody read are
     /// incomplete afterwards, which is why the simulator refuses to run on
@@ -1972,18 +2409,12 @@ impl<P: Protocol> Simulator<P> {
     /// Panics on a spent simulator.
     pub fn settle(&mut self) -> &BroadcastMetrics {
         self.check_armed("settle");
-        let w = &mut self.world;
-        // A reader decoded a beacon within the link's decode range of its
-        // sender's position at its start; both have moved at most
-        // `max_speed` per second since, for at most the read expiry plus
-        // the beacon.
-        let radio = &w.spec.radio;
-        let drift = 2.0 * w.max_speed * (w.spec.neighbor_expiry + radio.beacon_duration);
-        let max_decode_r = w.scratch.power_class(radio, w.spec.max_tx_dbm()).decode_r;
-        w.deferred
-            .start(w.n_nodes, &w.live, drift + DRIFT_SLACK_M, max_decode_r);
+        self.defer_beacons();
         self.run_events(self.world.spec.end_time, World::settled);
-        self.world.deferred.release();
+        let d = &mut self.world.deferred;
+        d.release();
+        d.on = false;
+        d.spent = true;
         &self.world.metrics
     }
 
@@ -1991,8 +2422,18 @@ impl<P: Protocol> Simulator<P> {
     /// reset or restore has re-armed it since.
     fn check_armed(&self, what: &str) {
         assert!(
-            !self.world.deferred.on,
+            !self.world.deferred.spent,
             "{what} on a simulator spent by settle(): restore a checkpoint or reset the world first"
+        );
+    }
+
+    /// Like [`check_armed`](Self::check_armed), and panics on a simulator
+    /// deferring beacons too: for what needs every beacon resolved.
+    fn check_eager(&self, what: &str) {
+        self.check_armed(what);
+        assert!(
+            !self.world.deferred.on,
+            "{what} on a simulator deferring beacons: settle() it, or restore a checkpoint or reset the world first"
         );
     }
 
@@ -2048,7 +2489,11 @@ impl<P: Protocol> Simulator<P> {
     /// A checkpoint is exact at any instant before the broadcast, up to
     /// `broadcast_time.next_down()`: it keeps the neighbour entries still
     /// live at `broadcast_time` (see [`Checkpoint`]), so one taken at or
-    /// before `broadcast_time − neighbor_expiry` carries (next to) none.
+    /// before `broadcast_time − neighbor_expiry` carries (next to) none. On
+    /// a simulator deferring beacons ([`defer_beacons`](Self::defer_beacons))
+    /// it also carries the deferred log, and a restore of it defers from
+    /// there: the checkpoint then only settles
+    /// ([`settle`](Self::settle)).
     ///
     /// # Panics
     /// Panics if the broadcast has started, or on a simulator spent by
@@ -2089,11 +2534,12 @@ impl<P: Protocol> Simulator<P> {
             delivery_scratch: _,
             mode: _,
             profile_on: _,
-            // Off (checked above): nothing is deferred before `settle`.
-            deferred: _,
+            // Compacted below when on.
+            deferred,
             max_gate_r,
             hd_reach,
             capture_ratio_mw,
+            classes,
         } = &self.world;
         assert!(
             !*broadcast_started,
@@ -2110,9 +2556,13 @@ impl<P: Protocol> Simulator<P> {
             (0..*n_nodes).all(|i| snapshot.segment(i) == mobility[i].segment()),
             "the snapshot mirrors the mobility segments"
         );
+        debug_assert!(
+            resumes_exactly(spec, mobility),
+            "a node's mobility is its group's model resumed on its segment"
+        );
         // Only entries live at the broadcast can ever be read again; the
-        // capacity is trimmed to them, so a prefix kept for a problem's
-        // life allocates nothing here.
+        // capacity is trimmed to them, so a checkpoint kept for a
+        // problem's life allocates nothing here when they are none.
         let mut neighbors = Vec::new();
         let neighbor_ends = tables
             .iter()
@@ -2127,21 +2577,25 @@ impl<P: Protocol> Simulator<P> {
             n_nodes: *n_nodes,
             node_tx: node_tx.clone(),
             max_speed: *max_speed,
-            queue: queue.clone(),
+            queue: QueuedEvents::pack(queue),
             in_flight: in_flight.clone(),
-            mobility: mobility.clone(),
+            segments: mobility.iter().map(Mobility::segment).collect(),
             neighbors,
             neighbor_ends,
             rng: rng.clone(),
             live: live.clone(),
             frames: frames.clone(),
             counters: counters.clone(),
-            grid: grid.clone(),
+            grid: grid.pack(),
             refresh_gen: refresh_gen.clone(),
             refresh_events: *refresh_events,
             max_gate_r: *max_gate_r,
             hd_reach: *hd_reach,
             capture_ratio_mw: *capture_ratio_mw,
+            classes: classes.clone(),
+            deferred: deferred
+                .on
+                .then(|| deferred.compact(node_tx, spec.radio.beacon_duration, snapshot)),
         }
     }
 
@@ -2150,7 +2604,10 @@ impl<P: Protocol> Simulator<P> {
     /// [`reset_world_with`](Self::reset_world_with) does at `t = 0`.
     /// Running on from here gives the report a straight run of the
     /// checkpoint's world under this protocol gives, bit for bit — whatever
-    /// world this simulator ran before.
+    /// world this simulator ran before. A checkpoint taken while deferring
+    /// beacons leaves the simulator deferring from its log, so only
+    /// [`settle`](Self::settle) reports its metrics (bit for bit those of
+    /// [`run_broadcast`](Self::run_broadcast) from `t = 0`).
     ///
     /// The neighbour tables are refilled in place from the checkpoint's
     /// live entries ([`NeighborTable::refill`]), each sized to its own
@@ -2171,7 +2628,7 @@ impl<P: Protocol> Simulator<P> {
             max_speed,
             queue,
             in_flight,
-            mobility,
+            segments,
             neighbors,
             neighbor_ends,
             rng,
@@ -2184,15 +2641,24 @@ impl<P: Protocol> Simulator<P> {
             max_gate_r,
             hd_reach,
             capture_ratio_mw,
+            classes,
+            deferred,
         } = checkpoint;
         let w = &mut self.world;
         w.spec.clone_from(spec);
         w.n_nodes = *n_nodes;
         w.node_tx.clone_from(node_tx);
         w.max_speed = *max_speed;
-        w.queue.clone_from(queue);
+        queue.unpack_into(&mut w.queue);
         w.in_flight.clone_from(in_flight);
-        w.mobility.clone_from(mobility);
+        w.mobility.clear();
+        let mut resumed = segments.iter();
+        for group in &spec.groups {
+            let (model, speeds) = (group.mobility, model_speeds(group));
+            let members = resumed.by_ref().take(group.n);
+            let members = members.map(|s| AnyMobility::resume(model, spec.field, speeds, s));
+            w.mobility.extend(members);
+        }
         w.tables.truncate(*n_nodes);
         w.tables.resize_with(*n_nodes, NeighborTable::new);
         let mut start = 0;
@@ -2207,17 +2673,30 @@ impl<P: Protocol> Simulator<P> {
         w.counters.clone_from(counters);
         w.broadcast_started = false;
         w.protocol_pending = 0;
-        w.grid.clone_from(grid);
-        w.snapshot
-            .rebuild(spec.field, mobility.iter().map(|m| m.segment()));
+        w.grid.unpack(grid);
+        w.snapshot.rebuild(spec.field, segments.iter().copied());
         w.refresh_gen.clone_from(refresh_gen);
         w.refresh_events = *refresh_events;
         w.max_gate_r = *max_gate_r;
         w.hd_reach = *hd_reach;
         w.capture_ratio_mw = *capture_ratio_mw;
+        w.classes.clone_from(classes);
         w.delivery_scratch.clear();
         w.reset_query_scratch();
-        w.deferred.on = false;
+        match deferred {
+            Some(log) => {
+                let bounds = w.deferral_bounds();
+                let duration = spec.radio.beacon_duration;
+                let (node_tx, classes, radio) = (&w.node_tx, &w.classes, &w.spec.radio);
+                let frames = log.frames(&w.snapshot).map(|(sender, start, pos)| {
+                    let tx_dbm = node_tx[sender];
+                    let c = FrameConsts::lookup(classes, radio, tx_dbm);
+                    Transmission::new(sender, pos, tx_dbm, start, duration, FrameKind::Beacon, c)
+                });
+                w.deferred.restore(log, *n_nodes, bounds, frames);
+            }
+            None => w.deferred.stop(),
+        }
         rearm(&mut self.protocol);
     }
 
@@ -2785,7 +3264,8 @@ mod tests {
     #[test]
     fn checkpoint_restores_the_paper_prefix() {
         // Table II: broadcast at 30 s, expiry 2.5 s, beacons every 1 s —
-        // the prefix the tuning problem keeps is [0, 27.5] s.
+        // the eager prefix [0, 27.5] s, whose tables hold nothing live at
+        // the broadcast.
         let c = WorldSpec::paper(40, 9);
         let n = c.n_nodes();
         let straight = Simulator::from_world(&c, Flooding::new(n, (0.0, 0.1))).run();
@@ -2944,5 +3424,86 @@ mod tests {
         let mut sim = Simulator::from_world(&c, Flooding::new(n, (0.0, 0.1)));
         sim.run_until(c.broadcast_time);
         let _ = sim.checkpoint();
+    }
+
+    /// A paper world run, deferring beacons from `defer_at`, to the instant
+    /// before its broadcast, and the checkpoint taken there.
+    fn deferred_edge(c: &WorldSpec, defer_at: f64) -> (Simulator<ReadingFlood>, Checkpoint) {
+        let n = c.n_nodes();
+        let mut sim = Simulator::from_world(c, ReadingFlood(Flooding::new(n, (0.01, 0.3))));
+        sim.run_until(defer_at);
+        sim.defer_beacons();
+        sim.run_until(c.broadcast_time.next_down());
+        let edge = sim.checkpoint();
+        (sim, edge)
+    }
+
+    #[test]
+    fn checkpoints_taken_while_deferring_restore_the_broadcast_edge() {
+        // Deferring from the start or from `broadcast − expiry`, the edge
+        // carries the deferred log: restored into a simulator that ran
+        // another world, it settles to the eager run's metrics, again and
+        // again, and the donor settles to them too.
+        let c = WorldSpec::paper(60, 4);
+        let n = c.n_nodes();
+        let flood = || ReadingFlood(Flooding::new(n, (0.01, 0.3)));
+        let straight = Simulator::from_world(&c, flood()).run();
+        let mut pooled = Simulator::from_world(&WorldSpec::paper(20, 3), flood());
+        pooled.settle();
+        for defer_at in [0.0, c.broadcast_time - c.neighbor_expiry] {
+            let (mut donor, edge) = deferred_edge(&c, defer_at);
+            assert!(edge.deferred.as_ref().is_some_and(|log| log.n_beacons > 0));
+            assert!(edge.neighbors.is_empty(), "beacons wait in the log");
+            for _ in 0..2 {
+                pooled.restore(&edge, |p| *p = flood());
+                assert_eq!(pooled.now(), donor.now());
+                assert_eq!(*pooled.settle(), straight.broadcast);
+            }
+            assert_eq!(*donor.settle(), straight.broadcast);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "the broadcast has started")]
+    fn checkpoint_while_deferring_after_the_broadcast_start_panics() {
+        let c = WorldSpec::paper(20, 3);
+        let mut sim = Simulator::from_world(&c, Flooding::new(20, (0.0, 0.1)));
+        sim.defer_beacons();
+        sim.run_until(c.broadcast_time);
+        let _ = sim.checkpoint();
+    }
+
+    #[test]
+    fn a_restored_edge_is_spent_only_once_settle_returns() {
+        // Restored from an edge, a simulator defers: it runs on and
+        // checkpoints up to the broadcast, but refuses what needs every
+        // beacon resolved; once settle returns it refuses everything.
+        let c = WorldSpec::paper(30, 5);
+        let flood = || ReadingFlood(Flooding::new(30, (0.01, 0.3)));
+        let straight = Simulator::from_world(&c, flood()).run();
+        let (_, edge) = deferred_edge(&c, 0.0);
+        let mut sim = Simulator::from_world(&c, flood());
+        sim.restore(&edge, |p| *p = flood());
+        sim.defer_beacons();
+        sim.run_until(c.broadcast_time.next_down());
+        let again = sim.checkpoint();
+        assert!(again.deferred.is_some());
+        assert_eq!(*sim.settle(), straight.broadcast);
+        sim.restore(&again, |p| *p = flood());
+        assert_eq!(*sim.settle(), straight.broadcast);
+        let spent = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sim.run_until(c.end_time);
+        }));
+        assert!(spent.is_err(), "a settled simulator refuses to run on");
+    }
+
+    #[test]
+    #[should_panic(expected = "run_to_end on a simulator deferring beacons")]
+    fn a_deferring_simulator_refuses_to_report_counters() {
+        let c = WorldSpec::paper(20, 3);
+        let (_, edge) = deferred_edge(&c, 0.0);
+        let mut sim = Simulator::from_world(&c, ReadingFlood(Flooding::new(20, (0.01, 0.3))));
+        sim.restore(&edge, |p| *p = ReadingFlood(Flooding::new(20, (0.01, 0.3))));
+        sim.run_to_end();
     }
 }

@@ -1229,6 +1229,209 @@ proptest! {
     }
 }
 
+/// `spec` under `donor` on `mode`, deferring beacons from `defer_at` and
+/// run to the instant before the broadcast, checkpointed there: the
+/// broadcast edge, deferred log and all.
+fn deferred_edge<P: Protocol>(
+    spec: &WorldSpec,
+    donor: P,
+    mode: DeliveryMode,
+    defer_at: f64,
+) -> manet::sim::Checkpoint {
+    let mut sim = sim_in(spec, donor, mode);
+    sim.run_until(defer_at);
+    sim.defer_beacons();
+    sim.run_until(spec.broadcast_time.next_down());
+    sim.checkpoint()
+}
+
+/// The edge checks of one world under one protocol on one delivery path:
+/// `restore(edge) + settle()` must return, bit for bit and with the same
+/// stop, what `restore(prefix) + settle()` and a straight `run_broadcast()`
+/// from `t = 0` return, for edges deferring from `t = 0` and from the
+/// prefix at `broadcast − expiry`, and for an edge checkpointed again from a
+/// restored one; restored again and again into a pooled simulator that
+/// `settle` spent on `other`.
+fn check_edge_settle<P: Protocol>(
+    spec: &WorldSpec,
+    other: &WorldSpec,
+    mode: DeliveryMode,
+    make: impl Fn(usize) -> P,
+) -> Result<(), String> {
+    let n = spec.n_nodes();
+    let fresh = |spec: &WorldSpec| sim_in(spec, make(spec.n_nodes()), mode);
+    let mut oracle = fresh(spec);
+    let want = oracle.run_broadcast().clone();
+    let stopped = oracle.stopped_before_end();
+
+    let prefix_at = (spec.broadcast_time - spec.neighbor_expiry).max(0.0);
+    let mut donor = fresh(spec);
+    donor.run_until(prefix_at);
+    let prefix = donor.checkpoint();
+    let mut pooled = fresh(other);
+    pooled.settle();
+    pooled.restore(&prefix, |p| *p = make(n));
+    prop_assert_eq!(pooled.settle(), &want);
+
+    let from_start = deferred_edge(spec, make(n), mode, 0.0);
+    let from_prefix = deferred_edge(spec, make(n), mode, prefix_at);
+    let mut again = fresh(other);
+    again.restore(&from_start, |p| *p = make(n));
+    let retaken = again.checkpoint();
+    for edge in [&from_start, &from_prefix, &retaken] {
+        for _ in 0..2 {
+            pooled.restore(edge, |p| *p = make(n));
+            prop_assert!(
+                pooled.now() < spec.broadcast_time,
+                "restored past the broadcast"
+            );
+            prop_assert_eq!(pooled.settle(), &want);
+            prop_assert_eq!(pooled.stopped_before_end(), stopped);
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn edge_restores_settle_like_prefix_restores_and_straight_runs(
+        seed in 0u64..10_000,
+        n_walk in 8usize..40,
+        walk_speed in 1.0f64..15.0,
+        n_other in 2usize..10,
+        other_kind in 0usize..2,
+        power_idx in 0usize..3,
+        shadowed_i in 0usize..2,
+        long_beacons_i in 0usize..2,
+        mode_i in 0usize..2,
+        field_side in 200.0f64..600.0,
+        tail in 0.5f64..4.0,
+        jitter in 0.01f64..2.0,
+        min_delay in 0.0f64..1.0,
+        delay_span in 0.05f64..4.0,
+        border in -95.0f64..-70.0,
+        margin in 0.0f64..3.0,
+        neighbors in 0.0f64..50.0,
+    ) {
+        // Every candidate of a tuning problem starts at the broadcast edge
+        // of its network: a checkpoint taken while deferring beacons, which
+        // carries the deferred log in compact form. Whatever the world
+        // (shadowed, heterogeneous power and mobility, beacons outlasting
+        // data frames), the delivery path and the protocol (the digest
+        // flooding fingerprints every entry of every table it reads), the
+        // edge must settle exactly like the prefix it replaces and like the
+        // eager oracle from t = 0.
+        use manet::mobility::MobilityModel;
+        let mode = [DeliveryMode::Incremental, DeliveryMode::Naive][mode_i];
+        let other_mobility = [
+            MobilityModel::Stationary,
+            MobilityModel::RandomWaypoint { pause: 1.0 },
+        ][other_kind];
+        let other_power = [10.0, 5.0, 16.02][power_idx];
+        let group = |n_walk: usize| {
+            NodeGroup::new(n_walk)
+                .mobility(MobilityModel::RandomWalk { change_interval: 2.0 })
+                .speed_range(0.0, walk_speed)
+        };
+        let other = NodeGroup::new(n_other)
+            .mobility(other_mobility)
+            .tx_power_dbm(other_power);
+        let radio = |shadowed: bool| {
+            let mut radio = manet::RadioConfig::paper();
+            radio.shadowing_sigma_db = if shadowed { 4.0 } else { 0.0 };
+            if long_beacons_i == 1 {
+                radio.beacon_duration = 0.01;
+                radio.data_duration = 0.003;
+            }
+            radio
+        };
+        let shadowed = shadowed_i == 1;
+        let spec = mixed_world(seed, field_side, group(n_walk), other.clone(), radio(shadowed), tail);
+        let other = mixed_world(
+            seed + 1, field_side + 300.0, group(n_walk + 20), other, radio(!shadowed), tail,
+        );
+        let params = AedbParams {
+            min_delay,
+            max_delay: min_delay + delay_span,
+            border_threshold: border,
+            margin_threshold: margin,
+            neighbors_threshold: neighbors,
+        };
+        check_edge_settle(&spec, &other, mode, |n| Flooding::new(n, (0.0, jitter)))?;
+        check_edge_settle(&spec, &other, mode, |_| SourceOnly)?;
+        check_edge_settle(&spec, &other, mode, |n| Aedb::new(n, params))?;
+        check_edge_settle(&spec, &other, mode, |n| DigestFlooding {
+            seen: vec![false; n],
+            jitter,
+        })?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn edges_taken_under_different_protocols_restore_identically(
+        seed in 0u64..10_000,
+        n_walk in 8usize..30,
+        n_other in 2usize..8,
+        power_idx in 0usize..3,
+        shadowed_i in 0usize..2,
+        mode_i in 0usize..2,
+        field_side in 200.0f64..500.0,
+        jitter in 0.01f64..1.0,
+        min_delay in 0.0f64..1.0,
+        delay_span in 0.05f64..2.0,
+        border in -95.0f64..-70.0,
+        neighbors in 0.0f64..50.0,
+    ) {
+        // No protocol runs before the broadcast, so the edge is the same
+        // whichever protocol the donor simulator drives: the checkpoints
+        // print alike, and each restores into any protocol to the same
+        // settled metrics, those of a straight run.
+        use manet::mobility::MobilityModel;
+        let mode = [DeliveryMode::Incremental, DeliveryMode::Naive][mode_i];
+        let mut radio = manet::RadioConfig::paper();
+        radio.shadowing_sigma_db = if shadowed_i == 1 { 4.0 } else { 0.0 };
+        let walkers = NodeGroup::new(n_walk)
+            .mobility(MobilityModel::RandomWalk { change_interval: 2.0 });
+        let other = NodeGroup::new(n_other)
+            .mobility(MobilityModel::RandomWaypoint { pause: 1.0 })
+            .tx_power_dbm([10.0, 5.0, 16.02][power_idx]);
+        let spec = mixed_world(seed, field_side, walkers, other, radio, 3.0);
+        let n = spec.n_nodes();
+        let params = AedbParams {
+            min_delay,
+            max_delay: min_delay + delay_span,
+            border_threshold: border,
+            margin_threshold: 1.0,
+            neighbors_threshold: neighbors,
+        };
+        let edges = [
+            deferred_edge(&spec, Flooding::new(n, (0.0, jitter)), mode, 0.0),
+            deferred_edge(&spec, SourceOnly, mode, 0.0),
+            deferred_edge(&spec, Aedb::new(n, params), mode, 0.0),
+        ];
+        let printed = format!("{:?}", edges[0]);
+        for edge in &edges[1..] {
+            prop_assert!(format!("{edge:?}") == printed, "edges differ by donor protocol");
+        }
+        let want_aedb = sim_in(&spec, Aedb::new(n, params), mode).run_broadcast().clone();
+        let digest = || DigestFlooding { seen: vec![false; n], jitter };
+        let want_digest = sim_in(&spec, digest(), mode).run_broadcast().clone();
+        let mut aedb = sim_in(&spec, Aedb::new(n, params), mode);
+        let mut reading = sim_in(&spec, digest(), mode);
+        for edge in &edges {
+            aedb.restore(edge, |p| p.reset(n, params));
+            prop_assert_eq!(aedb.settle(), &want_aedb);
+            reading.restore(edge, |p| *p = digest());
+            prop_assert_eq!(reading.settle(), &want_digest);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

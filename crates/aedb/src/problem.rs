@@ -86,10 +86,10 @@ pub struct SimStats {
 /// [`Problem::evaluate_batch`], [`Problem::evaluate`] and
 /// [`evaluate_full`](Self::evaluate_full) —
 /// runs one pipeline that fans the (candidate × network) product out over
-/// a thread pool at once: the unit of parallelism the optimisers feed a
-/// generation at a time, and the network axis of a lone candidate. A
-/// quantized-parameter cache dedupes repeated configurations across
-/// generations.
+/// the thread pool at once, one job per pair: the unit of parallelism the
+/// optimisers feed a generation at a time, and the network axis of a lone
+/// candidate. A quantized-parameter cache dedupes repeated configurations
+/// across generations.
 ///
 /// The problem owns the simulators its jobs run on: the batched pipeline
 /// runs thousands of simulations per generation through the same handful
@@ -98,16 +98,15 @@ pub struct SimStats {
 pub struct AedbProblem {
     scenario: Scenario,
     /// Each network's broadcast edge, taken the first time the network is
-    /// simulated (see `simulate_network`).
+    /// simulated (see [`simulate_one`](Self::simulate_one)).
     edges: Vec<OnceLock<Checkpoint>>,
     /// Idle simulators, reused across batches; never more than the peak
     /// number of concurrent simulations.
     sims: Mutex<Vec<Simulator<Aedb>>>,
     bounds: Bounds,
     /// Whether evaluation fans its jobs over the thread pool (`true` by
-    /// default). Turned off when a caller shards *whole
-    /// repetitions* across the pool instead (`bench::runner`), so the two
-    /// levels of parallelism do not multiply.
+    /// default); off, the calling thread walks them in order (the
+    /// sequential reference of tests and probes).
     parallel_batches: bool,
     /// Evaluation memo keyed by quantized decision vectors; `None`
     /// disables caching (perf baselines).
@@ -190,10 +189,12 @@ impl AedbProblem {
 
     /// Enables/disables the thread-pool fan-out of every evaluation entry
     /// point — [`Problem::evaluate_batch`], [`Problem::evaluate`] and
-    /// [`evaluate_full`](Self::evaluate_full) alike (on by default).
-    /// `bench::runner` turns it off when it shards whole repetitions
-    /// across the pool, so the outer and inner parallelism do not multiply
-    /// into oversubscription. Results are bit-identical either way.
+    /// [`evaluate_full`](Self::evaluate_full) alike (on by default). On,
+    /// a call's (candidate, network) jobs run on the persistent `rayon`
+    /// pool; off, the calling thread walks the same job list in order. A
+    /// call made inside another pool call (a repetition sharded over the
+    /// pool) runs its jobs inline either way. Results are bit-identical
+    /// either way.
     pub fn with_parallel_batches(mut self, on: bool) -> Self {
         self.parallel_batches = on;
         self
@@ -413,19 +414,11 @@ impl AedbProblem {
     }
 
     /// Simulates `params` on network `k` and returns its raw observables,
-    /// bit-identical to a straight run of the network under `params`: it
-    /// restores the network's broadcast edge, kept for the problem's life,
-    /// and settles the broadcast
-    /// ([`Simulator::settle`]). Networks compile through the
-    /// declarative [`Scenario::world`] path, so heterogeneous dense
-    /// scenarios (mixed mobility / power classes) pose the tuning problem
-    /// exactly like homogeneous ones.
-    pub fn simulate_one(&self, params: AedbParams, k: usize) -> AedbOutcome {
-        self.simulate_network(&[params], k)[0]
-    }
-
-    /// Simulates every candidate of `params` on network `k`, in order,
-    /// each with bit-identical results to a straight run from `t = 0`.
+    /// bit-identical to a straight run of the network under `params` from
+    /// `t = 0`. Networks compile through the declarative
+    /// [`Scenario::world`] path, so heterogeneous dense scenarios (mixed
+    /// mobility / power classes) pose the tuning problem exactly like
+    /// homogeneous ones.
     ///
     /// No simulation starts at `t = 0`. The first simulation of the network
     /// on this problem runs it once up to the instant before its broadcast,
@@ -433,7 +426,7 @@ impl AedbProblem {
     /// nothing reads a table before the broadcast, so the beacons a read
     /// could still return wait in the deferred log, and the [`Checkpoint`]
     /// taken at that edge carries the log in compact form and stays alive
-    /// for the problem's life. Every candidate restores the edge and runs
+    /// for the problem's life. Every simulation restores the edge and runs
     /// [`Simulator::settle`], which resolves a beacon's receivers only when
     /// the protocol reads a table (a few dozen reads per broadcast, against
     /// thousands of receptions) and stops once the broadcast has settled,
@@ -447,27 +440,21 @@ impl AedbProblem {
     /// concurrent job, kept idle until the problem is dropped, whose
     /// deferred-beacon logs hold one read window of beacons and frames
     /// while it settles.
-    fn simulate_network(&self, params: &[AedbParams], k: usize) -> Vec<AedbOutcome> {
+    pub fn simulate_one(&self, params: AedbParams, k: usize) -> AedbOutcome {
         // Bind the checkout first: `self.sims.lock().pop().unwrap_or_else(…)`
         // would hold the lock while a new simulator is built.
         let pooled = self.sims.lock().pop();
         let mut sim = pooled.unwrap_or_else(|| {
             let world = self.scenario.world(k);
-            Simulator::from_world(&world, Aedb::new(world.n_nodes(), params[0]))
+            Simulator::from_world(&world, Aedb::new(world.n_nodes(), params))
         });
         let edge = self.edges[k].get_or_init(|| self.take_edge(&mut sim, k));
         let n = edge.world().n_nodes();
-        let outcomes = params
-            .iter()
-            .map(|&p| {
-                sim.restore(edge, |proto| proto.reset(n, p));
-                self.run(&mut sim)
-            })
-            .collect();
+        sim.restore(edge, |proto| proto.reset(n, params));
+        self.restores.fetch_add(1, Ordering::Relaxed);
+        let outcome = self.run(&mut sim);
         self.sims.lock().push(sim);
-        self.restores
-            .fetch_add(params.len() as u64, Ordering::Relaxed);
-        outcomes
+        outcome
     }
 
     /// Simulates network `k` on `sim` up to its broadcast edge, deferring
@@ -537,38 +524,27 @@ impl AedbProblem {
     /// Simulates every candidate of `params` on every network and returns
     /// each candidate's observables averaged in network order.
     ///
-    /// The work is split **network-major**: each job is one network and a
-    /// contiguous chunk of the candidates, simulated one after another on
-    /// one pooled simulator from the network's edge
-    /// (`simulate_network`). There are `min(candidates, ⌈threads /
-    /// networks⌉)` chunks per network, so the `networks × chunks` jobs
-    /// cover every pool thread — for a lone candidate the jobs **are** its
-    /// network axis. Outcomes are folded in network order whatever the
-    /// split, so each average is bit-identical to a sequential run.
+    /// There is one job per (candidate, network), **candidate-major**: job
+    /// `j` simulates candidate `j / N` on network `j % N`
+    /// ([`simulate_one`](Self::simulate_one)), so the first `N` jobs of a
+    /// fresh problem take every network's edge in parallel, and a lone
+    /// candidate's jobs **are** its network axis. The jobs fan over the
+    /// persistent `rayon` pool, or run in order when
+    /// [`with_parallel_batches(false)`](Self::with_parallel_batches) is
+    /// set. Outcomes are folded in network order either way, so each
+    /// average is bit-identical to a sequential run.
     fn outcomes(&self, params: &[AedbParams]) -> Vec<AedbOutcome> {
-        if params.is_empty() {
-            return Vec::new();
-        }
         let n_nets = self.scenario.n_networks;
-        let threads = if self.parallel_batches {
-            rayon::current_num_threads()
-        } else {
-            1
-        };
-        let chunks = params.len().min(threads.div_ceil(n_nets));
-        let chunk = |c: usize| c * params.len() / chunks..(c + 1) * params.len() / chunks;
-        let job = |j: usize| self.simulate_network(&params[chunk(j % chunks)], j / chunks);
-        let jobs = n_nets * chunks;
-        let per_job: Vec<Vec<AedbOutcome>> = if self.parallel_batches {
+        let job = |j: usize| self.simulate_one(params[j / n_nets], j % n_nets);
+        let jobs = params.len() * n_nets;
+        let per_job: Vec<AedbOutcome> = if self.parallel_batches {
             (0..jobs).into_par_iter().map(job).collect()
         } else {
             (0..jobs).map(job).collect()
         };
-        // Job `j` covers network `j / chunks`, so each run of `chunks`
-        // jobs concatenates to one network's outcomes in candidate order.
-        let per_net: Vec<Vec<AedbOutcome>> = per_job.chunks(chunks).map(<[_]>::concat).collect();
-        (0..params.len())
-            .map(|ci| Self::average(per_net.iter().map(|net| net[ci]), n_nets))
+        per_job
+            .chunks(n_nets)
+            .map(|nets| Self::average(nets.iter().copied(), n_nets))
             .collect()
     }
 
@@ -609,9 +585,10 @@ impl Problem for AedbProblem {
     }
 
     /// Batched evaluation: dedupes candidates through the quantized cache,
-    /// then simulates the remaining candidates in one network-major
-    /// thread-pool scope (`outcomes`), so each result is bit-identical to
-    /// a one-at-a-time [`evaluate`](Problem::evaluate) call.
+    /// then simulates the remaining candidates as one pool call of
+    /// candidate-major (candidate, network) jobs (`outcomes`), so each
+    /// result is bit-identical to a one-at-a-time
+    /// [`evaluate`](Problem::evaluate) call.
     fn evaluate_batch(&self, xs: &[Vec<f64>]) -> Vec<Evaluation> {
         let mut results: Vec<Option<Evaluation>> = Vec::with_capacity(xs.len());
         // Unique uncached configurations in first-occurrence order.
@@ -849,9 +826,9 @@ mod tests {
 
     #[test]
     fn multi_candidate_jobs_match_one_at_a_time_evaluation() {
-        // k = 3 candidates on N = 3 networks, one chunk per network: each
-        // network's job settles the three candidates one after another on
-        // one simulator, bit-identical to evaluating them one at a time.
+        // k = 3 candidates on N = 3 networks, walked in order: the nine
+        // (candidate, network) jobs share the problem's simulators and
+        // edges, bit-identical to evaluating the candidates one at a time.
         let p = AedbProblem::paper(Scenario::quick(Density::D100, 3))
             .with_eval_cache(false)
             .with_parallel_batches(false);
@@ -871,6 +848,81 @@ mod tests {
         let lone = p.sim_stats();
         assert_eq!(lone.simulations, 18);
         assert_eq!(lone.restores, lone.simulations);
+    }
+
+    /// `count` distinct vectors spread over Table III's bounds (an additive
+    /// recurrence per variable, so no two share a cache cell).
+    fn spread_vectors(count: usize, offset: usize) -> Vec<AedbParams> {
+        const STEPS: [f64; N_PARAMS] = [0.618_034, 0.414_214, 0.732_051, 0.236_068, 0.605_551];
+        let bounds = AedbParams::bounds();
+        (offset..offset + count)
+            .map(|c| {
+                let x: Vec<f64> = (0..N_PARAMS)
+                    .map(|i| {
+                        let (lo, hi) = bounds.get(i);
+                        lo + (hi - lo) * ((c + 1) as f64 * STEPS[i]).fract()
+                    })
+                    .collect();
+                AedbParams::from_vec(&x)
+            })
+            .collect()
+    }
+
+    fn bits(o: AedbOutcome) -> [u64; 4] {
+        [o.energy, o.coverage, o.forwardings, o.broadcast_time].map(f64::to_bits)
+    }
+
+    #[test]
+    fn split_is_bit_identical_to_sequential_and_lone_evaluation_at_every_width() {
+        // Candidate-major (candidate, network) jobs on the pool, the same
+        // job list walked in order, and one candidate at a time must agree
+        // bit for bit at every batch width, through `outcomes` and through
+        // the `Problem` entry points.
+        let scenario = || Scenario::quick(Density::D100, 3);
+        let par = AedbProblem::paper(scenario()).with_eval_cache(false);
+        let seq = AedbProblem::paper(scenario())
+            .with_eval_cache(false)
+            .with_parallel_batches(false);
+        let lone = AedbProblem::paper(scenario()).with_eval_cache(false);
+        let mut offset = 0;
+        for width in 1..=9 {
+            let params = spread_vectors(width, offset);
+            offset += width;
+            let par_out = par.outcomes(&params);
+            let seq_out = seq.outcomes(&params);
+            assert_eq!(par_out.len(), width);
+            for (c, &p) in params.iter().enumerate() {
+                let one = lone.evaluate_full(p);
+                assert_eq!(bits(par_out[c]), bits(one), "width {width}, candidate {c}");
+                assert_eq!(bits(seq_out[c]), bits(one), "width {width}, candidate {c}");
+            }
+            let xs: Vec<Vec<f64>> = params.iter().map(|p| p.to_vec()).collect();
+            let batch = par.evaluate_batch(&xs);
+            for (x, ev) in xs.iter().zip(&batch) {
+                assert_eq!(*ev, lone.evaluate(x), "width {width}");
+            }
+        }
+    }
+
+    #[test]
+    fn split_first_batch_wider_than_the_pool_takes_each_edge_once() {
+        // A fresh problem's first batch has more candidates than the pool
+        // has threads, so jobs on the same network run concurrently while
+        // its edge is still being taken; each edge is still taken once,
+        // and every simulation restores one.
+        let n_networks = 3;
+        let fresh = rayon::current_num_threads() + 2;
+        let p = AedbProblem::paper(Scenario::quick(Density::D100, n_networks));
+        let xs: Vec<Vec<f64>> = spread_vectors(fresh, 0)
+            .iter()
+            .map(|p| p.to_vec())
+            .collect();
+        p.evaluate_batch(&xs);
+        let stats = p.sim_stats();
+        assert_eq!(stats.checkpoints, n_networks as u64);
+        assert_eq!(stats.simulations, (fresh * n_networks) as u64);
+        assert_eq!(stats.restores, stats.simulations);
+        assert!(stats.settled <= stats.simulations);
     }
 
     #[test]

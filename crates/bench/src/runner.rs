@@ -3,11 +3,10 @@
 //!
 //! Parallelism lives at the **repetition** level (the ROADMAP's "shard
 //! whole repetitions/densities" item): every (density × algorithm ×
-//! repetition) job is an independent unit fanned over the thread pool,
-//! and the per-density problem is built with
-//! [`AedbProblem::with_parallel_batches`]`(false)` so the batched
-//! evaluator inside each repetition does not multiply the outer
-//! parallelism into oversubscription. Seeds are per-repetition, so the
+//! repetition) job is an independent unit fanned over the thread pool.
+//! While the repetitions hold the pool, the batched evaluator inside each
+//! one runs its jobs inline (a call made inside a pool call always does),
+//! so the two levels never multiply. Seeds are per-repetition, so the
 //! sharded schedule is bit-identical to the historical sequential loop.
 
 use crate::scale::ExperimentScale;
@@ -39,10 +38,7 @@ pub fn algorithms_for(scale: &ExperimentScale, kind: AlgorithmKind) -> Box<dyn M
 }
 
 /// Runs `scale.reps` seeded repetitions of `kind` on `problem`, sharding
-/// whole repetitions across the thread pool. When `problem` parallelises
-/// its own batches, prefer handing it
-/// [`AedbProblem::with_parallel_batches`]`(false)` so only one layer owns
-/// the pool.
+/// whole repetitions across the thread pool.
 pub fn run_algorithm(
     scale: &ExperimentScale,
     kind: AlgorithmKind,
@@ -75,13 +71,10 @@ impl DensityResults {
     /// the widest shard: (density × algorithm × repetition) jobs all
     /// compete for the pool, so a slow density cannot serialise the rest.
     pub fn collect_all(scale: &ExperimentScale, densities: &[Density]) -> Vec<Self> {
-        // One problem per density, shared by its jobs; inner batch
-        // parallelism off — the repetition jobs already saturate the pool.
+        // One problem per density, shared by its jobs.
         let problems: Vec<AedbProblem> = densities
             .iter()
-            .map(|&d| {
-                AedbProblem::paper(Scenario::quick(d, scale.networks)).with_parallel_batches(false)
-            })
+            .map(|&d| AedbProblem::paper(Scenario::quick(d, scale.networks)))
             .collect();
         let jobs: Vec<(usize, AlgorithmKind, usize)> = (0..densities.len())
             .flat_map(|di| {
